@@ -9,16 +9,13 @@ from .busemann_petty import (BpReport, ConstructionFailedError,
                              ConstructionImpossibleError, HarmonicBump,
                              bp_construct, bp_verify, holder_chain_check)
 from .embedding import EmbeddingVerdict, embedding_interval, scan
-from .fourier import (CalibrationError, FtSample, MultiplierTable,
-                      UnsupportedRouteError, classical_ft_constant,
-                      classical_multiplier,
-                      ft_derivative_route, ft_fractional_route,
-                      ft_multiplier_route, ft_value, multiplier_table,
+from .fourier import (FtSample, UnsupportedRouteError, classical_ft_constant,
+                      classical_multiplier, ft_derivative_route,
+                      ft_fractional_route, ft_multiplier_route, ft_value,
                       pairing_oracle, parseval_check, section_profile,
                       sph_identity_check)
 from .frames import ComplexFrame, DirectionGrid, make_frame, make_grid, perp
-from .harmonics import (HarmonicAtom, build_invariant_harmonics,
-                        symmetric_harmonic_atoms)
+from .harmonics import HarmonicAtom, symmetric_harmonic_atoms
 from .quadrature import (Estimate, PoisonedEstimateError, SphereRule,
                          fractional_radial, integrate_sphere, kahan_reduce,
                          sphere_area)

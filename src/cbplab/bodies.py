@@ -12,12 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .frames import rotate
-
-INVARIANCE_CLASSES = ("general", "complex_rotation", "independent_rotation")
-SMOOTHNESS = ("nonsmooth", "C2", "C_infinity")
 
 
 class StarBody:
@@ -209,119 +205,43 @@ class RadialPerturbation(StarBody):
                 f"bump={self.bump_id},exponent={self.s:g}")
 
 
-def _canonicalize_orbit(x):
-    """Rotate each point by a common blockwise angle so the largest-modulus
-    block lands on the positive first axis; constant on R_theta orbits."""
-    x = np.asarray(x, dtype=float)
-    m = block_moduli(x)
-    j = np.argmax(m, axis=-1)
-    idx = np.arange(x.shape[0])
-    a = x[idx, 2 * j]
-    b = x[idx, 2 * j + 1]
-    phi = np.arctan2(b, a)
-    c, s = np.cos(-phi), np.sin(-phi)
-    out = np.empty_like(x)
-    out[:, 0::2] = c[:, None] * x[:, 0::2] - s[:, None] * x[:, 1::2]
-    out[:, 1::2] = s[:, None] * x[:, 0::2] + c[:, None] * x[:, 1::2]
-    return out
-
-
 class MollifiedBody(StarBody):
     """Spherical convolution of the radial function with a smooth zonal kernel.
 
-    The kernel is zonal (a function of the geodesic angle alone), so the
-    convolution preserves every rotation symmetry of the body.  Two
-    realizations are used:
-
-    * For bodies whose radial function depends only on the block moduli,
-      the radial function is expanded in moduli-symmetric spherical
-      harmonics up to `max_degree` and each degree-j component is damped by
-      the heat-kernel factor exp(-j (j + d - 2) width^2 / 2).  The result
-      is a polynomial in the block moduli: exactly invariant, C^infinity,
-      with exact derivatives of all orders, and cheap to evaluate.
-
-    * Otherwise a C^inf cap bump of angular width `width` is discretized
-      (Gauss-Legendre in the geodesic angle, a fixed low-discrepancy cloud
-      of tangent directions) and evaluated at a canonical representative of
-      the R_theta orbit, which keeps the block-rotation invariance exact.
+    The base must depend only on the block moduli.  Its radial function is
+    expanded in moduli-symmetric spherical harmonics up to `max_degree`, and
+    each degree-j component is damped by the heat-kernel factor
+    exp(-j (j + d - 2) width^2 / 2).  The kernel is zonal (a function of
+    the geodesic angle alone), so every rotation symmetry of the body is
+    kept.  The result is a polynomial in the block moduli: exactly
+    invariant, C^infinity, with exact derivatives of all orders, and cheap
+    to evaluate.
     """
 
     _SERIES_RES = 64
 
-    def __init__(self, base: StarBody, width: float, n_alpha=8, n_tangent=128,
-                 band_limited=None, max_degree=16):
+    def __init__(self, base: StarBody, width: float, max_degree=16):
         if not 0.0 < width < 1.0:
             raise ValueError("width must lie in (0, 1)")
+        if not base.moduli_symmetric:
+            raise ValueError(
+                f"mollify needs a base whose radial function depends only on "
+                f"the block moduli; {base.spec()} does not")
         self.base = base
         self.width = float(width)
         self.dim = base.dim
-        self.n_alpha = int(n_alpha)
-        self.n_tangent = int(n_tangent)
         self.invariance_class = (
             base.invariance_class
             if base.invariance_class != "general" else "complex_rotation")
         self.smoothness_hint = "C_infinity"
-        slack = 1e-3 * (base.r_max - base.r_min) + 1e-12
-        self.r_min = base.r_min - slack
-        self.r_max = base.r_max + slack
-        self.moduli_symmetric = base.moduli_symmetric
-
-        # cap quadrature: Gauss-Legendre in the geodesic angle, a fixed
-        # Sobol-Gaussian cloud projected per-point for tangent directions
-        t, w = np.polynomial.legendre.leggauss(self.n_alpha)
-        alpha = 0.5 * self.width * (t + 1.0)
-        with np.errstate(divide="ignore", over="ignore"):
-            kern = np.exp(-1.0 / np.maximum(1.0 - (alpha / self.width) ** 2, 1e-300))
-        wa = w * kern * np.sin(alpha) ** (self.dim - 2)
-        self._alpha = alpha
-        self._wa = wa / wa.sum()
-        eng = stats.qmc.Sobol(d=self.dim, scramble=True, seed=20160827)
-        self._cloud = stats.norm.ppf(
-            np.clip(eng.random(self._pow2(self.n_tangent)), 1e-12, 1 - 1e-12))
-
-        self._series = None
+        self.moduli_symmetric = True
         self.max_degree = int(max_degree)
-        use_series = (band_limited if band_limited is not None
-                      else base.moduli_symmetric)
-        if use_series:
-            if not base.moduli_symmetric:
-                raise ValueError(
-                    "band-limited mollification needs a moduli-symmetric body")
-            self._build_series()
-
-    @staticmethod
-    def _pow2(n):
-        return 1 << (int(n) - 1).bit_length()
-
-    # -- generic convolution ----------------------------------------------
-
-    def _radial_conv(self, xhat):
-        """Cap-convolved radial function at unit points (N, dim)."""
-        xhat = np.atleast_2d(np.asarray(xhat, dtype=float))
-        n, d = xhat.shape
-        per_point = self.n_alpha * len(self._cloud)
-        chunk = max(1, int(4e6 // per_point))
-        if n > chunk:
-            out = np.empty(n)
-            for i in range(0, n, chunk):
-                out[i:i + chunk] = self._radial_conv(xhat[i:i + chunk])
-            return out
-        z = self._cloud  # (T, d)
-        proj = z[None, :, :] - (xhat @ z.T)[:, :, None] * xhat[:, None, :]
-        proj /= np.linalg.norm(proj, axis=2, keepdims=True)
-        ca = np.cos(self._alpha)
-        sa = np.sin(self._alpha)
-        # nodes: (N, A, T, d)
-        nodes = (ca[None, :, None, None] * xhat[:, None, None, :]
-                 + sa[None, :, None, None] * proj[:, None, :, :])
-        vals = self.base.radial(nodes.reshape(-1, d)).reshape(n, len(ca), -1)
-        return np.einsum("a,nat->n", self._wa, vals) / vals.shape[2]
-
-    # -- band-limited path for moduli-symmetric bases ----------------------
+        self._build_series()
 
     def _build_series(self):
         from .harmonics import (c_eval, moduli_gauss_quadrature,
-                                symmetric_harmonic_atoms)
+                                symmetric_harmonic_atoms,
+                                symmetric_power_form)
 
         m, weights = moduli_gauss_quadrature(self.n_blocks, self._SERIES_RES)
         pts = np.zeros((m.shape[0], self.dim))
@@ -336,9 +256,7 @@ class MollifiedBody(StarBody):
                 -0.5 * atom.degree * (atom.degree + d - 2) * self.width ** 2)
             for mono, cc in atom.c_poly.items():
                 series[mono] = series.get(mono, 0.0) + coef * damp * cc
-        self._series = series
         # compact power-sum form for fast evaluation on the sphere
-        from .harmonics import symmetric_power_form
         self._power_form = symmetric_power_form(series, self.n_blocks)
         vals = c_eval(series, m ** 2)
         lo, hi = float(np.min(vals)), float(np.max(vals))
@@ -363,10 +281,7 @@ class MollifiedBody(StarBody):
         flat = pts.reshape(-1, self.dim)
         r = np.linalg.norm(flat, axis=-1)
         xhat = flat / r[:, None]
-        if self._series is not None:
-            rho = self._radial_series(xhat)
-        else:
-            rho = self._radial_conv(_canonicalize_orbit(xhat))
+        rho = self._radial_series(xhat)
         out = (r / rho).reshape(pts.shape[:-1])
         return float(out[0]) if single else out.reshape(x.shape[:-1])
 
@@ -374,9 +289,10 @@ class MollifiedBody(StarBody):
         return f"mollify:base=({self.base.spec()}),width={self.width:g}"
 
 
-def mollify(body: StarBody, width: float, **kw) -> StarBody:
-    """Smooth approximation of the body in the radial metric."""
-    return MollifiedBody(body, width, **kw)
+def mollify(body: StarBody, width: float, max_degree=16) -> StarBody:
+    """Smooth approximation of a moduli-symmetric body in the radial
+    metric; raises ValueError for any other body."""
+    return MollifiedBody(body, width, max_degree=max_degree)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,8 @@ hyperplane section of K is no larger than the matching section of L, did the
 volume comparison follow?  `bp_construct` builds a pair where it does not:
 starting from a body whose norm-power transform is negative somewhere, a
 nonnegative spherical bump f supported near the negativity region is pushed
-through the harmonic multiplier transform and subtracted from the radial
-power of L.  Sections shrink pointwise (the transform of the perturbation is
+through the transform, degree by degree with the closed-form harmonic
+multipliers, and subtracted from the radial power of L.  Sections shrink pointwise (the transform of the perturbation is
 -eps f up to positive constants) while the volume grows (the first-order
 volume change pairs f against the negative transform values).
 """
@@ -26,8 +26,9 @@ from .frames import DirectionGrid, make_frame, make_grid
 from .fourier import classical_multiplier
 from .harmonics import (c_add, c_eval, c_harmonic_components, c_mul, c_scale,
                         symmetric_harmonic_atoms)
-from .quadrature import Estimate, SphereRule, kahan_reduce
-from .sections import volume
+from .quadrature import (Estimate, SphereRule, integrate_sphere,
+                         integrate_subsphere)
+from .sections import _polar, volume
 
 
 class ConstructionImpossibleError(RuntimeError):
@@ -91,12 +92,6 @@ def _require_invariant(body: StarBody):
         raise ValueError(f"{body.spec()} is not complex-rotation invariant")
 
 
-def _batch_stats(sums):
-    ests = np.asarray(sums) * len(sums)
-    return (float(kahan_reduce(sums)),
-            float(np.std(ests, ddof=1) / math.sqrt(len(ests))))
-
-
 def _section_gaps(K, L, grid, rule):
     """Per-direction A_K(0) - A_L(0) with both integrals on shared nodes,
     so the quadrature noise cancels in the difference."""
@@ -104,16 +99,11 @@ def _section_gaps(K, L, grid, rule):
     gaps = np.empty(len(grid.points))
     errs = np.empty(len(grid.points))
     for i, xi in enumerate(grid.points):
-        frame = make_frame(xi)
-        sums = []
-        for pts, w in rule.batches():
-            x = pts @ frame.basis
-            diff = K.radial(x) ** m - L.radial(x) ** m
-            sums.append(float(np.dot(w, diff)) / m)
-        if rule.deterministic:
-            gaps[i], errs[i] = float(kahan_reduce(sums)), 0.0
-        else:
-            gaps[i], errs[i] = _batch_stats(sums)
+        est = integrate_subsphere(
+            rule, make_frame(xi).basis,
+            lambda x: K.radial(x) ** m - L.radial(x) ** m)
+        est = _polar(est, m, "section_gap")
+        gaps[i], errs[i] = est.value, est.stderr
     return gaps, errs
 
 
@@ -121,15 +111,9 @@ def _volume_gap(K, L, rule):
     """Vol(K) - Vol(L) on shared nodes (the difference is usually tiny
     against either volume, and common nodes keep its error bar tiny too)."""
     d = K.dim
-    sums = []
-    for pts, w in rule.batches():
-        diff = K.radial(pts) ** d - L.radial(pts) ** d
-        sums.append(float(np.dot(w, diff)) / d)
-    if rule.deterministic:
-        return Estimate(float(kahan_reduce(sums)), 0.0, rule.node_count,
-                        "polar_volume_gap")
-    value, stderr = _batch_stats(sums)
-    return Estimate(value, stderr, rule.node_count, "polar_volume_gap")
+    est = integrate_sphere(rule, lambda pts: K.radial(pts) ** d
+                           - L.radial(pts) ** d)
+    return _polar(est, d, "polar_volume_gap")
 
 
 def bp_verify(K: StarBody, L: StarBody, grid: DirectionGrid,
@@ -198,16 +182,14 @@ def holder_chain_check(K: StarBody, L: StarBody,
     n = d // 2
     if rule is None:
         rule = SphereRule(d, "quasi_monte_carlo", node_count=2 ** 16, seed=17)
-    s1, s2, s3 = [], [], []
-    for pts, w in rule.batches():
-        rk = K.radial(pts)
-        rl = L.radial(pts)
-        s1.append(float(np.dot(w, rk ** d)))
-        s2.append(float(np.dot(w, rl ** (d - 2) * rk ** 2)))
-        s3.append(float(np.dot(w, rl ** d)))
-    i1, e1 = _batch_stats(s1)
-    i2, e2 = _batch_stats(s2)
-    voll, evoll = _batch_stats(s3)
+    # three integrals on the same rule, hence on the same nodes
+    one = integrate_sphere(rule, lambda pts: K.radial(pts) ** d)
+    two = integrate_sphere(rule, lambda pts: L.radial(pts) ** (d - 2)
+                           * K.radial(pts) ** 2)
+    vol = integrate_sphere(rule, lambda pts: L.radial(pts) ** d)
+    i1, e1 = one.value, one.stderr
+    i2, e2 = two.value, two.stderr
+    voll, evoll = vol.value, vol.stderr
     i3 = voll ** ((n - 1.0) / n) * i1 ** (1.0 / n)
     # first-order error propagation through the product of powers
     e3 = abs(i3) * math.hypot((n - 1.0) / n * evoll / voll, e1 / (n * i1))
@@ -283,8 +265,7 @@ def _transform_bump(f_poly, n, p=2.0):
 
     The closed form keeps g exact, so the transform of the perturbation is
     exactly proportional to -f and the section gaps of the constructed pair
-    inherit the sign of -f with no multiplier error.  (Calibrated tables are
-    for measurement routes; here the polynomial identity is the point.)"""
+    inherit the sign of -f with no multiplier error."""
     comps = c_harmonic_components(f_poly, n)
     g = {}
     for deg, poly in sorted(comps.items()):

@@ -279,8 +279,11 @@ def _pair_from_file(path):
 
 def cmd_bp_verify(args) -> int:
     if args.pair:
-        K, L, _ = _pair_from_file(args.pair)
+        K, L, record = _pair_from_file(args.pair)
+        # K.spec() names the bump by its label only; the hash of the pair
+        # record keys the cache on the bump coefficients too
         inputs = {"command": "bp-verify", "pair": os.path.basename(args.pair),
+                  "pair_sha256": config_hash(record["pair"]),
                   "K": K.spec(), "L": L.spec(), "grid": args.grid,
                   "rule": args.rule, "seed": args.seed, "nodes": args.nodes,
                   "tol": args.tol}

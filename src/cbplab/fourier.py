@@ -1,6 +1,9 @@
 """The Fourier transform of negative powers of a norm, evaluated on the
-sphere by three independent routes, plus the spherical-harmonic multiplier
-engine and the Parseval / circle-integral identity checks.
+sphere by four routes: Laplacian powers of the section function, a
+fractional pairing of the section profile, a pairing with an explicit
+Gaussian test pair (the invariance-free oracle), and a harmonic expansion
+times the closed-form multipliers.  Also the Parseval and circle-integral
+identity checks.
 
 Conventions: f_hat(y) = int f(x) exp(-i<x,y>) dx, so that
 (|x|^{-p})^ = c(d, p) |y|^{-(d-p)} with c as in classical_ft_constant.
@@ -12,7 +15,6 @@ orbits, and values at non-unit y follow by (p - d)-homogeneity.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,10 +22,10 @@ from scipy import interpolate, special
 
 from .bodies import StarBody, block_moduli
 from .frames import make_frame, ComplexFrame
-from .harmonics import (build_invariant_harmonics, c_eval,
-                        moduli_gauss_quadrature, symmetric_harmonic_atoms)
+from .harmonics import (c_eval, moduli_gauss_quadrature,
+                        symmetric_harmonic_atoms)
 from .quadrature import (Estimate, SphereRule, fractional_radial,
-                         kahan_reduce, sphere_area)
+                         integrate_sphere, kahan_reduce, sphere_area)
 from .sections import (NoisyEstimateError, laplacian_at_zero,
                        parallel_section, section_volume)
 
@@ -189,11 +191,6 @@ def _radial_cos_integral(t, mu, beta):
             * special.hyp1f1(mu / 2.0, 0.5, -np.square(t) / (4.0 * beta)))
 
 
-def _bump_weighted_mass(d, p, sigma):
-    """int |y|^{-(d-p)} phi_sigma(y) dy for the unit Gaussian pair phi."""
-    return _harmonic_bump_moment(d, p, 0, sigma)
-
-
 def _harmonic_bump_moment(d, p, j, sigma, r_nodes=600, t_nodes=400):
     """int P_j(y/|y|) |y|^{-(d-p)} phi_sigma(y) dy / P_j(xi) for the unit
     Gaussian pair phi at +-xi, any degree-j harmonic P_j.
@@ -261,7 +258,7 @@ def _pairing_core(angular, d, xi, p, sigma, rule, levels=2, masses=None):
     mu = d - p
     sigmas = [sigma / 2 ** i for i in range(levels)]
     if masses is None:
-        masses = [_bump_weighted_mass(d, p, s) for s in sigmas]
+        masses = [_harmonic_bump_moment(d, p, 0, s) for s in sigmas]
     xi = np.asarray(xi, dtype=float)
     t, wt = _latitude_nodes(d, sigmas[-1])
     # even integrand: fold to t >= 0 and double
@@ -295,15 +292,12 @@ def _pairing_core(angular, d, xi, p, sigma, rule, levels=2, masses=None):
         prev = per
         per = (fac * per[1:] - per[:-1]) / (fac - 1.0)
     comb = per[0]
-    value = float(kahan_reduce(comb))
+    est = Estimate.from_batches(comb, u_rule, "pairing")
     # the gap to the previous extrapolation order (on the finest widths)
     # estimates the residual width bias
-    residual = abs(value - float(kahan_reduce(prev[-1]))) if levels > 1 else 0.0
-    if u_rule.deterministic:
-        return value, 0.0, residual
-    ests = comb * u_rule.batch_count
-    stderr = float(np.std(ests, ddof=1) / math.sqrt(len(ests)))
-    return value, stderr, residual
+    residual = (abs(est.value - float(kahan_reduce(prev[-1])))
+                if levels > 1 else 0.0)
+    return est.value, est.stderr, residual
 
 
 def pairing_oracle(body: StarBody, xi, p: float, sigma: float = 0.2,
@@ -332,14 +326,14 @@ def pairing_oracle(body: StarBody, xi, p: float, sigma: float = 0.2,
 
 
 # ---------------------------------------------------------------------------
-# route 4: harmonic expansion times calibrated multipliers
+# route 4: harmonic expansion times closed-form multipliers
 # ---------------------------------------------------------------------------
 
 def classical_multiplier(j, p, d):
-    """Closed-form multiplier of (P_j(x/|x|)|x|^{-p})^ for a degree-j
-    spherical harmonic.  Measurement routes always use calibrated values;
-    the closed form bounds truncated high-degree tails and transforms
-    constructed bumps exactly."""
+    """Closed-form lambda(j, p) with (P_j(x/|x|)|x|^{-p})^ =
+    lambda P_j(y/|y|)|y|^{-(d-p)} for a degree-j spherical harmonic P_j
+    (Bochner / Funk-Hecke; Koldobsky, Fourier Analysis in Convex Geometry,
+    section 3).  Degree 0 is classical_ft_constant."""
     return ((-1.0) ** (j // 2) * 2.0 ** (d - p) * math.pi ** (d / 2.0)
             * special.gamma((j + d - p) / 2.0)
             / special.gamma((j + p) / 2.0))
@@ -352,9 +346,9 @@ def ft_multiplier_route(body: StarBody, xi, p: float, max_degree: int = 12,
 
     rho^p is projected onto the fully symmetric harmonic atoms (spectrally
     accurate moduli-angle quadrature) and each degree is multiplied by its
-    calibrated lambda(j, p).  Degrees in (max_degree, tail_degree] cannot be
-    calibrated reliably; their worst-case contribution, bounded with the
-    closed-form multiplier, is added to the error bar.
+    closed-form lambda(j, p).  Degrees in (max_degree, tail_degree] are
+    left out of the value; their contribution bounds the truncation error
+    and is the whole error bar.
     """
     _require_invariant(body)
     if not body.moduli_symmetric:
@@ -370,21 +364,17 @@ def ft_multiplier_route(body: StarBody, xi, p: float, max_degree: int = 12,
     pts[:, 0::2] = m
     a = body.radial(pts) ** p
     cxi = np.atleast_2d(block_moduli(xi) ** 2)
-    table = multiplier_table(n)
     value = 0.0
-    var = 0.0
     tail = 0.0
     for atom in symmetric_harmonic_atoms(n, tail_degree):
         coef = float(np.dot(w, a * c_eval(atom.c_poly, m ** 2)))
         contrib = coef * float(c_eval(atom.c_poly, cxi)[0])
+        term = classical_multiplier(atom.degree, p, body.dim) * contrib
         if atom.degree <= max_degree:
-            lam, err = table.get_with_error(atom.degree, p)
-            value += lam * contrib
-            var += (err * contrib) ** 2
+            value += term
         else:
-            tail += abs(classical_multiplier(atom.degree, p, body.dim)
-                        * contrib)
-    return FtSample(xi, float(p), value, math.sqrt(var) + tail, "multiplier")
+            tail += abs(term)
+    return FtSample(xi, float(p), value, tail, "multiplier")
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +388,7 @@ def ft_value(body: StarBody, xi, p: float, rule: SphereRule = None,
     n = body.dim // 2
     q = 2 * n - p - 2
     if method == "pairing":
-        return pairing_oracle(body, xi, p)
+        return pairing_oracle(body, xi, p, rule=rule)
     if method == "multiplier":
         return ft_multiplier_route(body, xi, p)
     if method in (None, "derivative"):
@@ -444,11 +434,9 @@ def parseval_check(bodyK: StarBody, bodyL: StarBody, p: float, grid,
     if sphere_rule is None:
         sphere_rule = SphereRule(d, "quasi_monte_carlo", node_count=2 ** 16,
                                  seed=2)
-    sums = []
-    for pts, w in sphere_rule.batches():
-        vals = bodyK.radial(pts) ** p * bodyL.radial(pts) ** (d - p)
-        sums.append(float(np.dot(w, vals)))
-    rhs = (2.0 * math.pi) ** d * kahan_reduce(sums)
+    rhs = (2.0 * math.pi) ** d * integrate_sphere(
+        sphere_rule, lambda pts: (bodyK.radial(pts) ** p
+                                  * bodyL.radial(pts) ** (d - p))).value
     rel_gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
     return {"lhs": lhs, "rhs": rhs, "rel_gap": rel_gap,
             "lhs_stderr": math.sqrt(var)}
@@ -483,130 +471,3 @@ def sph_identity_check(v, q: float, level: int = 40) -> dict:
     rhs = factor * integral
     return {"lhs": lhs, "rhs": rhs,
             "rel_gap": abs(lhs - rhs) / max(abs(lhs), abs(rhs))}
-
-
-# ---------------------------------------------------------------------------
-# the multiplier engine
-# ---------------------------------------------------------------------------
-
-class CalibrationError(RuntimeError):
-    """A multiplier calibration came back too noisy to cache."""
-
-
-class MultiplierTable:
-    """Write-once cache of lambda(j, p) with
-    (P_j(x/|x|) |x|^{-p})^ = lambda P_j(y/|y|) |y|^{-(d-p)}.
-
-    Values are calibrated by the pairing oracle against one atom of each
-    degree; the first finished calibration wins under concurrency, later
-    ones reuse it.  Calibrations with stderr above 5% are refused.
-    """
-
-    def __init__(self, n, sigma=0.2, node_count=2 ** 19, seed=13):
-        self.n = int(n)
-        self.dim = 2 * self.n
-        self.sigma = float(sigma)
-        self.node_count = int(node_count)
-        self.seed = int(seed)
-        self._values: dict[tuple, tuple] = {}
-        self._atoms: dict[int, object] = {}
-        self._lock = threading.Lock()
-
-    def _degree_sigma(self, j, p):
-        """Bump width for degree j: the bump response of a degree-j harmonic
-        shrinks like exp(-j(j+d-2) sigma^2/2), so high degrees calibrate at
-        widths keeping that attenuation O(1)."""
-        if j == 0:
-            return self.sigma
-        return min(self.sigma, math.sqrt(2.0 / (j * (j + self.dim - 2))))
-
-    def _atom(self, j):
-        with self._lock:
-            if j in self._atoms:
-                return self._atoms[j]
-        sym = [a for a in symmetric_harmonic_atoms(self.n, max(j, 4))
-               if a.degree == j]
-        if sym:
-            atom = sym[0]
-        else:
-            gen = [a for a in build_invariant_harmonics(self.n, min(max(j, 2), 8))
-                   if a.degree == j]
-            if not gen:
-                raise CalibrationError(
-                    f"no invariant harmonic atom of degree {j} available "
-                    f"for n={self.n}")
-            atom = gen[0]
-        with self._lock:
-            self._atoms.setdefault(j, atom)
-            return self._atoms[j]
-
-    def _calibrate(self, j, p):
-        if j == 0:
-            # degree zero is the classical radial transform; calibrate it
-            # the same way so the audit against the closed form is honest
-            angular = lambda pts: np.ones(len(pts))
-            xi = np.zeros(self.dim)
-            xi[0] = 1.0
-            ref = 1.0
-        else:
-            atom = self._atom(j)
-            probe = SphereRule(self.dim, "quasi_monte_carlo",
-                               node_count=2 ** 12, seed=101).nodes()
-            vals = atom(probe)
-            xi = probe[int(np.argmax(np.abs(vals)))]
-            ref = float(atom(xi[None, :])[0])
-            angular = atom
-        sigma = self._degree_sigma(j, p)
-        # pairing variance grows with the harmonic space dimension, so the
-        # node budget scales up with the degree (capped: calibrations cache
-        # per process and high degrees are only tail audits)
-        boost = min(64, 1 << max(0, (j - 6) // 2))
-        rule = SphereRule(self.dim, "quasi_monte_carlo",
-                          node_count=self.node_count * boost, seed=self.seed)
-        # the bump moment of a degree-j harmonic is exactly computable, so
-        # no width extrapolation is needed and the estimate is unbiased
-        moment = _harmonic_bump_moment(self.dim, p, j, sigma)
-        value, stderr, _ = _pairing_core(angular, self.dim, xi, p, sigma,
-                                         rule, levels=1, masses=[moment])
-        lam = value / ref
-        err = abs(stderr / ref)
-        if err > 0.05 * abs(lam):
-            raise CalibrationError(
-                f"multiplier({j}, {p}) calibration stderr {err:.3g} exceeds "
-                f"5% of |{lam:.6g}|")
-        return lam, err
-
-    def get_with_error(self, j: int, p: float) -> tuple:
-        """(lambda, calibration stderr) for degree j and exponent p."""
-        if j % 2 != 0 or j < 0:
-            raise ValueError("degree j must be a nonnegative even integer")
-        if not 0.0 < p < self.dim:
-            raise ValueError("p must lie in (0, dim)")
-        key = (int(j), float(p))
-        with self._lock:
-            if key in self._values:
-                return self._values[key]
-        pair = self._calibrate(j, p)
-        with self._lock:
-            # first writer wins; a concurrent calibration is discarded
-            self._values.setdefault(key, pair)
-            return self._values[key]
-
-    def get(self, j: int, p: float) -> float:
-        return self.get_with_error(j, p)[0]
-
-
-_TABLES: dict[int, MultiplierTable] = {}
-_TABLES_LOCK = threading.Lock()
-
-
-def multiplier_table(n: int) -> MultiplierTable:
-    with _TABLES_LOCK:
-        if n not in _TABLES:
-            _TABLES[n] = MultiplierTable(n)
-        return _TABLES[n]
-
-
-def multiplier(j: int, p: float, n: int) -> float:
-    """lambda(j, p) on R^{2n}, calibrated once and cached per process."""
-    return multiplier_table(n).get(j, p)

@@ -100,13 +100,16 @@ class DirectionGrid:
         return len(self.points)
 
 
-def _moduli_angle_grid(n, res):
-    """Product grid over the spherical angles of the moduli vector on
-    S^{n-1}_+, with invariant-measure weights (density prod_j m_j)."""
-    edges = np.linspace(0.0, math.pi / 2.0, res + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    step = edges[1] - edges[0]
-    grids = np.meshgrid(*([mids] * (n - 1)), indexing="ij")
+def moduli_angle_map(angles, n):
+    """Moduli vectors on S^{n-1}_+ at the product grid of the 1-D `angles`
+    in each of the n-1 spherical angles (first angle slowest), and the
+    surface element prod_i sin^{n-2-i}(phi_i) of S^{n-1} there.
+
+    Returns (m, jac) with m of shape (N, n).  Callers supply their own
+    nodes and weights; the pushforward of the uniform measure on S^{2n-1}
+    to the moduli adds the density prod_j m_j.
+    """
+    grids = np.meshgrid(*([angles] * (n - 1)), indexing="ij")
     phis = np.stack([g.ravel() for g in grids], axis=1)  # (N, n-1)
     m = np.empty((phis.shape[0], n))
     sin_prod = np.ones(phis.shape[0])
@@ -114,13 +117,10 @@ def _moduli_angle_grid(n, res):
         m[:, i] = sin_prod * np.cos(phis[:, i])
         sin_prod = sin_prod * np.sin(phis[:, i])
     m[:, n - 1] = sin_prod
-    # surface element of S^{n-1} in these angles: prod_i sin^{n-1-i}(phi_i)
     jac = np.ones(phis.shape[0])
     for i in range(n - 1):
-        jac *= np.sin(phis[:, i]) ** (n - 2 - i)
-    dens = np.prod(m, axis=1)  # pushforward of the uniform sphere measure
-    w = dens * jac * step ** (n - 1)
-    return m, w
+        jac = jac * np.sin(phis[:, i]) ** (n - 2 - i)
+    return m, jac
 
 
 def make_grid(dim, resolution, reduction="none", seed=0,
@@ -144,7 +144,10 @@ def make_grid(dim, resolution, reduction="none", seed=0,
         raise ValueError(f"unknown reduction {reduction!r}")
     if n == 1:
         raise ValueError("orbit reduction needs n >= 2")
-    m, w = _moduli_angle_grid(n, int(resolution))
+    # midpoint cells in each moduli angle, weighted by the invariant measure
+    edges = np.linspace(0.0, math.pi / 2.0, int(resolution) + 1)
+    m, jac = moduli_angle_map(0.5 * (edges[:-1] + edges[1:]), n)
+    w = np.prod(m, axis=1) * jac * (edges[1] - edges[0]) ** (n - 1)
     if sort_moduli:
         key = np.sort(m, axis=1)[:, ::-1]
         # fold permutation copies onto the sorted representative

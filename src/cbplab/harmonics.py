@@ -1,16 +1,11 @@
 """Rotation-invariant harmonic polynomials on R^{2n}.
 
-Two engines share the HarmonicAtom interface:
-
-* a general engine over x-monomials, building atoms from the quadratic
-  invariants Re(z_j conj(z_l)), Im(z_j conj(z_l)), |z_j|^2 of the common
-  blockwise rotation, with exact Fischer-product orthonormalization;
-
-* a small engine over the block moduli squared c_j = |z_j|^2 for fully
-  symmetric atoms (invariant under independent block rotations and
-  permutations), with exact Dirichlet-moment inner products and fast
-  vectorized evaluation.  These are the atoms used to build perturbation
-  bumps, because bodies perturbed by them keep the full symmetry group.
+Polynomials are kept in the block moduli squared c_j = |z_j|^2 (the
+c-algebra): harmonic projection, exact Dirichlet-moment inner products on
+the sphere and fast vectorized evaluation.  The fully symmetric atoms
+(invariant under independent block rotations and permutations) expand the
+radial functions of moduli-symmetric bodies and build perturbation bumps,
+because bodies perturbed by them keep the full symmetry group.
 """
 
 from __future__ import annotations
@@ -20,14 +15,15 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy import linalg, sparse, special
+from scipy import linalg, special
 
 from .bodies import block_moduli
+from .frames import moduli_angle_map
 from .quadrature import sphere_area
 
 
 # ---------------------------------------------------------------------------
-# dense x-monomial algebra (cached per dimension and degree)
+# monomial bookkeeping (cached per variable count and degree)
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -53,48 +49,6 @@ def _mono_index(d, deg):
     return {m: i for i, m in enumerate(_monomials(d, deg))}
 
 
-@lru_cache(maxsize=None)
-def _laplacian_matrix(d, deg):
-    """Sparse matrix of the Laplacian from degree deg to deg-2."""
-    src = _monomials(d, deg)
-    dst = _mono_index(d, deg - 2)
-    rows, cols, vals = [], [], []
-    for j, mono in enumerate(src):
-        for i, e in enumerate(mono):
-            if e >= 2:
-                m2 = list(mono)
-                m2[i] -= 2
-                rows.append(dst[tuple(m2)])
-                cols.append(j)
-                vals.append(float(e * (e - 1)))
-    return sparse.csr_matrix((vals, (rows, cols)),
-                             shape=(len(dst), len(src)))
-
-
-@lru_cache(maxsize=None)
-def _r2_matrix(d, deg):
-    """Sparse matrix of multiplication by |x|^2 from degree deg to deg+2."""
-    src = _monomials(d, deg)
-    dst = _mono_index(d, deg + 2)
-    rows, cols, vals = [], [], []
-    for j, mono in enumerate(src):
-        for i in range(d):
-            m2 = list(mono)
-            m2[i] += 2
-            rows.append(dst[tuple(m2)])
-            cols.append(j)
-            vals.append(1.0)
-    return sparse.csr_matrix((vals, (rows, cols)),
-                             shape=(len(dst), len(src)))
-
-
-@lru_cache(maxsize=None)
-def _harmonic_solver(d, deg):
-    """LU factorization of Delta o (|x|^2 .) on degree deg-2 coefficients."""
-    A = (_laplacian_matrix(d, deg) @ _r2_matrix(d, deg - 2)).toarray()
-    return linalg.lu_factor(A)
-
-
 def _dict_to_vec(poly, d, deg):
     v = np.zeros(len(_monomials(d, deg)))
     idx = _mono_index(d, deg)
@@ -110,27 +64,6 @@ def _dict_mul(p, q):
             key = tuple(a + b for a, b in zip(m1, m2))
             out[key] = out.get(key, 0.0) + c1 * c2
     return out
-
-
-def _x_harmonic_project(vec, d, deg):
-    """Harmonic part of a homogeneous degree-`deg` coefficient vector."""
-    if deg < 2:
-        return vec
-    rhs = _laplacian_matrix(d, deg) @ vec
-    s = linalg.lu_solve(_harmonic_solver(d, deg), rhs)
-    return vec - _r2_matrix(d, deg - 2) @ s
-
-
-@lru_cache(maxsize=None)
-def _fischer_weights(d, deg):
-    monos = _monomials(d, deg)
-    return np.array([np.prod(special.factorial(m)) for m in monos])
-
-
-def _sphere_norm_factor(d, deg):
-    """int_S P Q dsigma = factor * <P, Q>_Fischer for harmonics of `deg`."""
-    poch = special.gamma(d / 2.0 + deg) / special.gamma(d / 2.0)
-    return sphere_area(d) / (2.0 ** deg * poch)
 
 
 # ---------------------------------------------------------------------------
@@ -265,21 +198,9 @@ def moduli_gauss_quadrature(n, res=64):
     """
     res = int(res)
     x, w = np.polynomial.legendre.leggauss(res)
-    phi = 0.25 * math.pi * (x + 1.0)
-    wp = 0.25 * math.pi * w
-    grids = np.meshgrid(*([phi] * (n - 1)), indexing="ij")
-    wgrids = np.meshgrid(*([wp] * (n - 1)), indexing="ij")
-    phis = np.stack([g.ravel() for g in grids], axis=1)
+    m, jac = moduli_angle_map(0.25 * math.pi * (x + 1.0), n)
+    wgrids = np.meshgrid(*([0.25 * math.pi * w] * (n - 1)), indexing="ij")
     weights = np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1)
-    m = np.empty((phis.shape[0], n))
-    sin_prod = np.ones(phis.shape[0])
-    for i in range(n - 1):
-        m[:, i] = sin_prod * np.cos(phis[:, i])
-        sin_prod = sin_prod * np.sin(phis[:, i])
-    m[:, n - 1] = sin_prod
-    jac = np.ones(phis.shape[0])
-    for i in range(n - 1):
-        jac = jac * np.sin(phis[:, i]) ** (n - 2 - i)
     weights = weights * jac * np.prod(m, axis=1)
     weights *= sphere_area(2 * n) / weights.sum()
     return m, weights
@@ -375,116 +296,24 @@ def c_sphere_inner(p, q, n):
 # ---------------------------------------------------------------------------
 
 class HarmonicAtom:
-    """A unit-L^2(S) harmonic, R_theta-invariant polynomial."""
+    """A unit-L^2(S) harmonic polynomial in the block moduli squared
+    c_j = |z_j|^2, hence invariant under independent block rotations."""
 
-    def __init__(self, n, degree, c_poly=None, x_vec=None, label=""):
+    moduli_symmetric = True
+
+    def __init__(self, n, degree, c_poly, label=""):
         self.n = int(n)
         self.dim = 2 * self.n
         self.degree = int(degree)
         self.c_poly = c_poly
         self.label = label
-        self.moduli_symmetric = c_poly is not None
-        if x_vec is not None:
-            nz = np.nonzero(np.abs(x_vec) > 1e-14 * max(1.0, np.abs(x_vec).max()))[0]
-            monos = _monomials(self.dim, self.degree)
-            self._x_terms = ([monos[i] for i in nz], x_vec[nz])
-        else:
-            self._x_terms = None
 
     def __call__(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        if self.c_poly is not None:
-            return c_eval(self.c_poly, block_moduli(x) ** 2)
-        monos, coefs = self._x_terms
-        out = np.zeros(x.shape[0])
-        for mono, coef in zip(monos, coefs):
-            term = np.full(x.shape[0], coef)
-            for i, e in enumerate(mono):
-                if e:
-                    term *= x[:, i] ** e
-            out += term
-        return out
-
-    def on_sphere(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return self(x / np.linalg.norm(x, axis=-1, keepdims=True))
+        return c_eval(self.c_poly, block_moduli(x) ** 2)
 
     def __repr__(self):
-        kind = "sym" if self.moduli_symmetric else "gen"
-        return f"HarmonicAtom(n={self.n}, degree={self.degree}, {kind})"
-
-
-def _invariant_quadratics(n):
-    """x-monomial dicts of c_j, Re(z_j conj z_l), Im(z_j conj z_l)."""
-    d = 2 * n
-
-    def e(*pairs):
-        m = [0] * d
-        for i, k in pairs:
-            m[i] += k
-        return tuple(m)
-
-    quads = []
-    for j in range(n):
-        quads.append(("c%d" % j, {e((2 * j, 2)): 1.0, e((2 * j + 1, 2)): 1.0}))
-    for j in range(n):
-        for l in range(j + 1, n):
-            quads.append(("a%d%d" % (j, l),
-                          {e((2 * j, 1), (2 * l, 1)): 1.0,
-                           e((2 * j + 1, 1), (2 * l + 1, 1)): 1.0}))
-            quads.append(("b%d%d" % (j, l),
-                          {e((2 * j + 1, 1), (2 * l, 1)): 1.0,
-                           e((2 * j, 1), (2 * l + 1, 1)): -1.0}))
-    return quads
-
-
-def build_invariant_harmonics(n, max_degree):
-    """Orthonormal R_theta-invariant harmonic atoms up to an even degree.
-
-    Candidates are monomials in the diagonal invariants c_j times at most
-    one off-diagonal invariant; degenerate directions are dropped, so the
-    returned basis can be smaller than the candidate count.
-    """
-    if max_degree % 2 != 0 or max_degree > 8:
-        raise ValueError("max_degree must be even and <= 8")
-    d = 2 * n
-    atoms = [HarmonicAtom(n, 0, c_poly={tuple([0] * n): 1.0 / math.sqrt(sphere_area(d))},
-                          label="const")]
-    quads = _invariant_quadratics(n)
-    c_quads = quads[:n]
-    off_quads = quads[n:]
-    for deg in range(2, max_degree + 1, 2):
-        k = deg // 2
-        cands = []
-        for combo in itertools.combinations_with_replacement(range(n), k):
-            poly = {tuple([0] * d): 1.0}
-            for j in combo:
-                poly = _dict_mul(poly, c_quads[j][1])
-            cands.append(poly)
-        for _, off in off_quads:
-            for combo in itertools.combinations_with_replacement(range(n), k - 1):
-                poly = dict(off)
-                for j in combo:
-                    poly = _dict_mul(poly, c_quads[j][1])
-                cands.append(poly)
-        raw = np.stack([_dict_to_vec(p, d, deg) for p in cands], axis=1)
-        V = np.stack([_x_harmonic_project(raw[:, i], d, deg)
-                      for i in range(raw.shape[1])], axis=1)
-        wF = _fischer_weights(d, deg)
-        G = V.T @ (wF[:, None] * V)
-        cand_scale = float(np.max(np.sum(wF[:, None] * raw * raw, axis=0)))
-        evals, evecs = linalg.eigh(G)
-        # relative cut plus an absolute floor against the candidate scale,
-        # so round-off ghosts of an empty harmonic space are rejected
-        keep = (evals > 1e-9 * evals.max()) & (evals > 1e-20 * cand_scale)
-        if not keep.any():
-            continue
-        basis = V @ (evecs[:, keep] / np.sqrt(evals[keep]))
-        scale = 1.0 / math.sqrt(_sphere_norm_factor(d, deg))
-        for i in range(basis.shape[1]):
-            atoms.append(HarmonicAtom(n, deg, x_vec=basis[:, i] * scale,
-                                      label=f"deg{deg}/{i}"))
-    return atoms
+        return f"HarmonicAtom(n={self.n}, degree={self.degree})"
 
 
 _SYM_ATOM_CACHE: dict = {}

@@ -44,6 +44,18 @@ class Estimate:
         if self.stderr < 0:
             raise ValueError("stderr must be nonnegative")
 
+    @classmethod
+    def from_batches(cls, batch_sums, rule, method) -> "Estimate":
+        """Estimate from per-batch partial sums of one rule: the compensated
+        total, with the standard error of the per-batch estimates
+        batch_sum * B as error bar (zero for deterministic rules)."""
+        value = kahan_reduce(batch_sums)
+        if rule.deterministic:
+            return cls(value, 0.0, rule.node_count, method)
+        ests = np.asarray(batch_sums) * len(batch_sums)
+        stderr = float(np.std(ests, ddof=1) / math.sqrt(len(ests)))
+        return cls(value, stderr, rule.node_count, method)
+
 
 _KINDS = ("monte_carlo", "quasi_monte_carlo", "product_gauss")
 
@@ -206,15 +218,6 @@ def _check_finite(vals, nodes):
         raise PoisonedEstimateError(nodes[i], vals.reshape(-1)[i])
 
 
-def _estimate_from_batches(batch_sums, rule, method):
-    value = kahan_reduce(batch_sums)
-    if rule.deterministic:
-        return Estimate(value, 0.0, rule.node_count, method)
-    ests = np.asarray(batch_sums) * len(batch_sums)
-    stderr = float(np.std(ests, ddof=1) / math.sqrt(len(ests)))
-    return Estimate(value, stderr, rule.node_count, method)
-
-
 def integrate_sphere(rule: SphereRule, f) -> Estimate:
     """Integral of f over S^{dim-1} with a batch-variance error bar.
 
@@ -225,7 +228,7 @@ def integrate_sphere(rule: SphereRule, f) -> Estimate:
         vals = np.asarray(f(pts), dtype=float)
         _check_finite(vals, pts)
         sums.append(float(np.dot(w, vals)))
-    return _estimate_from_batches(sums, rule, rule.kind)
+    return Estimate.from_batches(sums, rule, rule.kind)
 
 
 def integrate_subsphere(rule: SphereRule, basis, f) -> Estimate:
@@ -247,7 +250,7 @@ def integrate_subsphere(rule: SphereRule, basis, f) -> Estimate:
         vals = np.asarray(f(x), dtype=float)
         _check_finite(vals, x)
         sums.append(float(np.dot(w, vals)))
-    return _estimate_from_batches(sums, rule, rule.kind)
+    return Estimate.from_batches(sums, rule, rule.kind)
 
 
 def fractional_radial(g, q, cutoff, delta_factor=1e-3, taylor_samples=5) -> float:

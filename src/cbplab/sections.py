@@ -3,13 +3,12 @@ powers at the origin by common-node finite differences."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .bodies import StarBody
 from .frames import ComplexFrame
-from .quadrature import Estimate, SphereRule, kahan_reduce
+from .quadrature import (Estimate, SphereRule, integrate_sphere,
+                         integrate_subsphere)
 
 
 class RootBracketError(RuntimeError):
@@ -30,20 +29,20 @@ class NoisyEstimateError(RuntimeError):
         self.estimate = estimate
 
 
+def _polar(est: Estimate, k: int, method: str) -> Estimate:
+    """(1/k) times an integral of rho^k, or of a difference of such powers:
+    the polar formula for a k-dimensional volume.  The total is divided
+    once, not each node, so the rounding of small volume gaps stays small."""
+    return Estimate(est.value / k, est.stderr / k, est.node_count, method)
+
+
 def volume(body: StarBody, rule: SphereRule) -> Estimate:
     """Polar formula: Vol(K) = (1/d) * int_{S^{d-1}} rho(theta)^d dtheta."""
     if rule.dim != body.dim:
         raise ValueError("rule dimension does not match the body")
     d = body.dim
-    sums = []
-    for pts, w in rule.batches():
-        sums.append(float(np.dot(w, body.radial(pts) ** d)) / d)
-    value = kahan_reduce(sums)
-    if rule.deterministic:
-        return Estimate(value, 0.0, rule.node_count, "polar_volume")
-    ests = np.asarray(sums) * len(sums)
-    stderr = float(np.std(ests, ddof=1) / math.sqrt(len(ests)))
-    return Estimate(value, stderr, rule.node_count, "polar_volume")
+    return _polar(integrate_sphere(rule, lambda pts: body.radial(pts) ** d),
+                  d, "polar_volume")
 
 
 def section_volume(body: StarBody, frame: ComplexFrame,
@@ -51,18 +50,9 @@ def section_volume(body: StarBody, frame: ComplexFrame,
     """Central section volume Vol_{2n-2}(K cap H_xi) by the polar formula
     on the section subspace."""
     m = body.dim - 2
-    if rule.dim != m:
-        raise ValueError(f"need a rule on S^{m-1}, got dim {rule.dim}")
-    sums = []
-    for pts, w in rule.batches():
-        x = pts @ frame.basis
-        sums.append(float(np.dot(w, body.radial(x) ** m)) / m)
-    value = kahan_reduce(sums)
-    if rule.deterministic:
-        return Estimate(value, 0.0, rule.node_count, "section_volume")
-    ests = np.asarray(sums) * len(sums)
-    stderr = float(np.std(ests, ddof=1) / math.sqrt(len(ests)))
-    return Estimate(value, stderr, rule.node_count, "section_volume")
+    est = integrate_subsphere(rule, frame.basis,
+                              lambda x: body.radial(x) ** m)
+    return _polar(est, m, "section_volume")
 
 
 def _slice_batch_sums(body, frame, offsets, rule, bisect_iters=48):
@@ -134,12 +124,7 @@ def parallel_section(body: StarBody, frame: ComplexFrame, u,
             raise RootBracketError(
                 "slice is nonempty but its base point lies outside the body")
         return Estimate(0.0, 0.0, 0, "parallel_section")
-    value = kahan_reduce(sums[0])
-    if rule.deterministic:
-        return Estimate(value, 0.0, rule.node_count, "parallel_section")
-    ests = sums[0] * rule.batch_count
-    stderr = float(np.std(ests, ddof=1) / math.sqrt(len(ests)))
-    return Estimate(value, stderr, rule.node_count, "parallel_section")
+    return Estimate.from_batches(sums[0], rule, "parallel_section")
 
 
 _STENCILS = {
@@ -188,15 +173,10 @@ def laplacian_at_zero(body: StarBody, frame: ComplexFrame, m: int, h: float,
         per_batch = (4.0 * fd(h / 2.0) - fd(h)) / 3.0
     else:
         per_batch = fd(h)
-    value = float(kahan_reduce(per_batch))
-    if rule.deterministic:
-        return Estimate(value, 0.0, rule.node_count, f"laplacian_m{m}")
-    ests = per_batch * rule.batch_count
-    stderr = float(np.std(ests, ddof=1) / math.sqrt(len(ests)))
-    est = Estimate(value, stderr, rule.node_count, f"laplacian_m{m}")
-    if value != 0.0 and stderr > noise_limit * abs(value):
+    est = Estimate.from_batches(per_batch, rule, f"laplacian_m{m}")
+    if est.value != 0.0 and est.stderr > noise_limit * abs(est.value):
         raise NoisyEstimateError(
-            f"finite-difference stderr {stderr:.3g} exceeds "
-            f"{noise_limit:.0%} of |{value:.3g}|; increase the node count",
+            f"finite-difference stderr {est.stderr:.3g} exceeds "
+            f"{noise_limit:.0%} of |{est.value:.3g}|; increase the node count",
             estimate=est)
     return est

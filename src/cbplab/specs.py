@@ -1,14 +1,16 @@
 """Parsers for the compact textual specs used on the command line.
 
 A spec is `head:key=value,key=value,...`; values may themselves be a
-parenthesized spec, e.g. `mollify:base=(clq:n=4,q=4),width=0.2`.  Body
-`spec()` strings round-trip through `parse_body`.
+parenthesized spec, e.g. `mollify:base=(clq:n=4,q=4),width=0.2`.  The
+`spec()` strings of balls, scaled and mollified bodies round-trip through
+`parse_body`.  A perturbed body's `perturb:` spec is only a label: its
+bump is a polynomial the spec does not carry, so such bodies are read from
+`bp-construct` pair files (`bp-verify --pair`) instead.
 """
 
 from __future__ import annotations
 
-from .bodies import (ComplexLqBall, EuclideanBall, MollifiedBody, ScaledBody,
-                     StarBody, mollify)
+from .bodies import ComplexLqBall, EuclideanBall, ScaledBody, StarBody, mollify
 from .frames import DirectionGrid, make_grid
 from .quadrature import SphereRule
 

@@ -105,6 +105,18 @@ def test_mollified_body_interpolates_towards_the_base():
     assert radial_metric(near, base) < 5e-3
 
 
+def test_mollify_rejects_a_body_not_moduli_symmetric():
+    def wiggle(theta):
+        theta = np.atleast_2d(theta)
+        return np.cos(4.0 * theta[:, 0])
+
+    body = RadialPerturbation(EuclideanBall(4), 2.0, 0.05, wiggle,
+                              bump_id="wiggle")
+    assert not body.moduli_symmetric
+    with pytest.raises(ValueError, match="block moduli"):
+        mollify(body, 0.2)
+
+
 def test_mollified_body_is_convex():
     body = mollify(ComplexLqBall(2, 4.0), 0.2)
     report = convexity_probe(body, samples=2 ** 14, seed=10)

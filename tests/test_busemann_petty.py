@@ -1,15 +1,18 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from cbplab.bodies import EuclideanBall, block_moduli, scale
+from cbplab.bodies import (ComplexLqBall, EuclideanBall, RadialPerturbation,
+                           block_moduli, scale)
 from cbplab.busemann_petty import (ConstructionImpossibleError, HarmonicBump,
-                                   _negative_weighted_square, bp_construct,
-                                   bp_verify, holder_chain_check)
-from cbplab.frames import make_grid, rotate
-from cbplab.harmonics import c_eval
-from cbplab.quadrature import SphereRule
+                                   _negative_weighted_square, _section_gaps,
+                                   _volume_gap, bp_construct, bp_verify,
+                                   holder_chain_check)
+from cbplab.frames import DirectionGrid, make_frame, make_grid, rotate
+from cbplab.harmonics import c_eval, symmetric_harmonic_atoms
+from cbplab.quadrature import SphereRule, kahan_reduce
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +61,63 @@ def test_holder_chain_is_tight_for_equal_bodies():
     assert out["ok"]
     assert abs(out["slack1"]) <= 3.0 * out["slack1_stderr"] + 1e-10
     assert abs(out["slack2"]) <= 3.0 * out["slack2_stderr"] + 1e-10
+
+
+def _batch_loop_gaps(K, L, grid, rule):
+    """The explicit per-batch loop the gaps were computed with before they
+    went through the sphere integrator: each batch sum divided by m."""
+    m = K.dim - 2
+    gaps, errs = [], []
+    for xi in grid.points:
+        basis = make_frame(xi).basis
+        sums = []
+        for pts, w in rule.batches():
+            x = pts @ basis
+            sums.append(float(np.dot(w, K.radial(x) ** m - L.radial(x) ** m)) / m)
+        gaps.append(kahan_reduce(sums))
+        errs.append(0.0 if rule.deterministic else float(
+            np.std(np.asarray(sums) * len(sums), ddof=1) / math.sqrt(len(sums))))
+    return np.array(gaps), np.array(errs)
+
+
+def _batch_loop_volume_gap(K, L, rule):
+    d = K.dim
+    sums = [float(np.dot(w, K.radial(pts) ** d - L.radial(pts) ** d)) / d
+            for pts, w in rule.batches()]
+    if rule.deterministic:
+        return kahan_reduce(sums), 0.0
+    ests = np.asarray(sums) * len(sums)
+    return kahan_reduce(sums), float(np.std(ests, ddof=1) / math.sqrt(len(sums)))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_gaps_match_the_explicit_batch_loop(n):
+    # the integrator divides the total by m (or d) where the loop divided
+    # each batch sum; that moves the gaps by round-off only
+    d = 2 * n
+    L = ComplexLqBall(n, 4.0)
+    atom = [a for a in symmetric_harmonic_atoms(n, 4) if a.degree == 4][0]
+    poly = dict(atom.c_poly)
+    poly[(0,) * n] = poly.get((0,) * n, 0.0) + 1.0
+    K = RadialPerturbation(L, d - 2, 0.01, HarmonicBump(poly), bump_id="test")
+    full = make_grid(d, 8, reduction="orbit_reduced", sort_moduli=True)
+    grid = DirectionGrid(d, full.points[::7], full.reduction, full.resolution)
+    for rule in (SphereRule(d - 2, "quasi_monte_carlo", node_count=2 ** 10,
+                            seed=3),
+                 SphereRule(d - 2, "product_gauss", level=6)):
+        gaps, errs = _section_gaps(K, L, grid, rule)
+        want_gaps, want_errs = _batch_loop_gaps(K, L, grid, rule)
+        assert np.all(want_gaps != 0.0)
+        np.testing.assert_allclose(gaps, want_gaps, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(errs, want_errs, rtol=1e-12, atol=0.0)
+    vol_rules = [SphereRule(d, "quasi_monte_carlo", node_count=2 ** 12, seed=4)]
+    if d <= 6:
+        vol_rules.append(SphereRule(d, "product_gauss", level=6))
+    for rule in vol_rules:
+        est = _volume_gap(K, L, rule)
+        value, stderr = _batch_loop_volume_gap(K, L, rule)
+        assert est.value == pytest.approx(value, rel=1e-12, abs=0.0)
+        assert est.stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
 
 
 def test_harmonic_bump_is_invariant_and_serializable():

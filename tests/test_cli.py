@@ -151,3 +151,23 @@ def test_report_goes_to_stdout_without_out(capsys, tmp_path):
     rec = json.loads(capsys.readouterr().out)
     assert rec["results"][0]["value"] == pytest.approx(math.pi ** 2 / 2.0,
                                                        rel=1e-9)
+
+
+def test_pair_files_with_different_bumps_do_not_share_a_cache_entry(tmp_path):
+    # same file name, bump label and eps; only the bump polynomial differs,
+    # which K.spec() does not show
+    cache = tmp_path / "cache"
+    records = []
+    for sub, c_poly in (("a", {"0 0": 1.0}), ("b", {"2 0": 1.0, "0 2": 1.0})):
+        pair = {"K": "perturb:label", "L": "clq:n=2,q=4", "eps": 0.01,
+                "exponent": 2, "bump": {"label": "bump", "c_poly": c_poly}}
+        path = tmp_path / sub / "pair.json"
+        path.parent.mkdir()
+        path.write_text(json.dumps({"pair": pair}))
+        code, rec = run(tmp_path, "bp-verify", "--pair", str(path),
+                        name=f"{sub}.json", cache=cache)
+        assert code == 0
+        records.append(rec)
+    assert records[0]["inputs"]["K"] == records[1]["inputs"]["K"]
+    assert records[1]["cached"] is False
+    assert records[0]["config_hash"] != records[1]["config_hash"]

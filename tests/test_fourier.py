@@ -6,11 +6,13 @@ import pytest
 from cbplab.bodies import (ComplexLqBall, EuclideanBall, RadialPerturbation,
                            mollify)
 from cbplab.fourier import (FtSample, UnsupportedRouteError,
+                            _harmonic_bump_moment, _pairing_core,
                             classical_ft_constant, classical_multiplier,
                             ft_derivative_route, ft_fractional_route,
                             ft_multiplier_route, ft_value, pairing_oracle,
                             parseval_check, sph_identity_check)
 from cbplab.frames import make_grid, rotate
+from cbplab.harmonics import symmetric_harmonic_atoms
 from cbplab.quadrature import SphereRule
 
 
@@ -73,6 +75,27 @@ def test_multiplier_route_on_the_ball():
                                  tail_degree=8)
     truth = classical_ft_constant(6, 2.0)
     assert abs(sample.value - truth) < 3.0 * sample.stderr + 0.01 * truth
+    # rho^p = 1 has only a degree-0 component, and lambda(0, p) is exact
+    assert sample.value == pytest.approx(truth, rel=1e-10)
+
+
+def test_pairing_oracle_audits_the_closed_form_multiplier():
+    # calibrate lambda(4, 2) on R^6 against one degree-4 symmetric atom at
+    # the direction where the atom peaks; the exact bump moment of a
+    # degree-4 harmonic makes a single bump width unbiased
+    d, j, p, sigma = 6, 4, 2.0, 0.2
+    atom = [a for a in symmetric_harmonic_atoms(d // 2, j) if a.degree == j][0]
+    probe = SphereRule(d, "quasi_monte_carlo", node_count=2 ** 12,
+                       seed=101).nodes()
+    xi = probe[int(np.argmax(np.abs(atom(probe))))]
+    ref = float(atom(xi[None, :])[0])
+    rule = SphereRule(d, "quasi_monte_carlo", node_count=2 ** 19, seed=13)
+    value, stderr, _ = _pairing_core(
+        atom, d, xi, p, sigma, rule, levels=1,
+        masses=[_harmonic_bump_moment(d, p, j, sigma)])
+    lam, err = value / ref, abs(stderr / ref)
+    assert 0.0 < err < 0.01 * abs(lam)
+    assert abs(lam - classical_multiplier(j, p, d)) < 3.0 * err
 
 
 def test_routes_agree_on_a_mollified_body():
@@ -107,6 +130,15 @@ def test_ft_value_dispatch():
         ft_value(body, xi, 3.5, method="derivative")
     with pytest.raises(UnsupportedRouteError):
         ft_value(body, xi, 0.5)  # q = 2n - p - 2 outside (0, 2)
+
+
+def test_ft_value_passes_its_rule_to_the_pairing_oracle():
+    body = ComplexLqBall(3, 4.0)
+    xi = unit(6, seed=10)
+    rule = SphereRule(6, "quasi_monte_carlo", node_count=2 ** 14, seed=3)
+    got = ft_value(body, xi, 2.0, rule=rule, method="pairing")
+    want = pairing_oracle(body, xi, 2.0, rule=rule)
+    assert (got.value, got.stderr) == (want.value, want.stderr)
 
 
 def test_invariance_is_required_by_symmetry_routes():

@@ -1,13 +1,10 @@
-import math
-
 import numpy as np
 import pytest
 
 from cbplab.bodies import block_moduli
-from cbplab.frames import rotate
-from cbplab.harmonics import (build_invariant_harmonics, c_add, c_eval,
-                              c_harmonic_components, c_laplacian, c_mul, c_p1,
-                              c_scale, c_sphere_inner, c_sphere_integral,
+from cbplab.harmonics import (c_add, c_eval, c_harmonic_components,
+                              c_laplacian, c_mul, c_p1, c_scale,
+                              c_sphere_inner, c_sphere_integral,
                               moduli_gauss_quadrature, power_form_eval,
                               symmetric_harmonic_atoms, symmetric_power_form)
 from cbplab.quadrature import sphere_area
@@ -118,22 +115,6 @@ def test_atoms_are_pure_degree():
     for a in symmetric_harmonic_atoms(2, 12):
         comps = c_harmonic_components(a.c_poly, 2)
         assert set(comps) == {a.degree}
-
-
-def test_invariant_atoms_are_rotation_invariant_and_unit():
-    atoms = build_invariant_harmonics(3, 6)
-    assert atoms
-    g = np.random.Generator(np.random.Philox(key=5))
-    x = g.standard_normal((128, 6))
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
-    m, w = moduli_gauss_quadrature(3, res=32)
-    for a in atoms[:6]:
-        vals = a(x)
-        assert np.allclose(a(rotate(x, 0.9)), vals, atol=1e-10)
-        if a.moduli_symmetric:
-            # unit L^2(S) normalization
-            norm = float(np.dot(w, c_eval(a.c_poly, m ** 2) ** 2))
-            assert norm == pytest.approx(1.0, rel=1e-8)
 
 
 def test_c_eval_matches_direct_expansion():

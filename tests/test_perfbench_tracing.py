@@ -1,0 +1,48 @@
+"""The traced benchmark run wraps cbplab's functions, body `norm` methods
+and `SphereRule` node generators by name.  This checks, without running the
+benchmark, that every name it wraps still exists, so a change that renames
+or deletes one fails here rather than in a traced run."""
+
+import importlib
+import importlib.util
+import os
+import sys
+
+import pytest
+
+from cbplab import bodies
+from cbplab.quadrature import SphereRule
+
+TRACING = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench", "tracing.py")
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  TRACING)
+    module = importlib.util.module_from_spec(spec)
+    # read-only: leave no bytecode cache in the benchmark's directory
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+def test_every_traced_function_resolves(tracing):
+    for module, name, _, _ in tracing.FUNCTIONS:
+        assert callable(getattr(importlib.import_module(module), name, None)), \
+            f"{module}.{name}"
+
+
+def test_every_traced_body_class_defines_its_own_norm(tracing):
+    for cls in tracing.NORM_CLASSES:
+        assert "norm" in vars(getattr(bodies, cls)), cls
+
+
+def test_the_traced_node_generators_exist(tracing):
+    for name in [n for n, _ in tracing.NODEGEN] + ["batches"]:
+        assert callable(getattr(SphereRule, name, None)), name
