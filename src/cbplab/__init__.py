@@ -20,8 +20,8 @@ from .quadrature import (Estimate, PoisonedEstimateError, SphereRule,
                          fractional_radial, integrate_sphere, kahan_reduce,
                          sphere_area)
 from .sections import (NoisyEstimateError, RootBracketError,
-                       laplacian_at_zero, parallel_section, section_volume,
-                       volume)
+                       laplacian_at_zero, parallel_section,
+                       parallel_sections, section_volume, volume)
 from .specs import SpecError, parse_body, parse_grid, parse_rule
 
 __version__ = "0.1.0"

@@ -265,28 +265,37 @@ def cmd_scan(args) -> int:
                    extra={"exit_code": code})
 
 
-def _pair_from_file(path):
-    with open(path) as fh:
-        record = json.load(fh)
-    pair = record["pair"]
+def _pair_from_file(pair):
+    """Build K and L from the `pair` record of a bp-construct report."""
     L = parse_body(pair["L"])
     poly = {tuple(int(t) for t in key.split()): float(v)
             for key, v in pair["bump"]["c_poly"].items()}
     bump = HarmonicBump(poly, label=pair["bump"]["label"])
     K = RadialPerturbation(L, pair["exponent"], pair["eps"], bump,
                            bump_id=pair["bump"]["label"])
-    return K, L, record
+    return K, L
+
 
 def cmd_bp_verify(args) -> int:
     if args.pair:
-        K, L, record = _pair_from_file(args.pair)
-        # K.spec() names the bump by its label only; the hash of the pair
+        with open(args.pair) as fh:
+            pair = json.load(fh)["pair"]
+        # the key comes from the record alone, so a cache hit builds no
+        # body; K names the bump by its label only, so the hash of the
         # record keys the cache on the bump coefficients too
         inputs = {"command": "bp-verify", "pair": os.path.basename(args.pair),
-                  "pair_sha256": config_hash(record["pair"]),
-                  "K": K.spec(), "L": L.spec(), "grid": args.grid,
+                  "pair_sha256": config_hash(pair),
+                  "K": pair["K"], "L": pair["L"], "grid": args.grid,
                   "rule": args.rule, "seed": args.seed, "nodes": args.nodes,
                   "tol": args.tol}
+        cached = _try_cache(args, inputs)
+        if cached is not None:
+            return cached.get("exit_code", 0)
+        K, L = _pair_from_file(pair)
+        if (K.spec(), L.spec()) != (pair["K"], pair["L"]):
+            raise SpecError(
+                f"pair file {args.pair}: the rebuilt bodies {K.spec()!r} and "
+                f"{L.spec()!r} differ from the recorded K and L")
     else:
         if not (args.K and args.L):
             raise SpecError("bp-verify needs --pair or both --K and --L")
@@ -295,9 +304,9 @@ def cmd_bp_verify(args) -> int:
         inputs = {"command": "bp-verify", "K": K.spec(), "L": L.spec(),
                   "grid": args.grid, "rule": args.rule, "seed": args.seed,
                   "nodes": args.nodes, "tol": args.tol}
-    cached = _try_cache(args, inputs)
-    if cached is not None:
-        return cached.get("exit_code", 0)
+        cached = _try_cache(args, inputs)
+        if cached is not None:
+            return cached.get("exit_code", 0)
     grid_spec = args.grid or f"grid:dim={K.dim},res=8,reduce=orbit,seed={args.seed}"
     grid = parse_grid(grid_spec)
     rule = None

@@ -27,7 +27,7 @@ from .harmonics import (c_eval, moduli_gauss_quadrature,
 from .quadrature import (Estimate, SphereRule, fractional_radial,
                          integrate_sphere, kahan_reduce, sphere_area)
 from .sections import (NoisyEstimateError, laplacian_at_zero,
-                       parallel_section, section_volume)
+                       parallel_sections, section_volume)
 
 
 class UnsupportedRouteError(ValueError):
@@ -124,9 +124,13 @@ def section_profile(body: StarBody, xi, rule: SphereRule = None,
     """Spline of the section profile t -> A_{K,H_xi}(t xi) on [0, rho(xi)].
 
     By rotation invariance the profile does not depend on the offset
-    direction within span{xi, xi_perp}.  Returns (spline, cutoff,
-    worst_node_stderr); the profile can be reused for every fractional
-    exponent at this direction.
+    direction within span{xi, xi_perp}.  All profile points are sliced in
+    one parallel_sections pass on shared nodes; each batch is mapped into
+    the section subspace on its own, so the values equal those of one call
+    per point whenever the rule's batches hold one node (the default
+    Gauss rule on S^1), and differ by round-off otherwise.  Returns
+    (spline, cutoff, worst_node_stderr); the profile can be reused for
+    every fractional exponent at this direction.
     """
     _require_invariant(body)
     xi = np.asarray(xi, dtype=float)
@@ -137,12 +141,10 @@ def section_profile(body: StarBody, xi, rule: SphereRule = None,
     # stop a hair inside the boundary: at t = cutoff the base point sits on
     # the surface and its inside/outside classification is round-off noise
     ts = np.linspace(0.0, cutoff * (1.0 - 1e-9), profile_points)
-    vals = np.empty(profile_points)
-    errs = np.empty(profile_points)
-    for i, t in enumerate(ts):
-        est = parallel_section(body, frame, (t, 0.0), rule)
-        vals[i] = est.value
-        errs[i] = est.stderr
+    ests = parallel_sections(body, frame,
+                             np.stack([ts, np.zeros_like(ts)], axis=1), rule)
+    vals = np.array([e.value for e in ests])
+    errs = np.array([e.stderr for e in ests])
     spline = interpolate.CubicSpline(ts, vals, bc_type=((1, 0.0), "not-a-knot"))
     return spline, cutoff, float(np.max(errs))
 

@@ -1,5 +1,12 @@
 """Volumes, parallel section functions A_{K,H}(u), and their Laplacian
-powers at the origin by common-node finite differences."""
+powers at the origin by common-node finite differences.
+
+Every slice volume comes from one engine, `_slice_batch_sums`: all offsets
+share the rule's nodes, and the boundary radius of every (offset, node)
+pair is found in one vectorised bisection pass (or a few, for large
+rules).  Each batch of nodes is mapped into the section subspace on its
+own, so every root and every batch sum is bit-identical to a loop over the
+offsets and batches of the same call."""
 
 from __future__ import annotations
 
@@ -55,76 +62,146 @@ def section_volume(body: StarBody, frame: ComplexFrame,
     return _polar(est, m, "section_volume")
 
 
-def _slice_batch_sums(body, frame, offsets, rule, bisect_iters=48):
+#: bisection steps per root; 48 halvings shrink the bracket below 1e-12
+_BISECT_ITERS = 48
+#: rays of the probe that checks that a slice is empty
+_PROBE_RAYS = 64
+#: most (offset, node) pairs bisected in one vectorised pass
+_PASS_PAIRS = 2 ** 16
+
+
+def _slice_radii(body, bases, labels, r_hi, theta):
+    """Radii r > 0 with norm(base + r theta) = 1 for every (base, node) pair,
+    by one vectorised bisection over [0, r_hi] to ~1e-12.
+
+    Raises RootBracketError, naming the offset (`labels` row), when the upper
+    end of a bracket is not outside the body.
+    """
+    hi = np.broadcast_to(r_hi[:, None], (len(bases), len(theta))).copy()
+    x = bases[:, None, :] + hi[..., None] * theta[None, :, :]
+    val = body.norm(x.reshape(-1, body.dim)).reshape(hi.shape)
+    short = np.nonzero(np.any(val < 1.0, axis=1))[0]
+    if len(short):
+        k = short[0]
+        raise RootBracketError(
+            f"bracket end r = {r_hi[k]:.6g} lies inside the body at offset "
+            f"({labels[k][0]:.6g}, {labels[k][1]:.6g}); r_max = "
+            f"{body.r_max:.6g} is understated")
+    lo = np.zeros_like(hi)
+    for _ in range(_BISECT_ITERS):
+        mid = 0.5 * (lo + hi)
+        x = bases[:, None, :] + mid[..., None] * theta[None, :, :]
+        val = body.norm(x.reshape(-1, body.dim)).reshape(mid.shape)
+        less = val < 1.0
+        lo = np.where(less, mid, lo)
+        hi = np.where(less, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _slice_batch_sums(body, frame, offsets, rule):
     """Per-offset, per-batch contributions to the slice volumes A(u).
 
     offsets is (K, 2); all offsets share the same quadrature nodes, so
     differences of the returned values cancel the quadrature noise. The
     slice through offset u is integrated in polar form around the base
     point u1 xi + u2 xi_perp; r(theta) is found by bisection to ~1e-12.
+    Whole batches are bisected together, every (offset, node) pair in one
+    pass of at most _PASS_PAIRS pairs.  Each batch is mapped through
+    frame.basis on its own, because a 1-row and an N-row matrix product
+    round differently; bisection is elementwise, so every root is the one
+    a batch-by-batch loop finds.
     Returns (K, B) batch sums and a per-offset inside/outside mask.
     """
     offsets = np.atleast_2d(np.asarray(offsets, dtype=float))
     m = body.dim - 2
     bases = offsets[:, 0:1] * frame.xi[None, :] + offsets[:, 1:2] * frame.xi_perp[None, :]
-    inside = np.ones(len(offsets), dtype=bool)
     unorm = np.linalg.norm(offsets, axis=1)
-    for k, u in enumerate(unorm):
-        if u == 0.0:
-            continue
-        if float(np.asarray(body.norm(bases[k : k + 1])).reshape(-1)[0]) >= 1.0:
-            inside[k] = False
+    inside = np.ones(len(offsets), dtype=bool)
+    off = unorm != 0.0
+    if np.any(off):
+        inside[off] = ~(body.norm(bases[off]) >= 1.0)
     sums = np.zeros((len(offsets), rule.batch_count))
     act = np.nonzero(inside)[0]
     if len(act) == 0:
         return sums, inside
-    r_hi = body.r_max * 1.01 + unorm[act]  # (K',)
+    # |base + r theta| > r_max at the upper end of every bracket
+    r_hi = body.r_max * 1.01 + unorm[act]
+    act_bases, act_offsets = bases[act], offsets[act]
+    width = max(1, _PASS_PAIRS // len(act))
+    group, nodes = [], 0
+
+    def flush():
+        theta = np.concatenate([t for _, t, _ in group])
+        r = np.concatenate([
+            _slice_radii(body, act_bases, act_offsets, r_hi,
+                         theta[s:s + width])
+            for s in range(0, len(theta), width)], axis=1)
+        s = 0
+        for bi, t, w in group:
+            sums[act, bi] = (r[:, s:s + len(t)] ** m) @ w / m
+            s += len(t)
+
     for bi, (pts, w) in enumerate(rule.batches()):
         theta = pts @ frame.basis  # (N, dim)
-        lo = np.zeros((len(act), len(theta)))
-        hi = np.broadcast_to(r_hi[:, None], lo.shape).copy()
-        # ensure the upper bracket is outside: |base + r theta| > r_max there
-        for _ in range(bisect_iters):
-            mid = 0.5 * (lo + hi)
-            x = bases[act][:, None, :] + mid[..., None] * theta[None, :, :]
-            val = body.norm(x.reshape(-1, body.dim)).reshape(mid.shape)
-            less = val < 1.0
-            lo = np.where(less, mid, lo)
-            hi = np.where(less, hi, mid)
-        r = 0.5 * (lo + hi)
-        sums[act, bi] = (r ** m) @ w / m
+        if group and nodes + len(theta) > width:
+            flush()
+            group, nodes = [], 0
+        group.append((bi, theta, w))
+        nodes += len(theta)
+    flush()
     return sums, inside
 
 
-def parallel_section(body: StarBody, frame: ComplexFrame, u,
-                     rule: SphereRule, probe_rays=64) -> Estimate:
-    """Volume of the affine slice of the body at offset u in span{xi, xi_perp}.
+def _check_empty_slice(body, frame, u):
+    """Probe _PROBE_RAYS rays of the slice at offset u, whose base point lies
+    outside the body, and raise RootBracketError if one enters the body
+    (star-shapedness of slices about the base point is assumed for convex
+    bodies)."""
+    base = u[0] * frame.xi + u[1] * frame.xi_perp
+    g = np.random.Generator(np.random.Philox(key=11))
+    th = g.standard_normal((_PROBE_RAYS, body.dim - 2))
+    th /= np.linalg.norm(th, axis=1, keepdims=True)
+    dirs = th @ frame.basis
+    rr = np.linspace(1e-3, body.r_max * 1.5, 64)
+    pts = base[None, None, :] + rr[None, :, None] * dirs[:, None, :]
+    # a strict margin keeps surface-grazing round-off from counting as
+    # a nonempty slice
+    if np.min(body.norm(pts.reshape(-1, body.dim))) <= 1.0 - 1e-9:
+        raise RootBracketError(
+            "slice is nonempty but its base point lies outside the body")
 
-    Returns 0 when the base point lies outside the body; in that case a
-    64-ray probe checks that the slice is indeed empty (star-shapedness of
-    slices about the base point is assumed for convex bodies).
+
+def parallel_sections(body: StarBody, frame: ComplexFrame, offsets,
+                      rule: SphereRule) -> list:
+    """Volumes of the affine slices of the body at offsets u (K, 2) in
+    span{xi, xi_perp}, one Estimate per offset, from one slice pass on
+    shared nodes.
+
+    An offset with |u| >= r_max gives 0.  So does one whose base point lies
+    outside the body, after a probe checks that its slice is empty.
     """
-    u = np.asarray(u, dtype=float)
-    if np.linalg.norm(u) >= body.r_max:
-        return Estimate(0.0, 0.0, 0, "parallel_section")
+    offsets = np.atleast_2d(np.asarray(offsets, dtype=float))
     if rule.dim != body.dim - 2:
         raise ValueError("rule dimension must match the section subspace")
-    sums, inside = _slice_batch_sums(body, frame, u[None, :], rule)
-    if not inside[0]:
-        base = u[0] * frame.xi + u[1] * frame.xi_perp
-        g = np.random.Generator(np.random.Philox(key=11))
-        th = g.standard_normal((probe_rays, body.dim - 2))
-        th /= np.linalg.norm(th, axis=1, keepdims=True)
-        dirs = th @ frame.basis
-        rr = np.linspace(1e-3, body.r_max * 1.5, 64)
-        pts = base[None, None, :] + rr[None, :, None] * dirs[:, None, :]
-        # a strict margin keeps surface-grazing round-off from counting as
-        # a nonempty slice
-        if np.min(body.norm(pts.reshape(-1, body.dim))) <= 1.0 - 1e-9:
-            raise RootBracketError(
-                "slice is nonempty but its base point lies outside the body")
-        return Estimate(0.0, 0.0, 0, "parallel_section")
-    return Estimate.from_batches(sums[0], rule, "parallel_section")
+    zero = Estimate(0.0, 0.0, 0, "parallel_section")
+    out = [zero] * len(offsets)
+    near = np.nonzero(np.linalg.norm(offsets, axis=1) < body.r_max)[0]
+    if len(near) == 0:
+        return out
+    sums, inside = _slice_batch_sums(body, frame, offsets[near], rule)
+    for k, i in enumerate(near):
+        if inside[k]:
+            out[i] = Estimate.from_batches(sums[k], rule, "parallel_section")
+        else:
+            _check_empty_slice(body, frame, offsets[i])
+    return out
+
+
+def parallel_section(body: StarBody, frame: ComplexFrame, u,
+                     rule: SphereRule) -> Estimate:
+    """Volume of the affine slice of the body at offset u (see
+    parallel_sections)."""
+    return parallel_sections(body, frame, [u], rule)[0]
 
 
 _STENCILS = {

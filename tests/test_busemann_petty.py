@@ -12,7 +12,7 @@ from cbplab.busemann_petty import (ConstructionImpossibleError, HarmonicBump,
                                    holder_chain_check)
 from cbplab.frames import DirectionGrid, make_frame, make_grid, rotate
 from cbplab.harmonics import c_eval, symmetric_harmonic_atoms
-from cbplab.quadrature import SphereRule, kahan_reduce
+from cbplab.quadrature import SphereRule, kahan_reduce, sphere_area
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +152,19 @@ def test_construction_impossible_in_low_dimension():
     rule = SphereRule(4, "quasi_monte_carlo", node_count=2 ** 11, seed=7)
     with pytest.raises(ConstructionImpossibleError):
         bp_construct(3, 4.0, grid=grid, scan_rule=rule)
+
+
+def test_construction_gives_a_counterexample_in_dimension_eight():
+    # the paper's n = 4 side, on every 16th direction of the res-8 grid
+    full = make_grid(8, 8, reduction="orbit_reduced", sort_moduli=True)
+    idx = np.arange(0, len(full.points), 16)
+    w = full.weights[idx]
+    grid = DirectionGrid(8, full.points[idx], full.reduction, full.resolution,
+                         weights=w * (sphere_area(8) / math.fsum(w)))
+    _, _, report, trace = bp_construct(4, 4.0, grid=grid)
+    assert report.verdict == "violation"
+    assert [step["status"] for step in trace["eps_trace"]] == [
+        "not_convex", "not_convex", "violation"]
 
 
 def test_construct_rejects_tiny_n():

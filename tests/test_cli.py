@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from cbplab import cli
 from cbplab.cli import CACHE_ENV, config_hash, main
 
 
@@ -153,18 +154,53 @@ def test_report_goes_to_stdout_without_out(capsys, tmp_path):
                                                        rel=1e-9)
 
 
+_PAIR_K = "perturb:base=(clq:n=2,q=4),eps=0.01,bump=bump,exponent=2"
+
+
+def _write_pair(path, **changes):
+    pair = {"K": _PAIR_K, "L": "clq:n=2,q=4", "eps": 0.01, "exponent": 2,
+            "bump": {"label": "bump", "c_poly": {"2 0": 1.0, "0 2": 1.0}}}
+    pair.update(changes)
+    path.write_text(json.dumps({"pair": pair}))
+    return str(path)
+
+
+def test_pair_cache_hit_builds_no_body(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    path = _write_pair(tmp_path / "pair.json")
+    code, cold = run(tmp_path, "bp-verify", "--pair", path, name="a.json",
+                     cache=cache)
+    assert code == 0 and cold["cached"] is False
+    assert cold["inputs"]["K"] == _PAIR_K
+
+    def refuse(pair):
+        raise AssertionError("a cache hit must not build the bodies")
+
+    monkeypatch.setattr(cli, "_pair_from_file", refuse)
+    code, hit = run(tmp_path, "bp-verify", "--pair", path, name="b.json",
+                    cache=cache)
+    assert code == 0 and hit["cached"] is True
+    assert hit["results"] == cold["results"]
+
+
+def test_pair_whose_specs_do_not_match_its_bodies_is_refused(tmp_path,
+                                                             capsys):
+    path = _write_pair(tmp_path / "pair.json", K="perturb:label")
+    code, rec = run(tmp_path, "bp-verify", "--pair", path)
+    assert code == 1 and rec is None
+    assert "differ from the recorded K and L" in capsys.readouterr().err
+
+
 def test_pair_files_with_different_bumps_do_not_share_a_cache_entry(tmp_path):
     # same file name, bump label and eps; only the bump polynomial differs,
     # which K.spec() does not show
     cache = tmp_path / "cache"
     records = []
     for sub, c_poly in (("a", {"0 0": 1.0}), ("b", {"2 0": 1.0, "0 2": 1.0})):
-        pair = {"K": "perturb:label", "L": "clq:n=2,q=4", "eps": 0.01,
-                "exponent": 2, "bump": {"label": "bump", "c_poly": c_poly}}
-        path = tmp_path / sub / "pair.json"
-        path.parent.mkdir()
-        path.write_text(json.dumps({"pair": pair}))
-        code, rec = run(tmp_path, "bp-verify", "--pair", str(path),
+        (tmp_path / sub).mkdir()
+        path = _write_pair(tmp_path / sub / "pair.json",
+                           bump={"label": "bump", "c_poly": c_poly})
+        code, rec = run(tmp_path, "bp-verify", "--pair", path,
                         name=f"{sub}.json", cache=cache)
         assert code == 0
         records.append(rec)

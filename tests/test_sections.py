@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy import interpolate
 
 from cbplab.bodies import ComplexLqBall, EuclideanBall, mollify, scale
-from cbplab.frames import make_frame
-from cbplab.quadrature import SphereRule
-from cbplab.sections import (NoisyEstimateError, RootBracketError,
-                             laplacian_at_zero, parallel_section,
+from cbplab.fourier import default_section_rule, section_profile
+from cbplab.frames import make_frame, make_grid
+from cbplab import sections
+from cbplab.quadrature import Estimate, SphereRule
+from cbplab.sections import (_STENCILS, NoisyEstimateError, RootBracketError,
+                             _slice_batch_sums, laplacian_at_zero,
+                             parallel_section, parallel_sections,
                              section_volume, volume)
 
 
@@ -139,3 +143,122 @@ def test_shared_nodes_make_differences_quiet():
     except NoisyEstimateError as err:
         fd = err.estimate
     assert fd.stderr * 0.1 ** 2 < raw.stderr
+
+
+def test_an_understated_r_max_raises_a_root_bracket_error():
+    body = EuclideanBall(6)
+    body.r_max = 0.5  # the true radius is 1
+    frame = make_frame(unit(6, seed=14))
+    rule = SphereRule(4, "product_gauss", level=6)
+    with pytest.raises(RootBracketError, match=r"offset \(0\.1, 0\)"):
+        parallel_section(body, frame, (0.1, 0.0), rule)
+    with pytest.raises(RootBracketError):
+        laplacian_at_zero(body, frame, 1, 0.05, rule)
+
+
+# The slice engine as it was before it bisected every (offset, node) pair
+# in one pass: a loop over offsets for the inside test and over batches for
+# the bisection.  The one-pass engine must reproduce it exactly.
+
+def _loop_slice_batch_sums(body, frame, offsets, rule):
+    offsets = np.atleast_2d(np.asarray(offsets, dtype=float))
+    m = body.dim - 2
+    bases = (offsets[:, 0:1] * frame.xi[None, :]
+             + offsets[:, 1:2] * frame.xi_perp[None, :])
+    inside = np.ones(len(offsets), dtype=bool)
+    unorm = np.linalg.norm(offsets, axis=1)
+    for k, u in enumerate(unorm):
+        if u == 0.0:
+            continue
+        if float(np.asarray(body.norm(bases[k:k + 1])).reshape(-1)[0]) >= 1.0:
+            inside[k] = False
+    sums = np.zeros((len(offsets), rule.batch_count))
+    act = np.nonzero(inside)[0]
+    if len(act) == 0:
+        return sums, inside
+    r_hi = body.r_max * 1.01 + unorm[act]
+    for bi, (pts, w) in enumerate(rule.batches()):
+        theta = pts @ frame.basis
+        lo = np.zeros((len(act), len(theta)))
+        hi = np.broadcast_to(r_hi[:, None], lo.shape).copy()
+        for _ in range(48):
+            mid = 0.5 * (lo + hi)
+            x = bases[act][:, None, :] + mid[..., None] * theta[None, :, :]
+            val = body.norm(x.reshape(-1, body.dim)).reshape(mid.shape)
+            less = val < 1.0
+            lo = np.where(less, mid, lo)
+            hi = np.where(less, hi, mid)
+        r = 0.5 * (lo + hi)
+        sums[act, bi] = (r ** m) @ w / m
+    return sums, inside
+
+
+def _loop_parallel_section(body, frame, u, rule):
+    """The old parallel_section, one offset per call; an outside base point
+    gives 0 without the empty-slice probe."""
+    zero = Estimate(0.0, 0.0, 0, "parallel_section")
+    if np.linalg.norm(u) >= body.r_max:
+        return zero
+    sums, inside = _loop_slice_batch_sums(body, frame, [u], rule)
+    return (Estimate.from_batches(sums[0], rule, "parallel_section")
+            if inside[0] else zero)
+
+
+def test_one_pass_matches_the_loop_on_one_node_gauss_batches():
+    body = mollify(ComplexLqBall(2, 4.0), 0.2)
+    rule = default_section_rule(4)
+    assert rule.node_count == rule.batch_count
+    # mapping the nodes of all batches through the frame in one matrix
+    # product moves 9 of the 97 profile values in this direction
+    xi = make_grid(4, 8, reduction="orbit_reduced", sort_moduli=True).points[1]
+    frame = make_frame(xi)
+    spline, cutoff, err = section_profile(body, xi, rule)
+    ts = np.linspace(0.0, cutoff * (1.0 - 1e-9), 97)
+    # with one node per batch each batch sum is one product, so a single
+    # loop call gives what one call per profile point gave
+    sums, inside = _loop_slice_batch_sums(
+        body, frame, np.stack([ts, np.zeros_like(ts)], axis=1), rule)
+    assert inside.all()
+    ref = interpolate.CubicSpline(
+        ts, [Estimate.from_batches(row, rule, "").value for row in sums],
+        bc_type=((1, 0.0), "not-a-knot"))
+    assert np.array_equal(spline.c, ref.c)
+    assert err == 0.0
+
+    # base point outside the body but within r_max; then beyond r_max
+    offsets = [(t, 0.0) for t in ts[::12]]
+    offsets += [(1.02 * cutoff, 0.0), (0.0, 1.01 * body.r_max)]
+    assert 1.02 * cutoff < body.r_max
+    want = [_loop_parallel_section(body, frame, u, rule) for u in offsets]
+    assert parallel_sections(body, frame, offsets, rule) == want
+    assert all(e.value > 0.0 for e in want[:-2])
+    assert want[-2].value == 0.0 and want[-1].value == 0.0
+
+
+def test_one_pass_matches_the_loop_on_the_dim8_laplacian_offsets(
+        monkeypatch):
+    body = ComplexLqBall(4, 4.0)
+    frame = make_frame(unit(8, seed=15))
+    rule = SphereRule(6, "quasi_monte_carlo", node_count=2 ** 10, seed=5)
+    offsets = np.array(sorted({(i * s, j * s) for s in (0.1, 0.05)
+                               for i, j in _STENCILS[2][0]}))
+    sums, inside = _slice_batch_sums(body, frame, offsets, rule)
+    want_sums, want_inside = _loop_slice_batch_sums(body, frame, offsets,
+                                                    rule)
+    assert np.array_equal(sums, want_sums)
+    assert np.array_equal(inside, want_inside)
+    # passes of 8 nodes split every 32-node batch across four passes
+    monkeypatch.setattr(sections, "_PASS_PAIRS", 8 * len(offsets))
+    assert np.array_equal(_slice_batch_sums(body, frame, offsets, rule)[0],
+                          want_sums)
+    monkeypatch.undo()
+    got = parallel_sections(body, frame, offsets, rule)
+    assert got == [Estimate.from_batches(row, rule, "parallel_section")
+                   for row in want_sums]
+    assert all(e.stderr > 0.0 for e in got)
+    # one offset per call the loop summed each batch with a 1-row matrix
+    # product, which rounds differently from the K-row product of a
+    # multi-offset call
+    for u, est in zip(offsets, got):
+        alone = _loop_parallel_section(body, frame, u, rule)
+        assert est.value == pytest.approx(alone.value, rel=1e-14, abs=0.0)
