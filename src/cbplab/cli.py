@@ -33,6 +33,9 @@ from .sections import section_volume, volume
 from .specs import SpecError, parse_body, parse_grid, parse_rule
 
 CACHE_ENV = "CBPLAB_CACHE_DIR"
+#: hashed with every command's inputs, so cached results of older numerics
+#: are not served: a change that moves any computed number bumps it
+NUMERICS_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +157,16 @@ def _finish(args, inputs, results, baselines, exit_code=0, extra=None):
     return exit_code
 
 
+def _inputs(args, command, **fields):
+    """A command's hashed inputs: its own fields, the shared --seed,
+    --nodes and --tol, and NUMERICS_VERSION."""
+    return {"command": command, **fields, "seed": args.seed,
+            "nodes": args.nodes, "tol": args.tol,
+            "numerics_version": NUMERICS_VERSION}
+
+
 def _try_cache(args, inputs):
+    """Replay a cached report; its exit code, or None on a miss."""
     if args.no_cache:
         return None
     record = cache_get(config_hash(inputs), cache_root(args.cache_dir))
@@ -167,7 +179,7 @@ def _try_cache(args, inputs):
     else:
         json.dump(record, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
-    return record
+    return record.get("exit_code", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +189,9 @@ def _try_cache(args, inputs):
 def cmd_volume(args) -> int:
     body = parse_body(args.body)
     rule_spec = args.rule or f"qmc:dim={body.dim}"
-    inputs = {"command": "volume", "body": body.spec(), "rule": rule_spec,
-              "seed": args.seed, "nodes": args.nodes, "tol": args.tol}
-    cached = _try_cache(args, inputs)
-    if cached is not None:
-        return cached.get("exit_code", 0)
+    inputs = _inputs(args, "volume", body=body.spec(), rule=rule_spec)
+    if (code := _try_cache(args, inputs)) is not None:
+        return code
     rule = parse_rule(rule_spec, dim=body.dim, default_nodes=args.nodes,
                       default_seed=args.seed)
     est = volume(body, rule)
@@ -193,12 +203,10 @@ def cmd_volume(args) -> int:
 def cmd_section(args) -> int:
     body = parse_body(args.body)
     rule_spec = args.rule or f"qmc:dim={body.dim - 2}"
-    inputs = {"command": "section", "body": body.spec(), "rule": rule_spec,
-              "xi": args.xi, "seed": args.seed, "nodes": args.nodes,
-              "tol": args.tol}
-    cached = _try_cache(args, inputs)
-    if cached is not None:
-        return cached.get("exit_code", 0)
+    inputs = _inputs(args, "section", body=body.spec(), rule=rule_spec,
+                     xi=args.xi)
+    if (code := _try_cache(args, inputs)) is not None:
+        return code
     xi = _parse_xi(args.xi, body.dim)
     rule = parse_rule(rule_spec, dim=body.dim - 2, default_nodes=args.nodes,
                       default_seed=args.seed)
@@ -210,12 +218,10 @@ def cmd_section(args) -> int:
 
 def cmd_ft(args) -> int:
     body = parse_body(args.body)
-    inputs = {"command": "ft", "body": body.spec(), "p": args.p,
-              "method": args.method, "rule": args.rule, "xi": args.xi,
-              "seed": args.seed, "nodes": args.nodes, "tol": args.tol}
-    cached = _try_cache(args, inputs)
-    if cached is not None:
-        return cached.get("exit_code", 0)
+    inputs = _inputs(args, "ft", body=body.spec(), p=args.p,
+                     method=args.method, rule=args.rule, xi=args.xi)
+    if (code := _try_cache(args, inputs)) is not None:
+        return code
     xi = _parse_xi(args.xi, body.dim)
     method = None if args.method == "auto" else args.method
     if method == "pairing":
@@ -241,12 +247,10 @@ def cmd_ft(args) -> int:
 def cmd_scan(args) -> int:
     body = parse_body(args.body)
     grid_spec = args.grid or f"grid:dim={body.dim},res=8,reduce=orbit,seed={args.seed}"
-    inputs = {"command": "scan", "body": body.spec(), "p": args.p,
-              "grid": grid_spec, "rule": args.rule, "seed": args.seed,
-              "nodes": args.nodes, "tol": args.tol}
-    cached = _try_cache(args, inputs)
-    if cached is not None:
-        return cached.get("exit_code", 0)
+    inputs = _inputs(args, "scan", body=body.spec(), p=args.p,
+                     grid=grid_spec, rule=args.rule)
+    if (code := _try_cache(args, inputs)) is not None:
+        return code
     grid = parse_grid(grid_spec)
     rule = None
     if args.rule:
@@ -283,14 +287,11 @@ def cmd_bp_verify(args) -> int:
         # the key comes from the record alone, so a cache hit builds no
         # body; K names the bump by its label only, so the hash of the
         # record keys the cache on the bump coefficients too
-        inputs = {"command": "bp-verify", "pair": os.path.basename(args.pair),
-                  "pair_sha256": config_hash(pair),
-                  "K": pair["K"], "L": pair["L"], "grid": args.grid,
-                  "rule": args.rule, "seed": args.seed, "nodes": args.nodes,
-                  "tol": args.tol}
-        cached = _try_cache(args, inputs)
-        if cached is not None:
-            return cached.get("exit_code", 0)
+        inputs = _inputs(args, "bp-verify", pair=os.path.basename(args.pair),
+                         pair_sha256=config_hash(pair), K=pair["K"],
+                         L=pair["L"], grid=args.grid, rule=args.rule)
+        if (code := _try_cache(args, inputs)) is not None:
+            return code
         K, L = _pair_from_file(pair)
         if (K.spec(), L.spec()) != (pair["K"], pair["L"]):
             raise SpecError(
@@ -301,12 +302,10 @@ def cmd_bp_verify(args) -> int:
             raise SpecError("bp-verify needs --pair or both --K and --L")
         K = parse_body(args.K)
         L = parse_body(args.L)
-        inputs = {"command": "bp-verify", "K": K.spec(), "L": L.spec(),
-                  "grid": args.grid, "rule": args.rule, "seed": args.seed,
-                  "nodes": args.nodes, "tol": args.tol}
-        cached = _try_cache(args, inputs)
-        if cached is not None:
-            return cached.get("exit_code", 0)
+        inputs = _inputs(args, "bp-verify", K=K.spec(), L=L.spec(),
+                         grid=args.grid, rule=args.rule)
+        if (code := _try_cache(args, inputs)) is not None:
+            return code
     grid_spec = args.grid or f"grid:dim={K.dim},res=8,reduce=orbit,seed={args.seed}"
     grid = parse_grid(grid_spec)
     rule = None
@@ -334,12 +333,10 @@ def cmd_bp_verify(args) -> int:
 
 
 def cmd_bp_construct(args) -> int:
-    inputs = {"command": "bp-construct", "n": args.n, "q": args.q,
-              "width": args.width, "seed": args.seed, "nodes": args.nodes,
-              "tol": args.tol}
-    cached = _try_cache(args, inputs)
-    if cached is not None:
-        return cached.get("exit_code", 0)
+    inputs = _inputs(args, "bp-construct", n=args.n, q=args.q,
+                     width=args.width)
+    if (code := _try_cache(args, inputs)) is not None:
+        return code
     try:
         K, L, report, trace = bp_construct(args.n, args.q, width=args.width,
                                            seed=args.seed)

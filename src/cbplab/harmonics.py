@@ -161,30 +161,35 @@ def c_harmonic_components(p, n):
     return out
 
 
+#: rows per block of c_eval: one block's power table stays in cache
+_BLOCK_ROWS = 8192
+
+
 def c_eval(p, cvals):
-    """Evaluate a c-polynomial at rows of cvals (N, n)."""
+    """Evaluate a c-polynomial at rows of cvals (N, n), in blocks of
+    _BLOCK_ROWS rows with a table of powers c_j^e (repeated products) per
+    block; each row sums its terms in the order of p, so a row's value does
+    not depend on the block it falls in."""
     cvals = np.atleast_2d(np.asarray(cvals, dtype=float))
     out = np.zeros(cvals.shape[0])
     if not p:
         return out
-    # shared power table: pows[j][e] = cvals[:, j]**e
-    max_e = [0] * cvals.shape[1]
-    for mono in p:
-        for j, e in enumerate(mono):
-            if e > max_e[j]:
-                max_e[j] = e
-    pows = []
-    for j, top in enumerate(max_e):
-        col = [None, cvals[:, j]]
-        for e in range(2, top + 1):
-            col.append(col[-1] * cvals[:, j])
-        pows.append(col)
-    for mono, coef in p.items():
-        term = None
-        for j, e in enumerate(mono):
-            if e:
-                term = pows[j][e] if term is None else term * pows[j][e]
-        out += coef if term is None else coef * term
+    max_e = np.max(np.array(list(p), dtype=int), axis=0)
+    for s in range(0, len(out), _BLOCK_ROWS):
+        cols = cvals[s:s + _BLOCK_ROWS].T
+        acc = out[s:s + _BLOCK_ROWS]
+        # pows[j][e] = cols[j]**e
+        pows = []
+        for c, top in zip(cols, max_e):
+            pows.append([None, c])
+            for _ in range(2, top + 1):
+                pows[-1].append(pows[-1][-1] * c)
+        for mono, coef in p.items():
+            term = None
+            for j, e in enumerate(mono):
+                if e:
+                    term = pows[j][e] if term is None else term * pows[j][e]
+            acc += coef if term is None else coef * term
     return out
 
 
@@ -244,17 +249,25 @@ def symmetric_power_form(p, n, tol=1e-9, seed=29):
 
 def power_form_eval(exps, coefs, cvals):
     """Evaluate a symmetric_power_form at rows of cvals (N, n) with
-    sum(c) = 1 per row."""
-    cvals = np.atleast_2d(np.asarray(cvals, dtype=float))
-    n = cvals.shape[1]
-    pows = [np.sum(cvals ** k, axis=1) for k in range(2, n + 1)]
-    out = np.zeros(cvals.shape[0])
+    sum(c) = 1 per row.
+
+    Works column by column, so it is fastest on the transpose of an (n, N)
+    array: p_k = c_1^k + ... + c_n^k is summed in sequence, and each power
+    p_k^e is formed once per call; each row sums its terms in the order of
+    exps."""
+    cols = np.atleast_2d(np.asarray(cvals, dtype=float)).T
+    pows = {}
+    for k in range(2, len(cols) + 1):
+        ck = cols ** k
+        pows[k - 2, 1] = sum(ck[1:], ck[0])
+    out = np.zeros(cols.shape[1])
     for exps_row, coef in zip(exps, coefs):
         term = None
         for j, e in enumerate(exps_row):
             if e:
-                f = pows[j] if e == 1 else pows[j] ** e
-                term = f if term is None else term * f
+                if (j, e) not in pows:
+                    pows[j, e] = pows[j, 1] ** e
+                term = pows[j, e] if term is None else term * pows[j, e]
         out += coef if term is None else coef * term
     return out
 

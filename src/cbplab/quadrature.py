@@ -58,6 +58,7 @@ class Estimate:
 
 
 _KINDS = ("monte_carlo", "quasi_monte_carlo", "product_gauss")
+_CACHE_FLOATS = 2 ** 22  # most node coordinates a rule keeps (32 MB)
 
 
 class SphereRule:
@@ -80,6 +81,7 @@ class SphereRule:
         self.kind = kind
         self.seed = int(seed)
         self.batch_count = int(batch_count)
+        self._passes, self._batches = 0, None
         if kind == "product_gauss":
             if dim > 6:
                 raise ValueError("product_gauss rules are limited to dim <= 6")
@@ -156,7 +158,26 @@ class SphereRule:
         return z / n
 
     def batches(self):
-        """Yield (nodes, weights) pairs; weights sum to the sphere area."""
+        """Yield read-only (nodes, weights) pairs; weights sum to the sphere
+        area.  A rule of at most _CACHE_FLOATS node coordinates (so never a
+        streamed product grid) keeps the batches of its second full pass and
+        yields them from then on; a rule read once keeps none."""
+        if self._batches is not None:
+            yield from self._batches
+            return
+        keep = self._passes and self.node_count * self.dim <= _CACHE_FLOATS
+        made = []
+        for pts, w in self._make_batches():
+            pts.setflags(write=False)
+            w.setflags(write=False)
+            if keep:
+                made.append((pts, w))
+            yield pts, w
+        self._passes += 1
+        if keep:
+            self._batches = made
+
+    def _make_batches(self):
         if self.kind == "product_gauss":
             if self.node_count <= 2 ** 22 or self.dim == 2:
                 pts, w = self._gauss_nodes()
@@ -174,15 +195,12 @@ class SphereRule:
                     chunk[:, :-1] = s * inner
                     chunk[:, -1] = t
                     yield chunk, wt * win
-        elif self.kind == "monte_carlo":
-            wt = self.area / self.node_count
-            for b in range(self.batch_count):
-                pts = self._mc_batch(b)
-                yield pts, np.full(len(pts), wt)
         else:
+            make = (self._mc_batch if self.kind == "monte_carlo"
+                    else self._qmc_batch)
             wt = self.area / self.node_count
             for b in range(self.batch_count):
-                pts = self._qmc_batch(b)
+                pts = make(b)
                 yield pts, np.full(len(pts), wt)
 
     def nodes(self):
@@ -218,24 +236,58 @@ def _check_finite(vals, nodes):
         raise PoisonedEstimateError(nodes[i], vals.reshape(-1)[i])
 
 
+#: most nodes an integrand sees in one call
+_PASS_NODES = 2 ** 16
+
+
+def _node_passes(rule: SphereRule, basis, limit):
+    """The rule's batches in passes of consecutive batches with at most
+    `limit` nodes together (a larger batch is a pass of its own).
+
+    Each batch is mapped through `basis` (an (m, n) row stack; None keeps
+    the nodes) on its own, because a 1-row and an N-row matrix product
+    round differently.  Yields (nodes, parts): the nodes of the pass in
+    batch order, and per batch (batch index, slice of nodes, weights).
+    """
+    xs, parts, count = [], [], 0
+    for bi, (pts, w) in enumerate(rule.batches()):
+        x = pts if basis is None else pts @ basis
+        if xs and count + len(x) > limit:
+            yield np.concatenate(xs), parts
+            xs, parts, count = [], [], 0
+        xs.append(x)
+        parts.append((bi, slice(count, count + len(x)), w))
+        count += len(x)
+    if xs:
+        yield np.concatenate(xs), parts
+
+
+def _integrate(rule, basis, f) -> Estimate:
+    sums = []
+    for x, parts in _node_passes(rule, basis, _PASS_NODES):
+        vals = np.asarray(f(x), dtype=float)
+        _check_finite(vals, x)
+        sums.extend(float(np.dot(w, vals[part])) for _, part, w in parts)
+    return Estimate.from_batches(sums, rule, rule.kind)
+
+
 def integrate_sphere(rule: SphereRule, f) -> Estimate:
     """Integral of f over S^{dim-1} with a batch-variance error bar.
 
-    f must accept an (N, dim) array of unit vectors and return (N,) values.
+    f must accept an (N, dim) array of unit vectors and return (N,) values,
+    acting row by row: it is called once per pass of consecutive batches
+    (at most _PASS_NODES nodes), and each batch sum is w . f(nodes) over
+    that batch's rows, so the value of a row must not depend on the others.
     """
-    sums = []
-    for pts, w in rule.batches():
-        vals = np.asarray(f(pts), dtype=float)
-        _check_finite(vals, pts)
-        sums.append(float(np.dot(w, vals)))
-    return Estimate.from_batches(sums, rule, rule.kind)
+    return _integrate(rule, None, f)
 
 
 def integrate_subsphere(rule: SphereRule, basis, f) -> Estimate:
     """Integral of f over the unit sphere of the subspace spanned by `basis`.
 
     basis is an (m, n) orthonormal row stack; rule.dim must equal m. Nodes of
-    the m-dimensional rule are mapped through the basis into R^n.
+    the m-dimensional rule are mapped through the basis into R^n, batch by
+    batch; f acts row by row, as in integrate_sphere.
     """
     basis = np.asarray(basis, dtype=float)
     m = basis.shape[0]
@@ -244,13 +296,7 @@ def integrate_subsphere(rule: SphereRule, basis, f) -> Estimate:
     gram = basis @ basis.T
     if not np.allclose(gram, np.eye(m), atol=1e-10):
         raise ValueError("basis is not orthonormal")
-    sums = []
-    for pts, w in rule.batches():
-        x = pts @ basis
-        vals = np.asarray(f(x), dtype=float)
-        _check_finite(vals, x)
-        sums.append(float(np.dot(w, vals)))
-    return Estimate.from_batches(sums, rule, rule.kind)
+    return _integrate(rule, basis, f)
 
 
 def fractional_radial(g, q, cutoff, delta_factor=1e-3, taylor_samples=5) -> float:

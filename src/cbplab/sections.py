@@ -14,8 +14,8 @@ import numpy as np
 
 from .bodies import StarBody
 from .frames import ComplexFrame
-from .quadrature import (Estimate, SphereRule, integrate_sphere,
-                         integrate_subsphere)
+from .quadrature import (Estimate, SphereRule, _node_passes,
+                         integrate_sphere, integrate_subsphere)
 
 
 class RootBracketError(RuntimeError):
@@ -105,11 +105,9 @@ def _slice_batch_sums(body, frame, offsets, rule):
     differences of the returned values cancel the quadrature noise. The
     slice through offset u is integrated in polar form around the base
     point u1 xi + u2 xi_perp; r(theta) is found by bisection to ~1e-12.
-    Whole batches are bisected together, every (offset, node) pair in one
-    pass of at most _PASS_PAIRS pairs.  Each batch is mapped through
-    frame.basis on its own, because a 1-row and an N-row matrix product
-    round differently; bisection is elementwise, so every root is the one
-    a batch-by-batch loop finds.
+    Whole batches are bisected together (quadrature._node_passes), every
+    (offset, node) pair in one pass of at most _PASS_PAIRS pairs; bisection
+    is elementwise, so every root is the one a batch-by-batch loop finds.
     Returns (K, B) batch sums and a per-offset inside/outside mask.
     """
     offsets = np.atleast_2d(np.asarray(offsets, dtype=float))
@@ -128,27 +126,13 @@ def _slice_batch_sums(body, frame, offsets, rule):
     r_hi = body.r_max * 1.01 + unorm[act]
     act_bases, act_offsets = bases[act], offsets[act]
     width = max(1, _PASS_PAIRS // len(act))
-    group, nodes = [], 0
-
-    def flush():
-        theta = np.concatenate([t for _, t, _ in group])
+    for theta, parts in _node_passes(rule, frame.basis, width):
         r = np.concatenate([
             _slice_radii(body, act_bases, act_offsets, r_hi,
                          theta[s:s + width])
             for s in range(0, len(theta), width)], axis=1)
-        s = 0
-        for bi, t, w in group:
-            sums[act, bi] = (r[:, s:s + len(t)] ** m) @ w / m
-            s += len(t)
-
-    for bi, (pts, w) in enumerate(rule.batches()):
-        theta = pts @ frame.basis  # (N, dim)
-        if group and nodes + len(theta) > width:
-            flush()
-            group, nodes = [], 0
-        group.append((bi, theta, w))
-        nodes += len(theta)
-    flush()
+        for bi, part, w in parts:
+            sums[act, bi] = (r[:, part] ** m) @ w / m
     return sums, inside
 
 

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cbplab.bodies import (ComplexLqBall, EuclideanBall, RadialPerturbation,
-                           ScaledBody, block_moduli, convexity_probe, mollify,
-                           norm_eval, radial_eval, radial_metric, scale)
+from cbplab.bodies import (ComplexLqBall, EuclideanBall, MollifiedBody,
+                           RadialPerturbation, ScaledBody, block_moduli,
+                           convexity_probe, mollify, norm_eval, radial_eval,
+                           radial_metric, scale)
 from cbplab.frames import rotate
 from cbplab.quadrature import SphereRule
 from cbplab.sections import volume
@@ -167,3 +170,90 @@ def test_radial_bounds_bracket_the_radial_function():
         r = body.radial(theta)
         assert np.all(r >= body.r_min - 1e-9)
         assert np.all(r <= body.r_max + 1e-9)
+
+
+def _old_norm(body, x):
+    """MollifiedBody.norm before the points-last layout: row-major moduli
+    and power sums."""
+    x = np.asarray(x, dtype=float)
+    pts = np.atleast_2d(x)
+    flat = pts.reshape(-1, body.dim)
+    r = np.linalg.norm(flat, axis=-1)
+    xhat = flat / r[:, None]
+    m2 = xhat[..., 0::2] ** 2 + xhat[..., 1::2] ** 2
+    m2 /= np.sum(m2, axis=-1, keepdims=True)
+    exps, coefs = body._power_form
+    pows = [np.sum(m2 ** k, axis=1) for k in range(2, m2.shape[1] + 1)]
+    rho = np.zeros(m2.shape[0])
+    for exps_row, coef in zip(exps, coefs):
+        term = None
+        for j, e in enumerate(exps_row):
+            if e:
+                f = pows[j] if e == 1 else pows[j] ** e
+                term = f if term is None else term * f
+        rho += coef if term is None else coef * term
+    out = (r / rho).reshape(pts.shape[:-1])
+    return float(out[0]) if x.ndim == 1 else out.reshape(x.shape[:-1])
+
+
+_MOLLIFIED = {}
+
+
+def _mollified(n):
+    """Mollified complex l_4 balls for n = 2, 3, 4; at n = 5, where the
+    series build is too slow for a test, a body with a made-up power form
+    (the evaluation does not care whether it came from a series)."""
+    if n not in _MOLLIFIED:
+        if n < 5:
+            body = mollify(ComplexLqBall(n, 4.0), 0.2 if n < 4 else 0.1)
+        else:
+            body = object.__new__(MollifiedBody)
+            body.dim = 2 * n
+            g = np.random.Generator(np.random.Philox(key=n))
+            exps = g.integers(0, 3, size=(12, n - 1))
+            exps[0] = 0
+            body._power_form = (exps, 1.0 + 0.1 * g.standard_normal(12))
+        _MOLLIFIED[n] = body
+    return _MOLLIFIED[n]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_mollified_norm_is_bit_identical_to_the_row_major_form(n):
+    body = _mollified(n)
+    g = np.random.Generator(np.random.Philox(key=40 + n))
+    for shape in [(1000, 2 * n), (3, 7, 2 * n), (2 * n,), (1, 2 * n)]:
+        x = g.standard_normal(shape)
+        new, old = body.norm(x), _old_norm(body, x)
+        assert np.shape(new) == np.shape(old) == shape[:-1]
+        assert np.array_equal(new, old)
+    assert isinstance(body.norm(x[0]), float)
+
+
+def _block_permutation(x, perm):
+    cols = np.ravel([[2 * j, 2 * j + 1] for j in perm])
+    return x[..., cols]
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.sampled_from([2, 3]), seed=st.integers(0, 2 ** 32 - 1),
+       t=st.floats(1e-3, 1e3), angle=st.floats(-7.0, 7.0))
+def test_mollified_norm_is_homogeneous_and_invariant(n, seed, t, angle):
+    body = _mollified(n)
+    g = np.random.Generator(np.random.Philox(key=seed))
+    x = g.standard_normal((64, 2 * n))
+    v = body.norm(x)
+    assert np.allclose(body.norm(t * x), t * v, rtol=1e-13, atol=0)
+    assert np.allclose(body.norm(rotate(x, angle)), v, rtol=1e-13, atol=0)
+    perm = g.permutation(n)
+    assert np.allclose(body.norm(_block_permutation(x, perm)), v,
+                       rtol=1e-13, atol=0)
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.sampled_from([2, 3]), rows=st.integers(1, 20000),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_mollified_norm_is_bit_identical_at_any_row_count(n, rows, seed):
+    body = _mollified(n)
+    x = np.random.Generator(np.random.Philox(key=seed)).standard_normal(
+        (rows, 2 * n))
+    assert np.array_equal(body.norm(x), _old_norm(body, x))

@@ -207,3 +207,18 @@ def test_pair_files_with_different_bumps_do_not_share_a_cache_entry(tmp_path):
     assert records[0]["inputs"]["K"] == records[1]["inputs"]["K"]
     assert records[1]["cached"] is False
     assert records[0]["config_hash"] != records[1]["config_hash"]
+
+
+def test_a_new_numerics_version_misses_the_cache(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    args = ("volume", "--body", "ball:dim=4", "--rule",
+            "qmc:nodes=4096,seed=5")
+    _, rec1 = run(tmp_path, *args, name="r1.json", cache=cache)
+    _, rec2 = run(tmp_path, *args, name="r2.json", cache=cache)
+    assert rec2["cached"] is True
+    assert rec1["inputs"]["numerics_version"] == cli.NUMERICS_VERSION
+    monkeypatch.setattr(cli, "NUMERICS_VERSION", cli.NUMERICS_VERSION + 1)
+    _, rec3 = run(tmp_path, *args, name="r3.json", cache=cache)
+    assert rec3["cached"] is False
+    assert rec3["config_hash"] != rec1["config_hash"]
+    assert rec3["results"] == rec1["results"]

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbplab.bodies import block_moduli
-from cbplab.harmonics import (c_add, c_eval, c_harmonic_components,
+from cbplab.harmonics import (_BLOCK_ROWS, _monomials, c_add, c_eval,
+                              c_harmonic_components,
                               c_laplacian, c_mul, c_p1, c_scale,
                               c_sphere_inner, c_sphere_integral,
                               moduli_gauss_quadrature, power_form_eval,
@@ -131,3 +134,52 @@ def test_atom_evaluation_uses_block_moduli():
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     assert np.allclose(a(x), c_eval(a.c_poly, block_moduli(x) ** 2),
                        atol=1e-13)
+
+
+def _c_eval_unblocked(p, cvals):
+    """c_eval before row blocking: one power table over all rows."""
+    cvals = np.atleast_2d(np.asarray(cvals, dtype=float))
+    out = np.zeros(cvals.shape[0])
+    if not p:
+        return out
+    max_e = [0] * cvals.shape[1]
+    for mono in p:
+        for j, e in enumerate(mono):
+            if e > max_e[j]:
+                max_e[j] = e
+    pows = []
+    for j, top in enumerate(max_e):
+        col = [None, cvals[:, j]]
+        for e in range(2, top + 1):
+            col.append(col[-1] * cvals[:, j])
+        pows.append(col)
+    for mono, coef in p.items():
+        term = None
+        for j, e in enumerate(mono):
+            if e:
+                term = pows[j][e] if term is None else term * pows[j][e]
+        out += coef if term is None else coef * term
+    return out
+
+
+def _dense_poly(n, max_deg, seed):
+    g = np.random.Generator(np.random.Philox(key=seed))
+    return {mono: float(g.standard_normal())
+            for deg in range(max_deg + 1) for mono in _monomials(n, deg)}
+
+
+def test_c_eval_blocks_are_bit_identical_to_one_pass():
+    poly = _dense_poly(4, 6, seed=3)
+    c = dirichlet_points(4, count=3 * _BLOCK_ROWS + 17, seed=4)
+    assert np.array_equal(c_eval(poly, c), _c_eval_unblocked(poly, c))
+    assert np.array_equal(c_eval(poly, c[5]), _c_eval_unblocked(poly, c[5]))
+    assert c_eval(poly, c[5]).shape == (1,)
+    assert np.array_equal(c_eval({}, c), np.zeros(len(c)))
+
+
+@settings(max_examples=15, deadline=None)
+@given(rows=st.integers(1, 3 * _BLOCK_ROWS), seed=st.integers(0, 2 ** 16))
+def test_c_eval_is_bit_identical_at_any_row_count(rows, seed):
+    poly = _dense_poly(3, 5, seed)
+    c = dirichlet_points(3, count=rows, seed=seed)
+    assert np.array_equal(c_eval(poly, c), _c_eval_unblocked(poly, c))

@@ -8,9 +8,10 @@ import importlib.util
 import os
 import sys
 
+import numpy as np
 import pytest
 
-from cbplab import bodies
+from cbplab import bodies, harmonics
 from cbplab.quadrature import SphereRule
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(
@@ -46,3 +47,15 @@ def test_every_traced_body_class_defines_its_own_norm(tracing):
 def test_the_traced_node_generators_exist(tracing):
     for name in [n for n, _ in tracing.NODEGEN] + ["batches"]:
         assert callable(getattr(SphereRule, name, None)), name
+
+
+def test_one_mollified_norm_call_reaches_power_form_eval_once(monkeypatch):
+    # the tracer times the mollified series where it wraps it, at
+    # cbplab.harmonics.power_form_eval; the norm must look it up there
+    body = bodies.mollify(bodies.ComplexLqBall(2, 4.0), 0.2)
+    calls = []
+    original = harmonics.power_form_eval
+    monkeypatch.setattr(harmonics, "power_form_eval",
+                        lambda *args: calls.append(1) or original(*args))
+    body.norm(np.random.default_rng(1).standard_normal((100, 4)))
+    assert len(calls) == 1

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from cbplab.bodies import ComplexLqBall, mollify
+from cbplab.frames import make_frame
 from cbplab.quadrature import (Estimate, PoisonedEstimateError, SphereRule,
                                fractional_radial, integrate_sphere,
-                               kahan_reduce, sphere_area)
+                               integrate_subsphere, kahan_reduce, sphere_area)
 
 
 def kappa(d):
@@ -142,3 +144,111 @@ def test_worker_independent_batch_stream():
     for (p1, w1), (p2, w2) in zip(batches, again):
         assert np.array_equal(p1, p2)
         assert np.array_equal(w1, w2)
+
+
+def _per_batch(rule, f, basis=None):
+    """The integrators before passes: one integrand call per batch."""
+    sums = []
+    for pts, w in rule.batches():
+        x = pts if basis is None else pts @ basis
+        sums.append(float(np.dot(w, np.asarray(f(x), dtype=float))))
+    return Estimate.from_batches(sums, rule, rule.kind)
+
+
+def _counted(f):
+    def g(x):
+        g.calls += 1
+        return f(x)
+    g.calls = 0
+    return g
+
+
+_BODY4 = mollify(ComplexLqBall(2, 4.0), 0.2)
+
+
+@pytest.mark.parametrize("rule, passes", [
+    (SphereRule(4, "quasi_monte_carlo", node_count=2 ** 17, seed=3), 2),
+    (SphereRule(4, "product_gauss", level=30), 1)])
+def test_integrate_sphere_matches_the_per_batch_loop(rule, passes):
+    f = _counted(lambda x: _BODY4.radial(x) ** 4)
+    est = integrate_sphere(rule, f)
+    assert f.calls == passes
+    assert est == _per_batch(rule, f)
+    body8 = ComplexLqBall(4, 3.0)
+    rule8 = SphereRule(8, "quasi_monte_carlo", node_count=2 ** 17, seed=4)
+    assert (integrate_sphere(rule8, lambda x: body8.radial(x) ** 8)
+            == _per_batch(rule8, lambda x: body8.radial(x) ** 8))
+
+
+@pytest.mark.parametrize("rule, passes", [
+    (SphereRule(2, "product_gauss", level=16), 1),
+    (SphereRule(6, "product_gauss", level=9), 2),
+    (SphereRule(6, "quasi_monte_carlo", node_count=2 ** 17, seed=5), 2)])
+def test_integrate_subsphere_matches_the_per_batch_loop(rule, passes):
+    xi = np.random.Generator(np.random.Philox(key=2)).standard_normal(
+        rule.dim + 2)
+    basis = make_frame(xi / np.linalg.norm(xi)).basis
+    body = _BODY4 if rule.dim == 2 else ComplexLqBall(4, 3.0)
+    f = _counted(lambda x: body.radial(x) ** rule.dim)
+    est = integrate_subsphere(rule, basis, f)
+    assert f.calls == passes
+    assert est == _per_batch(rule, f, basis)
+
+
+def test_poisoned_estimate_names_the_first_bad_node():
+    rule = SphereRule(4, "monte_carlo", node_count=2 ** 8, seed=1)
+    batches = list(rule.batches())
+    first, later = batches[1][0][5], batches[3][0][0]
+
+    def bad(x):
+        hit = np.all(x == first, axis=1) | np.all(x == later, axis=1)
+        return np.where(hit, np.nan, 1.0)
+
+    with pytest.raises(PoisonedEstimateError) as err:
+        integrate_sphere(rule, bad)
+    assert np.array_equal(err.value.node, first)
+
+
+def test_rules_keep_their_batches_read_only(monkeypatch):
+    made = {"_gauss_nodes": 0, "_qmc_batch": 0}
+    for name in made:
+        original = getattr(SphereRule, name)
+
+        def counted(self, *args, _name=name, _f=original):
+            made[_name] += 1
+            return _f(self, *args)
+        monkeypatch.setattr(SphereRule, name, counted)
+    gauss = SphereRule(6, "product_gauss", level=8)
+    qmc = SphereRule(6, "quasi_monte_carlo", node_count=2 ** 12, seed=9)
+    for rule in (gauss, qmc):
+        once = list(rule.batches())
+        first = list(rule.batches())
+        again = list(rule.batches())
+        assert not any(p1 is p2 for (p1, _), (p2, _) in zip(once, first))
+        assert all(p1 is p2 and w1 is w2
+                   for (p1, w1), (p2, w2) in zip(first, again))
+        fresh = list(SphereRule(6, rule.kind, node_count=2 ** 12, seed=9,
+                                level=8).batches())
+        assert all(np.array_equal(p1, p2) and np.array_equal(w1, w2)
+                   for (p1, w1), (p2, w2) in zip(first, fresh))
+        pts, w = first[0]
+        with pytest.raises(ValueError):
+            pts[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+    # a rule read once keeps nothing; the second pass is kept; the fresh
+    # twin builds its own
+    assert made == {"_gauss_nodes": 3, "_qmc_batch": 3 * 32}
+
+
+def test_streamed_gauss_rules_keep_no_batches(monkeypatch):
+    rule = SphereRule(4, "product_gauss", level=129)
+    assert rule.node_count > 2 ** 22
+    calls = []
+    original = SphereRule._gauss_nodes
+    monkeypatch.setattr(SphereRule, "_gauss_nodes",
+                        lambda self, *a, **k: calls.append(k)
+                        or original(self, *a, **k))
+    for _ in range(2):
+        assert sum(len(w) for _, w in rule.batches()) == rule.node_count
+    assert calls == [{"skip_outer": 1}] * 2
