@@ -1,9 +1,19 @@
 """Origin-symmetric star bodies in R^{2n} encoded by their Minkowski
 functionals, with the invariance structure of complex norms.
 
-Every body exposes a vectorized gauge `norm(X)` over (N, dim) arrays; all
-downstream geometry (volumes, sections, Fourier routes) consumes only
-`norm` / `radial`.
+Every body exposes a vectorized gauge `norm(x)` over points x of shape
+(..., dim); all downstream geometry (volumes, sections, Fourier routes)
+consumes only `norm` / `radial`.  A gauge returns x.shape[:-1] values, and
+a float for a single vector.
+
+Gauges work points-last: they read x as one contiguous column per
+coordinate, a (dim, N) array (`_columns`), and do all their arithmetic on
+whole columns.  The squared length of a point is summed over the columns
+in the order numpy's row reduction uses (`_sum_squares`), so every value
+is bit for bit what the same formula gives on the rows of a C-ordered
+(N, dim) array, whatever the memory layout of x: C- or Fortran-ordered,
+strided, or the transposed view of a (dim, N) array, which is what the
+slice engine passes.
 """
 
 from __future__ import annotations
@@ -48,6 +58,63 @@ def block_moduli(x):
     return np.sqrt(x[..., 0::2] ** 2 + x[..., 1::2] ** 2)
 
 
+def _columns(x, dim=None):
+    """Points x (..., dim) as contiguous coordinate columns, a (dim, N)
+    array; copies x only if it is not laid out so already."""
+    dim = x.shape[-1] if dim is None else dim
+    if x.shape[-1] != dim:
+        raise ValueError(f"points of dimension {x.shape[-1]} given to a "
+                         f"body of dimension {dim}")
+    return np.ascontiguousarray(x.reshape(-1, dim).T)
+
+
+def _shaped(values, x):
+    """Per-point values (N,) in the shape of the points x (..., dim)."""
+    return float(values[0]) if x.ndim == 1 else values.reshape(x.shape[:-1])
+
+
+def _block_moduli_columns(xt):
+    """Block moduli (n, N) of coordinate columns xt (2n, N)."""
+    return np.sqrt(xt[0::2] ** 2 + xt[1::2] ** 2)
+
+
+def _row_sum(cols):
+    """Sum over the leading axis of cols (k, N) with the floating-point
+    operations numpy's add.reduce makes along each row of a C-ordered
+    (N, k) array (2 <= k <= 128): in sequence below 8 terms; from 8 terms
+    on, eight accumulators over strides of 8 added pairwise, then the rest
+    in sequence."""
+    k = len(cols)
+    if k < 8:
+        out = cols[0] + cols[1]
+        for c in cols[2:]:
+            out += c
+        return out
+    top = k - k % 8
+    acc = cols[:8] if top == 8 else cols[:8] + cols[8:16]
+    for i in range(16, top, 8):
+        acc += cols[i:i + 8]
+    out = (((acc[0] + acc[1]) + (acc[2] + acc[3]))
+           + ((acc[4] + acc[5]) + (acc[6] + acc[7])))
+    for c in cols[top:]:
+        out += c
+    return out
+
+
+def _sum_squares(xt):
+    """Squared lengths of the points whose coordinate columns are xt
+    (dim, N): bit for bit the sums np.linalg.norm(xt.T, axis=-1) takes the
+    square root of, for a C-ordered xt.T."""
+    return _row_sum(xt * xt)
+
+
+def _spec_number(x: float) -> str:
+    """x as a spec value: its short `g` form if that reads back as x, else
+    its repr, which always does."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(x)
+
+
 def norm_eval(body: StarBody, x) -> float:
     """Minkowski functional of the body at x (x != 0)."""
     x = np.asarray(x, dtype=float)
@@ -77,7 +144,8 @@ class EuclideanBall(StarBody):
         self.moduli_symmetric = True
 
     def norm(self, x):
-        return np.linalg.norm(np.asarray(x, dtype=float), axis=-1)
+        x = np.asarray(x, dtype=float)
+        return _shaped(np.sqrt(_sum_squares(_columns(x, self.dim))), x)
 
     def spec(self):
         return f"ball:dim={self.dim}"
@@ -104,8 +172,9 @@ class ComplexLqBall(StarBody):
         self.moduli_symmetric = True
 
     def norm(self, x):
-        m = block_moduli(x)
-        return np.sum(m ** self.q, axis=-1) ** (1.0 / self.q)
+        x = np.asarray(x, dtype=float)
+        m = _block_moduli_columns(_columns(x, self.dim))
+        return _shaped(_row_sum(m ** self.q) ** (1.0 / self.q), x)
 
     def spec(self):
         q = self.q
@@ -132,7 +201,8 @@ class ScaledBody(StarBody):
         return self.base.norm(x) / self.lam
 
     def spec(self):
-        return f"scale:base=({self.base.spec()}),lam={self.lam:g}"
+        return (f"scale:base=({self.base.spec()}),"
+                f"lam={_spec_number(self.lam)}")
 
 
 def scale(body: StarBody, lam: float) -> ScaledBody:
@@ -193,12 +263,14 @@ class RadialPerturbation(StarBody):
 
     def norm(self, x):
         x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x, axis=-1)
+        xt = _columns(x, self.dim)
+        r = np.sqrt(_sum_squares(xt))
         with np.errstate(invalid="ignore", divide="ignore"):
-            xhat = x / r[..., None]
+            xhat = (xt / r).T
+        del xt  # a copy of x need not live while the base and bump run
         rad_pow = self.base.radial(xhat) ** self.s - self.eps * np.asarray(
             self.bump(xhat), dtype=float)
-        return r * rad_pow ** (-1.0 / self.s)
+        return _shaped(r * rad_pow ** (-1.0 / self.s), x)
 
     def spec(self):
         return (f"perturb:base=({self.base.spec()}),eps={self.eps:.12g},"
@@ -219,8 +291,11 @@ class MollifiedBody(StarBody):
     """
 
     _SERIES_RES = 64
+    #: series degree of `mollify` and of specs without a max_degree field
+    DEFAULT_DEGREE = 16
 
-    def __init__(self, base: StarBody, width: float, max_degree=16):
+    def __init__(self, base: StarBody, width: float,
+                 max_degree=DEFAULT_DEGREE):
         if not 0.0 < width < 1.0:
             raise ValueError("width must lie in (0, 1)")
         if not base.moduli_symmetric:
@@ -244,9 +319,10 @@ class MollifiedBody(StarBody):
                                 symmetric_power_form)
 
         m, weights = moduli_gauss_quadrature(self.n_blocks, self._SERIES_RES)
-        pts = np.zeros((m.shape[0], self.dim))
-        pts[:, 0::2] = m
-        rho = self.base.radial(pts)
+        # the nodes (m_1, 0, m_2, 0, ...) as coordinate columns
+        pts = np.zeros((self.dim, m.shape[0]))
+        pts[0::2] = m.T
+        rho = self.base.radial(pts.T)
         d = self.dim
         series = {}
         for atom in symmetric_harmonic_atoms(self.n_blocks, self.max_degree):
@@ -272,23 +348,26 @@ class MollifiedBody(StarBody):
         from . import harmonics
 
         x = np.asarray(x, dtype=float)
-        flat = x.reshape(-1, self.dim)
-        r = np.linalg.norm(flat, axis=-1)
-        # moduli squared of x/|x|, points last: (n, N)
-        xhat = np.divide(flat.T, r, out=np.empty(flat.shape[::-1]))
-        xhat *= xhat
-        m2 = xhat[0::2] + xhat[1::2]
-        # numpy sums fewer than 8 values per row in sequence, as here
-        m2 /= sum(m2[1:], m2[0])
+        xt = _columns(x, self.dim)
+        r = np.sqrt(_sum_squares(xt))
+        # moduli squared of x/|x|, (n, N); a copy of x is let go here
+        xt = xt / r
+        xt *= xt
+        m2 = xt[0::2] + xt[1::2]
+        m2 /= _row_sum(m2)
         rho = harmonics.power_form_eval(*self._power_form, m2.T)
-        out = r / rho
-        return float(out[0]) if x.ndim == 1 else out.reshape(x.shape[:-1])
+        return _shaped(r / rho, x)
 
     def spec(self):
-        return f"mollify:base=({self.base.spec()}),width={self.width:g}"
+        spec = (f"mollify:base=({self.base.spec()}),"
+                f"width={_spec_number(self.width)}")
+        if self.max_degree != self.DEFAULT_DEGREE:
+            spec += f",max_degree={self.max_degree}"
+        return spec
 
 
-def mollify(body: StarBody, width: float, max_degree=16) -> StarBody:
+def mollify(body: StarBody, width: float,
+            max_degree=MollifiedBody.DEFAULT_DEGREE) -> StarBody:
     """Smooth approximation of a moduli-symmetric body in the radial
     metric; raises ValueError for any other body."""
     return MollifiedBody(body, width, max_degree=max_degree)

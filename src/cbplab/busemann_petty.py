@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bodies import (ComplexLqBall, RadialPerturbation, StarBody,
+                     _block_moduli_columns, _columns, _row_sum,
                      block_moduli, convexity_probe, mollify)
 from .embedding import scan
 from .frames import DirectionGrid, make_frame, make_grid
@@ -222,9 +223,9 @@ class HarmonicBump:
 
     def __call__(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        m2 = block_moduli(x) ** 2
-        m2 /= np.sum(m2, axis=-1, keepdims=True)
-        return c_eval(self.c_poly, m2)
+        m2 = _block_moduli_columns(_columns(x)) ** 2
+        m2 /= _row_sum(m2)
+        return c_eval(self.c_poly, m2.T).reshape(x.shape[:-1])
 
     def as_record(self) -> dict:
         return {"label": self.label,

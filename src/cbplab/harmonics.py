@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import linalg, special
 
-from .bodies import block_moduli
+from .bodies import _block_moduli_columns, _columns
 from .frames import moduli_angle_map
 from .quadrature import sphere_area
 
@@ -168,15 +168,16 @@ _BLOCK_ROWS = 8192
 def c_eval(p, cvals):
     """Evaluate a c-polynomial at rows of cvals (N, n), in blocks of
     _BLOCK_ROWS rows with a table of powers c_j^e (repeated products) per
-    block; each row sums its terms in the order of p, so a row's value does
-    not depend on the block it falls in."""
+    block, built on the block's columns made contiguous; each row sums its
+    terms in the order of p, so a row's value depends neither on the block
+    it falls in nor on the memory layout of cvals."""
     cvals = np.atleast_2d(np.asarray(cvals, dtype=float))
     out = np.zeros(cvals.shape[0])
     if not p:
         return out
     max_e = np.max(np.array(list(p), dtype=int), axis=0)
     for s in range(0, len(out), _BLOCK_ROWS):
-        cols = cvals[s:s + _BLOCK_ROWS].T
+        cols = np.ascontiguousarray(cvals[s:s + _BLOCK_ROWS].T)
         acc = out[s:s + _BLOCK_ROWS]
         # pows[j][e] = cols[j]**e
         pows = []
@@ -258,8 +259,10 @@ def power_form_eval(exps, coefs, cvals):
     cols = np.atleast_2d(np.asarray(cvals, dtype=float)).T
     pows = {}
     for k in range(2, len(cols) + 1):
-        ck = cols ** k
-        pows[k - 2, 1] = sum(ck[1:], ck[0])
+        pk = cols[0] ** k
+        for c in cols[1:]:
+            pk += c ** k
+        pows[k - 2, 1] = pk
     out = np.zeros(cols.shape[1])
     for exps_row, coef in zip(exps, coefs):
         term = None
@@ -284,6 +287,14 @@ def c_sphere_integral(p, n):
     return total * sphere_area(2 * n)
 
 
+@lru_cache(maxsize=None)
+def _factorials(lo, hi):
+    """Read-only table of k! for k = lo, ..., hi - 1 (floats)."""
+    table = special.factorial(np.arange(lo, hi), exact=False)
+    table.flags.writeable = False
+    return table
+
+
 def c_sphere_inner(p, q, n):
     """Exact <p, q> over S^{2n-1}, vectorized over the merged exponents."""
     if not p or not q:
@@ -294,11 +305,9 @@ def c_sphere_inner(p, q, n):
     v2 = np.array([q[m] for m in m2])
     E = (np.array(m1, dtype=int)[:, None, :]
          + np.array(m2, dtype=int)[None, :, :])
-    top = int(E.max())
-    fact = special.factorial(np.arange(top + 1), exact=False)
+    fact = _factorials(0, int(E.max()) + 1)
     k = E.sum(axis=2)
-    kfact = special.factorial(np.arange(n - 1, n - 1 + int(k.max()) + 1),
-                              exact=False)
+    kfact = _factorials(n - 1, n + int(k.max()))
     mom = (math.factorial(n - 1) * np.prod(fact[E], axis=2)
            / kfact[k])
     return float(v1 @ mom @ v2) * sphere_area(2 * n)
@@ -323,7 +332,8 @@ class HarmonicAtom:
 
     def __call__(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return c_eval(self.c_poly, block_moduli(x) ** 2)
+        m2 = _block_moduli_columns(_columns(x)) ** 2
+        return c_eval(self.c_poly, m2.T).reshape(x.shape[:-1])
 
     def __repr__(self):
         return f"HarmonicAtom(n={self.n}, degree={self.degree})"
@@ -357,7 +367,11 @@ def symmetric_harmonic_atoms(n, max_degree):
         projs = [p for p in projs if p]
         if not projs:
             continue
-        G = np.array([[c_sphere_inner(p, q, n) for q in projs] for p in projs])
+        # eigh reads the lower triangle only: fill it and mirror it
+        G = np.zeros((len(projs), len(projs)))
+        for i, p in enumerate(projs):
+            for j in range(i + 1):
+                G[i, j] = G[j, i] = c_sphere_inner(p, projs[j], n)
         evals, evecs = linalg.eigh(G)
         # genuine harmonic parts may be tiny relative to the monomials, so
         # the cut is relative to the leading eigenvalue; the absolute floor

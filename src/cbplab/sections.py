@@ -74,13 +74,25 @@ def _slice_radii(body, bases, labels, r_hi, theta):
     """Radii r > 0 with norm(base + r theta) = 1 for every (base, node) pair,
     by one vectorised bisection over [0, r_hi] to ~1e-12.
 
+    Each step writes the points base + r theta into one buffer of
+    coordinate columns, (dim, K, W) for K bases and W nodes, which the body
+    reads as a (K W, dim) view without a copy.
+
     Raises RootBracketError, naming the offset (`labels` row), when the upper
     end of a bracket is not outside the body.
     """
+    bases_t = bases.T[:, :, None]
+    theta_t = theta.T[:, None, :]
+    buf = np.empty((body.dim, len(bases), len(theta)))
+    pts = buf.reshape(body.dim, -1).T
+
+    def gauge(r):
+        np.multiply(r, theta_t, out=buf)
+        np.add(buf, bases_t, out=buf)
+        return body.norm(pts).reshape(r.shape)
+
     hi = np.broadcast_to(r_hi[:, None], (len(bases), len(theta))).copy()
-    x = bases[:, None, :] + hi[..., None] * theta[None, :, :]
-    val = body.norm(x.reshape(-1, body.dim)).reshape(hi.shape)
-    short = np.nonzero(np.any(val < 1.0, axis=1))[0]
+    short = np.nonzero(np.any(gauge(hi) < 1.0, axis=1))[0]
     if len(short):
         k = short[0]
         raise RootBracketError(
@@ -88,13 +100,13 @@ def _slice_radii(body, bases, labels, r_hi, theta):
             f"({labels[k][0]:.6g}, {labels[k][1]:.6g}); r_max = "
             f"{body.r_max:.6g} is understated")
     lo = np.zeros_like(hi)
+    mid = np.empty_like(hi)
     for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        x = bases[:, None, :] + mid[..., None] * theta[None, :, :]
-        val = body.norm(x.reshape(-1, body.dim)).reshape(mid.shape)
-        less = val < 1.0
-        lo = np.where(less, mid, lo)
-        hi = np.where(less, hi, mid)
+        np.add(lo, hi, out=mid)
+        mid *= 0.5
+        less = gauge(mid) < 1.0
+        np.copyto(lo, mid, where=less)
+        np.copyto(hi, mid, where=~less)
     return 0.5 * (lo + hi)
 
 

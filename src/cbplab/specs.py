@@ -3,14 +3,17 @@
 A spec is `head:key=value,key=value,...`; values may themselves be a
 parenthesized spec, e.g. `mollify:base=(clq:n=4,q=4),width=0.2`.  The
 `spec()` strings of balls, scaled and mollified bodies round-trip through
-`parse_body`.  A perturbed body's `perturb:` spec is only a label: its
-bump is a polynomial the spec does not carry, so such bodies are read from
+`parse_body` exactly: every number reads back as the same float, and a
+mollified body's series degree is written whenever it is not the default.
+A perturbed body's `perturb:` spec is only a label: its bump is a
+polynomial the spec does not carry, so such bodies are read from
 `bp-construct` pair files (`bp-verify --pair`) instead.
 """
 
 from __future__ import annotations
 
-from .bodies import ComplexLqBall, EuclideanBall, ScaledBody, StarBody, mollify
+from .bodies import (ComplexLqBall, EuclideanBall, MollifiedBody, ScaledBody,
+                     StarBody, mollify)
 from .frames import DirectionGrid, make_grid
 from .quadrature import SphereRule
 
@@ -104,7 +107,8 @@ def parse_body(text: str) -> StarBody:
             raise SpecError(f"missing field 'base' in {text!r}")
         base = parse_body(fields.pop("base"))
         width = _number(fields, "width", text)
-        max_degree = _number(fields, "max_degree", text, int, default=16)
+        max_degree = _number(fields, "max_degree", text, int,
+                             default=MollifiedBody.DEFAULT_DEGREE)
         _done(fields, text)
         return mollify(base, width, max_degree=max_degree)
     raise SpecError(f"unknown body spec head {head!r} in {text!r}")

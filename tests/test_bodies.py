@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cbplab.bodies import (ComplexLqBall, EuclideanBall, MollifiedBody,
-                           RadialPerturbation, ScaledBody, block_moduli,
-                           convexity_probe, mollify, norm_eval, radial_eval,
-                           radial_metric, scale)
+                           RadialPerturbation, ScaledBody, _sum_squares,
+                           block_moduli, convexity_probe, mollify, norm_eval,
+                           radial_eval, radial_metric, scale)
+from cbplab.busemann_petty import HarmonicBump
 from cbplab.frames import rotate
+from cbplab.harmonics import c_eval
 from cbplab.quadrature import SphereRule
 from cbplab.sections import volume
 from cbplab.specs import parse_body
@@ -164,6 +166,55 @@ def test_spec_round_trip():
                            rtol=1e-12, atol=1e-12)
 
 
+def _params(body):
+    """Every number a body is built from, through its bases."""
+    own = tuple(getattr(body, k, None)
+                for k in ("dim", "q", "lam", "width", "max_degree"))
+    base = getattr(body, "base", None)
+    return (type(body).__name__,) + own + (
+        _params(base) if base is not None else ())
+
+
+@st.composite
+def _bodies(draw, depth=2, dim=None):
+    heads = ["ball", "clq"] + (["scale", "mollify"] if depth else [])
+    head = draw(st.sampled_from(heads))
+    if head == "ball":
+        return EuclideanBall(dim or draw(st.sampled_from([4, 6, 8])))
+    if head == "clq":
+        n = dim // 2 if dim else draw(st.integers(2, 4))
+        return ComplexLqBall(n, draw(st.floats(1.0, 64.0)))
+    if head == "scale":
+        return ScaledBody(draw(_bodies(depth - 1, dim)),
+                          draw(st.floats(1e-3, 1e3)))
+    # the series build is cheap in dimension 4 only
+    base = draw(_bodies(depth - 1, 4))
+    try:
+        return mollify(base, draw(st.floats(0.05, 0.5)),
+                       max_degree=draw(st.sampled_from([4, 8, 12, 16])))
+    except ValueError:  # a series too short to stay positive
+        assume(False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(body=_bodies())
+def test_every_body_spec_round_trips_exactly(body):
+    again = parse_body(body.spec())
+    assert again.spec() == body.spec()
+    assert _params(again) == _params(body)
+    x = unit_sample(body.dim, 16, seed=14)
+    assert np.array_equal(again.norm(x), body.norm(x))
+
+
+def test_default_specs_keep_their_short_form():
+    assert (mollify(ComplexLqBall(2, 4.0), 0.1).spec()
+            == "mollify:base=(clq:n=2,q=4),width=0.1")
+    assert (scale(EuclideanBall(6), 0.9).spec()
+            == "scale:base=(ball:dim=6),lam=0.9")
+    assert (mollify(EuclideanBall(4), 0.1234567891, max_degree=8).spec()
+            == "mollify:base=(ball:dim=4),width=0.1234567891,max_degree=8")
+
+
 def test_radial_bounds_bracket_the_radial_function():
     for body in (ComplexLqBall(3, 4.0), mollify(ComplexLqBall(2, 4.0), 0.2)):
         theta = unit_sample(body.dim, 512, seed=13)
@@ -257,3 +308,132 @@ def test_mollified_norm_is_bit_identical_at_any_row_count(n, rows, seed):
     x = np.random.Generator(np.random.Philox(key=seed)).standard_normal(
         (rows, 2 * n))
     assert np.array_equal(body.norm(x), _old_norm(body, x))
+
+
+# ---------------------------------------------------------------------------
+# points-last gauges: bit for bit the row-major forms, whatever the layout
+# ---------------------------------------------------------------------------
+
+def test_sum_squares_is_numpys_row_reduction():
+    # pins numpy's summation order: if a numpy release reorders the row
+    # reduction, this fails before any body does
+    g = np.random.Generator(np.random.Philox(key=50))
+    for dim in range(2, 25):
+        x = g.standard_normal((4000, dim)) * np.exp(
+            3.0 * g.standard_normal((4000, dim)))
+        assert np.array_equal(np.sqrt(_sum_squares(np.ascontiguousarray(x.T))),
+                              np.linalg.norm(x, axis=-1)), dim
+
+
+# The gauges as they were before they read points as coordinate columns:
+# reductions along the rows of the (N, dim) input.
+
+def _old_rows(f, x, dim):
+    """f applied to x (..., dim) as C-ordered rows, shaped as x."""
+    x = np.asarray(x, dtype=float)
+    out = f(np.ascontiguousarray(x.reshape(-1, dim)))
+    return out[0] if x.ndim == 1 else out.reshape(x.shape[:-1])
+
+
+def _old_ball_norm(body, x):
+    return _old_rows(lambda rows: np.linalg.norm(rows, axis=-1), x, body.dim)
+
+
+def _old_clq_norm(body, x):
+    return _old_rows(
+        lambda rows: np.sum(block_moduli(rows) ** body.q, axis=-1)
+        ** (1.0 / body.q), x, body.dim)
+
+
+def _old_bump(bump, x):
+    def rows_bump(rows):
+        m2 = block_moduli(rows) ** 2
+        m2 /= np.sum(m2, axis=-1, keepdims=True)
+        return c_eval(bump.c_poly, m2)
+    return _old_rows(rows_bump, x, np.shape(x)[-1])
+
+
+def _old_perturb_norm(body, x):
+    """RadialPerturbation.norm over a mollified base and a HarmonicBump."""
+    def rows_norm(rows):
+        r = np.linalg.norm(rows, axis=-1)
+        xhat = rows / r[..., None]
+        rad_pow = (1.0 / _old_norm(body.base, xhat)) ** body.s \
+            - body.eps * _old_bump(body.bump, xhat)
+        return r * rad_pow ** (-1.0 / body.s)
+    return _old_rows(rows_norm, x, body.dim)
+
+
+def _sym_bump(n):
+    """sum_j c_j^2 - 2 c_1 c_2: a c-polynomial bump, symmetric in the
+    blocks except for the cross term."""
+    poly = {tuple(2 if i == j else 0 for i in range(n)): 1.0
+            for j in range(n)}
+    poly[(1, 1) + (0,) * (n - 2)] = -2.0
+    return HarmonicBump(poly, label="sq")
+
+
+_PERTURBED = {}
+
+
+def _perturbed(n):
+    if n not in _PERTURBED:
+        _PERTURBED[n] = RadialPerturbation(_mollified(n), 2 * n - 2, 0.02,
+                                           _sym_bump(n), bump_id="sq")
+    return _PERTURBED[n]
+
+
+def _pin_shapes(dim, seed):
+    g = np.random.Generator(np.random.Philox(key=seed))
+    return [g.standard_normal(shape)
+            for shape in [(3000, dim), (3, 7, dim), (dim,), (1, dim)]]
+
+
+@pytest.mark.parametrize("dim", [4, 8, 10])
+def test_ball_and_clq_norms_are_bit_identical_to_the_row_major_forms(dim):
+    for body, old in [(EuclideanBall(dim), _old_ball_norm),
+                      (ComplexLqBall(dim // 2, 3.0), _old_clq_norm),
+                      (ComplexLqBall(dim // 2, 4.0), _old_clq_norm)]:
+        for x in _pin_shapes(dim, seed=60 + dim):
+            new = body.norm(x)
+            assert np.shape(new) == x.shape[:-1]
+            assert np.array_equal(new, old(body, x)), (body.spec(), x.shape)
+        assert isinstance(body.norm(x[0]), float)
+
+
+@pytest.mark.parametrize("n", [2, 4, 5])
+def test_bump_and_perturbed_norm_are_bit_identical_to_the_row_major_forms(n):
+    body = _perturbed(n)
+    for x in _pin_shapes(2 * n, seed=70 + n):
+        unit_x = x / np.linalg.norm(x, axis=-1, keepdims=True)
+        assert np.array_equal(np.reshape(body.bump(unit_x), -1),
+                              np.reshape(_old_bump(body.bump, unit_x), -1))
+        new = body.norm(x)
+        assert np.shape(new) == x.shape[:-1]
+        assert np.array_equal(new, _old_perturb_norm(body, x)), x.shape
+    assert body.bump(x[0]).shape == (1,)
+
+
+def _layouts(x):
+    """The same points (N, dim) C-ordered, Fortran-ordered, as the
+    transposed view of a (dim, N) array and as a strided row view."""
+    wide = np.zeros((2 * len(x), x.shape[1] + 3))
+    wide[::2, 1:-2] = x
+    return {"C": np.ascontiguousarray(x), "F": np.asfortranarray(x),
+            "T": np.ascontiguousarray(x.T).T, "strided": wide[::2, 1:-2]}
+
+
+@pytest.mark.parametrize("dim", [4, 8, 10])
+def test_every_norm_is_independent_of_the_memory_layout(dim):
+    n = dim // 2
+    bodies = [EuclideanBall(dim), ComplexLqBall(n, 3.0),
+              ScaledBody(ComplexLqBall(n, 4.0), 0.8), _mollified(n),
+              _perturbed(n)]
+    x = np.random.Generator(np.random.Philox(key=80 + dim)).standard_normal(
+        (5000, dim))
+    for body in bodies:
+        views = _layouts(x)
+        want = body.norm(views.pop("C"))
+        for name, view in views.items():
+            assert np.array_equal(view, x)
+            assert np.array_equal(body.norm(view), want), (type(body), name)

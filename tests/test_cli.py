@@ -222,3 +222,16 @@ def test_a_new_numerics_version_misses_the_cache(tmp_path, monkeypatch):
     assert rec3["cached"] is False
     assert rec3["config_hash"] != rec1["config_hash"]
     assert rec3["results"] == rec1["results"]
+
+
+def test_volume_keys_tell_series_degrees_apart(tmp_path):
+    # a mollified body's spec names its series degree, so two bodies that
+    # differ only there get their own cache entries
+    hashes = []
+    for body in ["mollify:base=(clq:n=2,q=4),width=0.2",
+                 "mollify:base=(clq:n=2,q=4),width=0.2,max_degree=8"]:
+        code, rec = run(tmp_path, "volume", "--body", body,
+                        "--rule", "gauss:level=6", cache=tmp_path / "c")
+        assert code == 0 and rec["cached"] is False
+        hashes.append(rec["config_hash"])
+    assert hashes[0] != hashes[1]

@@ -10,7 +10,8 @@ from cbplab.frames import make_frame, make_grid
 from cbplab import sections
 from cbplab.quadrature import Estimate, SphereRule
 from cbplab.sections import (_STENCILS, NoisyEstimateError, RootBracketError,
-                             _slice_batch_sums, laplacian_at_zero,
+                             _slice_batch_sums, _slice_radii,
+                             laplacian_at_zero,
                              parallel_section, parallel_sections,
                              section_volume, volume)
 
@@ -262,3 +263,39 @@ def test_one_pass_matches_the_loop_on_the_dim8_laplacian_offsets(
     for u, est in zip(offsets, got):
         alone = _loop_parallel_section(body, frame, u, rule)
         assert est.value == pytest.approx(alone.value, rel=1e-14, abs=0.0)
+
+
+def _old_slice_radii(norm, dim, bases, r_hi, theta):
+    """_slice_radii before its point buffer: (K, W, dim) rows made anew
+    each step and evaluated by a row-major gauge `norm`."""
+    lo = np.zeros((len(bases), len(theta)))
+    hi = np.broadcast_to(r_hi[:, None], lo.shape).copy()
+    for _ in range(48):
+        mid = 0.5 * (lo + hi)
+        x = bases[:, None, :] + mid[..., None] * theta[None, :, :]
+        val = norm(x.reshape(-1, dim)).reshape(mid.shape)
+        less = val < 1.0
+        lo = np.where(less, mid, lo)
+        hi = np.where(less, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("dim", [6, 8, 10])
+def test_buffered_roots_are_bit_identical_to_the_row_major_bisection(dim):
+    g = np.random.Generator(np.random.Philox(key=90 + dim))
+    frame = make_frame(unit(dim, seed=dim))
+    offsets = 0.1 * g.standard_normal((5, 2))
+    bases = (offsets[:, 0:1] * frame.xi[None, :]
+             + offsets[:, 1:2] * frame.xi_perp[None, :])
+    theta = g.standard_normal((300, dim - 2))
+    theta = (theta / np.linalg.norm(theta, axis=1, keepdims=True)) @ frame.basis
+    clq = ComplexLqBall(dim // 2, 4.0)
+    ball = scale(EuclideanBall(dim), 1.2)
+    for body, old_norm in [
+            (clq, lambda x: np.sum(np.sqrt(x[:, 0::2] ** 2 + x[:, 1::2] ** 2)
+                                   ** 4.0, axis=-1) ** 0.25),
+            (ball, lambda x: np.linalg.norm(x, axis=-1) / 1.2)]:
+        r_hi = body.r_max * 1.01 + np.linalg.norm(offsets, axis=1)
+        got = _slice_radii(body, bases, offsets, r_hi, theta)
+        want = _old_slice_radii(old_norm, dim, bases, r_hi, theta)
+        assert np.array_equal(got, want), body.spec()
