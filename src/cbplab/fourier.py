@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy import interpolate, special
 
+from . import quadrature
 from .bodies import StarBody, block_moduli
 from .frames import make_frame, ComplexFrame
 from .harmonics import (c_eval, moduli_gauss_quadrature,
@@ -193,6 +195,24 @@ def _radial_cos_integral(t, mu, beta):
             * special.hyp1f1(mu / 2.0, 0.5, -np.square(t) / (4.0 * beta)))
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(count):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1]."""
+    x, w = np.polynomial.legendre.leggauss(count)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+@lru_cache(maxsize=None)
+def _gauss_jacobi(count, a):
+    """Read-only Gauss-Jacobi nodes and weights for (1-t)^a (1+t)^a."""
+    t, w = special.roots_jacobi(count, a, a)
+    t.flags.writeable = False
+    w.flags.writeable = False
+    return t, w
+
+
 def _harmonic_bump_moment(d, p, j, sigma, r_nodes=600, t_nodes=400):
     """int P_j(y/|y|) |y|^{-(d-p)} phi_sigma(y) dy / P_j(xi) for the unit
     Gaussian pair phi at +-xi, any degree-j harmonic P_j.
@@ -202,10 +222,10 @@ def _harmonic_bump_moment(d, p, j, sigma, r_nodes=600, t_nodes=400):
     exponent exp(-(r^2 - 2rt + 1)/(2 sigma^2)).
     """
     nu = (d - 2) / 2.0
-    t, wt = special.roots_jacobi(t_nodes, (d - 3) / 2.0, (d - 3) / 2.0)
+    t, wt = _gauss_jacobi(t_nodes, (d - 3) / 2.0)
     gegen = special.eval_gegenbauer(j, nu, t) / special.eval_gegenbauer(j, nu, 1.0)
     hi = 1.0 + 15.0 * sigma
-    r, wr = np.polynomial.legendre.leggauss(r_nodes)
+    r, wr = _gauss_legendre(r_nodes)
     r = 0.5 * hi * (r + 1.0)
     wr = 0.5 * hi * wr
     expo = -(r[:, None] ** 2 - 2.0 * r[:, None] * t[None, :] + 1.0) / (2.0 * sigma ** 2)
@@ -233,7 +253,7 @@ def _latitude_nodes(d, sigma_min):
     for (a, b), m in zip(zip(edges[:-1], edges[1:]), counts):
         if b <= a:
             continue
-        x, w = np.polynomial.legendre.leggauss(m)
+        x, w = _gauss_legendre(m)
         ts.append(0.5 * (b - a) * (x + 1.0) + a)
         ws.append(0.5 * (b - a) * w)
     t = np.concatenate(ts)
@@ -256,6 +276,12 @@ def _pairing_core(angular, d, xi, p, sigma, rule, levels=2, masses=None):
     sigma^2 over {sigma, sigma/2, ...} removes the bump-width bias; all
     widths share nodes.  Callers with an exactly-known bump moment pass it
     via `masses` (with levels=1 the result is then unbiased).
+
+    The points theta = t xi + sqrt(1 - t^2) u of a subsphere batch are built
+    a few latitudes at a time as coordinate columns, a C-contiguous
+    (d, k, U) array, and `angular` gets its (k U, d) transposed view: at
+    most quadrature._PASS_NODES points (or one latitude), each value the
+    same two products and one sum as in a (T, U, d) array of rows.
     """
     mu = d - p
     sigmas = [sigma / 2 ** i for i in range(levels)]
@@ -277,13 +303,19 @@ def _pairing_core(angular, d, xi, p, sigma, rule, levels=2, masses=None):
     else:
         raise ValueError("rule dimension must be d or d-1")
     root = np.sqrt(1.0 - t ** 2)
+    txi = t[None, :, None] * xi[:, None, None]  # (d, T, 1)
     per = np.zeros((levels, u_rule.batch_count))
     for bi, (pts, w) in enumerate(u_rule.batches()):
-        u = pts @ basis  # (U, d)
-        theta = (t[:, None, None] * xi[None, None, :]
-                 + root[:, None, None] * u[None, :, :])
-        a = np.asarray(angular(theta.reshape(-1, d)), dtype=float)
-        a = a.reshape(len(t), -1)
+        ut = (pts @ basis).T[:, None, :]  # (d, 1, U)
+        k = max(1, quadrature._PASS_NODES // ut.shape[2])
+        a = np.empty((len(t), ut.shape[2]))
+        for s in range(0, len(t), k):
+            if s == 0 or len(t) - s < k:  # the last group may be shorter
+                cols = np.empty((d, min(k, len(t) - s), ut.shape[2]))
+            np.multiply(root[None, s:s + k, None], ut, out=cols)
+            np.add(txi[:, s:s + k], cols, out=cols)
+            a[s:s + k] = np.asarray(angular(cols.reshape(d, -1).T),
+                                    dtype=float).reshape(len(cols[0]), -1)
         lat = a @ w  # (T,) subsphere integrals at each latitude
         for li in range(levels):
             per[li, bi] = float(np.dot(gw[li], lat)) / masses[li]

@@ -165,32 +165,61 @@ def c_harmonic_components(p, n):
 _BLOCK_ROWS = 8192
 
 
+def _factor_lists(exponent_rows):
+    """Per term, its factors (j, e) with e > 0, in the order of the row."""
+    return [[(j, e) for j, e in enumerate(row) if e] for row in exponent_rows]
+
+
+def _add_terms(out, coefs, factors, pows, scratch):
+    """out += coef * (product of pows[j][e] over the term's factors), term
+    by term; the factors multiply in order and the coefficient comes last,
+    all in one scratch row."""
+    for coef, fac in zip(coefs, factors):
+        if not fac:
+            out += coef
+            continue
+        term = pows[fac[0][0]][fac[0][1]]
+        for j, e in fac[1:]:
+            np.multiply(term, pows[j][e], out=scratch)
+            term = scratch
+        np.multiply(coef, term, out=scratch)
+        out += scratch
+
+
 def c_eval(p, cvals):
     """Evaluate a c-polynomial at rows of cvals (N, n), in blocks of
     _BLOCK_ROWS rows with a table of powers c_j^e (repeated products) per
     block, built on the block's columns made contiguous; each row sums its
     terms in the order of p, so a row's value depends neither on the block
-    it falls in nor on the memory layout of cvals."""
+    it falls in nor on the memory layout of cvals.  The factor lists are
+    made once per call, and the power table and each term are written into
+    buffers made once per call."""
     cvals = np.atleast_2d(np.asarray(cvals, dtype=float))
     out = np.zeros(cvals.shape[0])
     if not p:
         return out
     max_e = np.max(np.array(list(p), dtype=int), axis=0)
+    factors = _factor_lists(p)
+    coefs = list(p.values())
+    rows = min(len(out), _BLOCK_ROWS)
+    table = np.empty((int(max_e.sum()) + 1, rows))
     for s in range(0, len(out), _BLOCK_ROWS):
-        cols = np.ascontiguousarray(cvals[s:s + _BLOCK_ROWS].T)
-        acc = out[s:s + _BLOCK_ROWS]
-        # pows[j][e] = cols[j]**e
-        pows = []
-        for c, top in zip(cols, max_e):
-            pows.append([None, c])
-            for _ in range(2, top + 1):
-                pows[-1].append(pows[-1][-1] * c)
-        for mono, coef in p.items():
-            term = None
-            for j, e in enumerate(mono):
-                if e:
-                    term = pows[j][e] if term is None else term * pows[j][e]
-            acc += coef if term is None else coef * term
+        block = cvals[s:s + _BLOCK_ROWS]
+        size = len(block)
+        # pows[j][e] = c_j**e, a row of the table; the last row is scratch
+        pows, at = [], 0
+        for j, top in enumerate(max_e):
+            row = [None]
+            for e in range(1, top + 1):
+                dst = table[at, :size]
+                if e == 1:
+                    np.copyto(dst, block[:, j])
+                else:
+                    np.multiply(row[-1], row[1], out=dst)
+                row.append(dst)
+                at += 1
+            pows.append(row)
+        _add_terms(out[s:s + size], coefs, factors, pows, table[-1, :size])
     return out
 
 
@@ -255,23 +284,26 @@ def power_form_eval(exps, coefs, cvals):
     Works column by column, so it is fastest on the transpose of an (n, N)
     array: p_k = c_1^k + ... + c_n^k is summed in sequence, and each power
     p_k^e is formed once per call; each row sums its terms in the order of
-    exps."""
+    exps, through one scratch row made once per call."""
     cols = np.atleast_2d(np.asarray(cvals, dtype=float)).T
+    scratch = np.empty(cols.shape[1])
+    factors = _factor_lists(exps)
     pows = {}
     for k in range(2, len(cols) + 1):
         pk = cols[0] ** k
         for c in cols[1:]:
-            pk += c ** k
-        pows[k - 2, 1] = pk
+            # c ** 2 is numpy's square, c * c
+            if k == 2:
+                pk += np.multiply(c, c, out=scratch)
+            else:
+                pk += np.power(c, k, out=scratch)
+        pows[k - 2] = {1: pk}
+    for fac in factors:
+        for j, e in fac:
+            if e not in pows[j]:
+                pows[j][e] = pows[j][1] ** e
     out = np.zeros(cols.shape[1])
-    for exps_row, coef in zip(exps, coefs):
-        term = None
-        for j, e in enumerate(exps_row):
-            if e:
-                if (j, e) not in pows:
-                    pows[j, e] = pows[j, 1] ** e
-                term = pows[j, e] if term is None else term * pows[j, e]
-        out += coef if term is None else coef * term
+    _add_terms(out, coefs, factors, pows, scratch)
     return out
 
 

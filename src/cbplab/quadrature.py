@@ -41,8 +41,9 @@ class Estimate:
     method: str
 
     def __post_init__(self):
-        if self.stderr < 0:
-            raise ValueError("stderr must be nonnegative")
+        if not (math.isfinite(self.stderr) and self.stderr >= 0):
+            raise ValueError(f"stderr must be finite and nonnegative, "
+                             f"not {self.stderr!r}")
 
     @classmethod
     def from_batches(cls, batch_sums, rule, method) -> "Estimate":
@@ -81,6 +82,11 @@ class SphereRule:
         self.kind = kind
         self.seed = int(seed)
         self.batch_count = int(batch_count)
+        # a random rule's error bar is the spread of its batch estimates
+        least = 1 if kind == "product_gauss" else 2
+        if self.batch_count < least:
+            raise ValueError(f"batch_count must be >= {least} for a "
+                             f"{kind} rule, not {self.batch_count}")
         self._passes, self._batches = 0, None
         if kind == "product_gauss":
             if dim > 6:
@@ -236,8 +242,9 @@ def _check_finite(vals, nodes):
         raise PoisonedEstimateError(nodes[i], vals.reshape(-1)[i])
 
 
-#: most nodes an integrand sees in one call
-_PASS_NODES = 2 ** 16
+#: most nodes an integrand sees in one call: a pass of 2^14 points of
+#: dimension <= 8 and its temporaries stay in a 4 MiB L2 cache
+_PASS_NODES = 2 ** 14
 
 
 def _node_passes(rule: SphereRule, basis, limit):
@@ -245,21 +252,34 @@ def _node_passes(rule: SphereRule, basis, limit):
     `limit` nodes together (a larger batch is a pass of its own).
 
     Each batch is mapped through `basis` (an (m, n) row stack; None keeps
-    the nodes) on its own, because a 1-row and an N-row matrix product
-    round differently.  Yields (nodes, parts): the nodes of the pass in
-    batch order, and per batch (batch index, slice of nodes, weights).
+    the nodes) by a matrix product of its own, because a 1-row and an
+    N-row product round differently, and written into one C-contiguous
+    (dim, N) array of coordinate columns per pass.  Yields (nodes, parts):
+    the (N, dim) transposed view of that array, whose rows are the nodes
+    of the pass in batch order, and per batch (batch index, slice of nodes,
+    weights).
     """
-    xs, parts, count = [], [], 0
+    dim = rule.dim if basis is None else basis.shape[1]
+
+    def flush(held, count):
+        cols = np.empty((dim, count))
+        parts, at = [], 0
+        for bi, pts, w in held:
+            x = pts if basis is None else pts @ basis
+            cols[:, at:at + len(x)] = x.T
+            parts.append((bi, slice(at, at + len(x)), w))
+            at += len(x)
+        return cols.T, parts
+
+    held, count = [], 0
     for bi, (pts, w) in enumerate(rule.batches()):
-        x = pts if basis is None else pts @ basis
-        if xs and count + len(x) > limit:
-            yield np.concatenate(xs), parts
-            xs, parts, count = [], [], 0
-        xs.append(x)
-        parts.append((bi, slice(count, count + len(x)), w))
-        count += len(x)
-    if xs:
-        yield np.concatenate(xs), parts
+        if held and count + len(pts) > limit:
+            yield flush(held, count)
+            held, count = [], 0
+        held.append((bi, pts, w))
+        count += len(pts)
+    if held:
+        yield flush(held, count)
 
 
 def _integrate(rule, basis, f) -> Estimate:
@@ -275,9 +295,11 @@ def integrate_sphere(rule: SphereRule, f) -> Estimate:
     """Integral of f over S^{dim-1} with a batch-variance error bar.
 
     f must accept an (N, dim) array of unit vectors and return (N,) values,
-    acting row by row: it is called once per pass of consecutive batches
-    (at most _PASS_NODES nodes), and each batch sum is w . f(nodes) over
-    that batch's rows, so the value of a row must not depend on the others.
+    acting row by row: it is called once per pass of consecutive batches,
+    on the transposed view of a C-contiguous (dim, N) array of coordinate
+    columns with N <= _PASS_NODES (or one larger batch), and each batch sum
+    is w . f(nodes) over that batch's rows, so the value of a row must not
+    depend on the others.
     """
     return _integrate(rule, None, f)
 

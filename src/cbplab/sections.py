@@ -3,15 +3,17 @@ powers at the origin by common-node finite differences.
 
 Every slice volume comes from one engine, `_slice_batch_sums`: all offsets
 share the rule's nodes, and the boundary radius of every (offset, node)
-pair is found in one vectorised bisection pass (or a few, for large
-rules).  Each batch of nodes is mapped into the section subspace on its
-own, so every root and every batch sum is bit-identical to a loop over the
-offsets and batches of the same call."""
+pair is found by vectorised bisection, in passes of at most
+`quadrature._PASS_NODES` pairs, the bound of every gauge call.  Each batch
+of nodes is mapped into the section subspace on its own, so every root and
+every batch sum is bit-identical to a loop over the offsets and batches of
+the same call."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import quadrature
 from .bodies import StarBody
 from .frames import ComplexFrame
 from .quadrature import (Estimate, SphereRule, _node_passes,
@@ -66,8 +68,6 @@ def section_volume(body: StarBody, frame: ComplexFrame,
 _BISECT_ITERS = 48
 #: rays of the probe that checks that a slice is empty
 _PROBE_RAYS = 64
-#: most (offset, node) pairs bisected in one vectorised pass
-_PASS_PAIRS = 2 ** 16
 
 
 def _slice_radii(body, bases, labels, r_hi, theta):
@@ -118,8 +118,10 @@ def _slice_batch_sums(body, frame, offsets, rule):
     slice through offset u is integrated in polar form around the base
     point u1 xi + u2 xi_perp; r(theta) is found by bisection to ~1e-12.
     Whole batches are bisected together (quadrature._node_passes), every
-    (offset, node) pair in one pass of at most _PASS_PAIRS pairs; bisection
-    is elementwise, so every root is the one a batch-by-batch loop finds.
+    (offset, node) pair in a pass of at most quadrature._PASS_NODES pairs
+    (at least one node per pass), and a batch larger than that in several;
+    bisection is elementwise, so every root is the one a batch-by-batch
+    loop finds.
     Returns (K, B) batch sums and a per-offset inside/outside mask.
     """
     offsets = np.atleast_2d(np.asarray(offsets, dtype=float))
@@ -137,7 +139,7 @@ def _slice_batch_sums(body, frame, offsets, rule):
     # |base + r theta| > r_max at the upper end of every bracket
     r_hi = body.r_max * 1.01 + unorm[act]
     act_bases, act_offsets = bases[act], offsets[act]
-    width = max(1, _PASS_PAIRS // len(act))
+    width = max(1, quadrature._PASS_NODES // len(act))
     for theta, parts in _node_passes(rule, frame.basis, width):
         r = np.concatenate([
             _slice_radii(body, act_bases, act_offsets, r_hi,

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from cbplab.bodies import (ComplexLqBall, EuclideanBall, RadialPerturbation,
                            mollify)
 from cbplab.fourier import (FtSample, UnsupportedRouteError,
+                            _gauss_jacobi, _gauss_legendre,
                             _harmonic_bump_moment, _pairing_core,
                             classical_ft_constant, classical_multiplier,
                             ft_derivative_route, ft_fractional_route,
@@ -13,7 +15,7 @@ from cbplab.fourier import (FtSample, UnsupportedRouteError,
                             parseval_check, sph_identity_check)
 from cbplab.frames import make_grid, rotate
 from cbplab.harmonics import symmetric_harmonic_atoms
-from cbplab.quadrature import SphereRule
+from cbplab.quadrature import SphereRule, sphere_area
 
 
 def unit(dim, seed=0):
@@ -179,3 +181,34 @@ def test_agrees_with_uses_combined_error():
     assert a.agrees_with(b)
     c = FtSample(xi, 2.0, 1.6, 0.05, "derivative")
     assert not a.agrees_with(c)
+
+
+def _uncached_bump_moment(d, p, j, sigma, r_nodes=600, t_nodes=400):
+    """_harmonic_bump_moment with its Gauss tables made on every call."""
+    nu = (d - 2) / 2.0
+    t, wt = special.roots_jacobi(t_nodes, (d - 3) / 2.0, (d - 3) / 2.0)
+    gegen = (special.eval_gegenbauer(j, nu, t)
+             / special.eval_gegenbauer(j, nu, 1.0))
+    hi = 1.0 + 15.0 * sigma
+    r, wr = np.polynomial.legendre.leggauss(r_nodes)
+    r = 0.5 * hi * (r + 1.0)
+    wr = 0.5 * hi * wr
+    expo = (-(r[:, None] ** 2 - 2.0 * r[:, None] * t[None, :] + 1.0)
+            / (2.0 * sigma ** 2))
+    inner = np.exp(expo) @ (wt * gegen)
+    radial = float(np.dot(wr, r ** (p - 1) * inner))
+    return ((2.0 * math.pi * sigma ** 2) ** (-d / 2.0)
+            * sphere_area(d - 1) * radial)
+
+
+def test_bump_moments_read_cached_read_only_gauss_tables():
+    for d, p, j, sigma in [(8, 4.0, 0, 0.2), (8, 4.0, 0, 0.1),
+                           (6, 2.0, 4, 0.2), (4, 1.5, 0, 0.05)]:
+        for _ in range(2):  # the second call reads the cached tables
+            assert (_harmonic_bump_moment(d, p, j, sigma)
+                    == _uncached_bump_moment(d, p, j, sigma))
+    assert _gauss_legendre(600) is _gauss_legendre(600)
+    for table in (_gauss_legendre(600), _gauss_jacobi(400, 2.5)):
+        for arr in table:
+            with pytest.raises(ValueError):
+                arr[0] = 0.0

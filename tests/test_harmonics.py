@@ -1,9 +1,12 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbplab.bodies import block_moduli
+from cbplab.bodies import ComplexLqBall, block_moduli, mollify
 from cbplab.harmonics import (_BLOCK_ROWS, _monomials, c_add, c_eval,
                               c_harmonic_components,
                               c_laplacian, c_mul, c_p1, c_scale,
@@ -183,3 +186,84 @@ def test_c_eval_is_bit_identical_at_any_row_count(rows, seed):
     poly = _dense_poly(3, 5, seed)
     c = dirichlet_points(3, count=rows, seed=seed)
     assert np.array_equal(c_eval(poly, c), _c_eval_unblocked(poly, c))
+
+
+# The kernels before their scratch buffers: a new array for every power
+# and every term.  The buffered kernels must give the same bits.
+
+def _c_eval_allocating(p, cvals):
+    cvals = np.atleast_2d(np.asarray(cvals, dtype=float))
+    out = np.zeros(cvals.shape[0])
+    if not p:
+        return out
+    max_e = np.max(np.array(list(p), dtype=int), axis=0)
+    for s in range(0, len(out), _BLOCK_ROWS):
+        cols = np.ascontiguousarray(cvals[s:s + _BLOCK_ROWS].T)
+        acc = out[s:s + _BLOCK_ROWS]
+        pows = []
+        for c, top in zip(cols, max_e):
+            pows.append([None, c])
+            for _ in range(2, top + 1):
+                pows[-1].append(pows[-1][-1] * c)
+        for mono, coef in p.items():
+            term = None
+            for j, e in enumerate(mono):
+                if e:
+                    term = pows[j][e] if term is None else term * pows[j][e]
+            acc += coef if term is None else coef * term
+    return out
+
+
+def _power_form_eval_allocating(exps, coefs, cvals):
+    cols = np.atleast_2d(np.asarray(cvals, dtype=float)).T
+    pows = {}
+    for k in range(2, len(cols) + 1):
+        pk = cols[0] ** k
+        for c in cols[1:]:
+            pk += c ** k
+        pows[k - 2, 1] = pk
+    out = np.zeros(cols.shape[1])
+    for exps_row, coef in zip(exps, coefs):
+        term = None
+        for j, e in enumerate(exps_row):
+            if e:
+                if (j, e) not in pows:
+                    pows[j, e] = pows[j, 1] ** e
+                term = pows[j, e] if term is None else term * pows[j, e]
+        out += coef if term is None else coef * term
+    return out
+
+
+def _committed_bump():
+    path = (Path(__file__).resolve().parents[1] / "perfbench" / "data"
+            / "pair_n4_q4_seed0.json")
+    record = json.loads(path.read_text())["pair"]["bump"]["c_poly"]
+    return {tuple(int(t) for t in key.split()): float(v)
+            for key, v in record.items()}
+
+
+@pytest.mark.parametrize("rows", [1, 3 * _BLOCK_ROWS + 17])
+def test_buffered_c_eval_is_bit_identical_to_the_allocating_loop(rows):
+    bump = _committed_bump()
+    assert len(bump) == 202
+    c = dirichlet_points(4, count=rows, seed=rows)
+    for poly in (bump, _dense_poly(4, 6, seed=3), {(0, 0, 0, 0): 2.5}):
+        got = c_eval(poly, c)
+        assert np.array_equal(got, _c_eval_allocating(poly, c))
+        assert np.array_equal(c_eval(poly, np.asfortranarray(c)), got)
+
+
+@pytest.mark.parametrize("rows", [1, 3 * _BLOCK_ROWS + 17])
+def test_buffered_power_form_eval_is_bit_identical_to_the_allocating_loop(
+        rows):
+    exps, coefs = mollify(ComplexLqBall(3, 4.0), 0.15)._power_form
+    assert len(coefs) > 3 and exps.max() > 1
+    m2 = dirichlet_points(3, count=rows, seed=rows).T.copy()  # (n, N)
+    got = power_form_eval(exps, coefs, m2.T)
+    assert np.array_equal(got, _power_form_eval_allocating(exps, coefs, m2.T))
+    assert np.array_equal(power_form_eval(exps, coefs, m2.T.copy()), got)
+    # a symmetric form of the committed bump, through every power sum
+    exps4, coefs4 = symmetric_power_form(_committed_bump(), 4)
+    c = dirichlet_points(4, count=rows, seed=7)
+    assert np.array_equal(power_form_eval(exps4, coefs4, c),
+                          _power_form_eval_allocating(exps4, coefs4, c))

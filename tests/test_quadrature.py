@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cbplab import quadrature
 from cbplab.bodies import ComplexLqBall, mollify
 from cbplab.frames import make_frame
 from cbplab.quadrature import (Estimate, PoisonedEstimateError, SphereRule,
@@ -123,6 +124,25 @@ def test_estimate_rejects_negative_stderr():
         Estimate(1.0, -0.1, 10, "x")
 
 
+@pytest.mark.parametrize("stderr", [math.nan, math.inf])
+def test_estimate_rejects_a_non_finite_stderr(stderr):
+    with pytest.raises(ValueError, match="finite"):
+        Estimate(1.0, stderr, 10, "x")
+
+
+@pytest.mark.parametrize("kind, least", [("monte_carlo", 2),
+                                         ("quasi_monte_carlo", 2),
+                                         ("product_gauss", 1)])
+def test_rules_need_enough_batches_for_their_error_bar(kind, least):
+    for count in (least - 1, least - 2):
+        with pytest.raises(ValueError, match="batch_count"):
+            SphereRule(4, kind, node_count=64, batch_count=count)
+    rule = SphereRule(4, kind, node_count=64, batch_count=least, level=4)
+    est = integrate_sphere(rule, lambda x: np.ones(len(x)))
+    assert est.value == pytest.approx(sphere_area(4), rel=1e-12)
+    assert math.isfinite(est.stderr)
+
+
 @pytest.mark.parametrize("q", [0.5, 1.0, 1.5])
 def test_fractional_radial_closed_form(q):
     # g = (1 - t^2) on [0, 1]: int (g - g(0)) t^{-1-q}
@@ -163,36 +183,59 @@ def _counted(f):
     return g
 
 
+def _pass_count(rule, limit):
+    """Passes of consecutive batches of at most `limit` nodes together (a
+    larger batch is a pass of its own)."""
+    passes, held = 0, 0
+    for _, w in rule.batches():
+        if held and held + len(w) > limit:
+            passes, held = passes + 1, 0
+        held += len(w)
+    return passes + (held > 0)
+
+
 _BODY4 = mollify(ComplexLqBall(2, 4.0), 0.2)
 
 
-@pytest.mark.parametrize("rule, passes", [
+# passes_2_16: integrand calls when passes hold up to 2^16 nodes
+@pytest.mark.parametrize("rule, passes_2_16", [
     (SphereRule(4, "quasi_monte_carlo", node_count=2 ** 17, seed=3), 2),
     (SphereRule(4, "product_gauss", level=30), 1)])
-def test_integrate_sphere_matches_the_per_batch_loop(rule, passes):
+def test_integrate_sphere_matches_the_per_batch_loop(rule, passes_2_16,
+                                                     monkeypatch):
     f = _counted(lambda x: _BODY4.radial(x) ** 4)
     est = integrate_sphere(rule, f)
-    assert f.calls == passes
+    assert f.calls == _pass_count(rule, quadrature._PASS_NODES)
     assert est == _per_batch(rule, f)
+    monkeypatch.setattr(quadrature, "_PASS_NODES", 2 ** 16)
+    f.calls = 0
+    assert integrate_sphere(rule, f) == est
+    assert f.calls == passes_2_16
+    monkeypatch.undo()
     body8 = ComplexLqBall(4, 3.0)
     rule8 = SphereRule(8, "quasi_monte_carlo", node_count=2 ** 17, seed=4)
     assert (integrate_sphere(rule8, lambda x: body8.radial(x) ** 8)
             == _per_batch(rule8, lambda x: body8.radial(x) ** 8))
 
 
-@pytest.mark.parametrize("rule, passes", [
+@pytest.mark.parametrize("rule, passes_2_16", [
     (SphereRule(2, "product_gauss", level=16), 1),
     (SphereRule(6, "product_gauss", level=9), 2),
     (SphereRule(6, "quasi_monte_carlo", node_count=2 ** 17, seed=5), 2)])
-def test_integrate_subsphere_matches_the_per_batch_loop(rule, passes):
+def test_integrate_subsphere_matches_the_per_batch_loop(rule, passes_2_16,
+                                                        monkeypatch):
     xi = np.random.Generator(np.random.Philox(key=2)).standard_normal(
         rule.dim + 2)
     basis = make_frame(xi / np.linalg.norm(xi)).basis
     body = _BODY4 if rule.dim == 2 else ComplexLqBall(4, 3.0)
     f = _counted(lambda x: body.radial(x) ** rule.dim)
     est = integrate_subsphere(rule, basis, f)
-    assert f.calls == passes
+    assert f.calls == _pass_count(rule, quadrature._PASS_NODES)
     assert est == _per_batch(rule, f, basis)
+    monkeypatch.setattr(quadrature, "_PASS_NODES", 2 ** 16)
+    f.calls = 0
+    assert integrate_subsphere(rule, basis, f) == est
+    assert f.calls == passes_2_16
 
 
 def test_poisoned_estimate_names_the_first_bad_node():

@@ -7,7 +7,7 @@ from scipy import interpolate
 from cbplab.bodies import ComplexLqBall, EuclideanBall, mollify, scale
 from cbplab.fourier import default_section_rule, section_profile
 from cbplab.frames import make_frame, make_grid
-from cbplab import sections
+from cbplab import quadrature
 from cbplab.quadrature import Estimate, SphereRule
 from cbplab.sections import (_STENCILS, NoisyEstimateError, RootBracketError,
                              _slice_batch_sums, _slice_radii,
@@ -249,7 +249,7 @@ def test_one_pass_matches_the_loop_on_the_dim8_laplacian_offsets(
     assert np.array_equal(sums, want_sums)
     assert np.array_equal(inside, want_inside)
     # passes of 8 nodes split every 32-node batch across four passes
-    monkeypatch.setattr(sections, "_PASS_PAIRS", 8 * len(offsets))
+    monkeypatch.setattr(quadrature, "_PASS_NODES", 8 * len(offsets))
     assert np.array_equal(_slice_batch_sums(body, frame, offsets, rule)[0],
                           want_sums)
     monkeypatch.undo()
