@@ -27,11 +27,14 @@ from .frames import rotate
 
 
 class StarBody:
-    """Base class: a 1-homogeneous even gauge with certified radial bounds."""
+    """Base class: a 1-homogeneous even gauge with certified radial bounds.
+    `rotation_invariant`: constant on R_theta orbits, as every Fourier route
+    but the pairing oracle needs; `smooth`: a C^2 boundary, as the
+    derivative route needs."""
 
     dim: int
-    invariance_class: str = "general"
-    smoothness_hint: str = "C2"
+    rotation_invariant: bool = False
+    smooth: bool = True
     r_min: float = 1.0
     r_max: float = 1.0
     #: radial function depends only on the block moduli (full symmetry group)
@@ -138,8 +141,7 @@ class EuclideanBall(StarBody):
         if dim % 2 != 0 or dim < 4:
             raise ValueError("dim must be even and >= 4")
         self.dim = int(dim)
-        self.invariance_class = "independent_rotation"
-        self.smoothness_hint = "C_infinity"
+        self.rotation_invariant = True
         self.r_min = self.r_max = 1.0
         self.moduli_symmetric = True
 
@@ -162,11 +164,8 @@ class ComplexLqBall(StarBody):
         self.n = int(n)
         self.q = float(q)
         self.dim = 2 * self.n
-        self.invariance_class = "independent_rotation"
-        if self.q % 2 == 0:
-            self.smoothness_hint = "C_infinity"
-        else:
-            self.smoothness_hint = "C2" if self.q > 2 else "nonsmooth"
+        self.rotation_invariant = True
+        self.smooth = self.q >= 2  # |z|^q is C^2 from q = 2 on
         bounds = sorted([1.0, self.n ** (0.5 - 1.0 / self.q)])
         self.r_min, self.r_max = bounds
         self.moduli_symmetric = True
@@ -191,8 +190,8 @@ class ScaledBody(StarBody):
         self.base = base
         self.lam = float(lam)
         self.dim = base.dim
-        self.invariance_class = base.invariance_class
-        self.smoothness_hint = base.smoothness_hint
+        self.rotation_invariant = base.rotation_invariant
+        self.smooth = base.smooth
         self.r_min = base.r_min * self.lam
         self.r_max = base.r_max * self.lam
         self.moduli_symmetric = base.moduli_symmetric
@@ -213,8 +212,10 @@ class RadialPerturbation(StarBody):
     """Body K with rho_K^s = rho_L^s - eps * g on the sphere, i.e.
     ||x||_K^{-s} = ||x||_L^{-s} - eps g(x/|x|) |x|^{-s}."""
 
+    _CHECK_SAMPLES = 2 ** 14  # directions that check positivity, invariance
+
     def __init__(self, base: StarBody, exponent: float, amplitude: float, bump,
-                 bump_id="custom", check_samples=2**14, seed=7):
+                 bump_id="custom", seed=7):
         if exponent <= 0:
             raise ValueError("exponent must be positive")
         self.base = base
@@ -225,7 +226,7 @@ class RadialPerturbation(StarBody):
         self.dim = base.dim
 
         g = np.random.Generator(np.random.Philox(key=seed))
-        theta = g.standard_normal((check_samples, self.dim))
+        theta = g.standard_normal((self._CHECK_SAMPLES, self.dim))
         theta /= np.linalg.norm(theta, axis=1, keepdims=True)
         gv = np.asarray(bump(theta), dtype=float)
         rad_pow = base.radial(theta) ** self.s - self.eps * gv
@@ -242,22 +243,18 @@ class RadialPerturbation(StarBody):
         self.r_min = low ** (1.0 / self.s)
         self.r_max = (base.r_max ** self.s + safety * self.eps * sup_neg) ** (1.0 / self.s)
 
-        if base.invariance_class in ("complex_rotation", "independent_rotation"):
-            if getattr(bump, "moduli_symmetric", False):
-                self.invariance_class = "complex_rotation"
-            else:
-                # the bump must be constant on rotation orbits too; check it
-                # on the positivity sample
-                dev = 0.0
-                for ang in (0.9, 2.3):
-                    gv2 = np.asarray(bump(rotate(theta, ang)), dtype=float)
-                    dev = max(dev, float(np.max(np.abs(gv2 - gv))))
-                scale = max(float(np.max(np.abs(gv))), 1.0)
-                self.invariance_class = ("complex_rotation"
-                                         if dev <= 1e-10 * scale else "general")
-        else:
-            self.invariance_class = "general"
-        self.smoothness_hint = base.smoothness_hint
+        self.rotation_invariant = base.rotation_invariant
+        if self.rotation_invariant and not getattr(bump, "moduli_symmetric",
+                                                   False):
+            # the bump must be constant on rotation orbits too; check it
+            # on the positivity sample
+            dev = 0.0
+            for ang in (0.9, 2.3):
+                gv2 = np.asarray(bump(rotate(theta, ang)), dtype=float)
+                dev = max(dev, float(np.max(np.abs(gv2 - gv))))
+            scale = max(float(np.max(np.abs(gv))), 1.0)
+            self.rotation_invariant = dev <= 1e-10 * scale
+        self.smooth = base.smooth
         self.moduli_symmetric = base.moduli_symmetric and getattr(
             bump, "moduli_symmetric", False)
 
@@ -281,7 +278,8 @@ class MollifiedBody(StarBody):
     """Spherical convolution of the radial function with a smooth zonal kernel.
 
     The base must depend only on the block moduli.  Its radial function is
-    expanded in moduli-symmetric spherical harmonics up to `max_degree`, and
+    expanded in moduli-symmetric spherical harmonics up to `max_degree`
+    (harmonics.symmetric_coefficients), and
     each degree-j component is damped by the heat-kernel factor
     exp(-j (j + d - 2) width^2 / 2).  The kernel is zonal (a function of
     the geodesic angle alone), so every rotation symmetry of the body is
@@ -290,7 +288,6 @@ class MollifiedBody(StarBody):
     to evaluate.
     """
 
-    _SERIES_RES = 64
     #: series degree of `mollify` and of specs without a max_degree field
     DEFAULT_DEGREE = 16
 
@@ -305,36 +302,28 @@ class MollifiedBody(StarBody):
         self.base = base
         self.width = float(width)
         self.dim = base.dim
-        self.invariance_class = (
-            base.invariance_class
-            if base.invariance_class != "general" else "complex_rotation")
-        self.smoothness_hint = "C_infinity"
+        self.rotation_invariant = True
+        self.smooth = True
         self.moduli_symmetric = True
         self.max_degree = int(max_degree)
         self._build_series()
 
     def _build_series(self):
-        from .harmonics import (c_eval, moduli_gauss_quadrature,
-                                symmetric_harmonic_atoms,
+        from .harmonics import (c_eval, symmetric_coefficients,
                                 symmetric_power_form)
 
-        m, weights = moduli_gauss_quadrature(self.n_blocks, self._SERIES_RES)
-        # the nodes (m_1, 0, m_2, 0, ...) as coordinate columns
-        pts = np.zeros((self.dim, m.shape[0]))
-        pts[0::2] = m.T
-        rho = self.base.radial(pts.T)
+        atoms, coefs, m2 = symmetric_coefficients(
+            self.base.radial, self.n_blocks, self.max_degree)
         d = self.dim
         series = {}
-        for atom in symmetric_harmonic_atoms(self.n_blocks, self.max_degree):
-            pa = c_eval(atom.c_poly, m ** 2)
-            coef = float(np.dot(weights, rho * pa))
+        for atom, coef in zip(atoms, coefs):
             damp = math.exp(
                 -0.5 * atom.degree * (atom.degree + d - 2) * self.width ** 2)
             for mono, cc in atom.c_poly.items():
                 series[mono] = series.get(mono, 0.0) + coef * damp * cc
         # compact power-sum form for fast evaluation on the sphere
         self._power_form = symmetric_power_form(series, self.n_blocks)
-        vals = c_eval(series, m ** 2)
+        vals = c_eval(series, m2)
         lo, hi = float(np.min(vals)), float(np.max(vals))
         if lo <= 0.0:
             raise ValueError("mollified radial function lost positivity; "
@@ -404,9 +393,9 @@ def convexity_probe(body: StarBody, samples=10**5, seed=0,
                            samples=samples, tol=tol)
 
 
-def radial_metric(a: StarBody, b: StarBody, samples=2**12, seed=3) -> float:
-    """Sampled sup-distance between radial functions."""
-    g = np.random.Generator(np.random.Philox(key=seed))
-    theta = g.standard_normal((samples, a.dim))
+def radial_metric(a: StarBody, b: StarBody) -> float:
+    """Sampled sup-distance between radial functions (2^12 directions)."""
+    g = np.random.Generator(np.random.Philox(key=3))
+    theta = g.standard_normal((2 ** 12, a.dim))
     theta /= np.linalg.norm(theta, axis=1, keepdims=True)
     return float(np.max(np.abs(a.radial(theta) - b.radial(theta))))

@@ -89,7 +89,7 @@ class BpReport:
 
 
 def _require_invariant(body: StarBody):
-    if body.invariance_class not in ("complex_rotation", "independent_rotation"):
+    if not body.rotation_invariant:
         raise ValueError(f"{body.spec()} is not complex-rotation invariant")
 
 
@@ -117,15 +117,37 @@ def _volume_gap(K, L, rule):
     return _polar(est, d, "polar_volume_gap")
 
 
+_ATOM_DEGREE = 6  # degree bound of the atoms bp_construct's bump squares
+_MAX_HALVINGS = 8  # amplitude halvings bp_construct tries
+
+
+def _default_section_rule(K: StarBody, L: StarBody) -> SphereRule:
+    """bp_verify's section rule.  For a pair as bp_construct builds it (K a
+    RadialPerturbation of L itself, exponent d - 2, a HarmonicBump), the
+    gap rho_K^{d-2} - rho_L^{d-2} = -eps g is a polynomial on the section
+    sphere; up to S^5, Gauss level 8 (exact to degree 15, above the
+    2 * _ATOM_DEGREE of the bump) computes every gap exactly, where Monte
+    Carlo noise would bury the small negative gaps near the bump's zeros.
+    Any other pair gets 2^13 Sobol nodes."""
+    d = K.dim
+    if (isinstance(K, RadialPerturbation) and K.base is L and K.s == d - 2
+            and isinstance(K.bump, HarmonicBump) and d - 2 <= 6):
+        return SphereRule(d - 2, "product_gauss", level=8)
+    return SphereRule(d - 2, "quasi_monte_carlo", node_count=2 ** 13,
+                      seed=11)
+
+
 def bp_verify(K: StarBody, L: StarBody, grid: DirectionGrid,
-              rule: SphereRule = None, vol_rule: SphereRule = None) -> BpReport:
+              rule: SphereRule = None) -> BpReport:
     """Compare all central section volumes of K and L over the grid, then
     the total volumes, and classify the outcome.
 
-    A violation needs the dominance gap <= +3 stderr at every grid point
-    and Vol(K) > Vol(L) + 3 combined stderr.  A positive gap inside its own
-    3-stderr band is an undecidable dominance comparison: the verdict is
-    not_dominated with the flag "tie".
+    Sections use `rule`, by default _default_section_rule's: Gauss nodes
+    that make every gap of a pair bp_construct builds exact, else Sobol
+    nodes.  Volumes use 2^16 Sobol nodes.  A violation needs the dominance
+    gap <= +3 stderr at every grid point and Vol(K) > Vol(L) + 3 combined
+    stderr.  A positive gap inside its own 3-stderr band is an undecidable
+    dominance comparison: the verdict is not_dominated with the flag "tie".
     """
     _require_invariant(K)
     _require_invariant(L)
@@ -134,11 +156,9 @@ def bp_verify(K: StarBody, L: StarBody, grid: DirectionGrid,
     if grid.dim != K.dim:
         raise ValueError("grid dimension does not match the bodies")
     if rule is None:
-        rule = SphereRule(K.dim - 2, "quasi_monte_carlo", node_count=2 ** 13,
-                          seed=11)
-    if vol_rule is None:
-        vol_rule = SphereRule(K.dim, "quasi_monte_carlo", node_count=2 ** 16,
-                              seed=12)
+        rule = _default_section_rule(K, L)
+    vol_rule = SphereRule(K.dim, "quasi_monte_carlo", node_count=2 ** 16,
+                          seed=12)
     gaps, errs = _section_gaps(K, L, grid, rule)
     vol_K = volume(K, vol_rule)
     vol_L = volume(L, vol_rule)
@@ -164,8 +184,7 @@ def bp_verify(K: StarBody, L: StarBody, grid: DirectionGrid,
                  "tie_count": int(np.sum(ties))})
 
 
-def holder_chain_check(K: StarBody, L: StarBody,
-                       rule: SphereRule = None) -> dict:
+def holder_chain_check(K: StarBody, L: StarBody) -> dict:
     """Numerical check of the volume comparison chain on the sphere:
 
         2n Vol(K) = int rho_K^{2n}
@@ -181,8 +200,7 @@ def holder_chain_check(K: StarBody, L: StarBody,
         raise ValueError("bodies must share a dimension")
     d = K.dim
     n = d // 2
-    if rule is None:
-        rule = SphereRule(d, "quasi_monte_carlo", node_count=2 ** 16, seed=17)
+    rule = SphereRule(d, "quasi_monte_carlo", node_count=2 ** 16, seed=17)
     # three integrals on the same rule, hence on the same nodes
     one = integrate_sphere(rule, lambda pts: K.radial(pts) ** d)
     two = integrate_sphere(rule, lambda pts: L.radial(pts) ** (d - 2)
@@ -275,16 +293,16 @@ def _transform_bump(f_poly, n, p=2.0):
 
 
 def bp_construct(n: int, q_body: float, width: float = 0.1,
-                 grid: DirectionGrid = None, rule: SphereRule = None,
-                 scan_rule: SphereRule = None, max_atom_degree: int = 6,
-                 max_halvings: int = 8, seed: int = 0):
+                 grid: DirectionGrid = None, scan_rule: SphereRule = None,
+                 seed: int = 0):
     """Build a pair (K, L) with dominated sections but Vol(K) > Vol(L).
 
     Pipeline: L is the mollified complex l_q ball; a p=2 sign scan locates
     the negativity region of (||x||_L^{-2})^; a nonnegative squared-harmonic
     bump f concentrated there is transformed into g; K carries the radial
     power rho_K^{2n-2} = rho_L^{2n-2} - eps g.  The amplitude starts at the
-    positivity-safe bound and halves until bp_verify returns violation.
+    positivity-safe bound and halves (at most _MAX_HALVINGS times) until
+    bp_verify, on its default rules, returns violation.
 
     Returns (K, L, BpReport, trace) where trace records the construction
     inputs needed to replay the pair.
@@ -305,7 +323,7 @@ def bp_construct(n: int, q_body: float, width: float = 0.1,
             f"no negativity region for n={n} (scan: {verdict.conclusion})")
 
     f_poly, f_coefs, predicted = _negative_weighted_square(
-        n, grid, verdict.values, max_atom_degree)
+        n, grid, verdict.values, _ATOM_DEGREE)
     # the construction only works if f weighs the negative part of the
     # transform more than the positive part
     fvals = c_eval(f_poly, block_moduli(grid.points) ** 2)
@@ -321,14 +339,7 @@ def bp_construct(n: int, q_body: float, width: float = 0.1,
             f"(weighted transform integral {neg + pos:.3g} >= 0)")
 
     g_poly = _transform_bump(f_poly, n, p=2.0)
-    bump = HarmonicBump(g_poly, label=f"sq_kernel_deg{max_atom_degree}")
-    if rule is None and d - 2 <= 6:
-        # rho_K^{2n-2} - rho_L^{2n-2} = -eps g is a polynomial on the
-        # section sphere, so a Gauss rule makes every gap exact: the tiny
-        # negative gaps near the zeros of f would otherwise drown in
-        # Monte Carlo noise and spoil the dominance verdict
-        rule = SphereRule(d - 2, "product_gauss",
-                          level=max(8, max_atom_degree + 2))
+    bump = HarmonicBump(g_poly, label=f"sq_kernel_deg{_ATOM_DEGREE}")
     probe = SphereRule(d, "quasi_monte_carlo", node_count=2 ** 14,
                        seed=seed + 3).nodes()
     sup_g = float(np.max(np.abs(bump(probe))))
@@ -339,7 +350,7 @@ def bp_construct(n: int, q_body: float, width: float = 0.1,
              "scan_min": verdict.min_value, "sup_g": sup_g,
              "weighted_integral": neg + pos, "predicted_integral": predicted,
              "eps_trace": [], "seed": seed}
-    for _ in range(max_halvings + 1):
+    for _ in range(_MAX_HALVINGS + 1):
         try:
             K = RadialPerturbation(L, d - 2, eps, bump,
                                    bump_id=bump.label, seed=seed + 5)
@@ -353,7 +364,7 @@ def bp_construct(n: int, q_body: float, width: float = 0.1,
                                        "violations": int(bad)})
             eps *= 0.5
             continue
-        report = bp_verify(K, L, grid, rule=rule)
+        report = bp_verify(K, L, grid)
         trace["eps_trace"].append({"eps": eps, "status": report.verdict})
         if report.verdict == "violation":
             trace["eps"] = eps

@@ -28,7 +28,6 @@ from .busemann_petty import (ConstructionFailedError,
 from .embedding import scan
 from .fourier import classical_ft_constant, ft_value, pairing_oracle
 from .frames import make_frame
-from .quadrature import SphereRule
 from .sections import section_volume, volume
 from .specs import SpecError, parse_body, parse_grid, parse_rule
 
@@ -111,6 +110,8 @@ def _parse_xi(text: str, dim: int):
     vals = np.array([float(v) for v in text.split(",")], dtype=float)
     if len(vals) != dim:
         raise SpecError(f"direction needs {dim} components, got {len(vals)}")
+    if not np.all(np.isfinite(vals)):
+        raise SpecError(f"direction {text!r} has a non-finite component")
     nrm = np.linalg.norm(vals)
     if nrm == 0.0:
         raise SpecError("direction must be nonzero")
@@ -308,18 +309,10 @@ def cmd_bp_verify(args) -> int:
             return code
     grid_spec = args.grid or f"grid:dim={K.dim},res=8,reduce=orbit,seed={args.seed}"
     grid = parse_grid(grid_spec)
-    rule = None
-    if args.rule:
-        rule = parse_rule(args.rule, dim=K.dim - 2,
+    rule = None  # bp_verify picks the rule that suits the pair
+    if args.rule or args.nodes is not None:
+        rule = parse_rule(args.rule or "qmc", dim=K.dim - 2,
                           default_nodes=args.nodes, default_seed=args.seed)
-    elif args.nodes:
-        rule = SphereRule(K.dim - 2, "quasi_monte_carlo",
-                          node_count=args.nodes, seed=args.seed)
-    elif args.pair and K.dim - 2 <= 6:
-        # the gap of a constructed pair is a polynomial on the section
-        # sphere; the Gauss rule computes it exactly instead of burying the
-        # small negative gaps in Monte Carlo noise
-        rule = SphereRule(K.dim - 2, "product_gauss", level=8)
     report = bp_verify(K, L, grid, rule=rule)
     results = [report.as_record()]
     if args.csv:
@@ -369,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=1)
     common.add_argument("--nodes", type=int, default=None,
                         help="node count for default quadrature rules")
-    common.add_argument("--workers", type=int, default=1)
     common.add_argument("--tol", type=float, default=1e-3)
     common.add_argument("--out", help="report path (default: stdout)")
     common.add_argument("--csv", help="per-direction CSV table path")
@@ -404,6 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--grid")
     p.add_argument("--rule")
+    p.add_argument("--workers", type=int, default=1,
+                   help="threads that evaluate the directions; the results "
+                        "do not depend on it")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("bp-verify", parents=[common])

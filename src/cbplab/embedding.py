@@ -18,8 +18,8 @@ import numpy as np
 
 from .bodies import StarBody
 from .frames import DirectionGrid
-from .fourier import (FtSample, fractional_from_profile, ft_value,
-                      pairing_oracle, section_profile)
+from .fourier import (FtSample, derivative_order, fractional_from_profile,
+                      ft_value, pairing_oracle, section_profile)
 from .quadrature import SphereRule
 
 
@@ -48,27 +48,23 @@ class EmbeddingVerdict:
         }
 
 
-def _default_pairing_rule(dim, seed=5) -> SphereRule:
-    # the pairing variance grows steeply with dimension; spend more nodes
-    # where the confirmation needs them
-    n = {4: 2 ** 19, 6: 2 ** 21}.get(dim, 2 ** 22)
-    return SphereRule(dim, "quasi_monte_carlo", node_count=n, seed=seed)
+_TOL = 1e-3  # default sign-threshold floor, relative to the value scale
 
 
-def confirm_sample(body: StarBody, xi, p: float, sigma: float = 0.2,
-                   rule: SphereRule = None) -> FtSample:
+def confirm_sample(body: StarBody, xi, p: float) -> FtSample:
     """Second-route evaluation at one direction via the pairing oracle.
 
     The pairing oracle needs no structural assumption on the body, so it is
     the designated independent check for every primary route.
     """
-    if rule is None:
-        rule = _default_pairing_rule(body.dim)
-    return pairing_oracle(body, xi, p, sigma=sigma, rule=rule)
+    # the pairing variance grows steeply with dimension; spend more nodes
+    # where the confirmation needs them
+    nodes = {4: 2 ** 19, 6: 2 ** 21}.get(body.dim, 2 ** 22)
+    rule = SphereRule(body.dim, "quasi_monte_carlo", node_count=nodes, seed=5)
+    return pairing_oracle(body, xi, p, rule=rule)
 
 
-def _assemble(body, p, grid, samples, tol, confirm_rule,
-              confirm_sigma) -> EmbeddingVerdict:
+def _assemble(body, p, grid, samples, tol) -> EmbeddingVerdict:
     """Reduce per-direction samples to a verdict with confirmed extremum.
 
     A negativity witness needs both routes below -3 stderr (plus an
@@ -81,10 +77,7 @@ def _assemble(body, p, grid, samples, tol, confirm_rule,
     stderrs = np.array([s.stderr for s in samples])
     k = int(np.argmin(values))
     floor = tol * max(1.0, float(np.max(np.abs(values))))
-    confirm = confirm_sample(body, grid.points[k], p,
-                             sigma=(0.2 if confirm_sigma is None
-                                    else confirm_sigma),
-                             rule=confirm_rule)
+    confirm = confirm_sample(body, grid.points[k], p)
     z_gap = abs(values[k] - confirm.value) / max(
         math.hypot(stderrs[k], confirm.stderr), floor, 1e-300)
     routes = {
@@ -112,14 +105,14 @@ def _assemble(body, p, grid, samples, tol, confirm_rule,
 
 
 def scan(body: StarBody, p: float, grid: DirectionGrid,
-         rule: SphereRule = None, tol: float = 1e-3,
-         workers: int = 1, confirm_rule: SphereRule = None,
-         confirm_sigma: float = None) -> EmbeddingVerdict:
+         rule: SphereRule = None, tol: float = _TOL,
+         workers: int = 1) -> EmbeddingVerdict:
     """Sign scan of (||x||^{-p})^ over the grid.
 
-    Per-direction values come from the natural route for p; the grid
-    minimum is re-evaluated by the pairing oracle.  Worker count must not
-    affect the result: samples are independent and reassembled by index.
+    Per-direction values come from the natural route for p, on `rule` or
+    the route's default; confirm_sample re-evaluates the grid minimum.
+    `workers` threads share the directions; their count must not affect the
+    result: samples are independent and reassembled by index.
     """
     pts = grid.points
 
@@ -131,19 +124,12 @@ def scan(body: StarBody, p: float, grid: DirectionGrid,
             samples = list(pool.map(one, range(len(pts))))
     else:
         samples = [one(i) for i in range(len(pts))]
-    return _assemble(body, p, grid, samples, tol, confirm_rule,
-                     confirm_sigma)
+    return _assemble(body, p, grid, samples, tol)
 
 
-def _is_derivative_reachable(p, n):
-    return (abs(p - round(p)) < 1e-12 and round(p) % 2 == 0
-            and 0 <= (2 * n - 2 - round(p)) // 2 < n - 1)
-
-
-def embedding_interval(body: StarBody, p_list, grid: DirectionGrid,
-                       rule: SphereRule = None, tol: float = 1e-3,
-                       workers: int = 1) -> dict:
-    """Batch scan over exponents: map p -> EmbeddingVerdict.
+def embedding_interval(body: StarBody, p_list, grid: DirectionGrid) -> dict:
+    """Batch scan over exponents: map p -> EmbeddingVerdict, each as scan
+    gives it on the default rules and tolerance.
 
     Exponents served by the fractional route share one section profile per
     direction (the profile does not depend on the exponent), which is where
@@ -153,26 +139,18 @@ def embedding_interval(body: StarBody, p_list, grid: DirectionGrid,
     verdicts = {}
     frac_ps = []
     for p in p_list:
-        if _is_derivative_reachable(p, n):
-            verdicts[float(p)] = scan(body, p, grid, rule=rule, tol=tol,
-                                      workers=workers)
+        if derivative_order(p, n) is not None:
+            verdicts[float(p)] = scan(body, p, grid)
         else:
             frac_ps.append(float(p))
     if frac_ps:
-        pts = grid.points
-
-        def profile_samples(i):
-            spline, cutoff, err = section_profile(body, pts[i], rule)
-            return [fractional_from_profile(spline, cutoff, err,
-                                            2 * n - 2 - p, n, pts[i])
-                    for p in frac_ps]
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(profile_samples, range(len(pts))))
-        else:
-            rows = [profile_samples(i) for i in range(len(pts))]
+        rows = []
+        for xi in grid.points:
+            spline, cutoff, err = section_profile(body, xi)
+            rows.append([fractional_from_profile(spline, cutoff, err,
+                                                 2 * n - 2 - p, n, xi)
+                         for p in frac_ps])
         for j, p in enumerate(frac_ps):
             samples = [row[j] for row in rows]
-            verdicts[p] = _assemble(body, p, grid, samples, tol, None, None)
+            verdicts[p] = _assemble(body, p, grid, samples, _TOL)
     return {float(p): verdicts[float(p)] for p in p_list}

@@ -24,12 +24,16 @@ from scipy import interpolate, special
 from . import quadrature
 from .bodies import StarBody, block_moduli
 from .frames import make_frame, ComplexFrame
-from .harmonics import (c_eval, moduli_gauss_quadrature,
-                        symmetric_harmonic_atoms)
+from .harmonics import c_eval, symmetric_coefficients
 from .quadrature import (Estimate, SphereRule, fractional_radial,
                          integrate_sphere, kahan_reduce, sphere_area)
 from .sections import (NoisyEstimateError, laplacian_at_zero,
                        parallel_sections, section_volume)
+
+
+_FD_STEP = 0.1  # difference step h of the derivative route (and h / 2)
+_PROFILE_POINTS = 97  # section profile points, equally spaced on [0, rho]
+_MOMENT_NODES = (600, 400)  # radius x cosine nodes of the bump moment
 
 
 class UnsupportedRouteError(ValueError):
@@ -64,30 +68,39 @@ def classical_ft_constant(d: int, p: float) -> float:
 
 
 def _require_invariant(body: StarBody):
-    if body.invariance_class not in ("complex_rotation", "independent_rotation"):
+    if not body.rotation_invariant:
         raise UnsupportedRouteError(
             "this route needs a body invariant under the common blockwise "
             "rotation; use pairing_oracle instead")
 
 
-def default_section_rule(dim, seed=0, node_count=2 ** 14) -> SphereRule:
+def default_section_rule(dim) -> SphereRule:
     """Default rule on the (dim-2)-dimensional section sphere."""
     if dim - 2 <= 4:
         return SphereRule(dim - 2, "product_gauss", level=16)
-    return SphereRule(dim - 2, "quasi_monte_carlo", node_count=node_count,
-                      seed=seed)
+    return SphereRule(dim - 2, "quasi_monte_carlo", node_count=2 ** 14,
+                      seed=0)
+
+
+def derivative_order(p: float, n: int):
+    """m with p = 2n - 2m - 2 and 0 <= m < n - 1, the Laplacian power of the
+    derivative route in dim 2n, or None when p is not of that form."""
+    if not math.isfinite(p) or abs(p - round(p)) >= 1e-12 or round(p) % 2:
+        return None
+    m = (2 * n - 2 - round(p)) // 2
+    return m if 0 <= m < n - 1 else None
 
 
 # ---------------------------------------------------------------------------
 # route 1: Laplacian powers of the parallel section function
 # ---------------------------------------------------------------------------
 
-def ft_derivative_route(body: StarBody, xi, m: int, rule: SphereRule = None,
-                        h: float = 0.1) -> FtSample:
+def ft_derivative_route(body: StarBody, xi, m: int,
+                        rule: SphereRule = None) -> FtSample:
     """(||x||^{-p})^(xi) for p = 2n - 2m - 2 from Delta^m A_{K,H_xi}(0).
 
-    value = (-1)^m 4 pi (n - m - 1) Delta^m A(0); m = 0 uses the central
-    section volume directly.
+    value = (-1)^m 4 pi (n - m - 1) Delta^m A(0) at step _FD_STEP; m = 0
+    uses the central section volume directly.
     """
     _require_invariant(body)
     n = body.dim // 2
@@ -105,7 +118,7 @@ def ft_derivative_route(body: StarBody, xi, m: int, rule: SphereRule = None,
     else:
         scale = (-1.0) ** m * 4.0 * math.pi * (n - m - 1)
         try:
-            est = laplacian_at_zero(body, frame, m, h, rule)
+            est = laplacian_at_zero(body, frame, m, _FD_STEP, rule)
         except NoisyEstimateError as exc:
             # near a zero of the transform the relative noise gate cannot
             # pass; keep the estimate with its honest error bar and flag it
@@ -121,8 +134,7 @@ def ft_derivative_route(body: StarBody, xi, m: int, rule: SphereRule = None,
 # route 2: fractional pairing of the section profile
 # ---------------------------------------------------------------------------
 
-def section_profile(body: StarBody, xi, rule: SphereRule = None,
-                    profile_points: int = 97):
+def section_profile(body: StarBody, xi, rule: SphereRule = None):
     """Spline of the section profile t -> A_{K,H_xi}(t xi) on [0, rho(xi)].
 
     By rotation invariance the profile does not depend on the offset
@@ -142,7 +154,7 @@ def section_profile(body: StarBody, xi, rule: SphereRule = None,
     cutoff = float(body.radial(xi))
     # stop a hair inside the boundary: at t = cutoff the base point sits on
     # the surface and its inside/outside classification is round-off noise
-    ts = np.linspace(0.0, cutoff * (1.0 - 1e-9), profile_points)
+    ts = np.linspace(0.0, cutoff * (1.0 - 1e-9), _PROFILE_POINTS)
     ests = parallel_sections(body, frame,
                              np.stack([ts, np.zeros_like(ts)], axis=1), rule)
     vals = np.array([e.value for e in ests])
@@ -171,8 +183,7 @@ def fractional_from_profile(spline, cutoff, max_err, q, n, xi) -> FtSample:
 
 
 def ft_fractional_route(body: StarBody, xi, q: float,
-                        rule: SphereRule = None,
-                        profile_points: int = 97) -> FtSample:
+                        rule: SphereRule = None) -> FtSample:
     """(||x||^{-p})^(xi) for p = 2n - q - 2, q in (0, 2).
 
     The section profile t -> A(t theta) is constant over the circle of
@@ -180,7 +191,7 @@ def ft_fractional_route(body: StarBody, xi, q: float,
     <|u|^{-q-2}/Gamma(-q/2), A(u)> collapses to 2 pi times the fractional
     radial integral of one spline-interpolated profile.
     """
-    spline, cutoff, max_err = section_profile(body, xi, rule, profile_points)
+    spline, cutoff, max_err = section_profile(body, xi, rule)
     return fractional_from_profile(spline, cutoff, max_err, q,
                                    body.dim // 2, xi)
 
@@ -213,7 +224,7 @@ def _gauss_jacobi(count, a):
     return t, w
 
 
-def _harmonic_bump_moment(d, p, j, sigma, r_nodes=600, t_nodes=400):
+def _harmonic_bump_moment(d, p, j, sigma):
     """int P_j(y/|y|) |y|^{-(d-p)} phi_sigma(y) dy / P_j(xi) for the unit
     Gaussian pair phi at +-xi, any degree-j harmonic P_j.
 
@@ -222,6 +233,7 @@ def _harmonic_bump_moment(d, p, j, sigma, r_nodes=600, t_nodes=400):
     exponent exp(-(r^2 - 2rt + 1)/(2 sigma^2)).
     """
     nu = (d - 2) / 2.0
+    r_nodes, t_nodes = _MOMENT_NODES
     t, wt = _gauss_jacobi(t_nodes, (d - 3) / 2.0)
     gegen = special.eval_gegenbauer(j, nu, t) / special.eval_gegenbauer(j, nu, 1.0)
     hi = 1.0 + 15.0 * sigma
@@ -335,8 +347,9 @@ def _pairing_core(angular, d, xi, p, sigma, rule, levels=2, masses=None):
 
 
 def pairing_oracle(body: StarBody, xi, p: float, sigma: float = 0.2,
-                   rule: SphereRule = None, levels: int = 2) -> FtSample:
-    """(||x||^{-p})^(xi) by pairing with an explicit Gaussian test pair.
+                   rule: SphereRule = None) -> FtSample:
+    """(||x||^{-p})^(xi) by pairing with an explicit Gaussian test pair,
+    Richardson extrapolated over the widths sigma and sigma / 2.
 
     Needs no invariance assumption; serves as the independent oracle for
     the derivative and fractional routes.  Flags the sample as
@@ -351,8 +364,7 @@ def pairing_oracle(body: StarBody, xi, p: float, sigma: float = 0.2,
         rule = SphereRule(body.dim, "quasi_monte_carlo", node_count=2 ** 19,
                           seed=5)
     value, stderr, residual = _pairing_core(
-        lambda pts: body.radial(pts) ** p, body.dim, xi, p, sigma, rule,
-        levels=levels)
+        lambda pts: body.radial(pts) ** p, body.dim, xi, p, sigma, rule)
     # fold the residual extrapolation bias estimate into the error bar
     stderr = stderr + residual / 3.0
     flags = ("inconclusive",) if stderr > 0.1 * abs(value) else ()
@@ -374,12 +386,11 @@ def classical_multiplier(j, p, d):
 
 
 def ft_multiplier_route(body: StarBody, xi, p: float, max_degree: int = 12,
-                        tail_degree: int = 24,
-                        quad_res: int = 64) -> FtSample:
+                        tail_degree: int = 24) -> FtSample:
     """(||x||^{-p})^(xi) by harmonic expansion of the norm power.
 
-    rho^p is projected onto the fully symmetric harmonic atoms (spectrally
-    accurate moduli-angle quadrature) and each degree is multiplied by its
+    rho^p is projected onto the fully symmetric harmonic atoms
+    (harmonics.symmetric_coefficients) and each degree is multiplied by its
     closed-form lambda(j, p).  Degrees in (max_degree, tail_degree] are
     left out of the value; their contribution bounds the truncation error
     and is the whole error bar.
@@ -391,17 +402,13 @@ def ft_multiplier_route(body: StarBody, xi, p: float, max_degree: int = 12,
             "depends only on the block moduli")
     if not 0.0 < p < body.dim:
         raise ValueError("p must lie in (0, dim)")
-    n = body.dim // 2
     xi = np.asarray(xi, dtype=float)
-    m, w = moduli_gauss_quadrature(n, quad_res)
-    pts = np.zeros((m.shape[0], body.dim))
-    pts[:, 0::2] = m
-    a = body.radial(pts) ** p
+    atoms, coefs, _ = symmetric_coefficients(
+        lambda pts: body.radial(pts) ** p, body.dim // 2, tail_degree)
     cxi = np.atleast_2d(block_moduli(xi) ** 2)
     value = 0.0
     tail = 0.0
-    for atom in symmetric_harmonic_atoms(n, tail_degree):
-        coef = float(np.dot(w, a * c_eval(atom.c_poly, m ** 2)))
+    for atom, coef in zip(atoms, coefs):
         contrib = coef * float(c_eval(atom.c_poly, cxi)[0])
         term = classical_multiplier(atom.degree, p, body.dim) * contrib
         if atom.degree <= max_degree:
@@ -426,10 +433,9 @@ def ft_value(body: StarBody, xi, p: float, rule: SphereRule = None,
     if method == "multiplier":
         return ft_multiplier_route(body, xi, p)
     if method in (None, "derivative"):
-        if abs(p - round(p)) < 1e-12 and round(p) % 2 == 0:
-            m = (2 * n - 2 - round(p)) // 2
-            if 0 <= m < n - 1:
-                return ft_derivative_route(body, xi, m, rule)
+        m = derivative_order(p, n)
+        if m is not None:
+            return ft_derivative_route(body, xi, m, rule)
         if method == "derivative":
             raise UnsupportedRouteError(f"p={p} is not of the form 2m+2")
     if 0.0 < q < 2.0:
@@ -441,10 +447,9 @@ def ft_value(body: StarBody, xi, p: float, rule: SphereRule = None,
 # identity checks
 # ---------------------------------------------------------------------------
 
-def parseval_check(bodyK: StarBody, bodyL: StarBody, p: float, grid,
-                   rule: SphereRule = None,
-                   sphere_rule: SphereRule = None) -> dict:
-    """Two-sided spherical Parseval check.
+def parseval_check(bodyK: StarBody, bodyL: StarBody, p: float,
+                   grid) -> dict:
+    """Two-sided spherical Parseval check, on default rules.
 
     lhs = int_S (||x||_K^{-p})^ (||x||_L^{-(d-p)})^ dxi  (direction grid),
     rhs = (2 pi)^d int_S ||th||_K^{-p} ||th||_L^{-(d-p)} dth.
@@ -460,30 +465,28 @@ def parseval_check(bodyK: StarBody, bodyL: StarBody, p: float, grid,
     lhs = 0.0
     var = 0.0
     for w, xi in zip(grid.weights, grid.points):
-        fk = ft_value(bodyK, xi, p, rule)
-        fl = ft_value(bodyL, xi, d - p, rule)
+        fk = ft_value(bodyK, xi, p)
+        fl = ft_value(bodyL, xi, d - p)
         lhs += w * fk.value * fl.value
         var += (w * math.hypot(fk.stderr * fl.value,
                                fl.stderr * fk.value)) ** 2
-    if sphere_rule is None:
-        sphere_rule = SphereRule(d, "quasi_monte_carlo", node_count=2 ** 16,
-                                 seed=2)
     rhs = (2.0 * math.pi) ** d * integrate_sphere(
-        sphere_rule, lambda pts: (bodyK.radial(pts) ** p
-                                  * bodyL.radial(pts) ** (d - p))).value
+        SphereRule(d, "quasi_monte_carlo", node_count=2 ** 16, seed=2),
+        lambda pts: bodyK.radial(pts) ** p * bodyL.radial(pts) ** (d - p)
+    ).value
     rel_gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
     return {"lhs": lhs, "rhs": rhs, "rel_gap": rel_gap,
             "lhs_stderr": math.sqrt(var)}
 
 
-def sph_identity_check(v, q: float, level: int = 40) -> dict:
+def sph_identity_check(v, q: float) -> dict:
     """Check |v|^{-q-2} = Gamma(-q/2) / (2 Gamma((-q-1)/2) sqrt(pi)) *
     int_{S^1} |<v, u>|^{-q-2} du for q in (-2, -1).
 
     The circle integral has integrable |cos|^s singularities (s = -q-2 in
     (-1, 0)); writing the quarter period as int_0^{pi/2} u^s (sin u / u)^s du
-    and using a Gauss-Jacobi rule with endpoint weight u^s leaves a smooth
-    integrand, so the rule converges spectrally.
+    and using a 40-node Gauss-Jacobi rule with endpoint weight u^s leaves a
+    smooth integrand, so the rule converges spectrally.
     """
     v = np.asarray(v, dtype=float)
     if not -2.0 < q < -1.0:
@@ -493,7 +496,7 @@ def sph_identity_check(v, q: float, level: int = 40) -> dict:
         raise ValueError("v must be nonzero")
     s = -q - 2.0
     c = math.pi / 2.0
-    t, w = special.roots_jacobi(level, 0.0, s)
+    t, w = special.roots_jacobi(40, 0.0, s)
     u = c * (t + 1.0) / 2.0
     quarter = (c / 2.0) ** (s + 1.0) * float(np.dot(w, (np.sin(u) / u) ** s))
     circle = 4.0 * quarter

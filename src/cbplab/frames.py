@@ -58,7 +58,8 @@ def make_frame(xi) -> ComplexFrame:
     """Build the section frame for a unit direction xi in R^{2n}."""
     xi = np.asarray(xi, dtype=float)
     _require_even(xi.shape[0])
-    if abs(np.linalg.norm(xi) - 1.0) > _UNIT_TOL:
+    # written so that a NaN length fails too
+    if not abs(np.linalg.norm(xi) - 1.0) <= _UNIT_TOL:
         raise ValueError("xi must be a unit vector")
     xp = perp(xi)
     d = xi.shape[0]

@@ -57,21 +57,17 @@ def _dict_to_vec(poly, d, deg):
     return v
 
 
-def _dict_mul(p, q):
+# ---------------------------------------------------------------------------
+# the symmetric c-algebra (c_j = |z_j|^2)
+# ---------------------------------------------------------------------------
+
+def c_mul(p, q):
     out = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
             key = tuple(a + b for a, b in zip(m1, m2))
             out[key] = out.get(key, 0.0) + c1 * c2
     return out
-
-
-# ---------------------------------------------------------------------------
-# the symmetric c-algebra (c_j = |z_j|^2)
-# ---------------------------------------------------------------------------
-
-def c_mul(p, q):
-    return _dict_mul(p, q)
 
 
 def c_scale(p, a):
@@ -241,14 +237,34 @@ def moduli_gauss_quadrature(n, res=64):
     return m, weights
 
 
-def symmetric_power_form(p, n, tol=1e-9, seed=29):
+def symmetric_coefficients(f, n, max_degree):
+    """Inner products <f, P> over S^{2n-1} of a function f of the block
+    moduli with the symmetric atoms P of degree <= max_degree, on the nodes
+    (m_1, 0, m_2, 0, ...) of moduli_gauss_quadrature, which f gets as the
+    (N, 2n) view of coordinate columns.  Returns (atoms, coefs, m ** 2)."""
+    m, weights = moduli_gauss_quadrature(n)
+    pts = np.zeros((2 * n, m.shape[0]))
+    pts[0::2] = m.T
+    vals = f(pts.T)
+    m2 = m ** 2
+    atoms = symmetric_harmonic_atoms(n, max_degree)
+    coefs = [float(np.dot(weights, vals * c_eval(atom.c_poly, m2)))
+             for atom in atoms]
+    return atoms, coefs, m2
+
+
+_FIT_TOL = 1e-9  # largest power-sum fit residual, relative to the scale
+_FIT_SEED = 29  # Philox key of the Dirichlet points the fit is made on
+
+
+def symmetric_power_form(p, n):
     """Rewrite a symmetric c-polynomial, restricted to sum(c) = 1, in the
     power sums p_k = sum_j c_j^k, k = 2..n.
 
     Returns (exps, coefs): exps is an (M, n-1) integer array of exponents
     of (p_2, ..., p_n).  Evaluation through this form is much cheaper than
     the raw monomial expansion.  Raises ValueError when the fit residual
-    exceeds tol (e.g. for a non-symmetric polynomial).
+    exceeds _FIT_TOL (e.g. for a non-symmetric polynomial).
     """
     deg = max((sum(m) for m in p), default=0)
     cand = []
@@ -256,7 +272,7 @@ def symmetric_power_form(p, n, tol=1e-9, seed=29):
         if sum(e * k for e, k in zip(exps, range(2, n + 1))) <= deg:
             cand.append(exps)
     cand = np.array(sorted(cand), dtype=int).reshape(len(cand), max(n - 1, 0))
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = np.random.Generator(np.random.Philox(key=_FIT_SEED))
     npts = 8 * max(len(cand), 8)
     c = rng.dirichlet(np.ones(n), size=npts)
     target = c_eval(p, c)
@@ -269,7 +285,7 @@ def symmetric_power_form(p, n, tol=1e-9, seed=29):
     coefs, *_ = np.linalg.lstsq(design, target, rcond=None)
     resid = np.max(np.abs(design @ coefs - target))
     scale = max(np.max(np.abs(target)), 1.0)
-    if resid > tol * scale:
+    if resid > _FIT_TOL * scale:
         raise ValueError(
             f"power-sum fit residual {resid:.3g} exceeds tolerance; "
             "polynomial is not symmetric on the simplex")

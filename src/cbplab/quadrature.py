@@ -97,6 +97,9 @@ class SphereRule:
             self._axes = self._gauss_axes()
             self.node_count = int(np.prod([len(t) for t, _ in self._axes]))
         else:
+            if int(node_count) < 1:
+                raise ValueError(f"node_count must be >= 1 for a {kind} "
+                                 f"rule, not {node_count}")
             # equal batches keep the batch-variance error model unbiased
             per = -(-int(node_count) // self.batch_count)
             self.node_count = per * self.batch_count
@@ -321,7 +324,11 @@ def integrate_subsphere(rule: SphereRule, basis, f) -> Estimate:
     return _integrate(rule, basis, f)
 
 
-def fractional_radial(g, q, cutoff, delta_factor=1e-3, taylor_samples=5) -> float:
+_TAYLOR_END = 1e-3  # singular end of fractional_radial, over the cutoff
+_TAYLOR_SAMPLES = 5  # profile values the Taylor fit there is made from
+
+
+def fractional_radial(g, q, cutoff) -> float:
     """Singular radial integral int_0^inf (g(t) - g(0)) / t^{1+q} dt, 0 < q < 2.
 
     g must be a continuous even profile (g'(0) = 0) that vanishes for
@@ -335,9 +342,9 @@ def fractional_radial(g, q, cutoff, delta_factor=1e-3, taylor_samples=5) -> floa
     if T <= 0:
         raise ValueError("cutoff must be positive")
     g0 = float(g(0.0))
-    delta = T * delta_factor
+    delta = T * _TAYLOR_END
 
-    ts = np.linspace(delta / taylor_samples, delta, taylor_samples)
+    ts = np.linspace(delta / _TAYLOR_SAMPLES, delta, _TAYLOR_SAMPLES)
     dg = np.array([float(g(t)) - g0 for t in ts])
     design = np.stack([ts**2, ts**4], axis=1)
     (a2, a4), *_ = np.linalg.lstsq(design, dg, rcond=None)

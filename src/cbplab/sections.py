@@ -216,20 +216,20 @@ _STENCILS = {
 
 
 def laplacian_at_zero(body: StarBody, frame: ComplexFrame, m: int, h: float,
-                      rule: SphereRule, richardson=True,
-                      noise_limit=0.25) -> Estimate:
-    """Delta^m A_{K,H_xi}(0) by 2-D central differences with Richardson
-    extrapolation over steps {h, h/2}; all slices share quadrature nodes."""
-    if body.smoothness_hint == "nonsmooth":
+                      rule: SphereRule, noise_limit=0.25) -> Estimate:
+    """Delta^m A_{K,H_xi}(0) by 2-D central differences, always Richardson
+    extrapolated over the steps {h, h/2}: (4 D(h/2) - D(h)) / 3 per batch.
+    All slices share quadrature nodes.  Raises NoisyEstimateError when the
+    error bar exceeds noise_limit times the value."""
+    if not body.smooth:
         raise ValueError("laplacian_at_zero needs a C2-smooth body")
     if m not in (1, 2):
         raise ValueError("m must be 1 or 2")
     if body.dim < 2 * m + 2:
         raise ValueError(f"m={m} needs dim >= {2 * m + 2}")
     pts, coefs = _STENCILS[m]
-    steps = [h, h / 2.0] if richardson else [h]
     offsets = {}
-    for s in steps:
+    for s in (h, h / 2.0):
         for (i, j) in pts:
             offsets.setdefault((i * s, j * s), None)
     keys = list(offsets.keys())
@@ -244,10 +244,7 @@ def laplacian_at_zero(body: StarBody, frame: ComplexFrame, m: int, h: float,
             comb += c * sums[index[(i * step, j * step)]]
         return comb / step ** (2 * m)
 
-    if richardson:
-        per_batch = (4.0 * fd(h / 2.0) - fd(h)) / 3.0
-    else:
-        per_batch = fd(h)
+    per_batch = (4.0 * fd(h / 2.0) - fd(h)) / 3.0
     est = Estimate.from_batches(per_batch, rule, f"laplacian_m{m}")
     if est.value != 0.0 and est.stderr > noise_limit * abs(est.value):
         raise NoisyEstimateError(

@@ -153,6 +153,7 @@ def parse_rule(text: str, dim: int = None, default_nodes: int = None,
         _done(fields, text)
         return SphereRule(rdim, "product_gauss", level=level, seed=seed)
     nodes = _number(fields, "nodes", text, int,
-                    default=default_nodes or 2 ** 16)
+                    default=2 ** 16 if default_nodes is None
+                    else default_nodes)
     _done(fields, text)
     return SphereRule(rdim, kinds[head], node_count=nodes, seed=seed)

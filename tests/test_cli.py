@@ -126,9 +126,49 @@ def test_cache_env_var_is_honored(tmp_path, monkeypatch):
     assert (cachedir / (rec["config_hash"] + ".json")).exists()
 
 
-def test_workers_do_not_enter_the_hash():
+def test_workers_do_not_enter_the_hash(tmp_path):
     inputs = {"command": "scan", "body": "ball:dim=4", "p": 2.0}
     assert config_hash(inputs) == config_hash(dict(reversed(inputs.items())))
+    records = []
+    for workers in ("1", "2"):
+        code, rec = run(tmp_path, "scan", "--body", "clq:n=2,q=4", "--p", "2",
+                        "--grid", "grid:dim=4,res=8,reduce=orbit,seed=3",
+                        "--workers", workers, name=f"w{workers}.json")
+        assert code == 0
+        records.append(rec)
+    assert records[0]["config_hash"] == records[1]["config_hash"]
+    assert records[0]["results"] == records[1]["results"]
+
+
+def test_only_scan_takes_workers(capsys):
+    # the other commands run on one thread, so they refuse the flag
+    with pytest.raises(SystemExit) as exc:
+        main(["volume", "--body", "ball:dim=4", "--workers", "2",
+              "--no-cache"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
+def test_empty_rules_are_refused(tmp_path, capsys):
+    # an empty rule made every section gap 0: a false violation
+    pair = ["--K", "ball:dim=6", "--L", "scale:base=(ball:dim=6),lam=0.9"]
+    for nodes in ("-3", "0"):
+        code, rec = run(tmp_path, "bp-verify", *pair, "--nodes", nodes)
+        assert code == 1 and rec is None
+        assert "node_count" in capsys.readouterr().err
+    code, rec = run(tmp_path, "volume", "--body", "ball:dim=6",
+                    "--rule", "qmc:nodes=0")
+    assert code == 1 and rec is None
+    assert "node_count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("xi", ["nan,0,0,0", "inf,0,0,0", "1,-inf,0,0"])
+def test_non_finite_directions_are_refused_by_name(tmp_path, capsys, xi):
+    code, rec = run(tmp_path, "ft", "--body", "ball:dim=4", "--p", "2",
+                    "--xi", xi)
+    assert code == 1 and rec is None
+    err = capsys.readouterr().err
+    assert "usage error" in err and repr(xi) in err
 
 
 def test_malformed_specs_exit_one(tmp_path, capsys):
@@ -143,6 +183,12 @@ def test_unreachable_exponent_exits_one(tmp_path, capsys):
     assert main(["ft", "--body", "ball:dim=6", "--p", "0.5",
                  "--no-cache"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p", ["inf", "nan"])
+def test_non_finite_exponent_is_refused_by_name(capsys, p):
+    assert main(["ft", "--body", "ball:dim=6", "--p", p, "--no-cache"]) == 1
+    assert f"no implemented route reaches p={p}" in capsys.readouterr().err
 
 
 def test_report_goes_to_stdout_without_out(capsys, tmp_path):

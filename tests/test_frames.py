@@ -65,6 +65,9 @@ def test_make_frame_rejects_bad_input():
         make_frame(np.array([1.0, 0.0, 0.0]))  # odd dimension
     with pytest.raises(ValueError):
         make_frame(np.array([2.0, 0.0, 0.0, 0.0]))  # not unit
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="unit vector"):
+            make_frame(np.array([bad, 0.0, 0.0, 0.0]))
 
 
 def test_orbit_distance_vanishes_on_the_orbit():

@@ -143,6 +143,15 @@ def test_rules_need_enough_batches_for_their_error_bar(kind, least):
     assert math.isfinite(est.stderr)
 
 
+@pytest.mark.parametrize("kind", ["monte_carlo", "quasi_monte_carlo"])
+def test_random_rules_need_a_node(kind):
+    # an empty rule integrates everything to 0 with stderr 0
+    for count in (0, -3):
+        with pytest.raises(ValueError, match="node_count"):
+            SphereRule(4, kind, node_count=count)
+    assert SphereRule(4, kind, node_count=1).node_count == 32
+
+
 @pytest.mark.parametrize("q", [0.5, 1.0, 1.5])
 def test_fractional_radial_closed_form(q):
     # g = (1 - t^2) on [0, 1]: int (g - g(0)) t^{-1-q}

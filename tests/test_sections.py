@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import interpolate
 
 from cbplab.bodies import ComplexLqBall, EuclideanBall, mollify, scale
@@ -32,6 +34,24 @@ def test_volume_of_scaled_ball():
     est = volume(body, rule)
     assert est.value == pytest.approx(kappa(6) * 1.3 ** 6, rel=1e-12)
     assert est.stderr == 0.0
+
+
+_SCALED_RULE = SphereRule(4, "quasi_monte_carlo", node_count=2 ** 10, seed=1)
+_SCALED_BODIES = {"ball": EuclideanBall(4), "clq": ComplexLqBall(2, 4.0),
+                  "mollified": mollify(ComplexLqBall(2, 4.0), 0.2)}
+
+
+@settings(max_examples=30)
+@given(kind=st.sampled_from(sorted(_SCALED_BODIES)),
+       a=st.floats(0.1, 10.0), ratio=st.floats(1.0 + 1e-6, 10.0))
+def test_volume_is_monotone_and_homogeneous_under_scaling(kind, a, ratio):
+    # all volumes on one rule, hence on the same nodes
+    body = _SCALED_BODIES[kind]
+    small, large = (volume(scale(body, lam), _SCALED_RULE).value
+                    for lam in (a, a * ratio))
+    assert small < large
+    unit_volume = volume(body, _SCALED_RULE).value
+    assert small == pytest.approx(a ** 4 * unit_volume, rel=1e-12, abs=0.0)
 
 
 def test_section_volume_of_the_ball_is_lower_dimensional_kappa():
