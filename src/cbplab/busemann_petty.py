@@ -28,7 +28,7 @@ from .fourier import classical_multiplier
 from .harmonics import (c_add, c_eval, c_harmonic_components, c_mul, c_scale,
                         symmetric_harmonic_atoms)
 from .quadrature import (Estimate, SphereRule, integrate_sphere,
-                         integrate_subsphere)
+                         integrate_subsphere, sphere_area)
 from .sections import _polar, volume
 
 
@@ -251,6 +251,14 @@ class HarmonicBump:
                            for k, v in sorted(self.c_poly.items())}}
 
 
+def _grid_weights(grid: DirectionGrid) -> np.ndarray:
+    """The grid's quadrature weights; equal weights summing to the sphere
+    area for a grid that carries none (reduction 'none')."""
+    if grid.weights is not None:
+        return grid.weights
+    return np.full(len(grid.points), sphere_area(grid.dim) / len(grid.points))
+
+
 def _negative_weighted_square(n, grid, values, max_atom_degree):
     """f = h^2 minimizing int f * F over the sphere for h in the symmetric
     harmonic subspace of degree <= max_atom_degree, F being the scanned
@@ -261,10 +269,7 @@ def _negative_weighted_square(n, grid, values, max_atom_degree):
     unit c is the bottom eigenvector.  f is nonnegative by construction."""
     atoms = [a for a in symmetric_harmonic_atoms(n, max_atom_degree)
              if a.degree <= max_atom_degree]
-    w = grid.weights
-    if w is None:
-        from .quadrature import sphere_area
-        w = np.full(len(grid.points), sphere_area(2 * n) / len(grid.points))
+    w = _grid_weights(grid)
     A = np.stack([a(grid.points) for a in atoms], axis=1)
     M = A.T @ (w[:, None] * values[:, None] * A)
     M = 0.5 * (M + M.T)
@@ -327,10 +332,7 @@ def bp_construct(n: int, q_body: float, width: float = 0.1,
     # the construction only works if f weighs the negative part of the
     # transform more than the positive part
     fvals = c_eval(f_poly, block_moduli(grid.points) ** 2)
-    w = grid.weights
-    if w is None:
-        from .quadrature import sphere_area
-        w = np.full(len(grid.points), sphere_area(d) / len(grid.points))
+    w = _grid_weights(grid)
     neg = float(np.dot(w, fvals * np.minimum(verdict.values, 0.0)))
     pos = float(np.dot(w, fvals * np.maximum(verdict.values, 0.0)))
     if not neg + pos < 0.0:

@@ -229,7 +229,7 @@ def cmd_ft(args) -> int:
         rule_spec = args.rule or f"qmc:dim={body.dim},nodes={2 ** 19}"
         rule = parse_rule(rule_spec, dim=body.dim, default_nodes=args.nodes,
                           default_seed=args.seed)
-        sample = pairing_oracle(body, xi, args.p, rule=rule)
+        sample = pairing_oracle(body, xi, [args.p], rule=rule)[0]
     else:
         rule = None
         if args.rule:

@@ -6,6 +6,12 @@ L_{-p} (equivalently is a p-intersection body); a confirmed negative value
 is a witness against that.  Verdicts are statistical: 'inconclusive' is a
 first-class outcome whenever routes disagree or a sign sits inside the
 noise band.
+
+A scan over several exponents shares work: fractional exponents share one
+section profile per direction, and exponents whose minimum lies on the
+same direction share one confirmation pass, in which every exponent takes
+its power of one radial evaluation per node.  Each confirmation equals
+that of a one-exponent call.
 """
 
 from __future__ import annotations
@@ -18,8 +24,8 @@ import numpy as np
 
 from .bodies import StarBody
 from .frames import DirectionGrid
-from .fourier import (FtSample, derivative_order, fractional_from_profile,
-                      ft_value, pairing_oracle, section_profile)
+from .fourier import (FtSample, fractional_from_profile, ft_value,
+                      natural_route, pairing_oracle, section_profile)
 from .quadrature import SphereRule
 
 
@@ -51,21 +57,24 @@ class EmbeddingVerdict:
 _TOL = 1e-3  # default sign-threshold floor, relative to the value scale
 
 
-def confirm_sample(body: StarBody, xi, p: float) -> FtSample:
-    """Second-route evaluation at one direction via the pairing oracle.
+def confirm_sample(body: StarBody, xi, ps) -> list[FtSample]:
+    """Second-route evaluation at one direction via the pairing oracle, one
+    FtSample per exponent of `ps`, in order.
 
     The pairing oracle needs no structural assumption on the body, so it is
-    the designated independent check for every primary route.
+    the designated independent check for every primary route.  All the
+    exponents share one pass over the pairing nodes.
     """
     # the pairing variance grows steeply with dimension; spend more nodes
     # where the confirmation needs them
     nodes = {4: 2 ** 19, 6: 2 ** 21}.get(body.dim, 2 ** 22)
     rule = SphereRule(body.dim, "quasi_monte_carlo", node_count=nodes, seed=5)
-    return pairing_oracle(body, xi, p, rule=rule)
+    return pairing_oracle(body, xi, ps, rule=rule)
 
 
-def _assemble(body, p, grid, samples, tol) -> EmbeddingVerdict:
-    """Reduce per-direction samples to a verdict with confirmed extremum.
+def _assemble(body, p, grid, samples, k, confirm, tol) -> EmbeddingVerdict:
+    """Reduce per-direction samples, the index k of their minimum and its
+    confirmation to a verdict.
 
     A negativity witness needs both routes below -3 stderr (plus an
     absolute floor tol times the value scale, guarding deterministic rules
@@ -75,9 +84,7 @@ def _assemble(body, p, grid, samples, tol) -> EmbeddingVerdict:
     """
     values = np.array([s.value for s in samples])
     stderrs = np.array([s.stderr for s in samples])
-    k = int(np.argmin(values))
     floor = tol * max(1.0, float(np.max(np.abs(values))))
-    confirm = confirm_sample(body, grid.points[k], p)
     z_gap = abs(values[k] - confirm.value) / max(
         math.hypot(stderrs[k], confirm.stderr), floor, 1e-300)
     routes = {
@@ -104,15 +111,35 @@ def _assemble(body, p, grid, samples, tol) -> EmbeddingVerdict:
         argmin=grid.points[k].copy(), conclusion=conclusion, routes=routes)
 
 
+def _verdicts(body, grid, samples, tol) -> dict:
+    """Map p -> verdict for per-direction samples {p: [FtSample, ...]}.
+
+    The exponents are grouped by the grid direction of their minimum, and
+    each group gets one confirm_sample call: one pass over the pairing
+    nodes per distinct minimum direction, whatever the number of exponents.
+    """
+    argmin = {p: int(np.argmin(np.array([s.value for s in row])))
+              for p, row in samples.items()}
+    groups = {}
+    for p, k in argmin.items():
+        groups.setdefault(k, []).append(p)
+    confirms = {}
+    for k, ps in groups.items():
+        confirms.update(zip(ps, confirm_sample(body, grid.points[k], ps)))
+    return {p: _assemble(body, p, grid, row, argmin[p], confirms[p], tol)
+            for p, row in samples.items()}
+
+
 def scan(body: StarBody, p: float, grid: DirectionGrid,
          rule: SphereRule = None, tol: float = _TOL,
          workers: int = 1) -> EmbeddingVerdict:
     """Sign scan of (||x||^{-p})^ over the grid.
 
     Per-direction values come from the natural route for p, on `rule` or
-    the route's default; confirm_sample re-evaluates the grid minimum.
-    `workers` threads share the directions; their count must not affect the
-    result: samples are independent and reassembled by index.
+    the route's default; confirm_sample re-evaluates the grid minimum (the
+    one-exponent case of embedding_interval's confirmation).  `workers`
+    threads share the directions; their count must not affect the result:
+    samples are independent and reassembled by index.
     """
     pts = grid.points
 
@@ -124,25 +151,26 @@ def scan(body: StarBody, p: float, grid: DirectionGrid,
             samples = list(pool.map(one, range(len(pts))))
     else:
         samples = [one(i) for i in range(len(pts))]
-    return _assemble(body, p, grid, samples, tol)
+    return _verdicts(body, grid, {p: samples}, tol)[p]
 
 
 def embedding_interval(body: StarBody, p_list, grid: DirectionGrid) -> dict:
     """Batch scan over exponents: map p -> EmbeddingVerdict, each as scan
     gives it on the default rules and tolerance.
 
-    Exponents served by the fractional route share one section profile per
-    direction (the profile does not depend on the exponent), which is where
-    nearly all of the per-direction cost lives.
+    Every exponent is checked before any work starts, and a repeated one is
+    evaluated once.  Exponents served by the fractional route share one
+    section profile per direction (the profile does not depend on the
+    exponent), which is where nearly all of the per-direction cost lives;
+    the derivative route evaluates each of its exponents per direction.
+    Once every exponent's minimum is known, exponents whose minimum lies
+    on the same direction share one confirmation pass.
     """
     n = body.dim // 2
-    verdicts = {}
-    frac_ps = []
-    for p in p_list:
-        if derivative_order(p, n) is not None:
-            verdicts[float(p)] = scan(body, p, grid)
-        else:
-            frac_ps.append(float(p))
+    ps = list(dict.fromkeys(float(p) for p in p_list))
+    frac_ps = [p for p in ps if natural_route(p, n) == "fractional"]
+    samples = {p: [ft_value(body, xi, p) for xi in grid.points]
+               for p in ps if p not in frac_ps}
     if frac_ps:
         rows = []
         for xi in grid.points:
@@ -151,6 +179,6 @@ def embedding_interval(body: StarBody, p_list, grid: DirectionGrid) -> dict:
                                                  2 * n - 2 - p, n, xi)
                          for p in frac_ps])
         for j, p in enumerate(frac_ps):
-            samples = [row[j] for row in rows]
-            verdicts[p] = _assemble(body, p, grid, samples, _TOL)
+            samples[p] = [row[j] for row in rows]
+    verdicts = _verdicts(body, grid, samples, _TOL)
     return {float(p): verdicts[float(p)] for p in p_list}

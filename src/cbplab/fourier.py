@@ -273,9 +273,10 @@ def _latitude_nodes(d, sigma_min):
     return t, w
 
 
-def _pairing_core(angular, d, xi, p, sigma, rule, levels=2, masses=None):
+def _pairing_core(angular, d, xi, ps, sigma, rule, levels=2, masses=None):
     """<f^, phi> / weighted-mass for f = angular(x/|x|) |x|^{-p}, with
-    `angular` even on the sphere.
+    `angular` even on the sphere, for each exponent p of `ps`: a list of
+    (value, stderr, residual), one per exponent, in order.
 
     phi is the even pair of unit-mass Gaussians at +-xi with width sigma.
     <f^, phi> = <f, phi^> with phi^(x) = cos(<xi, x>) exp(-sigma^2|x|^2/2);
@@ -287,23 +288,27 @@ def _pairing_core(angular, d, xi, p, sigma, rule, levels=2, masses=None):
     variance blow-up of uniform sampling.  Richardson extrapolation in
     sigma^2 over {sigma, sigma/2, ...} removes the bump-width bias; all
     widths share nodes.  Callers with an exactly-known bump moment pass it
-    via `masses` (with levels=1 the result is then unbiased).
+    via `masses`, one list of per-width moments per exponent (with
+    levels=1 the result is then unbiased).
 
     The points theta = t xi + sqrt(1 - t^2) u of a subsphere batch are built
     a few latitudes at a time as coordinate columns, a C-contiguous
     (d, k, U) array, and `angular` gets its (k U, d) transposed view: at
     most quadrature._PASS_NODES points (or one latitude), each value the
     same two products and one sum as in a (T, U, d) array of rows.
+    `angular` returns one row of values per exponent, so every exponent
+    shares the nodes, the points and the call; the latitude weights, the
+    bump moments and the extrapolation are each exponent's own.
     """
-    mu = d - p
     sigmas = [sigma / 2 ** i for i in range(levels)]
     if masses is None:
-        masses = [_harmonic_bump_moment(d, p, 0, s) for s in sigmas]
+        masses = [[_harmonic_bump_moment(d, p, 0, s) for s in sigmas]
+                  for p in ps]
     xi = np.asarray(xi, dtype=float)
     t, wt = _latitude_nodes(d, sigmas[-1])
     # even integrand: fold to t >= 0 and double
-    gw = np.stack([2.0 * wt * _radial_cos_integral(t, mu, s ** 2 / 2.0)
-                   for s in sigmas])  # (levels, T)
+    gw = [np.stack([2.0 * wt * _radial_cos_integral(t, d - p, s ** 2 / 2.0)
+                    for s in sigmas]) for p in ps]  # per exponent (levels, T)
     basis = _perp_basis(xi)
     if rule.dim == d:
         n_u = max(rule.node_count // len(t), 2 ** 10)
@@ -316,46 +321,57 @@ def _pairing_core(angular, d, xi, p, sigma, rule, levels=2, masses=None):
         raise ValueError("rule dimension must be d or d-1")
     root = np.sqrt(1.0 - t ** 2)
     txi = t[None, :, None] * xi[:, None, None]  # (d, T, 1)
-    per = np.zeros((levels, u_rule.batch_count))
+    per = np.zeros((len(ps), levels, u_rule.batch_count))
     for bi, (pts, w) in enumerate(u_rule.batches()):
         ut = (pts @ basis).T[:, None, :]  # (d, 1, U)
         k = max(1, quadrature._PASS_NODES // ut.shape[2])
-        a = np.empty((len(t), ut.shape[2]))
+        a = np.empty((len(ps), len(t), ut.shape[2]))
         for s in range(0, len(t), k):
             if s == 0 or len(t) - s < k:  # the last group may be shorter
                 cols = np.empty((d, min(k, len(t) - s), ut.shape[2]))
             np.multiply(root[None, s:s + k, None], ut, out=cols)
             np.add(txi[:, s:s + k], cols, out=cols)
-            a[s:s + k] = np.asarray(angular(cols.reshape(d, -1).T),
-                                    dtype=float).reshape(len(cols[0]), -1)
-        lat = a @ w  # (T,) subsphere integrals at each latitude
-        for li in range(levels):
-            per[li, bi] = float(np.dot(gw[li], lat)) / masses[li]
-    # eliminate sigma^2, sigma^4, ... terms batchwise (shared nodes)
-    prev = per
-    for stage in range(1, levels):
-        fac = 4.0 ** stage
-        prev = per
-        per = (fac * per[1:] - per[:-1]) / (fac - 1.0)
-    comb = per[0]
-    est = Estimate.from_batches(comb, u_rule, "pairing")
-    # the gap to the previous extrapolation order (on the finest widths)
-    # estimates the residual width bias
-    residual = (abs(est.value - float(kahan_reduce(prev[-1])))
-                if levels > 1 else 0.0)
-    return est.value, est.stderr, residual
+            a[:, s:s + k] = np.asarray(angular(cols.reshape(d, -1).T),
+                                       dtype=float).reshape(len(ps),
+                                                            len(cols[0]), -1)
+        for pi in range(len(ps)):
+            lat = a[pi] @ w  # (T,) subsphere integrals at each latitude
+            for li in range(levels):
+                per[pi, li, bi] = (float(np.dot(gw[pi][li], lat))
+                                   / masses[pi][li])
+    out = []
+    for rows in per:
+        # eliminate sigma^2, sigma^4, ... terms batchwise (shared nodes)
+        prev = rows
+        for stage in range(1, levels):
+            fac = 4.0 ** stage
+            prev = rows
+            rows = (fac * rows[1:] - rows[:-1]) / (fac - 1.0)
+        est = Estimate.from_batches(rows[0], u_rule, "pairing")
+        # the gap to the previous extrapolation order (on the finest
+        # widths) estimates the residual width bias
+        residual = (abs(est.value - float(kahan_reduce(prev[-1])))
+                    if levels > 1 else 0.0)
+        out.append((est.value, est.stderr, residual))
+    return out
 
 
-def pairing_oracle(body: StarBody, xi, p: float, sigma: float = 0.2,
-                   rule: SphereRule = None) -> FtSample:
-    """(||x||^{-p})^(xi) by pairing with an explicit Gaussian test pair,
-    Richardson extrapolated over the widths sigma and sigma / 2.
+def pairing_oracle(body: StarBody, xi, ps, sigma: float = 0.2,
+                   rule: SphereRule = None) -> list[FtSample]:
+    """(||x||^{-p})^(xi) for each exponent p of the sequence `ps` by
+    pairing with an explicit Gaussian test pair, Richardson extrapolated
+    over the widths sigma and sigma / 2; one FtSample per exponent, in
+    order.
 
-    Needs no invariance assumption; serves as the independent oracle for
-    the derivative and fractional routes.  Flags the sample as
-    'inconclusive' when the error bar exceeds 10% of the value.
+    All exponents share one pass over the nodes: each gauge call computes
+    the radial function once and every exponent takes its own power of it,
+    so each sample equals that of a one-exponent call.  Needs no invariance
+    assumption; serves as the independent oracle for the derivative and
+    fractional routes.  Flags a sample as 'inconclusive' when its error
+    bar exceeds 10% of its value.
     """
-    if not 0.0 < p < body.dim:
+    ps = list(ps)
+    if not all(0.0 < p < body.dim for p in ps):
         raise ValueError("p must lie in (0, dim)")
     if sigma > 0.2:
         raise ValueError("sigma must be <= 0.2 for a usable bump")
@@ -363,12 +379,19 @@ def pairing_oracle(body: StarBody, xi, p: float, sigma: float = 0.2,
     if rule is None:
         rule = SphereRule(body.dim, "quasi_monte_carlo", node_count=2 ** 19,
                           seed=5)
-    value, stderr, residual = _pairing_core(
-        lambda pts: body.radial(pts) ** p, body.dim, xi, p, sigma, rule)
-    # fold the residual extrapolation bias estimate into the error bar
-    stderr = stderr + residual / 3.0
-    flags = ("inconclusive",) if stderr > 0.1 * abs(value) else ()
-    return FtSample(xi, float(p), value, stderr, "pairing", flags)
+
+    def powers(pts):
+        r = body.radial(pts)
+        return [r ** p for p in ps]
+
+    samples = []
+    for p, (value, stderr, residual) in zip(
+            ps, _pairing_core(powers, body.dim, xi, ps, sigma, rule)):
+        # fold the residual extrapolation bias estimate into the error bar
+        stderr = stderr + residual / 3.0
+        flags = ("inconclusive",) if stderr > 0.1 * abs(value) else ()
+        samples.append(FtSample(xi, float(p), value, stderr, "pairing", flags))
+    return samples
 
 
 # ---------------------------------------------------------------------------
@@ -422,25 +445,38 @@ def ft_multiplier_route(body: StarBody, xi, p: float, max_degree: int = 12,
 # route dispatch
 # ---------------------------------------------------------------------------
 
+def natural_route(p: float, n: int) -> str:
+    """The route ft_value takes for p in dim 2n when no method is named:
+    'derivative' when p = 2m + 2, 'fractional' when 2n - p - 2 in (0, 2).
+    Raises UnsupportedRouteError when neither reaches p."""
+    if derivative_order(p, n) is not None:
+        return "derivative"
+    if 0.0 < 2 * n - p - 2 < 2.0:
+        return "fractional"
+    raise UnsupportedRouteError(
+        f"no implemented route reaches p={p} in dim {2 * n}")
+
+
 def ft_value(body: StarBody, xi, p: float, rule: SphereRule = None,
              method: str = None) -> FtSample:
-    """Evaluate (||x||^{-p})^(xi) by the natural route for this exponent:
-    derivative when p = 2m + 2, fractional when 2n - p - 2 in (0, 2)."""
+    """Evaluate (||x||^{-p})^(xi) by the named method, or by the natural
+    route for this exponent (natural_route)."""
     n = body.dim // 2
-    q = 2 * n - p - 2
+    method = method or natural_route(p, n)
     if method == "pairing":
-        return pairing_oracle(body, xi, p, rule=rule)
+        return pairing_oracle(body, xi, [p], rule=rule)[0]
     if method == "multiplier":
         return ft_multiplier_route(body, xi, p)
-    if method in (None, "derivative"):
+    if method == "derivative":
         m = derivative_order(p, n)
-        if m is not None:
-            return ft_derivative_route(body, xi, m, rule)
-        if method == "derivative":
+        if m is None:
             raise UnsupportedRouteError(f"p={p} is not of the form 2m+2")
-    if 0.0 < q < 2.0:
-        return ft_fractional_route(body, xi, q, rule)
-    raise UnsupportedRouteError(f"no implemented route reaches p={p} in dim {2 * n}")
+        return ft_derivative_route(body, xi, m, rule)
+    q = 2 * n - p - 2
+    if not 0.0 < q < 2.0:
+        raise UnsupportedRouteError(
+            f"the fractional route needs 2n - p - 2 in (0, 2), not {q}")
+    return ft_fractional_route(body, xi, q, rule)
 
 
 # ---------------------------------------------------------------------------

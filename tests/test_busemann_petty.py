@@ -147,6 +147,19 @@ def test_negative_weighted_square_minimizes_the_pairing():
     assert lam < 0.0
 
 
+def test_negative_weighted_square_gives_a_grid_without_weights_equal_ones():
+    grid = make_grid(4, 16, reduction="none")
+    assert grid.weights is None
+    uniform = DirectionGrid(grid.dim, grid.points, grid.reduction,
+                            grid.resolution, grid.seed,
+                            np.full(len(grid.points),
+                                    sphere_area(4) / len(grid.points)))
+    values = 1.0 - 3.0 * np.max(block_moduli(grid.points), axis=1) ** 4
+    f_poly, coefs, lam = _negative_weighted_square(2, grid, values, 4)
+    assert (f_poly, coefs, lam) == _negative_weighted_square(
+        2, uniform, values, 4)
+
+
 def test_construction_impossible_in_low_dimension():
     grid = make_grid(6, 10, reduction="orbit_reduced", sort_moduli=True)
     rule = SphereRule(4, "quasi_monte_carlo", node_count=2 ** 11, seed=7)

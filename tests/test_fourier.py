@@ -61,14 +61,31 @@ def test_fractional_route_on_the_ball_dim4():
 
 def test_pairing_oracle_on_the_ball():
     xi = unit(6, seed=2)
-    sample = pairing_oracle(EuclideanBall(6), xi, 2.0)
+    [sample] = pairing_oracle(EuclideanBall(6), xi, [2.0])
     truth = classical_ft_constant(6, 2.0)
     assert abs(sample.value - truth) < 3.0 * sample.stderr + 0.01 * truth
 
 
 def test_pairing_oracle_rejects_wide_bumps():
     with pytest.raises(ValueError):
-        pairing_oracle(EuclideanBall(6), unit(6, seed=3), 2.0, sigma=0.3)
+        pairing_oracle(EuclideanBall(6), unit(6, seed=3), [2.0], sigma=0.3)
+
+
+def test_pairing_oracle_shares_one_pass_bit_for_bit():
+    # several exponents in one call give, in order, each exponent's sample
+    # of a one-exponent call, to the bit
+    rule = SphereRule(4, "quasi_monte_carlo", node_count=2 ** 14, seed=3)
+    xi = unit(4, seed=11)
+    ps = [2.0, 1.5, 3.0]
+    for body in (EuclideanBall(4), mollify(ComplexLqBall(2, 4.0), 0.2)):
+        together = pairing_oracle(body, xi, ps, rule=rule)
+        assert [s.exponent for s in together] == ps
+        for p, got in zip(ps, together):
+            [alone] = pairing_oracle(body, xi, [p], rule=rule)
+            assert (got.value, got.stderr, got.flags) == (
+                alone.value, alone.stderr, alone.flags), (body.spec(), p)
+    with pytest.raises(ValueError):
+        pairing_oracle(EuclideanBall(4), xi, [2.0, 4.0], rule=rule)
 
 
 def test_multiplier_route_on_the_ball():
@@ -92,9 +109,9 @@ def test_pairing_oracle_audits_the_closed_form_multiplier():
     xi = probe[int(np.argmax(np.abs(atom(probe))))]
     ref = float(atom(xi[None, :])[0])
     rule = SphereRule(d, "quasi_monte_carlo", node_count=2 ** 19, seed=13)
-    value, stderr, _ = _pairing_core(
-        atom, d, xi, p, sigma, rule, levels=1,
-        masses=[_harmonic_bump_moment(d, p, j, sigma)])
+    [(value, stderr, _)] = _pairing_core(
+        lambda x: [atom(x)], d, xi, [p], sigma, rule, levels=1,
+        masses=[[_harmonic_bump_moment(d, p, j, sigma)]])
     lam, err = value / ref, abs(stderr / ref)
     assert 0.0 < err < 0.01 * abs(lam)
     assert abs(lam - classical_multiplier(j, p, d)) < 3.0 * err
@@ -104,7 +121,7 @@ def test_routes_agree_on_a_mollified_body():
     body = mollify(ComplexLqBall(3, 4.0), 0.2)
     xi = unit(6, seed=5)
     der = ft_derivative_route(body, xi, 1)
-    par = pairing_oracle(body, xi, 2.0, sigma=0.1)
+    [par] = pairing_oracle(body, xi, [2.0], sigma=0.1)
     mul = ft_multiplier_route(body, xi, 2.0, max_degree=8, tail_degree=16)
     assert der.agrees_with(par, factor=4.0)
     assert der.agrees_with(mul, factor=4.0)
@@ -130,8 +147,11 @@ def test_ft_value_dispatch():
     assert ft_value(body, xi, 2.0, method="pairing").method == "pairing"
     with pytest.raises(UnsupportedRouteError):
         ft_value(body, xi, 3.5, method="derivative")
-    with pytest.raises(UnsupportedRouteError):
+    with pytest.raises(UnsupportedRouteError,
+                       match="no implemented route reaches p=0.5 in dim 6"):
         ft_value(body, xi, 0.5)  # q = 2n - p - 2 outside (0, 2)
+    with pytest.raises(UnsupportedRouteError, match="fractional route"):
+        ft_value(body, xi, 2.0, method="fractional")  # q = 2
 
 
 def test_ft_value_passes_its_rule_to_the_pairing_oracle():
@@ -139,7 +159,7 @@ def test_ft_value_passes_its_rule_to_the_pairing_oracle():
     xi = unit(6, seed=10)
     rule = SphereRule(6, "quasi_monte_carlo", node_count=2 ** 14, seed=3)
     got = ft_value(body, xi, 2.0, rule=rule, method="pairing")
-    want = pairing_oracle(body, xi, 2.0, rule=rule)
+    [want] = pairing_oracle(body, xi, [2.0], rule=rule)
     assert (got.value, got.stderr) == (want.value, want.stderr)
 
 
@@ -156,9 +176,9 @@ def test_invariance_is_required_by_symmetry_routes():
     with pytest.raises(UnsupportedRouteError):
         ft_multiplier_route(body, xi, 2.0)
     # the pairing oracle needs no invariance
-    sample = pairing_oracle(body, xi, 2.0, sigma=0.1,
-                            rule=SphereRule(6, "quasi_monte_carlo",
-                                            node_count=2 ** 16, seed=9))
+    [sample] = pairing_oracle(body, xi, [2.0], sigma=0.1,
+                              rule=SphereRule(6, "quasi_monte_carlo",
+                                              node_count=2 ** 16, seed=9))
     assert np.isfinite(sample.value)
 
 

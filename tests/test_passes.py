@@ -117,17 +117,26 @@ def test_slice_batch_sums_are_independent_of_the_pass_size(size, count):
 
 _PAIR_RULE = SphereRule(4, "quasi_monte_carlo", node_count=2 ** 12, seed=8)
 _PAIR_XI = _unit(4, seed=4)
-_PAIR_REF = _pairing_core(lambda x: _BODY4.radial(x) ** 2.0, 4, _PAIR_XI,
-                          2.0, 0.2, _PAIR_RULE)
+_PAIR_PS = ((2.0,), (2.0, 1.5))
+
+
+def _powers(ps):
+    return lambda x: [_BODY4.radial(x) ** p for p in ps]
+
+
+_PAIR_REF = {ps: _pairing_core(_powers(ps), 4, _PAIR_XI, ps, 0.2, _PAIR_RULE)
+             for ps in _PAIR_PS}
 
 
 @settings(max_examples=10)
-@given(size=_SIZES)
-def test_pairing_core_is_independent_of_the_pass_size(size):
-    f = _Recorded(lambda x: _BODY4.radial(x) ** 2.0)
+@given(size=_SIZES, ps=st.sampled_from(_PAIR_PS))
+def test_pairing_core_is_independent_of_the_pass_size(size, ps):
+    f = _Recorded(_powers(ps))
     got = _at(size, _PAIR_RULE, lambda: _pairing_core(
-        f, 4, _PAIR_XI, 2.0, 0.2, _PAIR_RULE))
-    assert got == _PAIR_REF
+        f, 4, _PAIR_XI, ps, 0.2, _PAIR_RULE))
+    assert got == _PAIR_REF[ps]
     # the subsphere batches hold 32 nodes: one latitude is 32 points
     assert all(f.columns)
     assert max(f.sizes) <= max(_pass_nodes(size, _PAIR_RULE), 32)
+    # an exponent's result does not depend on the others in the pass
+    assert got[0] == _PAIR_REF[(2.0,)][0]

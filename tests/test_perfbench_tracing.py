@@ -11,7 +11,8 @@ import sys
 import numpy as np
 import pytest
 
-from cbplab import bodies, harmonics
+from cbplab import bodies, embedding, harmonics
+from cbplab.frames import make_grid
 from cbplab.quadrature import SphereRule
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(
@@ -59,3 +60,28 @@ def test_one_mollified_norm_call_reaches_power_form_eval_once(monkeypatch):
                         lambda *args: calls.append(1) or original(*args))
     body.norm(np.random.default_rng(1).standard_normal((100, 4)))
     assert len(calls) == 1
+
+
+def test_an_interval_sharing_a_minimum_confirms_in_one_pairing_call(
+        monkeypatch):
+    # the tracer counts confirmations and pairing passes where it wraps
+    # them, at cbplab.embedding.confirm_sample and
+    # cbplab.embedding.pairing_oracle; exponents whose minimum lies on one
+    # direction must reach each of them once, looked up there at call time
+    body = bodies.mollify(bodies.ComplexLqBall(2, 4.0), 0.2)
+    grid = make_grid(4, 8, reduction="orbit_reduced", sort_moduli=True)
+    seen = []
+
+    def counted(name):
+        original = getattr(embedding, name)
+
+        def call(*args, **kwargs):
+            seen.append(name)
+            return original(*args, **kwargs)
+        return call
+
+    for name in ("confirm_sample", "pairing_oracle"):
+        monkeypatch.setattr(embedding, name, counted(name))
+    out = embedding.embedding_interval(body, [1.5, 1.0], grid)
+    assert len({tuple(v.argmin) for v in out.values()}) == 1
+    assert seen == ["confirm_sample", "pairing_oracle"]
