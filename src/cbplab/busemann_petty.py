@@ -30,6 +30,7 @@ from .harmonics import (c_add, c_eval, c_harmonic_components, c_mul, c_scale,
 from .quadrature import (Estimate, SphereRule, integrate_sphere,
                          integrate_subsphere, sphere_area)
 from .sections import _polar, volume
+from .specs import SpecError, parse_body
 
 
 class ConstructionImpossibleError(RuntimeError):
@@ -246,9 +247,33 @@ class HarmonicBump:
         return c_eval(self.c_poly, m2.T).reshape(x.shape[:-1])
 
     def as_record(self) -> dict:
+        """{label, c_poly: {"i j ...": coef}}, terms in summation order."""
         return {"label": self.label,
                 "c_poly": {" ".join(map(str, k)): v
-                           for k, v in sorted(self.c_poly.items())}}
+                           for k, v in self.c_poly.items()}}
+
+
+def pair_record(K: RadialPerturbation, L: StarBody) -> dict:
+    """The `pair` record of bp-construct, read by pair_from_record: the specs
+    of K and L, and K's amplitude, exponent and bump (its spec's label)."""
+    return {"K": K.spec(), "L": L.spec(), "eps": K.eps,
+            "exponent": int(K.s) if K.s.is_integer() else K.s,
+            "bump": K.bump.as_record()}
+
+
+def pair_from_record(pair: dict):
+    """(K, L) rebuilt from a pair record; the rebuilt bodies must give
+    back the recorded specs."""
+    L = parse_body(pair["L"])
+    bump = HarmonicBump({tuple(int(t) for t in key.split()): float(v)
+                         for key, v in pair["bump"]["c_poly"].items()},
+                        label=pair["bump"]["label"])
+    K = RadialPerturbation(L, pair["exponent"], pair["eps"], bump,
+                           bump_id=bump.label)
+    if (K.spec(), L.spec()) != (pair["K"], pair["L"]):
+        raise SpecError(f"the rebuilt bodies {K.spec()!r} and {L.spec()!r} "
+                        "differ from the recorded K and L")
+    return K, L
 
 
 def _grid_weights(grid: DirectionGrid) -> np.ndarray:

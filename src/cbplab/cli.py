@@ -2,10 +2,15 @@
 content-addressed cache.
 
 Every command writes a report `{config_hash, inputs, results[],
-baselines_checked[]}`.  The config hash is the sha256 of the canonical
-input serialization (worker count and output paths excluded: they must not
-change numbers); the same hash keys the result cache.  Exit codes: 0 on
-success, 2 when a verdict is inconclusive, 1 on errors.
+baselines_checked[], exit_code, cached}`.  `inputs` holds the command's
+name, NUMERICS_VERSION and every option the command takes except those
+that cannot move a number (--out, --csv, --cache-dir, --no-cache,
+--workers), with body specs canonical and rule and grid defaults filled
+in; bp-verify --pair hashes the file's name and its pair record.  The
+sha256 of their canonical serialization is the config hash, which keys
+the result cache.  Each command takes only the options it reads; argparse
+refuses any other with exit code 2.  Exit codes: 0 on success, 2 when a
+verdict is inconclusive, 1 on errors.
 """
 
 from __future__ import annotations
@@ -18,20 +23,23 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 
-from .bodies import EuclideanBall, RadialPerturbation
+from .bodies import EuclideanBall
 from .busemann_petty import (ConstructionFailedError,
-                             ConstructionImpossibleError, HarmonicBump,
-                             bp_construct, bp_verify)
+                             ConstructionImpossibleError, bp_construct,
+                             bp_verify, pair_from_record, pair_record)
 from .embedding import scan
-from .fourier import classical_ft_constant, ft_value, pairing_oracle
+from .fourier import classical_ft_constant, ft_value
 from .frames import make_frame
 from .sections import section_volume, volume
 from .specs import SpecError, parse_body, parse_grid, parse_rule
 
 CACHE_ENV = "CBPLAB_CACHE_DIR"
+#: the parsed options that are not inputs: they cannot move a number
+UNHASHED = ("func", "out", "csv", "cache_dir", "no_cache", "workers")
 #: hashed with every command's inputs, so cached results of older numerics
 #: are not served: a change that moves any computed number bumps it
 NUMERICS_VERSION = 1
@@ -46,22 +54,24 @@ def config_hash(inputs: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def cache_root(override=None) -> str:
-    if override:
-        return override
-    return os.environ.get(
-        CACHE_ENV, os.path.join(os.path.expanduser("~"), ".cache", "cbplab"))
-
-
-def cache_get(chash: str, root: str):
+def cache_get(inputs: dict, root: str):
+    """The cached report of `inputs`, or None on a miss.  An entry that is
+    not a report of exactly these inputs (unreadable, not a JSON object,
+    another hash or other inputs, no results or exit code) is ignored with
+    a warning, so the command computes afresh."""
+    chash = config_hash(inputs)
     path = os.path.join(root, chash + ".json")
     if not os.path.exists(path):
         return None
     try:
         with open(path) as fh:
             record = json.load(fh)
-        if record.get("config_hash") != chash:
-            raise ValueError("hash mismatch")
+        if not isinstance(record, dict):
+            raise ValueError("not a JSON object")
+        if record.get("config_hash") != chash or record.get("inputs") != inputs:
+            raise ValueError("hash or inputs mismatch")
+        if not {"results", "exit_code"} <= record.keys():
+            raise ValueError("no results or exit code")
         return record
     except (ValueError, OSError) as exc:
         print(f"warning: ignoring corrupted cache entry {path}: {exc}",
@@ -69,9 +79,9 @@ def cache_get(chash: str, root: str):
         return None
 
 
-def cache_put(chash: str, record: dict, root: str):
-    os.makedirs(root, exist_ok=True)
-    _atomic_write_json(os.path.join(root, chash + ".json"), record)
+def cache_put(record: dict, root: str):
+    _atomic_write_json(os.path.join(root, record["config_hash"] + ".json"),
+                       record)
 
 
 def _atomic_write_json(path: str, record: dict):
@@ -89,13 +99,15 @@ def _atomic_write_json(path: str, record: dict):
         raise
 
 
-def _write_csv(path: str, header, rows):
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
+def _write_table(path: str, grid, name: str, values, stderrs):
+    """The --csv table: per grid direction its coordinates, value, stderr."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerow([f"xi{i}" for i in range(grid.dim)]
+                        + [name, "stderr"])
+        writer.writerows(list(np.round(pt, 12)) + [v, e] for pt, v, e in
+                         zip(grid.points, values, stderrs))
 
 
 # ---------------------------------------------------------------------------
@@ -141,46 +153,41 @@ def _ball_ft_baseline(body, sample):
              "passed": bool(gap < tol)}]
 
 
-def _finish(args, inputs, results, baselines, exit_code=0, extra=None):
-    chash = config_hash(inputs)
-    record = {"config_hash": chash, "inputs": inputs, "results": results,
-              "baselines_checked": baselines, "cached": False}
-    if extra:
-        record.update(extra)
-    root = cache_root(args.cache_dir)
-    if not args.no_cache:
-        cache_put(chash, record, root)
+def _rule(args, spec, dim):
+    """The SphereRule of a rule spec on S^{dim-1}, or None for None; counts
+    the spec leaves open come from --nodes, where the command takes it, and
+    --seed."""
+    return None if spec is None else parse_rule(
+        spec, dim=dim, default_nodes=getattr(args, "nodes", None),
+        default_seed=args.seed)
+
+
+def _run(args, compute, **canonical) -> int:
+    """The one path from a command's options to its report: hash them, with
+    the `canonical` forms of some, replay a cache hit, or store the report
+    whose keys `compute()` returns.  With --csv the command always
+    computes, as reports do not keep the table.  The report goes to --out
+    or stdout; its exit code is returned."""
+    inputs = {k: v for k, v in vars(args).items() if k not in UNHASHED}
+    inputs.update(canonical, numerics_version=NUMERICS_VERSION)
+    root = args.cache_dir or os.environ.get(
+        CACHE_ENV, os.path.join(os.path.expanduser("~"), ".cache", "cbplab"))
+    fresh = args.no_cache or getattr(args, "csv", None)
+    record = None if fresh else cache_get(inputs, root)
+    if record is not None:
+        record["cached"] = True
+    else:
+        record = {"config_hash": config_hash(inputs), "inputs": inputs,
+                  "baselines_checked": [], "exit_code": 0, **compute(),
+                  "cached": False}
+        if not args.no_cache:
+            cache_put(record, root)
     if args.out:
         _atomic_write_json(args.out, record)
     else:
         json.dump(record, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
-    return exit_code
-
-
-def _inputs(args, command, **fields):
-    """A command's hashed inputs: its own fields, the shared --seed,
-    --nodes and --tol, and NUMERICS_VERSION."""
-    return {"command": command, **fields, "seed": args.seed,
-            "nodes": args.nodes, "tol": args.tol,
-            "numerics_version": NUMERICS_VERSION}
-
-
-def _try_cache(args, inputs):
-    """Replay a cached report; its exit code, or None on a miss."""
-    if args.no_cache:
-        return None
-    record = cache_get(config_hash(inputs), cache_root(args.cache_dir))
-    if record is None:
-        return None
-    record = dict(record)
-    record["cached"] = True
-    if args.out:
-        _atomic_write_json(args.out, record)
-    else:
-        json.dump(record, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-    return record.get("exit_code", 0)
+    return record["exit_code"]
 
 
 # ---------------------------------------------------------------------------
@@ -190,95 +197,67 @@ def _try_cache(args, inputs):
 def cmd_volume(args) -> int:
     body = parse_body(args.body)
     rule_spec = args.rule or f"qmc:dim={body.dim}"
-    inputs = _inputs(args, "volume", body=body.spec(), rule=rule_spec)
-    if (code := _try_cache(args, inputs)) is not None:
-        return code
-    rule = parse_rule(rule_spec, dim=body.dim, default_nodes=args.nodes,
-                      default_seed=args.seed)
-    est = volume(body, rule)
-    results = [{"value": est.value, "stderr": est.stderr,
-                "node_count": est.node_count, "method": est.method}]
-    return _finish(args, inputs, results, _ball_volume_baseline(body, est))
+
+    def compute():
+        est = volume(body, _rule(args, rule_spec, body.dim))
+        return {"results": [asdict(est)],
+                "baselines_checked": _ball_volume_baseline(body, est)}
+
+    return _run(args, compute, body=body.spec(), rule=rule_spec)
 
 
 def cmd_section(args) -> int:
     body = parse_body(args.body)
     rule_spec = args.rule or f"qmc:dim={body.dim - 2}"
-    inputs = _inputs(args, "section", body=body.spec(), rule=rule_spec,
-                     xi=args.xi)
-    if (code := _try_cache(args, inputs)) is not None:
-        return code
-    xi = _parse_xi(args.xi, body.dim)
-    rule = parse_rule(rule_spec, dim=body.dim - 2, default_nodes=args.nodes,
-                      default_seed=args.seed)
-    est = section_volume(body, make_frame(xi), rule)
-    results = [{"xi": list(xi), "value": est.value, "stderr": est.stderr,
-                "node_count": est.node_count, "method": est.method}]
-    return _finish(args, inputs, results, [])
+
+    def compute():
+        xi = _parse_xi(args.xi, body.dim)
+        est = section_volume(body, make_frame(xi),
+                             _rule(args, rule_spec, body.dim - 2))
+        return {"results": [{"xi": list(xi), **asdict(est)}]}
+
+    return _run(args, compute, body=body.spec(), rule=rule_spec)
 
 
 def cmd_ft(args) -> int:
     body = parse_body(args.body)
-    inputs = _inputs(args, "ft", body=body.spec(), p=args.p,
-                     method=args.method, rule=args.rule, xi=args.xi)
-    if (code := _try_cache(args, inputs)) is not None:
-        return code
-    xi = _parse_xi(args.xi, body.dim)
-    method = None if args.method == "auto" else args.method
-    if method == "pairing":
-        rule_spec = args.rule or f"qmc:dim={body.dim},nodes={2 ** 19}"
-        rule = parse_rule(rule_spec, dim=body.dim, default_nodes=args.nodes,
-                          default_seed=args.seed)
-        sample = pairing_oracle(body, xi, [args.p], rule=rule)[0]
-    else:
-        rule = None
-        if args.rule:
-            rule = parse_rule(args.rule, dim=body.dim - 2,
-                              default_nodes=args.nodes,
-                              default_seed=args.seed)
-        sample = ft_value(body, xi, args.p, rule=rule, method=method)
-    results = [{"xi": list(xi), "p": sample.exponent, "value": sample.value,
-                "stderr": sample.stderr, "method": sample.method,
-                "flags": list(sample.flags)}]
-    code = 2 if "inconclusive" in sample.flags else 0
-    return _finish(args, inputs, results, _ball_ft_baseline(body, sample),
-                   exit_code=code, extra={"exit_code": code})
+
+    def compute():
+        xi = _parse_xi(args.xi, body.dim)
+        # the pairing route integrates over S^{d-1}, the others over the
+        # section sphere S^{d-3}
+        pairing = args.method == "pairing"
+        rule = _rule(args, args.rule or (f"qmc:nodes={2 ** 19}" if pairing
+                                         else None),
+                     body.dim if pairing else body.dim - 2)
+        sample = ft_value(body, xi, args.p, rule=rule, method=None
+                          if args.method == "auto" else args.method)
+        return {"results": [{"xi": list(xi), "p": sample.exponent,
+                             "value": sample.value, "stderr": sample.stderr,
+                             "method": sample.method,
+                             "flags": list(sample.flags)}],
+                "baselines_checked": _ball_ft_baseline(body, sample),
+                "exit_code": 2 if "inconclusive" in sample.flags else 0}
+
+    return _run(args, compute, body=body.spec())
 
 
 def cmd_scan(args) -> int:
     body = parse_body(args.body)
     grid_spec = args.grid or f"grid:dim={body.dim},res=8,reduce=orbit,seed={args.seed}"
-    inputs = _inputs(args, "scan", body=body.spec(), p=args.p,
-                     grid=grid_spec, rule=args.rule)
-    if (code := _try_cache(args, inputs)) is not None:
-        return code
-    grid = parse_grid(grid_spec)
-    rule = None
-    if args.rule:
-        rule = parse_rule(args.rule, dim=body.dim - 2,
-                          default_nodes=args.nodes, default_seed=args.seed)
-    verdict = scan(body, args.p, grid, rule=rule, tol=args.tol,
-                   workers=args.workers)
-    results = [verdict.as_record()]
-    if args.csv:
-        rows = [list(np.round(pt, 12)) + [v, e] for pt, v, e in
-                zip(grid.points, verdict.values, verdict.stderrs)]
-        header = [f"xi{i}" for i in range(body.dim)] + ["value", "stderr"]
-        _write_csv(args.csv, header, rows)
-    code = 2 if verdict.conclusion == "inconclusive" else 0
-    return _finish(args, inputs, results, [], exit_code=code,
-                   extra={"exit_code": code})
 
+    def compute():
+        grid = parse_grid(grid_spec)
+        verdict = scan(body, args.p, grid,
+                       rule=_rule(args, args.rule, body.dim - 2),
+                       tol=args.tol, workers=args.workers)
+        if args.csv:
+            _write_table(args.csv, grid, "value", verdict.values,
+                         verdict.stderrs)
+        return {"results": [verdict.as_record()], "exit_code":
+                2 if verdict.conclusion == "inconclusive" else 0}
 
-def _pair_from_file(pair):
-    """Build K and L from the `pair` record of a bp-construct report."""
-    L = parse_body(pair["L"])
-    poly = {tuple(int(t) for t in key.split()): float(v)
-            for key, v in pair["bump"]["c_poly"].items()}
-    bump = HarmonicBump(poly, label=pair["bump"]["label"])
-    K = RadialPerturbation(L, pair["exponent"], pair["eps"], bump,
-                           bump_id=pair["bump"]["label"])
-    return K, L
+    return _run(args, compute, body=body.spec(), grid=grid_spec)
 
 
 def cmd_bp_verify(args) -> int:
@@ -288,65 +267,43 @@ def cmd_bp_verify(args) -> int:
         # the key comes from the record alone, so a cache hit builds no
         # body; K names the bump by its label only, so the hash of the
         # record keys the cache on the bump coefficients too
-        inputs = _inputs(args, "bp-verify", pair=os.path.basename(args.pair),
-                         pair_sha256=config_hash(pair), K=pair["K"],
-                         L=pair["L"], grid=args.grid, rule=args.rule)
-        if (code := _try_cache(args, inputs)) is not None:
-            return code
-        K, L = _pair_from_file(pair)
-        if (K.spec(), L.spec()) != (pair["K"], pair["L"]):
-            raise SpecError(
-                f"pair file {args.pair}: the rebuilt bodies {K.spec()!r} and "
-                f"{L.spec()!r} differ from the recorded K and L")
+        canonical = {"pair": os.path.basename(args.pair), "K": pair["K"],
+                     "L": pair["L"], "pair_sha256": config_hash(pair)}
+    elif args.K and args.L:
+        bodies = parse_body(args.K), parse_body(args.L)
+        canonical = {"K": bodies[0].spec(), "L": bodies[1].spec()}
     else:
-        if not (args.K and args.L):
-            raise SpecError("bp-verify needs --pair or both --K and --L")
-        K = parse_body(args.K)
-        L = parse_body(args.L)
-        inputs = _inputs(args, "bp-verify", K=K.spec(), L=L.spec(),
-                         grid=args.grid, rule=args.rule)
-        if (code := _try_cache(args, inputs)) is not None:
-            return code
-    grid_spec = args.grid or f"grid:dim={K.dim},res=8,reduce=orbit,seed={args.seed}"
-    grid = parse_grid(grid_spec)
-    rule = None  # bp_verify picks the rule that suits the pair
-    if args.rule or args.nodes is not None:
-        rule = parse_rule(args.rule or "qmc", dim=K.dim - 2,
-                          default_nodes=args.nodes, default_seed=args.seed)
-    report = bp_verify(K, L, grid, rule=rule)
-    results = [report.as_record()]
-    if args.csv:
-        rows = [list(np.round(pt, 12)) + [g, e] for pt, g, e in
-                zip(grid.points, report.gaps, report.gap_stderrs)]
-        header = [f"xi{i}" for i in range(K.dim)] + ["gap", "stderr"]
-        _write_csv(args.csv, header, rows)
-    code = 2 if "tie" in report.flags else 0
-    return _finish(args, inputs, results, [], exit_code=code,
-                   extra={"exit_code": code})
+        raise SpecError("bp-verify needs --pair or both --K and --L")
+
+    def compute():
+        K, L = pair_from_record(pair) if args.pair else bodies
+        grid = parse_grid(args.grid or f"grid:dim={K.dim},res=8,reduce=orbit,seed={args.seed}")
+        # without --rule or --nodes bp_verify picks the rule for the pair
+        spec = args.rule or ("qmc" if args.nodes is not None else None)
+        report = bp_verify(K, L, grid, rule=_rule(args, spec, K.dim - 2))
+        if args.csv:
+            _write_table(args.csv, grid, "gap", report.gaps,
+                         report.gap_stderrs)
+        return {"results": [report.as_record()],
+                "exit_code": 2 if "tie" in report.flags else 0}
+
+    return _run(args, compute, **canonical)
 
 
 def cmd_bp_construct(args) -> int:
-    inputs = _inputs(args, "bp-construct", n=args.n, q=args.q,
-                     width=args.width)
-    if (code := _try_cache(args, inputs)) is not None:
-        return code
-    try:
-        K, L, report, trace = bp_construct(args.n, args.q, width=args.width,
-                                           seed=args.seed)
-    except ConstructionImpossibleError as exc:
-        results = [{"error": "construction-impossible", "message": str(exc)}]
-        return _finish(args, inputs, results, [], exit_code=1,
-                       extra={"exit_code": 1})
-    except ConstructionFailedError as exc:
-        results = [{"error": "construction-failed", "message": str(exc)}]
-        return _finish(args, inputs, results, [], exit_code=1,
-                       extra={"exit_code": 1})
-    pair = {"K": K.spec(), "L": L.spec(), "eps": trace["eps"],
-            "exponent": K.dim - 2, "bump": trace["bump"]}
-    results = [report.as_record()]
-    return _finish(args, inputs, results, [],
-                   extra={"pair": pair, "trace": {
-                       k: v for k, v in trace.items() if k != "bump"}})
+    def compute():
+        try:
+            K, L, report, trace = bp_construct(args.n, args.q, args.width,
+                                               seed=args.seed)
+        except (ConstructionImpossibleError, ConstructionFailedError) as exc:
+            kind = ("impossible" if isinstance(exc, ConstructionImpossibleError)
+                    else "failed")
+            return {"results": [{"error": f"construction-{kind}",
+                                 "message": str(exc)}], "exit_code": 1}
+        return {"results": [report.as_record()], "pair": pair_record(K, L),
+                "trace": {k: v for k, v in trace.items() if k != "bump"}}
+
+    return _run(args, compute)
 
 
 # ---------------------------------------------------------------------------
@@ -358,24 +315,28 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cbplab",
         description="Sections, Fourier transforms of norm powers, and "
                     "volume comparisons for invariant convex bodies.")
+    # option groups; each command takes the groups whose options it reads
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=1)
-    common.add_argument("--nodes", type=int, default=None,
-                        help="node count for default quadrature rules")
-    common.add_argument("--tol", type=float, default=1e-3)
     common.add_argument("--out", help="report path (default: stdout)")
-    common.add_argument("--csv", help="per-direction CSV table path")
     common.add_argument("--cache-dir", default=None,
                         help=f"cache root (default ${CACHE_ENV} or ~/.cache/cbplab)")
     common.add_argument("--no-cache", action="store_true")
+    nodes = argparse.ArgumentParser(add_help=False)
+    nodes.add_argument("--nodes", type=int, default=None,
+                       help="node count of the QMC rule when --rule names "
+                            "none")
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--csv", help="per-direction CSV table path; the "
+                       "command then computes afresh, never from the cache")
 
     sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("volume", parents=[common])
+    p = sub.add_parser("volume", parents=[common, nodes])
     p.add_argument("--body", required=True)
     p.add_argument("--rule")
     p.set_defaults(func=cmd_volume)
 
-    p = sub.add_parser("section", parents=[common])
+    p = sub.add_parser("section", parents=[common, nodes])
     p.add_argument("--body", required=True)
     p.add_argument("--rule")
     p.add_argument("--xi", help="comma-separated direction (default e1)")
@@ -391,17 +352,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xi")
     p.set_defaults(func=cmd_ft)
 
-    p = sub.add_parser("scan", parents=[common])
+    p = sub.add_parser("scan", parents=[common, table])
     p.add_argument("--body", required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--grid")
     p.add_argument("--rule")
+    p.add_argument("--tol", type=float, default=1e-3,
+                   help="floor of the sign threshold, as a fraction of "
+                        "max(1, largest |value|)")
     p.add_argument("--workers", type=int, default=1,
                    help="threads that evaluate the directions; the results "
                         "do not depend on it")
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("bp-verify", parents=[common])
+    p = sub.add_parser("bp-verify", parents=[common, nodes, table])
     p.add_argument("--K")
     p.add_argument("--L")
     p.add_argument("--pair", help="pair file from bp-construct")
@@ -422,11 +386,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SpecError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        kind = "usage error" if isinstance(exc, SpecError) else "error"
+        print(f"{kind}: {exc}", file=sys.stderr)
         return 1
 
 

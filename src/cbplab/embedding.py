@@ -24,8 +24,9 @@ import numpy as np
 
 from .bodies import StarBody
 from .frames import DirectionGrid
-from .fourier import (FtSample, fractional_from_profile, ft_value,
-                      natural_route, pairing_oracle, section_profile)
+from .fourier import (FtSample, fractional_from_profile, fractional_order,
+                      ft_value, natural_route, pairing_oracle,
+                      section_profile)
 from .quadrature import SphereRule
 
 
@@ -175,9 +176,9 @@ def embedding_interval(body: StarBody, p_list, grid: DirectionGrid) -> dict:
         rows = []
         for xi in grid.points:
             spline, cutoff, err = section_profile(body, xi)
-            rows.append([fractional_from_profile(spline, cutoff, err,
-                                                 2 * n - 2 - p, n, xi)
-                         for p in frac_ps])
+            rows.append([fractional_from_profile(
+                spline, cutoff, err, fractional_order(p, n), n, xi)
+                for p in frac_ps])
         for j, p in enumerate(frac_ps):
             samples[p] = [row[j] for row in rows]
     verdicts = _verdicts(body, grid, samples, _TOL)

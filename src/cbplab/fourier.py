@@ -91,6 +91,11 @@ def derivative_order(p: float, n: int):
     return m if 0 <= m < n - 1 else None
 
 
+def fractional_order(p: float, n: int) -> float:
+    """q = 2n - p - 2 of the fractional route, rounded alike for all."""
+    return 2 * n - p - 2
+
+
 # ---------------------------------------------------------------------------
 # route 1: Laplacian powers of the parallel section function
 # ---------------------------------------------------------------------------
@@ -451,7 +456,7 @@ def natural_route(p: float, n: int) -> str:
     Raises UnsupportedRouteError when neither reaches p."""
     if derivative_order(p, n) is not None:
         return "derivative"
-    if 0.0 < 2 * n - p - 2 < 2.0:
+    if 0.0 < fractional_order(p, n) < 2.0:
         return "fractional"
     raise UnsupportedRouteError(
         f"no implemented route reaches p={p} in dim {2 * n}")
@@ -472,7 +477,7 @@ def ft_value(body: StarBody, xi, p: float, rule: SphereRule = None,
         if m is None:
             raise UnsupportedRouteError(f"p={p} is not of the form 2m+2")
         return ft_derivative_route(body, xi, m, rule)
-    q = 2 * n - p - 2
+    q = fractional_order(p, n)
     if not 0.0 < q < 2.0:
         raise UnsupportedRouteError(
             f"the fractional route needs 2n - p - 2 in (0, 2), not {q}")

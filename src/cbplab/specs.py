@@ -137,13 +137,18 @@ def parse_rule(text: str, dim: int = None, default_nodes: int = None,
     """`mc:...` / `qmc:...` / `gauss:level=40[,dim=6]` -> SphereRule.
 
     `dim` and `default_nodes` supply the sphere dimension and node count
-    when the spec omits them (the CLI passes its --nodes flag here).
+    when the spec omits them (the CLI passes its --nodes flag here); a
+    node count is refused for a spec that fixes its own, as it would act
+    on nothing.
     """
     head, fields = split_spec(text)
     kinds = {"mc": "monte_carlo", "qmc": "quasi_monte_carlo",
              "gauss": "product_gauss"}
     if head not in kinds:
         raise SpecError(f"unknown rule spec head {head!r} in {text!r}")
+    if default_nodes is not None and (head == "gauss" or "nodes" in fields):
+        raise SpecError(f"node count {default_nodes} does not act on the "
+                        f"rule {text!r}, which fixes its own")
     rdim = _number(fields, "dim", text, int, default=dim or 0)
     if not rdim:
         raise SpecError(f"missing field 'dim' in {text!r}")

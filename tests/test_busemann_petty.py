@@ -9,7 +9,8 @@ from cbplab.bodies import (ComplexLqBall, EuclideanBall, RadialPerturbation,
 from cbplab.busemann_petty import (ConstructionImpossibleError, HarmonicBump,
                                    _negative_weighted_square, _section_gaps,
                                    _volume_gap, bp_construct, bp_verify,
-                                   holder_chain_check)
+                                   holder_chain_check, pair_from_record,
+                                   pair_record)
 from cbplab.frames import DirectionGrid, make_frame, make_grid, rotate
 from cbplab.harmonics import c_eval, symmetric_harmonic_atoms
 from cbplab.quadrature import SphereRule, kahan_reduce, sphere_area
@@ -167,17 +168,36 @@ def test_construction_impossible_in_low_dimension():
         bp_construct(3, 4.0, grid=grid, scan_rule=rule)
 
 
-def test_construction_gives_a_counterexample_in_dimension_eight():
+@pytest.fixture(scope="module")
+def pair8():
     # the paper's n = 4 side, on every 16th direction of the res-8 grid
     full = make_grid(8, 8, reduction="orbit_reduced", sort_moduli=True)
     idx = np.arange(0, len(full.points), 16)
     w = full.weights[idx]
     grid = DirectionGrid(8, full.points[idx], full.reduction, full.resolution,
                          weights=w * (sphere_area(8) / math.fsum(w)))
-    _, _, report, trace = bp_construct(4, 4.0, grid=grid)
+    return bp_construct(4, 4.0, grid=grid)
+
+
+def test_construction_gives_a_counterexample_in_dimension_eight(pair8):
+    _, _, report, trace = pair8
     assert report.verdict == "violation"
     assert [step["status"] for step in trace["eps_trace"]] == [
         "not_convex", "not_convex", "violation"]
+
+
+def test_a_constructed_pair_survives_its_record(pair8):
+    K, L, _, trace = pair8
+    record = json.loads(json.dumps(pair_record(K, L)))
+    assert record["eps"] == trace["eps"]
+    assert record["bump"] == trace["bump"]
+    K2, L2 = pair_from_record(record)
+    assert (K2.spec(), L2.spec()) == (K.spec(), L.spec())
+    g = np.random.Generator(np.random.Philox(key=11))
+    x = g.standard_normal((4096, 8))
+    assert np.array_equal(K2.norm(x), K.norm(x))
+    assert np.array_equal(L2.norm(x), L.norm(x))
+    assert pair_record(K2, L2) == record
 
 
 def test_construct_rejects_tiny_n():

@@ -101,13 +101,19 @@ def test_no_cache_recomputation_matches_cache(tmp_path):
     assert fresh["results"] == cached["results"]
 
 
-def test_corrupted_cache_entry_is_recomputed(tmp_path, capsys):
+@pytest.mark.parametrize("entry", [
+    lambda rec: "{ this is not json",
+    lambda rec: "[1, 2]",
+    lambda rec: json.dumps({"config_hash": rec["config_hash"]}),
+    lambda rec: json.dumps(dict(rec, inputs=dict(rec["inputs"], seed=99))),
+], ids=["not-json", "not-an-object", "no-results", "other-inputs"])
+def test_corrupted_cache_entry_is_recomputed(tmp_path, capsys, entry):
     cache = tmp_path / "cache"
     args = ("volume", "--body", "ball:dim=4", "--rule",
             "qmc:nodes=4096,seed=5")
     _, rec1 = run(tmp_path, *args, name="r1.json", cache=cache)
-    entry = cache / (rec1["config_hash"] + ".json")
-    entry.write_text("{ this is not json")
+    path = cache / (rec1["config_hash"] + ".json")
+    path.write_text(entry(rec1))
     code, rec2 = run(tmp_path, *args, name="r2.json", cache=cache)
     assert code == 0
     assert rec2["cached"] is False
@@ -140,13 +146,81 @@ def test_workers_do_not_enter_the_hash(tmp_path):
     assert records[0]["results"] == records[1]["results"]
 
 
-def test_only_scan_takes_workers(capsys):
-    # the other commands run on one thread, so they refuse the flag
+_REQUIRED = {"volume": ["--body", "ball:dim=4"],
+             "section": ["--body", "ball:dim=4"],
+             "ft": ["--body", "ball:dim=4", "--p", "2"],
+             "scan": ["--body", "ball:dim=4", "--p", "2"],
+             "bp-verify": [], "bp-construct": ["--n", "4", "--q", "4"]}
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("volume", "--workers"),
+    ("volume", "--tol"), ("volume", "--csv"),
+    ("section", "--tol"), ("section", "--csv"),
+    ("ft", "--nodes"), ("ft", "--tol"), ("ft", "--csv"),
+    ("scan", "--nodes"),
+    ("bp-verify", "--tol"),
+    ("bp-construct", "--nodes"), ("bp-construct", "--tol"),
+    ("bp-construct", "--csv"),
+], ids=lambda value: value.lstrip("-"))
+def test_only_scan_takes_workers(capsys, command, flag):
+    # a command refuses every flag it does not read: --workers off scan,
+    # and each option that once reached it only through the shared parent
     with pytest.raises(SystemExit) as exc:
-        main(["volume", "--body", "ball:dim=4", "--workers", "2",
-              "--no-cache"])
+        main([command, *_REQUIRED[command], flag, "2", "--no-cache"])
     assert exc.value.code == 2
-    assert "--workers" in capsys.readouterr().err
+    assert flag in capsys.readouterr().err
+
+
+def test_inputs_hold_only_the_options_a_command_reads(tmp_path, monkeypatch):
+    def impossible(*args, **kwargs):
+        raise cli.ConstructionImpossibleError("no negativity region")
+
+    monkeypatch.setattr(cli, "bp_construct", impossible)
+    argvs = {
+        "volume": ["--body", "ball:dim=4", "--nodes", "512"],
+        "section": ["--body", "ball:dim=4", "--rule", "gauss:level=6"],
+        "ft": ["--body", "ball:dim=4", "--p", "2"],
+        "scan": ["--body", "ball:dim=4", "--p", "2",
+                 "--grid", "grid:dim=4,res=8,reduce=orbit,seed=3"],
+        "bp-verify": ["--K", "scale:base=(ball:dim=4),lam=0.9",
+                      "--L", "ball:dim=4",
+                      "--grid", "grid:dim=4,res=8,reduce=orbit,seed=3"],
+        "bp-construct": ["--n", "4", "--q", "4"],
+    }
+    for command, argv in argvs.items():
+        code, rec = run(tmp_path, command, *argv, name=f"{command}.json")
+        assert code == (1 if command == "bp-construct" else 0), command
+        assert rec["exit_code"] == code
+        assert ("tol" in rec["inputs"]) == (command == "scan"), command
+        assert ("nodes" in rec["inputs"]) == (
+            command in ("volume", "section", "bp-verify")), command
+    # --nodes sets the count of the rule the spec leaves open
+    assert json.loads((tmp_path / "volume.json").read_text())[
+        "results"][0]["node_count"] == 512
+
+
+@pytest.mark.parametrize("rule", ["gauss:level=6", "qmc:nodes=4096"])
+def test_nodes_that_would_act_on_nothing_are_refused(tmp_path, capsys, rule):
+    code, rec = run(tmp_path, "volume", "--body", "ball:dim=4",
+                    "--rule", rule, "--nodes", "64")
+    assert code == 1 and rec is None
+    assert "node count 64 does not act on the rule" in capsys.readouterr().err
+
+
+def test_csv_is_written_on_every_call(tmp_path):
+    cache = tmp_path / "cache"
+    for name in ("a", "b"):
+        table = tmp_path / f"{name}.csv"
+        code, rec = run(tmp_path, "scan", "--body", "clq:n=2,q=4", "--p",
+                        "2", "--grid", "grid:dim=4,res=8,reduce=orbit,seed=3",
+                        "--csv", str(table), name=f"{name}.json", cache=cache)
+        assert code == 0 and rec["cached"] is False
+        assert len(table.read_text().splitlines()) == 5
+    code, rec = run(tmp_path, "scan", "--body", "clq:n=2,q=4", "--p", "2",
+                    "--grid", "grid:dim=4,res=8,reduce=orbit,seed=3",
+                    name="c.json", cache=cache)
+    assert code == 0 and rec["cached"] is True
 
 
 def test_empty_rules_are_refused(tmp_path, capsys):
@@ -222,7 +296,7 @@ def test_pair_cache_hit_builds_no_body(tmp_path, monkeypatch):
     def refuse(pair):
         raise AssertionError("a cache hit must not build the bodies")
 
-    monkeypatch.setattr(cli, "_pair_from_file", refuse)
+    monkeypatch.setattr(cli, "pair_from_record", refuse)
     code, hit = run(tmp_path, "bp-verify", "--pair", path, name="b.json",
                     cache=cache)
     assert code == 0 and hit["cached"] is True

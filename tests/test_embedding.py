@@ -139,3 +139,14 @@ def test_verdict_record_is_serializable(grid4):
     assert len(rec["argmin"]) == 4
     import json
     json.dumps(rec)
+
+
+def test_embedding_interval_values_are_those_of_scan_at_any_exponent():
+    # 2n - 2 - p and 2n - p - 2 round apart at p = 0.2: both paths must
+    # take q from one expression
+    body = mollify(ComplexLqBall(2, 4.0), 0.2)
+    grid = make_grid(4, 8, reduction="orbit_reduced", sort_moduli=True)
+    interval = embedding_interval(body, [0.2], grid)[0.2]
+    alone = scan(body, 0.2, grid)
+    assert np.array_equal(interval.values, alone.values)
+    assert np.array_equal(interval.stderrs, alone.stderrs)
