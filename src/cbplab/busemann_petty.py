@@ -256,6 +256,7 @@ class HarmonicBump:
 def pair_record(K: RadialPerturbation, L: StarBody) -> dict:
     """The `pair` record of bp-construct, read by pair_from_record: the specs
     of K and L, and K's amplitude, exponent and bump (its spec's label)."""
+    # an integral exponent stays an int, as in the pair files written so far
     return {"K": K.spec(), "L": L.spec(), "eps": K.eps,
             "exponent": int(K.s) if K.s.is_integer() else K.s,
             "bump": K.bump.as_record()}
