@@ -3,17 +3,15 @@ comparisons for convex bodies invariant under blockwise rotations."""
 
 from .bodies import (ComplexLqBall, ConvexityReport, EuclideanBall,
                      MollifiedBody, RadialPerturbation, ScaledBody, StarBody,
-                     block_moduli, convexity_probe, mollify, norm_eval,
-                     radial_eval, radial_metric, scale)
+                     block_moduli, convexity_probe, mollify, scale)
 from .busemann_petty import (BpReport, ConstructionFailedError,
                              ConstructionImpossibleError, HarmonicBump,
-                             bp_construct, bp_verify, holder_chain_check)
+                             bp_construct, bp_verify)
 from .embedding import EmbeddingVerdict, embedding_interval, scan
 from .fourier import (FtSample, UnsupportedRouteError, classical_ft_constant,
                       classical_multiplier, ft_derivative_route,
                       ft_fractional_route, ft_multiplier_route, ft_value,
-                      pairing_oracle, parseval_check, section_profile,
-                      sph_identity_check)
+                      pairing_oracle, section_profile)
 from .frames import ComplexFrame, DirectionGrid, make_frame, make_grid, perp
 from .harmonics import HarmonicAtom, symmetric_harmonic_atoms
 from .quadrature import (Estimate, PoisonedEstimateError, SphereRule,

@@ -118,24 +118,6 @@ def _spec_number(x: float) -> str:
     return short if float(short) == x else repr(x)
 
 
-def norm_eval(body: StarBody, x) -> float:
-    """Minkowski functional of the body at x (x != 0)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1 and not np.any(x):
-        raise ValueError("norm is undefined at the zero vector")
-    return float(body.norm(x)) if x.ndim == 1 else body.norm(x)
-
-
-def radial_eval(body: StarBody, theta) -> float:
-    """Radius of the body in a unit direction."""
-    theta = np.asarray(theta, dtype=float)
-    nrm = np.linalg.norm(theta, axis=-1)
-    if np.any(np.abs(nrm - 1.0) > 1e-12):
-        raise ValueError("radial_eval requires a unit direction")
-    r = 1.0 / body.norm(theta)
-    return float(r) if theta.ndim == 1 else r
-
-
 class EuclideanBall(StarBody):
     def __init__(self, dim):
         if dim % 2 != 0 or dim < 4:
@@ -391,11 +373,3 @@ def convexity_probe(body: StarBody, samples=10**5, seed=0,
         done += k
     return ConvexityReport(violations=violations, worst_gap=worst,
                            samples=samples, tol=tol)
-
-
-def radial_metric(a: StarBody, b: StarBody) -> float:
-    """Sampled sup-distance between radial functions (2^12 directions)."""
-    g = np.random.Generator(np.random.Philox(key=3))
-    theta = g.standard_normal((2 ** 12, a.dim))
-    theta /= np.linalg.norm(theta, axis=1, keepdims=True)
-    return float(np.max(np.abs(a.radial(theta) - b.radial(theta))))

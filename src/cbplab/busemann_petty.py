@@ -14,7 +14,6 @@ volume change pairs f against the negative transform values).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -185,52 +184,6 @@ def bp_verify(K: StarBody, L: StarBody, grid: DirectionGrid,
                  "tie_count": int(np.sum(ties))})
 
 
-def holder_chain_check(K: StarBody, L: StarBody) -> dict:
-    """Numerical check of the volume comparison chain on the sphere:
-
-        2n Vol(K) = int rho_K^{2n}
-                 <= int rho_L^{2n-2} rho_K^2          (section dominance)
-                 <= (2n Vol L)^{(n-1)/n} (2n Vol K)^{1/n}   (Hoelder)
-
-    Returns the three integrals and both slacks with error bars; a slack
-    below -3 stderr marks the corresponding inequality as failed.
-    """
-    _require_invariant(K)
-    _require_invariant(L)
-    if K.dim != L.dim:
-        raise ValueError("bodies must share a dimension")
-    d = K.dim
-    n = d // 2
-    rule = SphereRule(d, "quasi_monte_carlo", node_count=2 ** 16, seed=17)
-    # three integrals on the same rule, hence on the same nodes
-    one = integrate_sphere(rule, lambda pts: K.radial(pts) ** d)
-    two = integrate_sphere(rule, lambda pts: L.radial(pts) ** (d - 2)
-                           * K.radial(pts) ** 2)
-    vol = integrate_sphere(rule, lambda pts: L.radial(pts) ** d)
-    i1, e1 = one.value, one.stderr
-    i2, e2 = two.value, two.stderr
-    voll, evoll = vol.value, vol.stderr
-    i3 = voll ** ((n - 1.0) / n) * i1 ** (1.0 / n)
-    # first-order error propagation through the product of powers
-    e3 = abs(i3) * math.hypot((n - 1.0) / n * evoll / voll, e1 / (n * i1))
-    slack1 = i2 - i1
-    err1 = math.hypot(e1, e2)
-    slack2 = i3 - i2
-    err2 = math.hypot(e2, e3)
-    # round-off floor: with deterministic or variance-free integrands the
-    # stderrs vanish and a slack of a few ulps must not count as a failure
-    floor = 1e-12 * max(abs(i1), abs(i2), abs(i3))
-    return {
-        "i1": i1, "i1_stderr": e1,
-        "i2": i2, "i2_stderr": e2,
-        "i3": i3, "i3_stderr": e3,
-        "slack1": slack1, "slack1_stderr": err1,
-        "slack2": slack2, "slack2_stderr": err2,
-        "ok": bool(slack1 >= -(3.0 * err1 + floor)
-                   and slack2 >= -(3.0 * err2 + floor)),
-    }
-
-
 class HarmonicBump:
     """Even spherical function given by a polynomial in the block moduli
     squared; callable on points, serializable, orbit-invariant."""
@@ -260,6 +213,24 @@ def pair_record(K: RadialPerturbation, L: StarBody) -> dict:
     return {"K": K.spec(), "L": L.spec(), "eps": K.eps,
             "exponent": int(K.s) if K.s.is_integer() else K.s,
             "bump": K.bump.as_record()}
+
+
+def read_pair_record(report, source: str) -> dict:
+    """The pair record of a bp-construct report read from `source`, checked
+    for every key pair_from_record reads: a SpecError names `source` and
+    the first key missing."""
+    def need(record, keys, where):
+        if not isinstance(record, dict):
+            raise SpecError(f"pair file {source}: {where} is not an object")
+        for key in keys:
+            if key not in record:
+                raise SpecError(f"pair file {source}: {where} has no {key!r}")
+        return record
+
+    pair = need(report, ["pair"], "the report")["pair"]
+    need(pair, ["K", "L", "eps", "exponent", "bump"], "the pair record")
+    need(pair["bump"], ["label", "c_poly"], "the bump")
+    return pair
 
 
 def pair_from_record(pair: dict):

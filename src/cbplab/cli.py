@@ -30,7 +30,8 @@ import numpy as np
 from .bodies import EuclideanBall
 from .busemann_petty import (ConstructionFailedError,
                              ConstructionImpossibleError, bp_construct,
-                             bp_verify, pair_from_record, pair_record)
+                             bp_verify, pair_from_record, pair_record,
+                             read_pair_record)
 from .embedding import scan
 from .fourier import classical_ft_constant, ft_value
 from .frames import make_frame
@@ -126,7 +127,7 @@ def _parse_xi(text: str, dim: int):
         raise SpecError(f"direction {text!r} has a non-finite component")
     nrm = np.linalg.norm(vals)
     if nrm == 0.0:
-        raise SpecError("direction must be nonzero")
+        raise SpecError(f"direction {text!r} must be nonzero")
     return vals / nrm
 
 
@@ -263,7 +264,7 @@ def cmd_scan(args) -> int:
 def cmd_bp_verify(args) -> int:
     if args.pair:
         with open(args.pair) as fh:
-            pair = json.load(fh)["pair"]
+            pair = read_pair_record(json.load(fh), args.pair)
         # the key comes from the record alone, so a cache hit builds no
         # body; K names the bump by its label only, so the hash of the
         # record keys the cache on the bump coefficients too

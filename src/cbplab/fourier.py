@@ -2,8 +2,7 @@
 sphere by four routes: Laplacian powers of the section function, a
 fractional pairing of the section profile, a pairing with an explicit
 Gaussian test pair (the invariance-free oracle), and a harmonic expansion
-times the closed-form multipliers.  Also the Parseval and circle-integral
-identity checks.
+times the closed-form multipliers.
 
 Conventions: f_hat(y) = int f(x) exp(-i<x,y>) dx, so that
 (|x|^{-p})^ = c(d, p) |y|^{-(d-p)} with c as in classical_ft_constant.
@@ -23,10 +22,10 @@ from scipy import interpolate, special
 
 from . import quadrature
 from .bodies import StarBody, block_moduli
-from .frames import make_frame, ComplexFrame
+from .frames import make_frame
 from .harmonics import c_eval, symmetric_coefficients
 from .quadrature import (Estimate, SphereRule, fractional_radial,
-                         integrate_sphere, kahan_reduce, sphere_area)
+                         kahan_reduce, sphere_area)
 from .sections import (NoisyEstimateError, laplacian_at_zero,
                        parallel_sections, section_volume)
 
@@ -50,13 +49,6 @@ class FtSample:
     stderr: float
     method: str  # derivative | fractional | pairing | multiplier
     flags: tuple = field(default=())
-
-    def agrees_with(self, other: "FtSample", factor: float = 3.0) -> bool:
-        # the relative floor lets two deterministic (stderr 0) samples that
-        # match to round-off count as agreeing
-        tol = factor * math.hypot(self.stderr, other.stderr)
-        tol += 1e-9 * max(abs(self.value), abs(other.value))
-        return abs(self.value - other.value) <= tol
 
 
 def classical_ft_constant(d: int, p: float) -> float:
@@ -315,15 +307,12 @@ def _pairing_core(angular, d, xi, ps, sigma, rule, levels=2, masses=None):
     gw = [np.stack([2.0 * wt * _radial_cos_integral(t, d - p, s ** 2 / 2.0)
                     for s in sigmas]) for p in ps]  # per exponent (levels, T)
     basis = _perp_basis(xi)
-    if rule.dim == d:
-        n_u = max(rule.node_count // len(t), 2 ** 10)
-        n_u = 1 << (n_u - 1).bit_length()  # Sobol wants powers of two
-        u_rule = SphereRule(d - 1, rule.kind, node_count=n_u, seed=rule.seed,
-                            level=rule.level, batch_count=rule.batch_count)
-    elif rule.dim == d - 1:
-        u_rule = rule
-    else:
-        raise ValueError("rule dimension must be d or d-1")
+    if rule.dim != d:
+        raise ValueError("rule dimension must be d")
+    n_u = max(rule.node_count // len(t), 2 ** 10)
+    n_u = 1 << (n_u - 1).bit_length()  # Sobol wants powers of two
+    u_rule = SphereRule(d - 1, rule.kind, node_count=n_u, seed=rule.seed,
+                        level=rule.level, batch_count=rule.batch_count)
     root = np.sqrt(1.0 - t ** 2)
     txi = t[None, :, None] * xi[:, None, None]  # (d, T, 1)
     per = np.zeros((len(ps), levels, u_rule.batch_count))
@@ -482,70 +471,3 @@ def ft_value(body: StarBody, xi, p: float, rule: SphereRule = None,
         raise UnsupportedRouteError(
             f"the fractional route needs 2n - p - 2 in (0, 2), not {q}")
     return ft_fractional_route(body, xi, q, rule)
-
-
-# ---------------------------------------------------------------------------
-# identity checks
-# ---------------------------------------------------------------------------
-
-def parseval_check(bodyK: StarBody, bodyL: StarBody, p: float,
-                   grid) -> dict:
-    """Two-sided spherical Parseval check, on default rules.
-
-    lhs = int_S (||x||_K^{-p})^ (||x||_L^{-(d-p)})^ dxi  (direction grid),
-    rhs = (2 pi)^d int_S ||th||_K^{-p} ||th||_L^{-(d-p)} dth.
-    """
-    d = bodyK.dim
-    if bodyL.dim != d:
-        raise ValueError("bodies must share a dimension")
-    _require_invariant(bodyK)
-    _require_invariant(bodyL)
-    if grid.weights is None:
-        raise ValueError("parseval_check needs an orbit-reduced grid "
-                         "with quadrature weights")
-    lhs = 0.0
-    var = 0.0
-    for w, xi in zip(grid.weights, grid.points):
-        fk = ft_value(bodyK, xi, p)
-        fl = ft_value(bodyL, xi, d - p)
-        lhs += w * fk.value * fl.value
-        var += (w * math.hypot(fk.stderr * fl.value,
-                               fl.stderr * fk.value)) ** 2
-    rhs = (2.0 * math.pi) ** d * integrate_sphere(
-        SphereRule(d, "quasi_monte_carlo", node_count=2 ** 16, seed=2),
-        lambda pts: bodyK.radial(pts) ** p * bodyL.radial(pts) ** (d - p)
-    ).value
-    rel_gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
-    return {"lhs": lhs, "rhs": rhs, "rel_gap": rel_gap,
-            "lhs_stderr": math.sqrt(var)}
-
-
-def sph_identity_check(v, q: float) -> dict:
-    """Check |v|^{-q-2} = Gamma(-q/2) / (2 Gamma((-q-1)/2) sqrt(pi)) *
-    int_{S^1} |<v, u>|^{-q-2} du for q in (-2, -1).
-
-    The circle integral has integrable |cos|^s singularities (s = -q-2 in
-    (-1, 0)); writing the quarter period as int_0^{pi/2} u^s (sin u / u)^s du
-    and using a 40-node Gauss-Jacobi rule with endpoint weight u^s leaves a
-    smooth integrand, so the rule converges spectrally.
-    """
-    v = np.asarray(v, dtype=float)
-    if not -2.0 < q < -1.0:
-        raise ValueError("q must lie in (-2, -1)")
-    r = float(np.linalg.norm(v))
-    if r == 0.0:
-        raise ValueError("v must be nonzero")
-    s = -q - 2.0
-    c = math.pi / 2.0
-    t, w = special.roots_jacobi(40, 0.0, s)
-    u = c * (t + 1.0) / 2.0
-    quarter = (c / 2.0) ** (s + 1.0) * float(np.dot(w, (np.sin(u) / u) ** s))
-    circle = 4.0 * quarter
-    # |<v,u>| = |v| |cos(t - t0)|; the shift drops out over a full period
-    integral = r ** s * circle
-    factor = special.gamma(-q / 2.0) / (
-        2.0 * special.gamma((-q - 1.0) / 2.0) * math.sqrt(math.pi))
-    lhs = r ** s
-    rhs = factor * integral
-    return {"lhs": lhs, "rhs": rhs,
-            "rel_gap": abs(lhs - rhs) / max(abs(lhs), abs(rhs))}

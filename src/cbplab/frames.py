@@ -49,10 +49,6 @@ class ComplexFrame:
     xi_perp: np.ndarray
     basis: np.ndarray  # (2n-2, 2n) rows
 
-    @property
-    def dim(self) -> int:
-        return self.xi.shape[0]
-
 
 def make_frame(xi) -> ComplexFrame:
     """Build the section frame for a unit direction xi in R^{2n}."""
@@ -69,15 +65,6 @@ def make_frame(xi) -> ComplexFrame:
     u, s, _ = np.linalg.svd(proj)
     basis = u[:, :d - 2].T.copy()
     return ComplexFrame(xi=xi.copy(), xi_perp=xp, basis=basis)
-
-
-def orbit_distance(p, q, samples=256):
-    """min over theta of |R_theta p - q|, estimated on a theta grid."""
-    thetas = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-    best = math.inf
-    for t in thetas:
-        best = min(best, float(np.linalg.norm(rotate(p, t) - q)))
-    return best
 
 
 @dataclass(frozen=True)

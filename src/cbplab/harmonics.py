@@ -323,18 +323,6 @@ def power_form_eval(exps, coefs, cvals):
     return out
 
 
-def c_sphere_integral(p, n):
-    """Exact integral over S^{2n-1}: block moduli^2 are Dirichlet(1,..,1)."""
-    total = 0.0
-    for mono, coef in p.items():
-        k = sum(mono)
-        mom = (math.factorial(n - 1)
-               * math.prod(math.factorial(e) for e in mono)
-               / math.factorial(n - 1 + k))
-        total += coef * mom
-    return total * sphere_area(2 * n)
-
-
 @lru_cache(maxsize=None)
 def _factorials(lo, hi):
     """Read-only table of k! for k = lo, ..., hi - 1 (floats)."""

@@ -216,12 +216,6 @@ class SphereRule:
         """All nodes as one array (same stream as batches())."""
         return np.concatenate([p for p, _ in self.batches()], axis=0)
 
-    def spec(self) -> str:
-        if self.kind == "product_gauss":
-            return f"gauss:level={self.level}"
-        tag = "mc" if self.kind == "monte_carlo" else "qmc"
-        return f"{tag}:nodes={self.node_count},seed={self.seed}"
-
 
 def kahan_reduce(partials) -> float:
     """Compensated (Neumaier) summation of a stream of reals."""

@@ -7,18 +7,14 @@ from hypothesis import strategies as st
 
 from cbplab.bodies import (ComplexLqBall, EuclideanBall, MollifiedBody,
                            RadialPerturbation, ScaledBody, _sum_squares,
-                           block_moduli, convexity_probe, mollify, norm_eval,
-                           radial_eval, radial_metric, scale)
+                           block_moduli, convexity_probe, mollify, scale)
 from cbplab.busemann_petty import HarmonicBump
 from cbplab.frames import rotate
 from cbplab.harmonics import c_eval
 from cbplab.quadrature import SphereRule
 from cbplab.sections import volume
 from cbplab.specs import parse_body
-
-
-def kappa(d):
-    return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
+from checks import kappa, radial_metric
 
 
 def unit_sample(dim, count=512, seed=0):
@@ -36,7 +32,7 @@ def test_ball_norm_is_euclidean():
     ball = EuclideanBall(6)
     x = unit_sample(6, 32, seed=1) * 2.5
     assert np.allclose(ball.norm(x), 2.5)
-    assert radial_eval(ball, unit_sample(6, 1, seed=2)[0]) == 1.0
+    assert ball.radial(unit_sample(6, 1, seed=2)[0]) == 1.0
 
 
 def test_ball_volume_oracle():
@@ -78,11 +74,6 @@ def test_scaled_body():
     assert np.allclose(big.norm(x), 0.5)
     assert big.r_min == big.r_max == 2.0
     assert radial_metric(big, ball) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_norm_eval_rejects_zero_vector():
-    with pytest.raises(ValueError):
-        norm_eval(EuclideanBall(4), np.zeros(4))
 
 
 def test_mollified_ball_stays_a_ball():

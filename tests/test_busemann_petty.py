@@ -9,11 +9,11 @@ from cbplab.bodies import (ComplexLqBall, EuclideanBall, RadialPerturbation,
 from cbplab.busemann_petty import (ConstructionImpossibleError, HarmonicBump,
                                    _negative_weighted_square, _section_gaps,
                                    _volume_gap, bp_construct, bp_verify,
-                                   holder_chain_check, pair_from_record,
-                                   pair_record)
+                                   pair_from_record, pair_record)
 from cbplab.frames import DirectionGrid, make_frame, make_grid, rotate
 from cbplab.harmonics import c_eval, symmetric_harmonic_atoms
 from cbplab.quadrature import SphereRule, kahan_reduce, sphere_area
+from checks import holder_chain_check
 
 
 @pytest.fixture(scope="module")
@@ -161,11 +161,15 @@ def test_negative_weighted_square_gives_a_grid_without_weights_equal_ones():
         2, uniform, values, 4)
 
 
-def test_construction_impossible_in_low_dimension():
-    grid = make_grid(6, 10, reduction="orbit_reduced", sort_moduli=True)
-    rule = SphereRule(4, "quasi_monte_carlo", node_count=2 ** 11, seed=7)
+@pytest.mark.parametrize("n", [2, 3])
+def test_construction_impossible_in_low_dimension(n):
+    # the paper's "yes" side: no negativity region to build a pair from
+    grid = make_grid(2 * n, {2: 16, 3: 10}[n], reduction="orbit_reduced",
+                     sort_moduli=True)
+    rule = SphereRule(2 * n - 2, "quasi_monte_carlo", node_count=2 ** 11,
+                      seed=7)
     with pytest.raises(ConstructionImpossibleError):
-        bp_construct(3, 4.0, grid=grid, scan_rule=rule)
+        bp_construct(n, 4.0, grid=grid, scan_rule=rule)
 
 
 @pytest.fixture(scope="module")

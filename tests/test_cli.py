@@ -236,7 +236,8 @@ def test_empty_rules_are_refused(tmp_path, capsys):
     assert "node_count" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("xi", ["nan,0,0,0", "inf,0,0,0", "1,-inf,0,0"])
+@pytest.mark.parametrize("xi", ["nan,0,0,0", "inf,0,0,0", "1,-inf,0,0",
+                                "0,0,0,0"])
 def test_non_finite_directions_are_refused_by_name(tmp_path, capsys, xi):
     code, rec = run(tmp_path, "ft", "--body", "ball:dim=4", "--p", "2",
                     "--xi", xi)
@@ -309,6 +310,22 @@ def test_pair_whose_specs_do_not_match_its_bodies_is_refused(tmp_path,
     code, rec = run(tmp_path, "bp-verify", "--pair", path)
     assert code == 1 and rec is None
     assert "differ from the recorded K and L" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, missing", [
+    ({}, "no 'pair'"),
+    ([1], "not an object"),
+    ({"pair": {"K": "x"}}, "no 'L'"),
+    ({"pair": {"K": "x", "L": "ball:dim=8"}}, "no 'eps'")],
+    ids=["no_pair", "not_an_object", "no_L", "no_eps"])
+def test_malformed_pair_files_are_refused_by_name(tmp_path, capsys, doc,
+                                                  missing):
+    path = tmp_path / "bad_pair.json"
+    path.write_text(json.dumps(doc))
+    code, rec = run(tmp_path, "bp-verify", "--pair", str(path))
+    assert code == 1 and rec is None
+    err = capsys.readouterr().err
+    assert "usage error" in err and str(path) in err and missing in err
 
 
 def test_pair_files_with_different_bumps_do_not_share_a_cache_entry(tmp_path):

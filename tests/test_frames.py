@@ -3,15 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from cbplab.frames import (make_frame, make_grid, orbit_distance, perp,
-                           rotate)
+from cbplab.frames import make_frame, make_grid, perp, rotate
 from cbplab.quadrature import sphere_area
-
-
-def random_unit(dim, seed=0):
-    g = np.random.Generator(np.random.Philox(key=seed))
-    x = g.standard_normal(dim)
-    return x / np.linalg.norm(x)
+from checks import orbit_distance, unit
 
 
 def test_perp_swaps_pairs_with_sign():
@@ -20,7 +14,7 @@ def test_perp_swaps_pairs_with_sign():
 
 
 def test_perp_is_an_isometry_and_a_quarter_turn():
-    xi = random_unit(8, seed=1)
+    xi = unit(8, seed=1)
     xp = perp(xi)
     assert np.linalg.norm(xp) == pytest.approx(1.0)
     assert abs(np.dot(xi, xp)) < 1e-14
@@ -31,7 +25,7 @@ def test_perp_is_an_isometry_and_a_quarter_turn():
 
 
 def test_rotate_group_law():
-    x = random_unit(6, seed=2)
+    x = unit(6, seed=2)
     a, b = 0.7, 1.9
     assert np.allclose(rotate(rotate(x, a), b), rotate(x, a + b))
     assert np.allclose(rotate(x, 0.0), x)
@@ -40,7 +34,7 @@ def test_rotate_group_law():
 
 def test_frame_is_orthonormal_and_complements_the_complex_line():
     for seed in range(4):
-        xi = random_unit(8, seed=seed)
+        xi = unit(8, seed=seed)
         fr = make_frame(xi)
         assert fr.basis.shape == (6, 8)
         gram = fr.basis @ fr.basis.T
@@ -51,7 +45,7 @@ def test_frame_is_orthonormal_and_complements_the_complex_line():
 
 def test_frame_subspace_is_rotation_invariant():
     # H_xi is a complex subspace: R_theta maps it to itself
-    xi = random_unit(6, seed=7)
+    xi = unit(6, seed=7)
     fr = make_frame(xi)
     v = fr.basis.T @ np.arange(1.0, 5.0)
     w = rotate(v, 1.1)
@@ -71,12 +65,12 @@ def test_make_frame_rejects_bad_input():
 
 
 def test_orbit_distance_vanishes_on_the_orbit():
-    p = random_unit(6, seed=3)
+    p = unit(6, seed=3)
     q = rotate(p, 2.2)
     # the theta grid resolves the minimum to O(1/samples)
     assert orbit_distance(p, q) < 2.0 * math.pi / 256
     assert orbit_distance(p, q, samples=4096) < 1e-3
-    r = random_unit(6, seed=4)
+    r = unit(6, seed=4)
     assert orbit_distance(p, r) > 0.1
 
 

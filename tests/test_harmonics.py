@@ -10,10 +10,11 @@ from cbplab.bodies import ComplexLqBall, block_moduli, mollify
 from cbplab.harmonics import (_BLOCK_ROWS, _monomials, c_add, c_eval,
                               c_harmonic_components,
                               c_laplacian, c_mul, c_p1, c_scale,
-                              c_sphere_inner, c_sphere_integral,
+                              c_sphere_inner,
                               moduli_gauss_quadrature, power_form_eval,
                               symmetric_harmonic_atoms, symmetric_power_form)
 from cbplab.quadrature import sphere_area
+from checks import c_sphere_integral
 
 
 def dirichlet_points(n, count=256, seed=0):

@@ -13,17 +13,13 @@ from cbplab.fourier import _pairing_core
 from cbplab.frames import make_frame
 from cbplab.quadrature import SphereRule, integrate_sphere, integrate_subsphere
 from cbplab.sections import _STENCILS, _slice_batch_sums
+from checks import unit
 
 #: "batch" stands for the node count of one batch of the rule in use
 _SIZES = st.sampled_from(["batch", 3, 100, 2 ** 14, 2 ** 16])
 
 _BODY4 = mollify(ComplexLqBall(2, 4.0), 0.2)
 _BODY8 = ComplexLqBall(4, 4.0)
-
-
-def _unit(dim, seed):
-    x = np.random.Generator(np.random.Philox(key=seed)).standard_normal(dim)
-    return x / np.linalg.norm(x)
 
 
 def _pass_nodes(size, rule):
@@ -75,7 +71,7 @@ def test_integrate_sphere_is_independent_of_the_pass_size(size):
 
 
 _SUB_RULE = SphereRule(6, "product_gauss", level=9)
-_SUB_BASIS = make_frame(_unit(8, seed=21)).basis
+_SUB_BASIS = make_frame(unit(8, seed=21)).basis
 _SUB_REF = integrate_subsphere(_SUB_RULE, _SUB_BASIS,
                                lambda x: _BODY8.radial(x) ** 6)
 
@@ -93,7 +89,7 @@ def test_integrate_subsphere_is_independent_of_the_pass_size(size):
 
 
 _SLICE_RULE = SphereRule(6, "quasi_monte_carlo", node_count=2 ** 9, seed=5)
-_SLICE_FRAME = make_frame(_unit(8, seed=15))
+_SLICE_FRAME = make_frame(unit(8, seed=15))
 _OFFSETS = np.array(sorted({(i * s, j * s) for s in (0.1, 0.05)
                             for i, j in _STENCILS[2][0]}))
 # a batch sum is a K-row matrix product, whose rounding depends on K
@@ -116,7 +112,7 @@ def test_slice_batch_sums_are_independent_of_the_pass_size(size, count):
 
 
 _PAIR_RULE = SphereRule(4, "quasi_monte_carlo", node_count=2 ** 12, seed=8)
-_PAIR_XI = _unit(4, seed=4)
+_PAIR_XI = unit(4, seed=4)
 _PAIR_PS = ((2.0,), (2.0, 1.5))
 
 

@@ -9,10 +9,7 @@ from cbplab.frames import make_frame
 from cbplab.quadrature import (Estimate, PoisonedEstimateError, SphereRule,
                                fractional_radial, integrate_sphere,
                                integrate_subsphere, kahan_reduce, sphere_area)
-
-
-def kappa(d):
-    return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
+from checks import kappa
 
 
 def test_sphere_area_matches_gamma_formula():

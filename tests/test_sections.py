@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,16 +14,7 @@ from cbplab.sections import (_STENCILS, NoisyEstimateError, RootBracketError,
                              laplacian_at_zero,
                              parallel_section, parallel_sections,
                              section_volume, volume)
-
-
-def kappa(d):
-    return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
-
-
-def unit(dim, seed=0):
-    g = np.random.Generator(np.random.Philox(key=seed))
-    x = g.standard_normal(dim)
-    return x / np.linalg.norm(x)
+from checks import kappa, unit
 
 
 def test_volume_of_scaled_ball():
