@@ -17,8 +17,7 @@ from .harmonics import HarmonicAtom, symmetric_harmonic_atoms
 from .quadrature import (Estimate, PoisonedEstimateError, SphereRule,
                          fractional_radial, integrate_sphere, kahan_reduce,
                          sphere_area)
-from .sections import (NoisyEstimateError, RootBracketError,
-                       laplacian_at_zero, parallel_section,
+from .sections import (RootBracketError, laplacian_at_zero, parallel_section,
                        parallel_sections, section_volume, volume)
 from .specs import SpecError, parse_body, parse_grid, parse_rule
 

@@ -141,8 +141,8 @@ class ComplexLqBall(StarBody):
     def __init__(self, n, q):
         if n < 2:
             raise ValueError("n must be >= 2")
-        if q < 1:
-            raise ValueError("q must be >= 1")
+        if not (math.isfinite(q) and q >= 1):
+            raise ValueError(f"q must be finite and >= 1, not {q}")
         self.n = int(n)
         self.q = float(q)
         self.dim = 2 * self.n
@@ -167,8 +167,9 @@ class ScaledBody(StarBody):
     """lam * K: the gauge divides by lam, the radius multiplies."""
 
     def __init__(self, base: StarBody, lam: float):
-        if lam <= 0:
-            raise ValueError("scale factor must be positive")
+        if not (math.isfinite(lam) and lam > 0):
+            raise ValueError(f"scale factor lam must be finite and positive, "
+                             f"not {lam}")
         self.base = base
         self.lam = float(lam)
         self.dim = base.dim

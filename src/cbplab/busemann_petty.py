@@ -14,6 +14,8 @@ volume change pairs f against the negative transform values).
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -217,8 +219,8 @@ def pair_record(K: RadialPerturbation, L: StarBody) -> dict:
 
 def read_pair_record(report, source: str) -> dict:
     """The pair record of a bp-construct report read from `source`, checked
-    for every key pair_from_record reads: a SpecError names `source` and
-    the first key missing."""
+    for every key pair_from_record reads and for the type of its value: a
+    SpecError names `source` and the first key missing or malformed."""
     def need(record, keys, where):
         if not isinstance(record, dict):
             raise SpecError(f"pair file {source}: {where} is not an object")
@@ -227,16 +229,40 @@ def read_pair_record(report, source: str) -> dict:
                 raise SpecError(f"pair file {source}: {where} has no {key!r}")
         return record
 
+    def real(value):  # a JSON number that reads as a finite float
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and abs(value) <= sys.float_info.max)
+
+    def check(ok, key, what):
+        if not ok:
+            raise SpecError(f"pair file {source}: {key!r} must be {what}")
+
     pair = need(report, ["pair"], "the report")["pair"]
     need(pair, ["K", "L", "eps", "exponent", "bump"], "the pair record")
-    need(pair["bump"], ["label", "c_poly"], "the bump")
+    bump = need(pair["bump"], ["label", "c_poly"], "the bump")
+    for key in ("K", "L"):
+        check(isinstance(pair[key], str), key, "a body spec string")
+    for key in ("eps", "exponent"):
+        check(real(pair[key]), key, "a finite number")
+    check(isinstance(bump["label"], str), "label", "a string")
+    poly = bump["c_poly"]
+    check(isinstance(poly, dict) and all(
+        re.fullmatch(r"[0-9]+( [0-9]+)*", key) and real(v)
+        for key, v in poly.items()),
+        "c_poly", "an object of finite numbers keyed by space-separated "
+        "nonnegative integers")
     return pair
 
 
 def pair_from_record(pair: dict):
-    """(K, L) rebuilt from a pair record; the rebuilt bodies must give
-    back the recorded specs."""
+    """(K, L) rebuilt from a pair record (read_pair_record checks its
+    types); the bump's keys must have one exponent per block of L, and the
+    rebuilt bodies must give back the recorded specs."""
     L = parse_body(pair["L"])
+    for key in pair["bump"]["c_poly"]:
+        if len(key.split()) != L.n_blocks:
+            raise SpecError(f"c_poly key {key!r} needs {L.n_blocks} "
+                            f"exponents, one per block of {L.spec()!r}")
     bump = HarmonicBump({tuple(int(t) for t in key.split()): float(v)
                          for key, v in pair["bump"]["c_poly"].items()},
                         label=pair["bump"]["label"])

@@ -9,8 +9,9 @@ that cannot move a number (--out, --csv, --cache-dir, --no-cache,
 in; bp-verify --pair hashes the file's name and its pair record.  The
 sha256 of their canonical serialization is the config hash, which keys
 the result cache.  Each command takes only the options it reads; argparse
-refuses any other with exit code 2.  Exit codes: 0 on success, 2 when a
-verdict is inconclusive, 1 on errors.
+refuses any other with exit code 2.  Exit codes: 0 on success, 1 on
+errors, and 2 when a verdict is undecided: an inconclusive scan or `ft`
+sample, or a bp-verify tie.
 """
 
 from __future__ import annotations

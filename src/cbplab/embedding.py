@@ -7,11 +7,12 @@ is a witness against that.  Verdicts are statistical: 'inconclusive' is a
 first-class outcome whenever routes disagree or a sign sits inside the
 noise band.
 
-A scan over several exponents shares work: fractional exponents share one
-section profile per direction, and exponents whose minimum lies on the
-same direction share one confirmation pass, in which every exponent takes
-its power of one radial evaluation per node.  Each confirmation equals
-that of a one-exponent call.
+A scan and a scan over several exponents run one sweep (`_sweep`), which
+shares work: fractional exponents share one section profile per
+direction, and exponents whose minimum lies on the same direction share
+one confirmation pass, in which every exponent takes its power of one
+radial evaluation per node.  Each result equals that of a one-exponent
+scan.
 """
 
 from __future__ import annotations
@@ -131,55 +132,47 @@ def _verdicts(body, grid, samples, tol) -> dict:
             for p, row in samples.items()}
 
 
-def scan(body: StarBody, p: float, grid: DirectionGrid,
-         rule: SphereRule = None, tol: float = _TOL,
-         workers: int = 1) -> EmbeddingVerdict:
-    """Sign scan of (||x||^{-p})^ over the grid.
-
-    Per-direction values come from the natural route for p, on `rule` or
-    the route's default; confirm_sample re-evaluates the grid minimum (the
-    one-exponent case of embedding_interval's confirmation).  `workers`
-    threads share the directions; their count must not affect the result:
-    samples are independent and reassembled by index.
+def _sweep(body, ps, grid, rule, tol, workers) -> dict:
+    """Map p -> EmbeddingVerdict for each distinct exponent of `ps`, in
+    order: the one per-direction loop.  Every exponent is checked before
+    any work.  Per direction, derivative exponents go through ft_value and
+    fractional ones share one section profile, on `rule` or the routes'
+    default.  `workers` threads share the directions, reassembled by index.
     """
+    n = body.dim // 2
+    ps = list(dict.fromkeys(float(p) for p in ps))
+    frac = [p for p in ps if natural_route(p, n) == "fractional"]
     pts = grid.points
 
     def one(i):
-        return ft_value(body, pts[i], p, rule)
+        row = {p: ft_value(body, pts[i], p, rule)
+               for p in ps if p not in frac}
+        if frac:
+            spline, cutoff, err = section_profile(body, pts[i], rule)
+            for p in frac:
+                row[p] = fractional_from_profile(
+                    spline, cutoff, err, fractional_order(p, n), n, pts[i])
+        return row
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            samples = list(pool.map(one, range(len(pts))))
+            rows = list(pool.map(one, range(len(pts))))
     else:
-        samples = [one(i) for i in range(len(pts))]
-    return _verdicts(body, grid, {p: samples}, tol)[p]
+        rows = [one(i) for i in range(len(pts))]
+    return _verdicts(body, grid, {p: [row[p] for row in rows] for p in ps},
+                     tol)
+
+
+def scan(body: StarBody, p: float, grid: DirectionGrid,
+         rule: SphereRule = None, tol: float = _TOL,
+         workers: int = 1) -> EmbeddingVerdict:
+    """Sign scan of (||x||^{-p})^ over the grid: the one-exponent sweep,
+    on `rule` or the natural route's default; the directions' results do
+    not depend on `workers`."""
+    return _sweep(body, [p], grid, rule, tol, workers)[float(p)]
 
 
 def embedding_interval(body: StarBody, p_list, grid: DirectionGrid) -> dict:
-    """Batch scan over exponents: map p -> EmbeddingVerdict, each as scan
-    gives it on the default rules and tolerance.
-
-    Every exponent is checked before any work starts, and a repeated one is
-    evaluated once.  Exponents served by the fractional route share one
-    section profile per direction (the profile does not depend on the
-    exponent), which is where nearly all of the per-direction cost lives;
-    the derivative route evaluates each of its exponents per direction.
-    Once every exponent's minimum is known, exponents whose minimum lies
-    on the same direction share one confirmation pass.
-    """
-    n = body.dim // 2
-    ps = list(dict.fromkeys(float(p) for p in p_list))
-    frac_ps = [p for p in ps if natural_route(p, n) == "fractional"]
-    samples = {p: [ft_value(body, xi, p) for xi in grid.points]
-               for p in ps if p not in frac_ps}
-    if frac_ps:
-        rows = []
-        for xi in grid.points:
-            spline, cutoff, err = section_profile(body, xi)
-            rows.append([fractional_from_profile(
-                spline, cutoff, err, fractional_order(p, n), n, xi)
-                for p in frac_ps])
-        for j, p in enumerate(frac_ps):
-            samples[p] = [row[j] for row in rows]
-    verdicts = _verdicts(body, grid, samples, _TOL)
-    return {float(p): verdicts[float(p)] for p in p_list}
+    """Map p -> EmbeddingVerdict, each as scan gives it on the default
+    rules and tolerance, keyed in order of first appearance."""
+    return _sweep(body, p_list, grid, None, _TOL, 1)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy import interpolate, special
@@ -24,13 +23,14 @@ from . import quadrature
 from .bodies import StarBody, block_moduli
 from .frames import make_frame
 from .harmonics import c_eval, symmetric_coefficients
-from .quadrature import (Estimate, SphereRule, fractional_radial,
-                         kahan_reduce, sphere_area)
-from .sections import (NoisyEstimateError, laplacian_at_zero,
-                       parallel_sections, section_volume)
+from .quadrature import (Estimate, SphereRule, _gauss_jacobi,
+                         _gauss_legendre, fractional_radial, kahan_reduce,
+                         sphere_area)
+from .sections import laplacian_at_zero, parallel_sections, section_volume
 
 
 _FD_STEP = 0.1  # difference step h of the derivative route (and h / 2)
+_NOISE_LIMIT = 0.25  # stderr share of |value| above which 'noisy' is set
 _PROFILE_POINTS = 97  # section profile points, equally spaced on [0, rho]
 _MOMENT_NODES = (600, 400)  # radius x cosine nodes of the bump moment
 
@@ -97,7 +97,9 @@ def ft_derivative_route(body: StarBody, xi, m: int,
     """(||x||^{-p})^(xi) for p = 2n - 2m - 2 from Delta^m A_{K,H_xi}(0).
 
     value = (-1)^m 4 pi (n - m - 1) Delta^m A(0) at step _FD_STEP; m = 0
-    uses the central section volume directly.
+    uses the central section volume directly.  An m >= 1 sample whose error
+    bar exceeds _NOISE_LIMIT times its value (near a zero) is kept, flagged
+    'noisy'.
     """
     _require_invariant(body)
     n = body.dim // 2
@@ -114,14 +116,8 @@ def ft_derivative_route(body: StarBody, xi, m: int,
         scale = 4.0 * math.pi * (n - 1)
     else:
         scale = (-1.0) ** m * 4.0 * math.pi * (n - m - 1)
-        try:
-            est = laplacian_at_zero(body, frame, m, _FD_STEP, rule)
-        except NoisyEstimateError as exc:
-            # near a zero of the transform the relative noise gate cannot
-            # pass; keep the estimate with its honest error bar and flag it
-            if exc.estimate is None:
-                raise
-            est = exc.estimate
+        est = laplacian_at_zero(body, frame, m, _FD_STEP, rule)
+        if est.value != 0.0 and est.stderr > _NOISE_LIMIT * abs(est.value):
             flags = ("noisy",)
     return FtSample(xi, float(p), scale * est.value, abs(scale) * est.stderr,
                     "derivative", flags)
@@ -201,24 +197,6 @@ def _radial_cos_integral(t, mu, beta):
     """Exact int_0^inf r^{mu-1} exp(-beta r^2) cos(r t) dr (elementwise)."""
     return (0.5 * beta ** (-mu / 2.0) * special.gamma(mu / 2.0)
             * special.hyp1f1(mu / 2.0, 0.5, -np.square(t) / (4.0 * beta)))
-
-
-@lru_cache(maxsize=None)
-def _gauss_legendre(count):
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1]."""
-    x, w = np.polynomial.legendre.leggauss(count)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
-
-
-@lru_cache(maxsize=None)
-def _gauss_jacobi(count, a):
-    """Read-only Gauss-Jacobi nodes and weights for (1-t)^a (1+t)^a."""
-    t, w = special.roots_jacobi(count, a, a)
-    t.flags.writeable = False
-    w.flags.writeable = False
-    return t, w
 
 
 def _harmonic_bump_moment(d, p, j, sigma):

@@ -19,7 +19,7 @@ from scipy import linalg, special
 
 from .bodies import _block_moduli_columns, _columns
 from .frames import moduli_angle_map
-from .quadrature import sphere_area
+from .quadrature import _gauss_legendre, sphere_area
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +228,7 @@ def moduli_gauss_quadrature(n, res=64):
     sphere as weights . f(m).  Spectrally accurate for smooth integrands.
     """
     res = int(res)
-    x, w = np.polynomial.legendre.leggauss(res)
+    x, w = _gauss_legendre(res)
     m, jac = moduli_angle_map(0.25 * math.pi * (x + 1.0), n)
     wgrids = np.meshgrid(*([0.25 * math.pi * w] * (n - 1)), indexing="ij")
     weights = np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1)

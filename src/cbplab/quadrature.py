@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import integrate, special, stats
@@ -56,6 +57,24 @@ class Estimate:
         ests = np.asarray(batch_sums) * len(batch_sums)
         stderr = float(np.std(ests, ddof=1) / math.sqrt(len(ests)))
         return cls(value, stderr, rule.node_count, method)
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(count):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1]."""
+    x, w = np.polynomial.legendre.leggauss(count)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+@lru_cache(maxsize=None)
+def _gauss_jacobi(count, a):
+    """Read-only Gauss-Jacobi nodes and weights for (1-t)^a (1+t)^a."""
+    t, w = special.roots_jacobi(count, a, a)
+    t.flags.writeable = False
+    w.flags.writeable = False
+    return t, w
 
 
 _KINDS = ("monte_carlo", "quasi_monte_carlo", "product_gauss")
@@ -120,9 +139,7 @@ class SphereRule:
         axes = []
         for d in range(self.dim, 2, -1):
             # t = cos(polar angle), weight (1-t^2)^{(d-3)/2}
-            a = (d - 3) / 2.0
-            t, w = special.roots_jacobi(self.level, a, a)
-            axes.append((t, w))
+            axes.append(_gauss_jacobi(self.level, (d - 3) / 2.0))
         m = 2 * self.level
         ang = 2.0 * math.pi * np.arange(m) / m
         axes.append((ang, np.full(m, 2.0 * math.pi / m)))

@@ -7,7 +7,8 @@ pair is found by vectorised bisection, in passes of at most
 `quadrature._PASS_NODES` pairs, the bound of every gauge call.  Each batch
 of nodes is mapped into the section subspace on its own, so every root and
 every batch sum is bit-identical to a loop over the offsets and batches of
-the same call."""
+the same call.  Estimates keep their error bars, never gated for noise here:
+the derivative route (`fourier`) flags a noisy sample."""
 
 from __future__ import annotations
 
@@ -22,20 +23,6 @@ from .quadrature import (Estimate, SphereRule, _node_passes,
 
 class RootBracketError(RuntimeError):
     """Bisection bracket for a boundary crossing could not be established."""
-
-
-class NoisyEstimateError(RuntimeError):
-    """A finite-difference combination drowned in quadrature noise.
-
-    Carries the offending estimate so sign-scanning callers can keep it as
-    a flagged sample: near a zero of the target the relative gate can never
-    pass, yet the value and its honest error bar are exactly what a scan
-    needs there.
-    """
-
-    def __init__(self, message, estimate=None):
-        super().__init__(message)
-        self.estimate = estimate
 
 
 def _polar(est: Estimate, k: int, method: str) -> Estimate:
@@ -216,11 +203,11 @@ _STENCILS = {
 
 
 def laplacian_at_zero(body: StarBody, frame: ComplexFrame, m: int, h: float,
-                      rule: SphereRule, noise_limit=0.25) -> Estimate:
+                      rule: SphereRule) -> Estimate:
     """Delta^m A_{K,H_xi}(0) by 2-D central differences, always Richardson
     extrapolated over the steps {h, h/2}: (4 D(h/2) - D(h)) / 3 per batch.
-    All slices share quadrature nodes.  Raises NoisyEstimateError when the
-    error bar exceeds noise_limit times the value."""
+    All slices share quadrature nodes.  The estimate carries its error bar
+    whatever its size; judging it is the caller's job."""
     if not body.smooth:
         raise ValueError("laplacian_at_zero needs a C2-smooth body")
     if m not in (1, 2):
@@ -245,10 +232,4 @@ def laplacian_at_zero(body: StarBody, frame: ComplexFrame, m: int, h: float,
         return comb / step ** (2 * m)
 
     per_batch = (4.0 * fd(h / 2.0) - fd(h)) / 3.0
-    est = Estimate.from_batches(per_batch, rule, f"laplacian_m{m}")
-    if est.value != 0.0 and est.stderr > noise_limit * abs(est.value):
-        raise NoisyEstimateError(
-            f"finite-difference stderr {est.stderr:.3g} exceeds "
-            f"{noise_limit:.0%} of |{est.value:.3g}|; increase the node count",
-            estimate=est)
-    return est
+    return Estimate.from_batches(per_batch, rule, f"laplacian_m{m}")

@@ -3,10 +3,15 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from cbplab import cli
+from cbplab import busemann_petty, cli
+from cbplab.busemann_petty import pair_from_record, read_pair_record
 from cbplab.cli import CACHE_ENV, config_hash, main
+from cbplab.specs import SpecError, parse_body, parse_grid
 
 
 def run(tmp_path, *argv, name="report.json", cache=None, extra_env=None):
@@ -278,11 +283,16 @@ def test_report_goes_to_stdout_without_out(capsys, tmp_path):
 _PAIR_K = "perturb:base=(clq:n=2,q=4),eps=0.01,bump=bump,exponent=2"
 
 
-def _write_pair(path, **changes):
+def _pair(**changes):
+    """The pair record of a valid n = 2 pair file, with `changes`."""
     pair = {"K": _PAIR_K, "L": "clq:n=2,q=4", "eps": 0.01, "exponent": 2,
             "bump": {"label": "bump", "c_poly": {"2 0": 1.0, "0 2": 1.0}}}
     pair.update(changes)
-    path.write_text(json.dumps({"pair": pair}))
+    return pair
+
+
+def _write_pair(path, **changes):
+    path.write_text(json.dumps({"pair": _pair(**changes)}))
     return str(path)
 
 
@@ -312,12 +322,36 @@ def test_pair_whose_specs_do_not_match_its_bodies_is_refused(tmp_path,
     assert "differ from the recorded K and L" in capsys.readouterr().err
 
 
+def _bump(**changes):
+    return dict({"label": "bump", "c_poly": {"2 0": 1.0, "0 2": 1.0}},
+                **changes)
+
+
 @pytest.mark.parametrize("doc, missing", [
     ({}, "no 'pair'"),
     ([1], "not an object"),
     ({"pair": {"K": "x"}}, "no 'L'"),
-    ({"pair": {"K": "x", "L": "ball:dim=8"}}, "no 'eps'")],
-    ids=["no_pair", "not_an_object", "no_L", "no_eps"])
+    ({"pair": {"K": "x", "L": "ball:dim=8"}}, "no 'eps'"),
+    ({"pair": _pair(L=5)}, "'L' must be a body spec string"),
+    ({"pair": _pair(K=None)}, "'K' must be a body spec string"),
+    ({"pair": _pair(exponent="2")}, "'exponent' must be a finite number"),
+    ({"pair": _pair(exponent=None)}, "'exponent' must be a finite number"),
+    ({"pair": _pair(exponent=True)}, "'exponent' must be a finite number"),
+    ({"pair": _pair(eps=None)}, "'eps' must be a finite number"),
+    ({"pair": _pair(eps=math.nan)}, "'eps' must be a finite number"),
+    ({"pair": _pair(eps=10 ** 400)}, "'eps' must be a finite number"),
+    ({"pair": _pair(bump=_bump(label=3))}, "'label' must be a string"),
+    ({"pair": _pair(bump=_bump(c_poly=[1.0]))}, "'c_poly' must be an object"),
+    ({"pair": _pair(bump=_bump(c_poly={"2 0": None}))}, "'c_poly' must be"),
+    ({"pair": _pair(bump=_bump(c_poly={"2 0": math.inf}))},
+     "'c_poly' must be"),
+    ({"pair": _pair(bump=_bump(c_poly={"2 -1": 1.0}))}, "'c_poly' must be"),
+    ({"pair": _pair(bump=_bump(c_poly={"2,0": 1.0}))}, "'c_poly' must be")],
+    ids=["no_pair", "not_an_object", "no_L", "no_eps", "int_L", "null_K",
+         "string_exponent", "null_exponent", "bool_exponent", "null_eps",
+         "nan_eps", "huge_eps", "int_label", "list_c_poly",
+         "null_coefficient", "inf_coefficient", "negative_power",
+         "comma_key"])
 def test_malformed_pair_files_are_refused_by_name(tmp_path, capsys, doc,
                                                   missing):
     path = tmp_path / "bad_pair.json"
@@ -326,6 +360,79 @@ def test_malformed_pair_files_are_refused_by_name(tmp_path, capsys, doc,
     assert code == 1 and rec is None
     err = capsys.readouterr().err
     assert "usage error" in err and str(path) in err and missing in err
+
+
+@pytest.mark.parametrize("key", ["2", "2 0 0"])
+def test_bump_keys_need_one_exponent_per_block(tmp_path, capsys, key):
+    path = _write_pair(tmp_path / "pair.json", bump=_bump(c_poly={key: 1.0}))
+    code, rec = run(tmp_path, "bp-verify", "--pair", path)
+    assert code == 1 and rec is None
+    err = capsys.readouterr().err
+    assert f"c_poly key {key!r} needs 2 exponents, one per block" in err
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(), inner, max_size=3)),
+    max_leaves=6)
+
+
+@given(field=st.sampled_from(["K", "L", "eps", "exponent", "bump", "label",
+                              "c_poly"]),
+       value=_JSON)
+def test_a_pair_record_rebuilds_or_is_refused_as_a_value_error(field, value):
+    # one field of a valid record replaced by any JSON value: reading and
+    # rebuilding it never ends in a TypeError, AttributeError, KeyError,
+    # IndexError or OverflowError
+    pair = _pair()
+    if field in ("label", "c_poly"):
+        pair["bump"] = _bump(**{field: value})
+    else:
+        pair[field] = value
+    try:
+        record = read_pair_record({"pair": pair}, "drawn.json")
+    except SpecError:
+        return  # a malformed record, refused by name
+    try:
+        K, L = pair_from_record(record)
+    except ValueError:
+        return  # a well-formed record whose bodies cannot be built
+    assert (K.spec(), L.spec()) == (pair["K"], pair["L"])
+
+
+@pytest.mark.parametrize("spec, field", [
+    ("clq:n=2,q=inf", "q"), ("clq:n=2,q=1e400", "q"), ("clq:n=2,q=nan", "q"),
+    ("clq:n=2,q=-inf", "q"), ("scale:base=(ball:dim=4),lam=nan", "lam"),
+    ("scale:base=(ball:dim=4),lam=inf", "lam")])
+def test_non_finite_body_parameters_are_refused_by_name(capsys, spec, field):
+    with pytest.raises(ValueError, match=rf"\b{field} must be finite"):
+        parse_body(spec)
+    assert main(["volume", "--body", spec, "--no-cache"]) == 1
+    assert f"{field} must be finite" in capsys.readouterr().err
+
+
+def test_a_tie_exits_two_with_its_report(tmp_path, monkeypatch):
+    # one positive section gap inside its own 3-stderr band, all others
+    # clearly negative
+    def tied(K, L, grid, rule):
+        gaps = np.full(len(grid.points), -1.0)
+        gaps[0] = 2e-3
+        return gaps, np.full(len(grid.points), 1e-3)
+
+    monkeypatch.setattr(busemann_petty, "_section_gaps", tied)
+    K, L = parse_body("scale:base=(ball:dim=4),lam=0.9"), parse_body(
+        "ball:dim=4")
+    report = busemann_petty.bp_verify(K, L, parse_grid(
+        "grid:dim=4,res=8,reduce=orbit"))
+    assert report.verdict == "not_dominated" and report.flags == ("tie",)
+    assert report.details == {"exceed_count": 0, "tie_count": 1}
+    code, rec = run(tmp_path, "bp-verify", "--K", K.spec(), "--L", L.spec())
+    assert code == 2 and rec["exit_code"] == 2
+    [result] = rec["results"]
+    assert result["verdict"] == "not_dominated"
+    assert result["flags"] == ["tie"]
+    assert result["details"]["tie_count"] == 1
 
 
 def test_pair_files_with_different_bumps_do_not_share_a_cache_entry(tmp_path):

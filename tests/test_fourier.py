@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from cbplab import fourier
 from cbplab.bodies import (ComplexLqBall, EuclideanBall, RadialPerturbation,
                            mollify)
 from cbplab.fourier import (FtSample, UnsupportedRouteError,
@@ -14,7 +15,7 @@ from cbplab.fourier import (FtSample, UnsupportedRouteError,
                             ft_multiplier_route, ft_value, pairing_oracle)
 from cbplab.frames import make_grid, rotate
 from cbplab.harmonics import symmetric_harmonic_atoms
-from cbplab.quadrature import SphereRule, sphere_area
+from cbplab.quadrature import Estimate, SphereRule, sphere_area
 from checks import agrees, parseval_check, sph_identity_check, unit
 
 
@@ -42,6 +43,29 @@ def test_derivative_route_on_the_ball():
         assert sample.method == "derivative"
         assert sample.value == pytest.approx(
             classical_ft_constant(d, p), rel=1e-3)
+
+
+@pytest.mark.parametrize("value", [2.0, -2.0])
+def test_derivative_route_flags_an_error_bar_above_a_quarter_of_the_value(
+        monkeypatch, value):
+    # the noise gate lives in the derivative route: exactly a quarter of
+    # |value| passes, the next float above it is flagged, and m = 0 is not
+    # gated; the sample keeps its value and error bar either way
+    def laplacian(body, frame, m, h, rule, stderr):
+        return Estimate(value, stderr, 1, f"laplacian_m{m}")
+
+    xi = unit(6, seed=3)
+    scale = 4.0 * math.pi
+    for stderr, flags in [(0.5, ()), (np.nextafter(0.5, 1.0), ("noisy",))]:
+        monkeypatch.setattr(fourier, "laplacian_at_zero",
+                            lambda *args, s=stderr: laplacian(*args, s))
+        sample = ft_derivative_route(EuclideanBall(6), xi, 1)
+        assert sample.flags == flags, stderr
+        assert (sample.value, sample.stderr) == (-scale * value,
+                                                 scale * stderr)
+    monkeypatch.setattr(fourier, "section_volume",
+                        lambda *args: Estimate(value, 10.0, 1, "section"))
+    assert ft_derivative_route(EuclideanBall(6), xi, 0).flags == ()
 
 
 def test_fractional_route_on_the_ball_dim4():
