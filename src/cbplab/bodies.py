@@ -187,10 +187,6 @@ class ScaledBody(StarBody):
                 f"lam={_spec_number(self.lam)}")
 
 
-def scale(body: StarBody, lam: float) -> ScaledBody:
-    return ScaledBody(body, lam)
-
-
 class RadialPerturbation(StarBody):
     """Body K with rho_K^s = rho_L^s - eps * g on the sphere, i.e.
     ||x||_K^{-s} = ||x||_L^{-s} - eps g(x/|x|) |x|^{-s}."""
@@ -199,8 +195,11 @@ class RadialPerturbation(StarBody):
 
     def __init__(self, base: StarBody, exponent: float, amplitude: float, bump,
                  bump_id="custom", seed=7):
-        if exponent <= 0:
-            raise ValueError("exponent must be positive")
+        if not (math.isfinite(exponent) and exponent > 0):
+            raise ValueError(f"exponent must be finite and positive, not "
+                             f"{exponent}")
+        if not math.isfinite(amplitude):
+            raise ValueError(f"amplitude must be finite, not {amplitude}")
         self.base = base
         self.s = float(exponent)
         self.eps = float(amplitude)

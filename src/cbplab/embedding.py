@@ -7,12 +7,11 @@ is a witness against that.  Verdicts are statistical: 'inconclusive' is a
 first-class outcome whenever routes disagree or a sign sits inside the
 noise band.
 
-A scan and a scan over several exponents run one sweep (`_sweep`), which
-shares work: fractional exponents share one section profile per
-direction, and exponents whose minimum lies on the same direction share
-one confirmation pass, in which every exponent takes its power of one
-radial evaluation per node.  Each result equals that of a one-exponent
-scan.
+This module only reduces samples to verdicts.  A scan and a scan over
+several exponents run one sweep (`_sweep`): per direction one
+`fourier.ft_values` call evaluates every exponent, and exponents whose
+minimum lies on the same direction share one confirmation pass.  Each
+result equals that of a one-exponent scan.
 """
 
 from __future__ import annotations
@@ -25,9 +24,7 @@ import numpy as np
 
 from .bodies import StarBody
 from .frames import DirectionGrid
-from .fourier import (FtSample, fractional_from_profile, fractional_order,
-                      ft_value, natural_route, pairing_oracle,
-                      section_profile)
+from .fourier import FtSample, ft_values, pairing_oracle
 from .quadrature import SphereRule
 
 
@@ -134,25 +131,15 @@ def _verdicts(body, grid, samples, tol) -> dict:
 
 def _sweep(body, ps, grid, rule, tol, workers) -> dict:
     """Map p -> EmbeddingVerdict for each distinct exponent of `ps`, in
-    order: the one per-direction loop.  Every exponent is checked before
-    any work.  Per direction, derivative exponents go through ft_value and
-    fractional ones share one section profile, on `rule` or the routes'
-    default.  `workers` threads share the directions, reassembled by index.
+    order: the one per-direction loop, on `rule` or the routes' default.
+    ft_values checks every exponent before any work.  `workers` threads
+    share the directions, reassembled by index.
     """
-    n = body.dim // 2
     ps = list(dict.fromkeys(float(p) for p in ps))
-    frac = [p for p in ps if natural_route(p, n) == "fractional"]
     pts = grid.points
 
     def one(i):
-        row = {p: ft_value(body, pts[i], p, rule)
-               for p in ps if p not in frac}
-        if frac:
-            spline, cutoff, err = section_profile(body, pts[i], rule)
-            for p in frac:
-                row[p] = fractional_from_profile(
-                    spline, cutoff, err, fractional_order(p, n), n, pts[i])
-        return row
+        return dict(zip(ps, ft_values(body, pts[i], ps, rule)))
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -9,6 +9,9 @@ Conventions: f_hat(y) = int f(x) exp(-i<x,y>) dx, so that
 For a body K invariant under the common blockwise rotation, the transform
 of ||x||_K^{-p} restricted to the unit sphere is constant along rotation
 orbits, and values at non-unit y follow by (p - d)-homogeneity.
+
+Exponents are routed in one place, `_route`; `ft_values` evaluates a list
+of them at one direction and shares what the routes allow.
 """
 
 from __future__ import annotations
@@ -72,20 +75,6 @@ def default_section_rule(dim) -> SphereRule:
         return SphereRule(dim - 2, "product_gauss", level=16)
     return SphereRule(dim - 2, "quasi_monte_carlo", node_count=2 ** 14,
                       seed=0)
-
-
-def derivative_order(p: float, n: int):
-    """m with p = 2n - 2m - 2 and 0 <= m < n - 1, the Laplacian power of the
-    derivative route in dim 2n, or None when p is not of that form."""
-    if not math.isfinite(p) or abs(p - round(p)) >= 1e-12 or round(p) % 2:
-        return None
-    m = (2 * n - 2 - round(p)) // 2
-    return m if 0 <= m < n - 1 else None
-
-
-def fractional_order(p: float, n: int) -> float:
-    """q = 2n - p - 2 of the fractional route, rounded alike for all."""
-    return 2 * n - p - 2
 
 
 # ---------------------------------------------------------------------------
@@ -173,20 +162,6 @@ def fractional_from_profile(spline, cutoff, max_err, q, n, xi) -> FtSample:
         max_err * (1.0 / q + 1.0 / (2.0 - q)) * max(cutoff, 1.0))
     return FtSample(np.asarray(xi, dtype=float), p, scale * pairing, stderr,
                     "fractional")
-
-
-def ft_fractional_route(body: StarBody, xi, q: float,
-                        rule: SphereRule = None) -> FtSample:
-    """(||x||^{-p})^(xi) for p = 2n - q - 2, q in (0, 2).
-
-    The section profile t -> A(t theta) is constant over the circle of
-    offset directions theta by rotation invariance, so the planar pairing
-    <|u|^{-q-2}/Gamma(-q/2), A(u)> collapses to 2 pi times the fractional
-    radial integral of one spline-interpolated profile.
-    """
-    spline, cutoff, max_err = section_profile(body, xi, rule)
-    return fractional_from_profile(spline, cutoff, max_err, q,
-                                   body.dim // 2, xi)
 
 
 # ---------------------------------------------------------------------------
@@ -417,35 +392,55 @@ def ft_multiplier_route(body: StarBody, xi, p: float, max_degree: int = 12,
 # route dispatch
 # ---------------------------------------------------------------------------
 
-def natural_route(p: float, n: int) -> str:
-    """The route ft_value takes for p in dim 2n when no method is named:
-    'derivative' when p = 2m + 2, 'fractional' when 2n - p - 2 in (0, 2).
-    Raises UnsupportedRouteError when neither reaches p."""
-    if derivative_order(p, n) is not None:
-        return "derivative"
-    if 0.0 < fractional_order(p, n) < 2.0:
-        return "fractional"
+def _route(p: float, n: int, method: str = None):
+    """(route, order) of p in dim 2n by the named method, or by the natural
+    route: 'derivative' with m where p = 2n - 2m - 2 and 0 <= m < n - 1,
+    else 'fractional' with q = 2n - p - 2 in (0, 2).  'pairing' and
+    'multiplier' take any p and no order.  Raises UnsupportedRouteError
+    when the route does not reach p."""
+    if method in ("pairing", "multiplier"):
+        return method, None
+    if (method in (None, "derivative") and math.isfinite(p)
+            and abs(p - round(p)) < 1e-12 and not round(p) % 2
+            and 0 <= (m := (2 * n - 2 - round(p)) // 2) < n - 1):
+        return "derivative", m
+    if method == "derivative":
+        raise UnsupportedRouteError(f"p={p} is not of the form 2m+2")
+    q = 2 * n - p - 2
+    if 0.0 < q < 2.0:
+        return "fractional", q
+    if method is None:
+        raise UnsupportedRouteError(
+            f"no implemented route reaches p={p} in dim {2 * n}")
     raise UnsupportedRouteError(
-        f"no implemented route reaches p={p} in dim {2 * n}")
+        f"the fractional route needs 2n - p - 2 in (0, 2), not {q}")
+
+
+def ft_values(body: StarBody, xi, ps, rule: SphereRule = None,
+              method: str = None) -> list[FtSample]:
+    """Evaluate (||x||^{-p})^(xi) for each exponent of `ps`, by the named
+    method or each one's natural route; one FtSample per exponent, in
+    order.  Every exponent is routed before any work and a repeated one is
+    evaluated once; fractional exponents share one section profile and
+    pairing ones one pass, so each sample equals a one-exponent call's."""
+    n = body.dim // 2
+    routes = {p: _route(p, n, method) for p in ps}
+    done, profile = {}, None
+    for p, (route, order) in routes.items():
+        if route == "derivative":
+            done[p] = ft_derivative_route(body, xi, order, rule)
+        elif route == "multiplier":
+            done[p] = ft_multiplier_route(body, xi, p)
+        elif route == "fractional":
+            profile = profile or section_profile(body, xi, rule)
+            done[p] = fractional_from_profile(*profile, order, n, xi)
+    pair = [p for p, (route, _) in routes.items() if route == "pairing"]
+    if pair:
+        done.update(zip(pair, pairing_oracle(body, xi, pair, rule=rule)))
+    return [done[p] for p in ps]
 
 
 def ft_value(body: StarBody, xi, p: float, rule: SphereRule = None,
              method: str = None) -> FtSample:
-    """Evaluate (||x||^{-p})^(xi) by the named method, or by the natural
-    route for this exponent (natural_route)."""
-    n = body.dim // 2
-    method = method or natural_route(p, n)
-    if method == "pairing":
-        return pairing_oracle(body, xi, [p], rule=rule)[0]
-    if method == "multiplier":
-        return ft_multiplier_route(body, xi, p)
-    if method == "derivative":
-        m = derivative_order(p, n)
-        if m is None:
-            raise UnsupportedRouteError(f"p={p} is not of the form 2m+2")
-        return ft_derivative_route(body, xi, m, rule)
-    q = fractional_order(p, n)
-    if not 0.0 < q < 2.0:
-        raise UnsupportedRouteError(
-            f"the fractional route needs 2n - p - 2 in (0, 2), not {q}")
-    return ft_fractional_route(body, xi, q, rule)
+    """Evaluate (||x||^{-p})^(xi): the one-exponent case of ft_values."""
+    return ft_values(body, xi, [p], rule, method)[0]

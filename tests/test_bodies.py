@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cbplab.bodies import (ComplexLqBall, EuclideanBall, MollifiedBody,
                            RadialPerturbation, ScaledBody, _sum_squares,
-                           block_moduli, convexity_probe, mollify, scale)
+                           block_moduli, convexity_probe, mollify)
 from cbplab.busemann_petty import HarmonicBump
 from cbplab.frames import rotate
 from cbplab.harmonics import c_eval
@@ -69,7 +69,7 @@ def test_clq_norm_homogeneous_and_invariant():
 
 def test_scaled_body():
     ball = EuclideanBall(6)
-    big = scale(ball, 2.0)
+    big = ScaledBody(ball, 2.0)
     x = unit_sample(6, 16, seed=7)
     assert np.allclose(big.norm(x), 0.5)
     assert big.r_min == big.r_max == 2.0
@@ -145,6 +145,35 @@ def test_radial_perturbation_rejects_lost_positivity():
                            bump_id="const")
 
 
+def _wiggle(theta):
+    theta = np.atleast_2d(theta)
+    return np.cos(4.0 * theta[:, 0])
+
+
+@pytest.mark.parametrize("field", ["exponent", "amplitude"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_radial_perturbation_refuses_a_non_finite_field_by_name(field, bad):
+    calls = []
+
+    def bump(theta):
+        calls.append(theta)
+        return _wiggle(theta)
+
+    fields = {"exponent": 2.0, "amplitude": 0.05, field: bad}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        RadialPerturbation(EuclideanBall(4), bump=bump, **fields)
+    assert calls == []  # refused before any sampling
+
+
+def test_radial_perturbation_builds_a_valid_body_as_before():
+    body = RadialPerturbation(EuclideanBall(4), 2.0, 0.05, _wiggle,
+                              bump_id="wiggle")
+    x = np.array([[1.0, 0, 0, 0], [0.6, 0, 0.8, 0], [0.5, 0.5, 0.5, 0.5]])
+    assert (body.r_min, body.r_max) == (0.9733961166990268, 1.025914226416093)
+    assert list(body.norm(x)) == [0.9840488504365432, 0.9820597489247793,
+                                  0.9897559188119114]
+
+
 def test_spec_round_trip():
     bodies = [EuclideanBall(8), ComplexLqBall(4, 4.0),
               ScaledBody(EuclideanBall(6), 0.9),
@@ -200,7 +229,7 @@ def test_every_body_spec_round_trips_exactly(body):
 def test_default_specs_keep_their_short_form():
     assert (mollify(ComplexLqBall(2, 4.0), 0.1).spec()
             == "mollify:base=(clq:n=2,q=4),width=0.1")
-    assert (scale(EuclideanBall(6), 0.9).spec()
+    assert (ScaledBody(EuclideanBall(6), 0.9).spec()
             == "scale:base=(ball:dim=6),lam=0.9")
     assert (mollify(EuclideanBall(4), 0.1234567891, max_degree=8).spec()
             == "mollify:base=(ball:dim=4),width=0.1234567891,max_degree=8")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cbplab.bodies import (ComplexLqBall, EuclideanBall, RadialPerturbation,
-                           block_moduli, scale)
+                           ScaledBody, block_moduli)
 from cbplab.busemann_petty import (ConstructionImpossibleError, HarmonicBump,
                                    _negative_weighted_square, _section_gaps,
                                    _volume_gap, bp_construct, bp_verify,
@@ -22,7 +22,8 @@ def grid6():
 
 
 def test_scaled_ball_is_consistent(grid6):
-    report = bp_verify(scale(EuclideanBall(6), 0.9), EuclideanBall(6), grid6)
+    report = bp_verify(ScaledBody(EuclideanBall(6), 0.9), EuclideanBall(6),
+                       grid6)
     assert report.verdict == "consistent"
     assert report.max_gap < 0.0
     assert report.vol_gap.value < 0.0
@@ -37,7 +38,8 @@ def test_identical_bodies_are_consistent_with_zero_gaps(grid6):
 
 
 def test_reversed_pair_is_not_dominated(grid6):
-    report = bp_verify(EuclideanBall(6), scale(EuclideanBall(6), 0.9), grid6)
+    report = bp_verify(EuclideanBall(6), ScaledBody(EuclideanBall(6), 0.9),
+                       grid6)
     assert report.verdict == "not_dominated"
     assert report.details["exceed_count"] == len(grid6.points)
 
@@ -50,7 +52,8 @@ def test_dimension_mismatch_rejected(grid6):
 
 
 def test_holder_chain_for_scaled_pair():
-    out = holder_chain_check(scale(EuclideanBall(6), 0.9), EuclideanBall(6))
+    out = holder_chain_check(ScaledBody(EuclideanBall(6), 0.9),
+                             EuclideanBall(6))
     assert out["ok"]
     assert out["slack1"] > 0.0
     assert out["slack2"] > 0.0

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cbplab import busemann_petty, cli
-from cbplab.busemann_petty import pair_from_record, read_pair_record
+from cbplab import busemann_petty, cli, embedding
+from cbplab.busemann_petty import (bp_verify, pair_from_record, pair_record,
+                                   read_pair_record)
 from cbplab.cli import CACHE_ENV, config_hash, main
+from cbplab.fourier import FtSample
 from cbplab.specs import SpecError, parse_body, parse_grid
 
 
@@ -51,6 +53,29 @@ def test_ft_auto_uses_derivative_and_checks_the_baseline(tmp_path):
     result = rec["results"][0]
     assert result["method"] == "derivative"
     assert rec["baselines_checked"][0]["passed"]
+
+
+def test_ft_multiplier_at_an_explicit_direction(tmp_path):
+    code, rec = run(tmp_path, "ft", "--body", "ball:dim=4", "--p", "2",
+                    "--method", "multiplier", "--xi", "0,3,0,4")
+    assert code == 0
+    [result] = rec["results"]
+    assert result["xi"] == [0.0, 0.6, 0.0, 0.8]
+    assert result["method"] == "multiplier"
+    [baseline] = rec["baselines_checked"]
+    assert baseline["passed"] and baseline["rel_gap"] < 1e-12
+
+
+def test_an_inconclusive_scan_exits_two_with_its_report(tmp_path,
+                                                        monkeypatch):
+    # a confirmation far from the primary route: the routes disagree
+    monkeypatch.setattr(embedding, "confirm_sample", lambda body, xi, ps: [
+        FtSample(xi, p, 1e6, 1.0, "pairing") for p in ps])
+    code, rec = run(tmp_path, "scan", "--body", "ball:dim=4", "--p", "2")
+    assert code == 2 and rec["exit_code"] == 2
+    [result] = rec["results"]
+    assert result["conclusion"] == "inconclusive"
+    assert result["routes"]["agreement_z"] > 5.0
 
 
 def test_scan_writes_csv_and_exits_zero(tmp_path):
@@ -312,6 +337,37 @@ def test_pair_cache_hit_builds_no_body(tmp_path, monkeypatch):
                     cache=cache)
     assert code == 0 and hit["cached"] is True
     assert hit["results"] == cold["results"]
+
+
+def test_a_constructed_pair_report_is_verified_from_its_file(tmp_path,
+                                                           monkeypatch):
+    K, L = pair_from_record(_pair())
+    report = bp_verify(K, L, parse_grid("grid:dim=4,res=8,reduce=orbit"))
+
+    def construct(n, q, width, seed):
+        return K, L, report, {"eps": [K.eps], "halvings": 0, "bump": "f"}
+
+    monkeypatch.setattr(cli, "bp_construct", construct)
+    code, built = run(tmp_path, "bp-construct", "--n", "2", "--q", "4",
+                      name="pair.json")
+    assert code == 0 and built["exit_code"] == 0
+    assert built["pair"] == pair_record(K, L)
+    assert built["trace"] == {"eps": [K.eps], "halvings": 0}
+    [made] = built["results"]
+    assert made["verdict"] == report.verdict
+
+    table = tmp_path / "t.csv"
+    code, verified = run(tmp_path, "bp-verify", "--pair",
+                         str(tmp_path / "pair.json"), "--csv", str(table))
+    assert code == 0
+    [result] = verified["results"]
+    assert result["verdict"] == made["verdict"]
+    with open(table) as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(report.gaps)
+    # the file's sorted keys reorder the bump's terms: round-off only
+    assert max(float(r["gap"]) for r in rows) == pytest.approx(
+        made["max_gap"], rel=1e-9)
 
 
 def test_pair_whose_specs_do_not_match_its_bodies_is_refused(tmp_path,

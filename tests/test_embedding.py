@@ -5,8 +5,10 @@ import pytest
 
 from cbplab import embedding, fourier
 from cbplab.bodies import ComplexLqBall, EuclideanBall, mollify
-from cbplab.embedding import confirm_sample, embedding_interval, scan
-from cbplab.fourier import UnsupportedRouteError, classical_ft_constant
+from cbplab.embedding import (_assemble, confirm_sample, embedding_interval,
+                              scan)
+from cbplab.fourier import (FtSample, UnsupportedRouteError,
+                            classical_ft_constant)
 from cbplab.frames import make_grid
 
 
@@ -108,7 +110,7 @@ def test_embedding_interval_confirms_once_per_minimum_direction(
 @pytest.mark.parametrize("bad", [math.nan, 3.5, 0.0, -1.0])
 def test_embedding_interval_rejects_a_bad_exponent_before_any_work(
         grid4, b42, monkeypatch, bad):
-    profiles = _counted(monkeypatch, embedding, "section_profile")
+    profiles = _counted(monkeypatch, fourier, "section_profile")
     derivatives = _counted(monkeypatch, fourier, "ft_derivative_route")
     with pytest.raises(UnsupportedRouteError,
                        match=rf"no implemented route reaches p={bad} in dim 4"):
@@ -119,7 +121,7 @@ def test_embedding_interval_rejects_a_bad_exponent_before_any_work(
 def test_embedding_interval_evaluates_a_repeated_exponent_once(monkeypatch):
     body = mollify(ComplexLqBall(2, 4.0), 0.2)
     grid = make_grid(4, 8, reduction="orbit_reduced", sort_moduli=True)
-    finishes = _counted(monkeypatch, embedding, "fractional_from_profile")
+    finishes = _counted(monkeypatch, fourier, "fractional_from_profile")
     out = embedding_interval(body, [1.5, 1.5, 1], grid)
     assert list(out) == [1.5, 1.0]
     assert len(finishes) == 2 * len(grid.points)
@@ -150,3 +152,32 @@ def test_embedding_interval_values_are_those_of_scan_at_any_exponent():
     alone = scan(body, 0.2, grid)
     assert np.array_equal(interval.values, alone.values)
     assert np.array_equal(interval.stderrs, alone.stderrs)
+
+
+def _samples(grid, values, stderr, method="derivative"):
+    return [FtSample(pt, 2.0, v, stderr, method)
+            for pt, v in zip(grid.points, values)]
+
+
+def test_routes_that_disagree_are_inconclusive():
+    grid = make_grid(4, 8, reduction="orbit_reduced", sort_moduli=True)
+    values = 1.0 + np.arange(len(grid.points))
+    [confirm] = _samples(grid, [10.0], 0.1, "pairing")
+    verdict = _assemble(EuclideanBall(4), 2.0, grid,
+                        _samples(grid, values, 0.1), 0, confirm, 1e-3)
+    assert verdict.routes["agreement_z"] > 5.0
+    assert verdict.conclusion == "inconclusive"
+
+
+def test_a_witness_the_confirmation_does_not_share_is_inconclusive():
+    grid = make_grid(4, 8, reduction="orbit_reduced", sort_moduli=True)
+    values = np.full(len(grid.points), 2.0)
+    values[0] = -1.0  # below -3 stderr - floor on the primary route
+    # the routes agree (z <= 5), but the confirmation is not below -3 stderr
+    [confirm] = _samples(grid, [-0.25], 0.2, "pairing")
+    verdict = _assemble(EuclideanBall(4), 2.0, grid,
+                        _samples(grid, values, 0.1), 0, confirm, 1e-3)
+    assert verdict.routes["agreement_z"] <= 5.0
+    assert confirm.value >= -3.0 * confirm.stderr
+    assert verdict.min_value < -(3.0 * verdict.min_stderr)
+    assert verdict.conclusion == "inconclusive"

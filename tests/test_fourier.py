@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import special
 
 from cbplab import fourier
@@ -11,8 +13,8 @@ from cbplab.fourier import (FtSample, UnsupportedRouteError,
                             _gauss_jacobi, _gauss_legendre,
                             _harmonic_bump_moment, _pairing_core,
                             classical_ft_constant, classical_multiplier,
-                            ft_derivative_route, ft_fractional_route,
-                            ft_multiplier_route, ft_value, pairing_oracle)
+                            ft_derivative_route, ft_multiplier_route,
+                            ft_value, ft_values, pairing_oracle)
 from cbplab.frames import make_grid, rotate
 from cbplab.harmonics import symmetric_harmonic_atoms
 from cbplab.quadrature import Estimate, SphereRule, sphere_area
@@ -71,7 +73,7 @@ def test_derivative_route_flags_an_error_bar_above_a_quarter_of_the_value(
 def test_fractional_route_on_the_ball_dim4():
     # q = 1 in dim 4 targets p = 1 and c(4, 1) = 4 pi^2
     xi = unit(4, seed=1)
-    sample = ft_fractional_route(EuclideanBall(4), xi, 1.0)
+    sample = ft_value(EuclideanBall(4), xi, 1.0, method="fractional")
     assert sample.value == pytest.approx(4.0 * math.pi ** 2, rel=0.02)
     assert sample.value == pytest.approx(classical_ft_constant(4, 1.0),
                                          rel=0.02)
@@ -170,6 +172,46 @@ def test_ft_value_dispatch():
         ft_value(body, xi, 0.5)  # q = 2n - p - 2 outside (0, 2)
     with pytest.raises(UnsupportedRouteError, match="fractional route"):
         ft_value(body, xi, 2.0, method="fractional")  # q = 2
+
+
+@pytest.fixture(scope="module")
+def b42_alone():
+    """mollify(clq(2, 4), 0.2), a direction, and one ft_value per exponent
+    the routes reach in dim 4 (p = 2 derivative, 1 and 1.5 fractional)."""
+    body = mollify(ComplexLqBall(2, 4.0), 0.2)
+    xi = unit(4, seed=4)
+    return body, xi, {p: ft_value(body, xi, p) for p in (1.0, 1.5, 2.0)}
+
+
+def _key(sample):
+    return (sample.value, sample.stderr, sample.exponent, sample.method,
+            sample.flags)
+
+
+@given(good=st.lists(st.sampled_from([1.0, 1.5, 2.0]), max_size=5),
+       bad=st.lists(st.sampled_from([0.0, 3.5, math.nan]), max_size=1),
+       data=st.data())
+def test_ft_values_routes_first_and_equals_one_exponent_calls(
+        b42_alone, good, bad, data):
+    body, xi, alone = b42_alone
+    ps = data.draw(st.permutations(good + bad))
+    calls = {"section_profile": [], "ft_derivative_route": []}
+    with pytest.MonkeyPatch.context() as mp:
+        for name, seen in calls.items():
+            mp.setattr(fourier, name, lambda *args, f=getattr(fourier, name),
+                       seen=seen, **kwargs: seen.append(args)
+                       or f(*args, **kwargs))
+        if bad:
+            with pytest.raises(UnsupportedRouteError):
+                ft_values(body, xi, ps)
+            assert calls == {"section_profile": [], "ft_derivative_route": []}
+            return
+        got = ft_values(body, xi, ps)
+    assert [_key(s) for s in got] == [_key(alone[p]) for p in ps]
+    # one profile serves every fractional exponent; a repeat is evaluated
+    # once
+    assert len(calls["section_profile"]) == int(bool({1.0, 1.5} & set(ps)))
+    assert len(calls["ft_derivative_route"]) == int(2.0 in ps)
 
 
 def test_ft_value_passes_its_rule_to_the_pairing_oracle():

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import interpolate
 
-from cbplab.bodies import ComplexLqBall, EuclideanBall, mollify, scale
+from cbplab.bodies import (ComplexLqBall, EuclideanBall, ScaledBody,
+                           mollify)
 from cbplab.fourier import default_section_rule, section_profile
 from cbplab.frames import make_frame, make_grid
 from cbplab import quadrature
@@ -18,7 +19,7 @@ from checks import kappa, unit
 
 
 def test_volume_of_scaled_ball():
-    body = scale(EuclideanBall(6), 1.3)
+    body = ScaledBody(EuclideanBall(6), 1.3)
     rule = SphereRule(6, "product_gauss", level=8)
     est = volume(body, rule)
     assert est.value == pytest.approx(kappa(6) * 1.3 ** 6, rel=1e-12)
@@ -36,7 +37,7 @@ _SCALED_BODIES = {"ball": EuclideanBall(4), "clq": ComplexLqBall(2, 4.0),
 def test_volume_is_monotone_and_homogeneous_under_scaling(kind, a, ratio):
     # all volumes on one rule, hence on the same nodes
     body = _SCALED_BODIES[kind]
-    small, large = (volume(scale(body, lam), _SCALED_RULE).value
+    small, large = (volume(ScaledBody(body, lam), _SCALED_RULE).value
                     for lam in (a, a * ratio))
     assert small < large
     unit_volume = volume(body, _SCALED_RULE).value
@@ -294,7 +295,7 @@ def test_buffered_roots_are_bit_identical_to_the_row_major_bisection(dim):
     theta = g.standard_normal((300, dim - 2))
     theta = (theta / np.linalg.norm(theta, axis=1, keepdims=True)) @ frame.basis
     clq = ComplexLqBall(dim // 2, 4.0)
-    ball = scale(EuclideanBall(dim), 1.2)
+    ball = ScaledBody(EuclideanBall(dim), 1.2)
     for body, old_norm in [
             (clq, lambda x: np.sum(np.sqrt(x[:, 0::2] ** 2 + x[:, 1::2] ** 2)
                                    ** 4.0, axis=-1) ** 0.25),
