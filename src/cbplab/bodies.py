@@ -277,6 +277,10 @@ class MollifiedBody(StarBody):
                  max_degree=DEFAULT_DEGREE):
         if not 0.0 < width < 1.0:
             raise ValueError("width must lie in (0, 1)")
+        if not (math.isfinite(max_degree) and max_degree == int(max_degree)
+                and max_degree >= 0 and max_degree % 2 == 0):
+            raise ValueError(f"max_degree must be an even integer >= 0, "
+                             f"not {max_degree}")
         if not base.moduli_symmetric:
             raise ValueError(
                 f"mollify needs a base whose radial function depends only on "

@@ -34,7 +34,7 @@ from .busemann_petty import (ConstructionFailedError,
                              bp_verify, pair_from_record, pair_record,
                              read_pair_record)
 from .embedding import scan
-from .fourier import classical_ft_constant, ft_value
+from .fourier import _METHODS, classical_ft_constant, ft_value
 from .frames import make_frame
 from .sections import section_volume, volume
 from .specs import SpecError, parse_body, parse_grid, parse_rule
@@ -347,9 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ft", parents=[common])
     p.add_argument("--body", required=True)
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--method", default="auto",
-                   choices=["auto", "derivative", "fractional", "pairing",
-                            "multiplier"])
+    p.add_argument("--method", default="auto", choices=["auto", *_METHODS])
     p.add_argument("--rule")
     p.add_argument("--xi")
     p.set_defaults(func=cmd_ft)

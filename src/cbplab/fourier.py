@@ -392,12 +392,19 @@ def ft_multiplier_route(body: StarBody, xi, p: float, max_degree: int = 12,
 # route dispatch
 # ---------------------------------------------------------------------------
 
+#: the Fourier routes a caller may name
+_METHODS = ("derivative", "fractional", "pairing", "multiplier")
+
+
 def _route(p: float, n: int, method: str = None):
     """(route, order) of p in dim 2n by the named method, or by the natural
     route: 'derivative' with m where p = 2n - 2m - 2 and 0 <= m < n - 1,
     else 'fractional' with q = 2n - p - 2 in (0, 2).  'pairing' and
     'multiplier' take any p and no order.  Raises UnsupportedRouteError
-    when the route does not reach p."""
+    when the route does not reach p, or for a method of another name."""
+    if method not in (None, *_METHODS):
+        raise UnsupportedRouteError(
+            f"unknown method {method!r}; choose one of {', '.join(_METHODS)}")
     if method in ("pairing", "multiplier"):
         return method, None
     if (method in (None, "derivative") and math.isfinite(p)

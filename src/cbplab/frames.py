@@ -96,19 +96,29 @@ def moduli_angle_map(angles, n):
     Returns (m, jac) with m of shape (N, n).  Callers supply their own
     nodes and weights; the pushforward of the uniform measure on S^{2n-1}
     to the moduli adds the density prod_j m_j.
+
+    No grid of angles is formed: the 1-D cos and sin factors of angle i lie
+    along axis i of the (n-1)-fold grid and broadcast over the others, and
+    the products are taken factor by factor in the order of the angles, so
+    each value is the one the same products give on a meshgrid.
     """
-    grids = np.meshgrid(*([angles] * (n - 1)), indexing="ij")
-    phis = np.stack([g.ravel() for g in grids], axis=1)  # (N, n-1)
-    m = np.empty((phis.shape[0], n))
-    sin_prod = np.ones(phis.shape[0])
+    angles = np.asarray(angles, dtype=float)
+    cos, sin = np.cos(angles), np.sin(angles)
+
+    def along(v, i):
+        """v along axis i of the grid."""
+        return v.reshape((1,) * i + (-1,) + (1,) * (n - 2 - i))
+
+    m = np.empty((len(angles),) * (n - 1) + (n,))
+    sin_prod = np.ones((1,) * (n - 1))
+    jac = np.ones((1,) * (n - 1))
     for i in range(n - 1):
-        m[:, i] = sin_prod * np.cos(phis[:, i])
-        sin_prod = sin_prod * np.sin(phis[:, i])
-    m[:, n - 1] = sin_prod
-    jac = np.ones(phis.shape[0])
-    for i in range(n - 1):
-        jac = jac * np.sin(phis[:, i]) ** (n - 2 - i)
-    return m, jac
+        np.multiply(sin_prod, along(cos, i), out=m[..., i])
+        sin_prod = sin_prod * along(sin, i)
+        jac = jac * along(sin ** (n - 2 - i), i)
+    m[..., n - 1] = sin_prod
+    # the last factor, sin ** 0, spans the last axis: jac is a full grid
+    return m.reshape(-1, n), jac.reshape(-1)
 
 
 def make_grid(dim, resolution, reduction="none", seed=0,

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 from scipy import linalg, special
 
 from .bodies import _block_moduli_columns, _columns
 from .frames import moduli_angle_map
-from .quadrature import _gauss_legendre, sphere_area
+from .quadrature import _PASS_NODES, _gauss_legendre, sphere_area
 
 
 # ---------------------------------------------------------------------------
@@ -226,13 +226,18 @@ def moduli_gauss_quadrature(n, res=64):
     sum(m^2) = 1 per row, and weights carry the invariant surface measure,
     normalized so that any function of the moduli alone integrates over the
     sphere as weights . f(m).  Spectrally accurate for smooth integrands.
+    The product weights are formed from the 1-D weights broadcast along the
+    axes of the angle grid, multiplied in the order of the angles, with no
+    grid of weights per angle.
     """
     res = int(res)
     x, w = _gauss_legendre(res)
     m, jac = moduli_angle_map(0.25 * math.pi * (x + 1.0), n)
-    wgrids = np.meshgrid(*([0.25 * math.pi * w] * (n - 1)), indexing="ij")
-    weights = np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1)
-    weights = weights * jac * np.prod(m, axis=1)
+    w = 0.25 * math.pi * w
+    weights = w
+    for i in range(1, n - 1):
+        weights = weights[..., None] * w.reshape((1,) * i + (-1,))
+    weights = weights.reshape(-1) * jac * np.prod(m, axis=1)
     weights *= sphere_area(2 * n) / weights.sum()
     return m, weights
 
@@ -240,17 +245,28 @@ def moduli_gauss_quadrature(n, res=64):
 def symmetric_coefficients(f, n, max_degree):
     """Inner products <f, P> over S^{2n-1} of a function f of the block
     moduli with the symmetric atoms P of degree <= max_degree, on the nodes
-    (m_1, 0, m_2, 0, ...) of moduli_gauss_quadrature, which f gets as the
-    (N, 2n) view of coordinate columns.  Returns (atoms, coefs, m ** 2)."""
+    (m_1, 0, m_2, 0, ...) of moduli_gauss_quadrature.  Returns (atoms,
+    coefs, m ** 2).
+
+    f is called in passes of at most quadrature._PASS_NODES nodes, each
+    time on the (P, 2n) transposed view of one reused (2n, P) array of
+    coordinate columns (the moduli in the even rows, zeros in the odd
+    ones), so no array of all the nodes' coordinates is made; f must act
+    row by row, as the integrands of integrate_sphere do."""
     m, weights = moduli_gauss_quadrature(n)
-    pts = np.zeros((2 * n, m.shape[0]))
-    pts[0::2] = m.T
-    vals = f(pts.T)
-    m2 = m ** 2
+    vals = np.empty(len(m))
+    cols = np.zeros((2 * n, min(len(m), _PASS_NODES)))
+    for s in range(0, len(m), _PASS_NODES):
+        block = m[s:s + _PASS_NODES]
+        if len(block) < cols.shape[1]:
+            cols = np.zeros((2 * n, len(block)))
+        cols[0::2] = block.T
+        vals[s:s + len(block)] = f(cols.T)
+    m **= 2
     atoms = symmetric_harmonic_atoms(n, max_degree)
-    coefs = [float(np.dot(weights, vals * c_eval(atom.c_poly, m2)))
+    coefs = [float(np.dot(weights, vals * c_eval(atom.c_poly, m)))
              for atom in atoms]
-    return atoms, coefs, m2
+    return atoms, coefs, m
 
 
 _FIT_TOL = 1e-9  # largest power-sum fit residual, relative to the scale
@@ -331,21 +347,35 @@ def _factorials(lo, hi):
     return table
 
 
+@lru_cache(maxsize=None)
+def _moment_table(n, box):
+    """Read-only table of the Dirichlet moments <c^E, 1> / |S^{2n-1}| =
+    (n-1)! prod_j E_j! / (n-1+|E|)! at every exponent E with
+    0 <= E_j <= box[j]; the factors of each entry are multiplied in the
+    order of the coordinates, as a product over the last axis does."""
+    axes = np.ix_(*(np.arange(top + 1) for top in box))  # E_j on axis j
+    fact = _factorials(0, max(box) + 1)
+    table = math.factorial(n - 1) * reduce(
+        np.multiply, [fact[e] for e in axes])
+    table /= _factorials(n - 1, n + sum(box))[sum(axes)]
+    table.flags.writeable = False
+    return table
+
+
 def c_sphere_inner(p, q, n):
-    """Exact <p, q> over S^{2n-1}, vectorized over the merged exponents."""
+    """Exact <p, q> over S^{2n-1}: v_p . M . v_q, with the moments M of the
+    merged exponents looked up in a cached table (_moment_table)."""
     if not p or not q:
         return 0.0
-    m1 = list(p)
-    m2 = list(q)
-    v1 = np.array([p[m] for m in m1])
-    v2 = np.array([q[m] for m in m2])
-    E = (np.array(m1, dtype=int)[:, None, :]
-         + np.array(m2, dtype=int)[None, :, :])
-    fact = _factorials(0, int(E.max()) + 1)
-    k = E.sum(axis=2)
-    kfact = _factorials(n - 1, n + int(k.max()))
-    mom = (math.factorial(n - 1) * np.prod(fact[E], axis=2)
-           / kfact[k])
+    e1 = np.array(list(p), dtype=int)
+    e2 = np.array(list(q), dtype=int)
+    v1 = np.array(list(p.values()))
+    v2 = np.array(list(q.values()))
+    table = _moment_table(n, tuple(int(t) for t in e1.max(axis=0)
+                                   + e2.max(axis=0)))
+    # C-order flat index of e1 + e2 = flat index of e1 + flat index of e2
+    strides = np.cumprod((1,) + table.shape[:0:-1])[::-1]
+    mom = table.reshape(-1)[(e1 @ strides)[:, None] + (e2 @ strides)[None, :]]
     return float(v1 @ mom @ v2) * sphere_area(2 * n)
 
 

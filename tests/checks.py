@@ -4,6 +4,9 @@ helpers several test modules share.
 Each audit checks a library result against an independent identity or
 closed form (the Hoelder volume chain, spherical Parseval, the circle
 integral, exact Dirichlet moments); none of them is part of the pipeline.
+The reference implementations at the end are earlier one-shot forms of
+pipeline functions, kept as oracles the streamed forms must match bit for
+bit.
 """
 
 import math
@@ -15,7 +18,9 @@ from cbplab.bodies import StarBody
 from cbplab.busemann_petty import _require_invariant as _require_bp
 from cbplab.fourier import FtSample, _require_invariant, ft_value
 from cbplab.frames import rotate
-from cbplab.quadrature import SphereRule, integrate_sphere, sphere_area
+from cbplab.harmonics import _factorials, c_eval, symmetric_harmonic_atoms
+from cbplab.quadrature import (SphereRule, _gauss_legendre, integrate_sphere,
+                               sphere_area)
 
 
 def kappa(d):
@@ -175,3 +180,83 @@ def orbit_distance(p, q, samples=256):
     for t in thetas:
         best = min(best, float(np.linalg.norm(rotate(p, t) - q)))
     return best
+
+
+# ---------------------------------------------------------------------------
+# one-shot reference forms: full meshgrids, one (2n, N) point array, one
+# moment array per pair of polynomials
+# ---------------------------------------------------------------------------
+
+def moduli_angle_map(angles, n):
+    """Moduli vectors on S^{n-1}_+ at the product grid of the 1-D `angles`
+    in each of the n-1 spherical angles (first angle slowest), and the
+    surface element prod_i sin^{n-2-i}(phi_i) of S^{n-1} there.
+
+    Returns (m, jac) with m of shape (N, n).  Callers supply their own
+    nodes and weights; the pushforward of the uniform measure on S^{2n-1}
+    to the moduli adds the density prod_j m_j.
+    """
+    grids = np.meshgrid(*([angles] * (n - 1)), indexing="ij")
+    phis = np.stack([g.ravel() for g in grids], axis=1)  # (N, n-1)
+    m = np.empty((phis.shape[0], n))
+    sin_prod = np.ones(phis.shape[0])
+    for i in range(n - 1):
+        m[:, i] = sin_prod * np.cos(phis[:, i])
+        sin_prod = sin_prod * np.sin(phis[:, i])
+    m[:, n - 1] = sin_prod
+    jac = np.ones(phis.shape[0])
+    for i in range(n - 1):
+        jac = jac * np.sin(phis[:, i]) ** (n - 2 - i)
+    return m, jac
+
+
+def moduli_gauss_quadrature(n, res=64):
+    """Gauss-Legendre quadrature in the block-moduli angles of S^{2n-1}.
+
+    Returns (m, weights): m is an (N, n) array of nonnegative moduli with
+    sum(m^2) = 1 per row, and weights carry the invariant surface measure,
+    normalized so that any function of the moduli alone integrates over the
+    sphere as weights . f(m).  Spectrally accurate for smooth integrands.
+    """
+    res = int(res)
+    x, w = _gauss_legendre(res)
+    m, jac = moduli_angle_map(0.25 * math.pi * (x + 1.0), n)
+    wgrids = np.meshgrid(*([0.25 * math.pi * w] * (n - 1)), indexing="ij")
+    weights = np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1)
+    weights = weights * jac * np.prod(m, axis=1)
+    weights *= sphere_area(2 * n) / weights.sum()
+    return m, weights
+
+
+def symmetric_coefficients(f, n, max_degree):
+    """Inner products <f, P> over S^{2n-1} of a function f of the block
+    moduli with the symmetric atoms P of degree <= max_degree, on the nodes
+    (m_1, 0, m_2, 0, ...) of moduli_gauss_quadrature, which f gets as the
+    (N, 2n) view of coordinate columns.  Returns (atoms, coefs, m ** 2)."""
+    m, weights = moduli_gauss_quadrature(n)
+    pts = np.zeros((2 * n, m.shape[0]))
+    pts[0::2] = m.T
+    vals = f(pts.T)
+    m2 = m ** 2
+    atoms = symmetric_harmonic_atoms(n, max_degree)
+    coefs = [float(np.dot(weights, vals * c_eval(atom.c_poly, m2)))
+             for atom in atoms]
+    return atoms, coefs, m2
+
+
+def c_sphere_inner(p, q, n):
+    """Exact <p, q> over S^{2n-1}, vectorized over the merged exponents."""
+    if not p or not q:
+        return 0.0
+    m1 = list(p)
+    m2 = list(q)
+    v1 = np.array([p[m] for m in m1])
+    v2 = np.array([q[m] for m in m2])
+    E = (np.array(m1, dtype=int)[:, None, :]
+         + np.array(m2, dtype=int)[None, :, :])
+    fact = _factorials(0, int(E.max()) + 1)
+    k = E.sum(axis=2)
+    kfact = _factorials(n - 1, n + int(k.max()))
+    mom = (math.factorial(n - 1) * np.prod(fact[E], axis=2)
+           / kfact[k])
+    return float(v1 @ mom @ v2) * sphere_area(2 * n)

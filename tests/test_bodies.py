@@ -113,6 +113,17 @@ def test_mollify_rejects_a_body_not_moduli_symmetric():
         mollify(body, 0.2)
 
 
+@pytest.mark.parametrize("max_degree", [-2, 3, 2.5, math.nan, math.inf])
+def test_mollify_refuses_a_max_degree_not_even_and_nonnegative(monkeypatch,
+                                                              max_degree):
+    def no_build(self):
+        raise AssertionError("the series was built")
+
+    monkeypatch.setattr(MollifiedBody, "_build_series", no_build)
+    with pytest.raises(ValueError, match="max_degree must be an even integer"):
+        MollifiedBody(ComplexLqBall(2, 4.0), 0.2, max_degree=max_degree)
+
+
 def test_mollified_body_is_convex():
     body = mollify(ComplexLqBall(2, 4.0), 0.2)
     report = convexity_probe(body, samples=2 ** 14, seed=10)

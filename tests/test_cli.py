@@ -457,6 +457,14 @@ def test_a_pair_record_rebuilds_or_is_refused_as_a_value_error(field, value):
     assert (K.spec(), L.spec()) == (pair["K"], pair["L"])
 
 
+@pytest.mark.parametrize("max_degree", [-2, 3])
+def test_a_mollifier_degree_not_even_and_nonnegative_exits_one(capsys,
+                                                               max_degree):
+    spec = f"mollify:base=(clq:n=2,q=4),width=0.2,max_degree={max_degree}"
+    assert main(["volume", "--body", spec, "--no-cache"]) == 1
+    assert "max_degree must be an even integer" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("spec, field", [
     ("clq:n=2,q=inf", "q"), ("clq:n=2,q=1e400", "q"), ("clq:n=2,q=nan", "q"),
     ("clq:n=2,q=-inf", "q"), ("scale:base=(ball:dim=4),lam=nan", "lam"),

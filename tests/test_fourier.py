@@ -174,6 +174,20 @@ def test_ft_value_dispatch():
         ft_value(body, xi, 2.0, method="fractional")  # q = 2
 
 
+def test_an_unknown_method_is_refused_before_any_work(monkeypatch):
+    def no_profile(*args):
+        raise AssertionError("a section profile was computed")
+
+    monkeypatch.setattr(fourier, "section_profile", no_profile)
+    names = "derivative, fractional, pairing, multiplier"
+    with pytest.raises(UnsupportedRouteError,
+                       match=f"unknown method 'derivtive'; choose one of "
+                             f"{names}"):
+        ft_values(EuclideanBall(4), unit(4), [1.0], method="derivtive")
+    with pytest.raises(UnsupportedRouteError, match="unknown method"):
+        fourier._route(1.0, 2, "derivtive")
+
+
 @pytest.fixture(scope="module")
 def b42_alone():
     """mollify(clq(2, 4), 0.2), a direction, and one ft_value per exponent

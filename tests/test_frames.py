@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import checks
+from cbplab import frames
 from cbplab.frames import make_frame, make_grid, perp, rotate
 from cbplab.quadrature import sphere_area
 from checks import orbit_distance, unit
@@ -108,3 +110,15 @@ def test_orbit_reduced_weights_integrate_invariant_functions():
 def test_grid_rejects_unknown_reduction():
     with pytest.raises(ValueError):
         make_grid(6, 16, reduction="mystery")
+
+
+@pytest.mark.parametrize("dim", [4, 6, 8, 10])
+def test_orbit_grids_are_bit_identical_to_the_meshgrid_form(monkeypatch, dim):
+    settings = [(res, s) for res in (8, 16, 24) for s in (False, True)]
+    new = [make_grid(dim, res, "orbit_reduced", sort_moduli=s)
+           for res, s in settings]
+    monkeypatch.setattr(frames, "moduli_angle_map", checks.moduli_angle_map)
+    for (res, s), grid in zip(settings, new):
+        ref = make_grid(dim, res, "orbit_reduced", sort_moduli=s)
+        assert grid.points.tobytes() == ref.points.tobytes()
+        assert grid.weights.tobytes() == ref.weights.tobytes()

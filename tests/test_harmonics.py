@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -6,12 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbplab.bodies import ComplexLqBall, block_moduli, mollify
-from cbplab.harmonics import (_BLOCK_ROWS, _monomials, c_add, c_eval,
-                              c_harmonic_components,
+import checks
+from cbplab import harmonics
+from cbplab.bodies import ComplexLqBall, MollifiedBody, block_moduli, mollify
+from cbplab.harmonics import (_BLOCK_ROWS, _monomials, _moment_table, c_add,
+                              c_eval, c_harmonic_components,
                               c_laplacian, c_mul, c_p1, c_scale,
                               c_sphere_inner,
                               moduli_gauss_quadrature, power_form_eval,
+                              symmetric_coefficients,
                               symmetric_harmonic_atoms, symmetric_power_form)
 from cbplab.quadrature import sphere_area
 from checks import c_sphere_integral
@@ -268,3 +272,70 @@ def test_buffered_power_form_eval_is_bit_identical_to_the_allocating_loop(
     c = dirichlet_points(4, count=rows, seed=7)
     assert np.array_equal(power_form_eval(exps4, coefs4, c),
                           _power_form_eval_allocating(exps4, coefs4, c))
+
+
+@pytest.mark.parametrize("n, res", [(2, 8), (2, 64), (3, 8), (3, 64), (4, 8),
+                                    (4, 64), (5, 8), (5, 16), (5, 24)])
+def test_moduli_gauss_quadrature_is_bit_identical_to_the_meshgrid_form(n,
+                                                                       res):
+    m, w = moduli_gauss_quadrature(n, res)
+    ref_m, ref_w = checks.moduli_gauss_quadrature(n, res)
+    assert m.tobytes() == ref_m.tobytes()
+    assert w.tobytes() == ref_w.tobytes()
+
+
+def _atom_bytes(atoms):
+    return [(a.degree, a.label, list(a.c_poly),
+             np.array(list(a.c_poly.values())).tobytes()) for a in atoms]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_atoms_from_the_moment_table_are_bit_identical(monkeypatch, n):
+    monkeypatch.setattr(harmonics, "_SYM_ATOM_CACHE", {})
+    atoms = symmetric_harmonic_atoms(n, 16)
+    monkeypatch.setattr(harmonics, "_SYM_ATOM_CACHE", {})
+    monkeypatch.setattr(harmonics, "c_sphere_inner", checks.c_sphere_inner)
+    assert _atom_bytes(atoms) == _atom_bytes(symmetric_harmonic_atoms(n, 16))
+
+
+def test_moment_table_is_read_only_and_sized_per_coordinate():
+    p = {(2, 0, 1): 1.0, (0, 1, 0): -0.5}
+    q = {(1, 0, 0): 2.0}
+    assert c_sphere_inner(p, q, 3) == checks.c_sphere_inner(p, q, 3)
+    table = _moment_table(3, (3, 1, 1))
+    assert table.shape == (4, 2, 2)
+    assert not table.flags.writeable
+    assert _moment_table(3, (3, 1, 1)) is table
+
+
+def test_streamed_mollifier_build_is_bit_identical_to_the_one_shot_build(
+        monkeypatch):
+    base = ComplexLqBall(4, 4.0)
+    _, coefs, m2 = symmetric_coefficients(base.radial, 4, 16)
+    _, ref_coefs, ref_m2 = checks.symmetric_coefficients(base.radial, 4, 16)
+    assert np.array(coefs).tobytes() == np.array(ref_coefs).tobytes()
+    assert m2.tobytes() == ref_m2.tobytes()
+    body = MollifiedBody(base, 0.1)
+    monkeypatch.setattr(harmonics, "symmetric_coefficients",
+                        checks.symmetric_coefficients)
+    ref = MollifiedBody(base, 0.1)
+    for got, want in zip(body._power_form, ref._power_form):
+        assert got.tobytes() == want.tobytes()
+    assert (body.r_min, body.r_max) == (ref.r_min, ref.r_max)
+
+
+def test_the_mollifier_build_stays_small():
+    """Traced peak of building mollify(clq(4, 4), 0.1), atoms prebuilt: 44
+    MB with full meshgrids and a (2n, N) point array, 17 MB streamed."""
+    base = ComplexLqBall(4, 4.0)
+    symmetric_harmonic_atoms(4, 16)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        mollify(base, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 24 * 2 ** 20
