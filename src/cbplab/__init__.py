@@ -3,15 +3,14 @@ comparisons for convex bodies invariant under blockwise rotations."""
 
 from .bodies import (ComplexLqBall, ConvexityReport, EuclideanBall,
                      MollifiedBody, RadialPerturbation, ScaledBody, StarBody,
-                     block_moduli, convexity_probe, mollify)
+                     convexity_probe, mollify)
 from .busemann_petty import (BpReport, ConstructionFailedError,
                              ConstructionImpossibleError, HarmonicBump,
                              bp_construct, bp_verify)
 from .embedding import EmbeddingVerdict, embedding_interval, scan
-from .fourier import (FtSample, UnsupportedRouteError, classical_ft_constant,
-                      classical_multiplier, ft_derivative_route,
-                      ft_multiplier_route, ft_value, ft_values,
-                      pairing_oracle, section_profile)
+from .fourier import (FtSample, UnsupportedRouteError, classical_multiplier,
+                      ft_derivative_route, ft_multiplier_route, ft_value,
+                      ft_values, pairing_oracle, section_profile)
 from .frames import ComplexFrame, DirectionGrid, make_frame, make_grid, perp
 from .harmonics import HarmonicAtom, symmetric_harmonic_atoms
 from .quadrature import (Estimate, PoisonedEstimateError, SphereRule,

@@ -55,12 +55,6 @@ class StarBody:
         return self.dim // 2
 
 
-def block_moduli(x):
-    """Per-block moduli sqrt(x_{j1}^2 + x_{j2}^2) of points in R^{2n}."""
-    x = np.asarray(x, dtype=float)
-    return np.sqrt(x[..., 0::2] ** 2 + x[..., 1::2] ** 2)
-
-
 def _columns(x, dim=None):
     """Points x (..., dim) as contiguous coordinate columns, a (dim, N)
     array; copies x only if it is not laid out so already."""
@@ -353,12 +347,11 @@ class ConvexityReport:
     violations: int
     worst_gap: float
     samples: int
-    tol: float
 
 
-def convexity_probe(body: StarBody, samples=10**5, seed=0,
-                    tol=1e-9) -> ConvexityReport:
-    """Sampled midpoint test on boundary pairs; a probe, not a certificate."""
+def convexity_probe(body: StarBody, samples=10**5, seed=0) -> ConvexityReport:
+    """Sampled midpoint test on boundary pairs; a probe, not a certificate.
+    A midpoint whose norm exceeds 1 + 1e-9 is a violation."""
     g = np.random.Generator(np.random.Philox(key=seed))
     worst = -math.inf
     violations = 0
@@ -373,7 +366,7 @@ def convexity_probe(body: StarBody, samples=10**5, seed=0,
         mids = 0.5 * (pts[0] + pts[1])
         nrm = body.norm(mids)
         worst = max(worst, float(np.max(nrm) - 1.0))
-        violations += int(np.count_nonzero(nrm > 1.0 + tol))
+        violations += int(np.count_nonzero(nrm > 1.0 + 1e-9))
         done += k
     return ConvexityReport(violations=violations, worst_gap=worst,
-                           samples=samples, tol=tol)
+                           samples=samples)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .bodies import (ComplexLqBall, RadialPerturbation, StarBody,
                      _block_moduli_columns, _columns, _row_sum,
-                     block_moduli, convexity_probe, mollify)
+                     convexity_probe, mollify)
 from .embedding import scan
 from .frames import DirectionGrid, make_frame, make_grid
 from .fourier import classical_multiplier
@@ -306,9 +306,9 @@ def _negative_weighted_square(n, grid, values, max_atom_degree):
     return c_mul(h, h), coefs, float(evals[0])
 
 
-def _transform_bump(f_poly, n, p=2.0):
-    """g with (f(x/|x|)|x|^{-p})^ = g(y/|y|)|y|^{-(2n-p)}: each harmonic
-    component of f is scaled by its closed-form multiplier.
+def _transform_bump(f_poly, n):
+    """g with (f(x/|x|)|x|^{-2})^ = g(y/|y|)|y|^{-(2n-2)}: each harmonic
+    component of f is scaled by its closed-form multiplier at p = 2.
 
     The closed form keeps g exact, so the transform of the perturbation is
     exactly proportional to -f and the section gaps of the constructed pair
@@ -316,19 +316,20 @@ def _transform_bump(f_poly, n, p=2.0):
     comps = c_harmonic_components(f_poly, n)
     g = {}
     for deg, poly in sorted(comps.items()):
-        g = c_add(g, c_scale(poly, classical_multiplier(deg, p, 2 * n)))
+        g = c_add(g, c_scale(poly, classical_multiplier(deg, 2.0, 2 * n)))
     return g
 
 
 def bp_construct(n: int, q_body: float, width: float = 0.1,
-                 grid: DirectionGrid = None, scan_rule: SphereRule = None,
-                 seed: int = 0):
+                 grid: DirectionGrid = None, seed: int = 0):
     """Build a pair (K, L) with dominated sections but Vol(K) > Vol(L).
 
-    Pipeline: L is the mollified complex l_q ball; a p=2 sign scan locates
-    the negativity region of (||x||_L^{-2})^; a nonnegative squared-harmonic
-    bump f concentrated there is transformed into g; K carries the radial
-    power rho_K^{2n-2} = rho_L^{2n-2} - eps g.  The amplitude starts at the
+    Pipeline: L is the mollified complex l_q ball; a p=2 sign scan on 2^11
+    Sobol nodes locates the negativity region of (||x||_L^{-2})^; a
+    nonnegative squared-harmonic bump f concentrated there, whose weighted
+    integral against the scanned transform must be negative, is
+    transformed into g; K carries the radial power
+    rho_K^{2n-2} = rho_L^{2n-2} - eps g.  The amplitude starts at the
     positivity-safe bound and halves (at most _MAX_HALVINGS times) until
     bp_verify, on its default rules, returns violation.
 
@@ -342,10 +343,8 @@ def bp_construct(n: int, q_body: float, width: float = 0.1,
     if grid is None:
         res = {2: 224, 3: 16}.get(n, 8)
         grid = make_grid(d, res, reduction="orbit_reduced", sort_moduli=True)
-    if scan_rule is None:
-        scan_rule = SphereRule(d - 2, "quasi_monte_carlo",
-                               node_count=2 ** 11, seed=7)
-    verdict = scan(L, 2.0, grid, rule=scan_rule)
+    verdict = scan(L, 2.0, grid, rule=SphereRule(
+        d - 2, "quasi_monte_carlo", node_count=2 ** 11, seed=7))
     if verdict.conclusion != "negativity_witness":
         raise ConstructionImpossibleError(
             f"no negativity region for n={n} (scan: {verdict.conclusion})")
@@ -353,17 +352,14 @@ def bp_construct(n: int, q_body: float, width: float = 0.1,
     f_poly, f_coefs, predicted = _negative_weighted_square(
         n, grid, verdict.values, _ATOM_DEGREE)
     # the construction only works if f weighs the negative part of the
-    # transform more than the positive part
-    fvals = c_eval(f_poly, block_moduli(grid.points) ** 2)
-    w = _grid_weights(grid)
-    neg = float(np.dot(w, fvals * np.minimum(verdict.values, 0.0)))
-    pos = float(np.dot(w, fvals * np.maximum(verdict.values, 0.0)))
-    if not neg + pos < 0.0:
+    # transform more than the positive part; the bottom eigenvalue
+    # `predicted` is that weighted integral, int f * F over the grid
+    if not predicted < 0.0:
         raise ConstructionFailedError(
             f"bump does not concentrate on the negativity region "
-            f"(weighted transform integral {neg + pos:.3g} >= 0)")
+            f"(weighted transform integral {predicted:.3g} >= 0)")
 
-    g_poly = _transform_bump(f_poly, n, p=2.0)
+    g_poly = _transform_bump(f_poly, n)
     bump = HarmonicBump(g_poly, label=f"sq_kernel_deg{_ATOM_DEGREE}")
     probe = SphereRule(d, "quasi_monte_carlo", node_count=2 ** 14,
                        seed=seed + 3).nodes()
@@ -373,7 +369,7 @@ def bp_construct(n: int, q_body: float, width: float = 0.1,
     trace = {"L": L.spec(), "f_coefs": f_coefs, "bump": bump.as_record(),
              "argmin": [float(v) for v in verdict.argmin],
              "scan_min": verdict.min_value, "sup_g": sup_g,
-             "weighted_integral": neg + pos, "predicted_integral": predicted,
+             "predicted_integral": predicted,
              "eps_trace": [], "seed": seed}
     for _ in range(_MAX_HALVINGS + 1):
         try:

@@ -34,7 +34,7 @@ from .busemann_petty import (ConstructionFailedError,
                              bp_verify, pair_from_record, pair_record,
                              read_pair_record)
 from .embedding import scan
-from .fourier import _METHODS, classical_ft_constant, ft_value
+from .fourier import _METHODS, classical_multiplier, ft_value
 from .frames import make_frame
 from .sections import section_volume, volume
 from .specs import SpecError, parse_body, parse_grid, parse_rule
@@ -146,7 +146,7 @@ def _ball_volume_baseline(body, est):
 def _ball_ft_baseline(body, sample):
     if not isinstance(body, EuclideanBall):
         return []
-    expected = classical_ft_constant(body.dim, sample.exponent)
+    expected = classical_multiplier(0, sample.exponent, body.dim)
     scale = max(abs(expected), 1e-300)
     gap = abs(sample.value - expected) / scale
     tol = max(0.02, 4.0 * sample.stderr / scale)

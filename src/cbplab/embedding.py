@@ -155,7 +155,9 @@ def scan(body: StarBody, p: float, grid: DirectionGrid,
          workers: int = 1) -> EmbeddingVerdict:
     """Sign scan of (||x||^{-p})^ over the grid: the one-exponent sweep,
     on `rule` or the natural route's default; the directions' results do
-    not depend on `workers`."""
+    not depend on `workers`.  `tol` must be finite and >= 0."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, not {tol!r}")
     return _sweep(body, [p], grid, rule, tol, workers)[float(p)]
 
 

@@ -5,7 +5,8 @@ Gaussian test pair (the invariance-free oracle), and a harmonic expansion
 times the closed-form multipliers.
 
 Conventions: f_hat(y) = int f(x) exp(-i<x,y>) dx, so that
-(|x|^{-p})^ = c(d, p) |y|^{-(d-p)} with c as in classical_ft_constant.
+(|x|^{-p})^ = c(d, p) |y|^{-(d-p)} with c(d, p) the degree-0 multiplier
+classical_multiplier(0, p, d).
 For a body K invariant under the common blockwise rotation, the transform
 of ||x||_K^{-p} restricted to the unit sphere is constant along rotation
 orbits, and values at non-unit y follow by (p - d)-homogeneity.
@@ -23,9 +24,9 @@ import numpy as np
 from scipy import interpolate, special
 
 from . import quadrature
-from .bodies import StarBody, block_moduli
+from .bodies import StarBody
 from .frames import make_frame
-from .harmonics import c_eval, symmetric_coefficients
+from .harmonics import symmetric_coefficients
 from .quadrature import (Estimate, SphereRule, _gauss_jacobi,
                          _gauss_legendre, fractional_radial, kahan_reduce,
                          sphere_area)
@@ -36,6 +37,9 @@ _FD_STEP = 0.1  # difference step h of the derivative route (and h / 2)
 _NOISE_LIMIT = 0.25  # stderr share of |value| above which 'noisy' is set
 _PROFILE_POINTS = 97  # section profile points, equally spaced on [0, rho]
 _MOMENT_NODES = (600, 400)  # radius x cosine nodes of the bump moment
+_SIGMA = 0.2  # widest pairing bump; the oracle also pairs at _SIGMA / 2
+_MAX_DEGREE = 12  # highest harmonic degree the multiplier route sums
+_TAIL_DEGREE = 24  # degrees in (_MAX_DEGREE, _TAIL_DEGREE] give its error
 
 
 class UnsupportedRouteError(ValueError):
@@ -52,14 +56,6 @@ class FtSample:
     stderr: float
     method: str  # derivative | fractional | pairing | multiplier
     flags: tuple = field(default=())
-
-
-def classical_ft_constant(d: int, p: float) -> float:
-    """c(d, p) with (|x|^{-p})^ = c(d, p)|y|^{-(d-p)}, 0 < p < d."""
-    if not 0.0 < p < d:
-        raise ValueError("p must lie in (0, d)")
-    return (2.0 ** (d - p) * math.pi ** (d / 2.0)
-            * special.gamma((d - p) / 2.0) / special.gamma(p / 2.0))
 
 
 def _require_invariant(body: StarBody):
@@ -265,7 +261,7 @@ def _pairing_core(angular, d, xi, ps, sigma, rule, levels=2, masses=None):
     n_u = max(rule.node_count // len(t), 2 ** 10)
     n_u = 1 << (n_u - 1).bit_length()  # Sobol wants powers of two
     u_rule = SphereRule(d - 1, rule.kind, node_count=n_u, seed=rule.seed,
-                        level=rule.level, batch_count=rule.batch_count)
+                        level=rule.level)
     root = np.sqrt(1.0 - t ** 2)
     txi = t[None, :, None] * xi[:, None, None]  # (d, T, 1)
     per = np.zeros((len(ps), levels, u_rule.batch_count))
@@ -303,12 +299,12 @@ def _pairing_core(angular, d, xi, ps, sigma, rule, levels=2, masses=None):
     return out
 
 
-def pairing_oracle(body: StarBody, xi, ps, sigma: float = 0.2,
+def pairing_oracle(body: StarBody, xi, ps,
                    rule: SphereRule = None) -> list[FtSample]:
     """(||x||^{-p})^(xi) for each exponent p of the sequence `ps` by
     pairing with an explicit Gaussian test pair, Richardson extrapolated
-    over the widths sigma and sigma / 2; one FtSample per exponent, in
-    order.
+    over the widths _SIGMA = 0.2 and _SIGMA / 2; one FtSample per exponent,
+    in order.
 
     All exponents share one pass over the nodes: each gauge call computes
     the radial function once and every exponent takes its own power of it,
@@ -320,8 +316,6 @@ def pairing_oracle(body: StarBody, xi, ps, sigma: float = 0.2,
     ps = list(ps)
     if not all(0.0 < p < body.dim for p in ps):
         raise ValueError("p must lie in (0, dim)")
-    if sigma > 0.2:
-        raise ValueError("sigma must be <= 0.2 for a usable bump")
     xi = np.asarray(xi, dtype=float)
     if rule is None:
         rule = SphereRule(body.dim, "quasi_monte_carlo", node_count=2 ** 19,
@@ -333,7 +327,7 @@ def pairing_oracle(body: StarBody, xi, ps, sigma: float = 0.2,
 
     samples = []
     for p, (value, stderr, residual) in zip(
-            ps, _pairing_core(powers, body.dim, xi, ps, sigma, rule)):
+            ps, _pairing_core(powers, body.dim, xi, ps, _SIGMA, rule)):
         # fold the residual extrapolation bias estimate into the error bar
         stderr = stderr + residual / 3.0
         flags = ("inconclusive",) if stderr > 0.1 * abs(value) else ()
@@ -349,21 +343,21 @@ def classical_multiplier(j, p, d):
     """Closed-form lambda(j, p) with (P_j(x/|x|)|x|^{-p})^ =
     lambda P_j(y/|y|)|y|^{-(d-p)} for a degree-j spherical harmonic P_j
     (Bochner / Funk-Hecke; Koldobsky, Fourier Analysis in Convex Geometry,
-    section 3).  Degree 0 is classical_ft_constant."""
+    section 3).  Degree 0 is the constant c(d, p) of the classical
+    (|x|^{-p})^ = c(d, p) |y|^{-(d-p)}."""
     return ((-1.0) ** (j // 2) * 2.0 ** (d - p) * math.pi ** (d / 2.0)
             * special.gamma((j + d - p) / 2.0)
             / special.gamma((j + p) / 2.0))
 
 
-def ft_multiplier_route(body: StarBody, xi, p: float, max_degree: int = 12,
-                        tail_degree: int = 24) -> FtSample:
+def ft_multiplier_route(body: StarBody, xi, p: float) -> FtSample:
     """(||x||^{-p})^(xi) by harmonic expansion of the norm power.
 
     rho^p is projected onto the fully symmetric harmonic atoms
     (harmonics.symmetric_coefficients) and each degree is multiplied by its
-    closed-form lambda(j, p).  Degrees in (max_degree, tail_degree] are
-    left out of the value; their contribution bounds the truncation error
-    and is the whole error bar.
+    closed-form lambda(j, p).  Degrees up to _MAX_DEGREE = 12 make the
+    value; those in (12, _TAIL_DEGREE = 24] are left out of it, and their
+    contribution bounds the truncation error and is the whole error bar.
     """
     _require_invariant(body)
     if not body.moduli_symmetric:
@@ -374,14 +368,13 @@ def ft_multiplier_route(body: StarBody, xi, p: float, max_degree: int = 12,
         raise ValueError("p must lie in (0, dim)")
     xi = np.asarray(xi, dtype=float)
     atoms, coefs, _ = symmetric_coefficients(
-        lambda pts: body.radial(pts) ** p, body.dim // 2, tail_degree)
-    cxi = np.atleast_2d(block_moduli(xi) ** 2)
+        lambda pts: body.radial(pts) ** p, body.dim // 2, _TAIL_DEGREE)
     value = 0.0
     tail = 0.0
     for atom, coef in zip(atoms, coefs):
-        contrib = coef * float(c_eval(atom.c_poly, cxi)[0])
+        contrib = coef * float(atom(xi)[0])
         term = classical_multiplier(atom.degree, p, body.dim) * contrib
-        if atom.degree <= max_degree:
+        if atom.degree <= _MAX_DEGREE:
             value += term
         else:
             tail += abs(term)

@@ -79,6 +79,7 @@ def _gauss_jacobi(count, a):
 
 _KINDS = ("monte_carlo", "quasi_monte_carlo", "product_gauss")
 _CACHE_FLOATS = 2 ** 22  # most node coordinates a rule keeps (32 MB)
+_BATCHES = 32  # batches of a rule (see SphereRule)
 
 
 class SphereRule:
@@ -89,10 +90,13 @@ class SphereRule:
         quasi_monte_carlo -- scrambled Sobol mapped through the Gaussian
         product_gauss     -- Gauss-Jacobi product rule (dim <= 6), weights
                              sum to the surface area exactly
+
+    A random rule yields _BATCHES = 32 equal batches, whose spread is its
+    error bar; a product rule at most 32, or one per outermost polar node
+    when it streams.
     """
 
-    def __init__(self, dim, kind="monte_carlo", node_count=2**16, seed=0,
-                 level=None, batch_count=32):
+    def __init__(self, dim, kind, node_count=2**16, seed=0, level=None):
         if dim < 2:
             raise ValueError("dim must be >= 2")
         if kind not in _KINDS:
@@ -100,12 +104,7 @@ class SphereRule:
         self.dim = int(dim)
         self.kind = kind
         self.seed = int(seed)
-        self.batch_count = int(batch_count)
-        # a random rule's error bar is the spread of its batch estimates
-        least = 1 if kind == "product_gauss" else 2
-        if self.batch_count < least:
-            raise ValueError(f"batch_count must be >= {least} for a "
-                             f"{kind} rule, not {self.batch_count}")
+        self.batch_count = _BATCHES
         self._passes, self._batches = 0, None
         if kind == "product_gauss":
             if dim > 6:

@@ -35,6 +35,12 @@ def unit(dim, seed=0):
     return x / np.linalg.norm(x)
 
 
+def block_moduli(x):
+    """Per-block moduli sqrt(x_{j1}^2 + x_{j2}^2) of points in R^{2n}."""
+    x = np.asarray(x, dtype=float)
+    return np.sqrt(x[..., 0::2] ** 2 + x[..., 1::2] ** 2)
+
+
 def agrees(a: FtSample, b: FtSample, factor: float = 3.0) -> bool:
     """Whether two samples agree within `factor` combined standard errors."""
     # the relative floor lets two deterministic (stderr 0) samples that

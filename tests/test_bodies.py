@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 
 from cbplab.bodies import (ComplexLqBall, EuclideanBall, MollifiedBody,
                            RadialPerturbation, ScaledBody, _sum_squares,
-                           block_moduli, convexity_probe, mollify)
+                           convexity_probe, mollify)
 from cbplab.busemann_petty import HarmonicBump
 from cbplab.frames import rotate
 from cbplab.harmonics import c_eval
 from cbplab.quadrature import SphereRule
 from cbplab.sections import volume
 from cbplab.specs import parse_body
-from checks import kappa, radial_metric
+from checks import block_moduli, kappa, radial_metric
 
 
 def unit_sample(dim, count=512, seed=0):

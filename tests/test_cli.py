@@ -78,6 +78,20 @@ def test_an_inconclusive_scan_exits_two_with_its_report(tmp_path,
     assert result["routes"]["agreement_z"] > 5.0
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_a_scan_refuses_a_tolerance_not_finite_and_nonnegative(
+        tmp_path, capsys, monkeypatch, tol):
+    # inf passed every value as nonnegative; nan and -1 gave inconclusive
+    def no_sweep(*args):
+        raise AssertionError("the scan ran")
+
+    monkeypatch.setattr(embedding, "_sweep", no_sweep)
+    code, rec = run(tmp_path, "scan", "--body", "ball:dim=4", "--p", "1",
+                    "--tol", tol)
+    assert code == 1 and rec is None
+    assert "tol must be finite and >= 0" in capsys.readouterr().err
+
+
 def test_scan_writes_csv_and_exits_zero(tmp_path):
     csv_path = tmp_path / "scan.csv"
     code, rec = run(tmp_path, "scan", "--body",
@@ -455,6 +469,42 @@ def test_a_pair_record_rebuilds_or_is_refused_as_a_value_error(field, value):
     except ValueError:
         return  # a well-formed record whose bodies cannot be built
     assert (K.spec(), L.spec()) == (pair["K"], pair["L"])
+
+
+def test_bp_construct_at_n_two_is_impossible_and_replays(tmp_path):
+    # the default res-224 grid of n = 2 has no negativity region
+    cache = tmp_path / "cache"
+    for cached in (False, True):
+        code, rec = run(tmp_path, "bp-construct", "--n", "2", "--q", "4",
+                        cache=cache)
+        assert code == 1 and rec["exit_code"] == 1
+        assert rec["cached"] is cached
+        [result] = rec["results"]
+        assert result["error"] == "construction-impossible"
+        assert "nonnegative_up_to_tol" in result["message"]
+
+
+@pytest.mark.parametrize("argv, token", [
+    (["volume", "--body", ":dim=4"], "missing spec head"),
+    (["volume", "--body", "scale:base=(ball:dim=4,lam=2"], "unbalanced '('"),
+    (["volume", "--body", "scale:base=ball:dim=4),lam=2"], "unbalanced ')'"),
+    (["volume", "--body", "ball:dim"], "'dim'"),
+    (["volume", "--body", "ball:dim=x"], "bad value for 'dim'"),
+    (["volume", "--body", "clq:n=2"], "missing field 'q'"),
+    (["volume", "--body", "scale:lam=2"], "missing field 'base'"),
+    (["scan", "--body", "ball:dim=4", "--p", "2", "--grid",
+      "gird:dim=4,res=8"], "'gird'"),
+    (["volume", "--body", "ball:dim=4", "--rule", "sobol:nodes=64"],
+     "'sobol'"),
+    (["volume", "--body", "ball:dim=4", "--rule", "gauss:level=1"],
+     "level must be >= 2"),
+    (["section", "--body", "ball:dim=10", "--rule", "gauss:level=4"],
+     "dim <= 6"),
+    (["scan", "--body", "ball:dim=4", "--p", "2", "--grid",
+      "grid:dim=4,res=4"], "resolution must be >= 8")])
+def test_a_bad_spec_exits_one_naming_its_token(capsys, argv, token):
+    assert main([*argv, "--no-cache"]) == 1
+    assert token in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("max_degree", [-2, 3])

@@ -8,7 +8,7 @@ from cbplab.bodies import ComplexLqBall, EuclideanBall, mollify
 from cbplab.embedding import (_assemble, confirm_sample, embedding_interval,
                               scan)
 from cbplab.fourier import (FtSample, UnsupportedRouteError,
-                            classical_ft_constant)
+                            classical_multiplier)
 from cbplab.frames import make_grid
 
 
@@ -40,7 +40,7 @@ def _counted(monkeypatch, module, name):
 def test_ball_scan_is_nonnegative_and_constant(grid4):
     verdict = scan(EuclideanBall(4), 2.0, grid4)
     assert verdict.conclusion == "nonnegative_up_to_tol"
-    truth = classical_ft_constant(4, 2.0)
+    truth = classical_multiplier(0, 2.0, 4)
     assert np.allclose(verdict.values, truth, rtol=1e-6)
     assert verdict.routes["agreement_z"] < 5.0
     assert verdict.routes["confirm"] == "pairing"
@@ -130,7 +130,7 @@ def test_embedding_interval_evaluates_a_repeated_exponent_once(monkeypatch):
 def test_confirm_sample_matches_the_classical_constant():
     xi = np.array([0.6, 0.0, 0.8, 0.0])
     [sample] = confirm_sample(EuclideanBall(4), xi, [2.0])
-    truth = classical_ft_constant(4, 2.0)
+    truth = classical_multiplier(0, 2.0, 4)
     assert abs(sample.value - truth) < 3.0 * sample.stderr + 0.01 * truth
 
 

@@ -12,7 +12,7 @@ from cbplab.bodies import (ComplexLqBall, EuclideanBall, RadialPerturbation,
 from cbplab.fourier import (FtSample, UnsupportedRouteError,
                             _gauss_jacobi, _gauss_legendre,
                             _harmonic_bump_moment, _pairing_core,
-                            classical_ft_constant, classical_multiplier,
+                            classical_multiplier,
                             ft_derivative_route, ft_multiplier_route,
                             ft_value, ft_values, pairing_oracle)
 from cbplab.frames import make_grid, rotate
@@ -24,15 +24,18 @@ from checks import agrees, parseval_check, sph_identity_check, unit
 def test_gamma_identity_for_the_classical_constant():
     for d in (4, 6, 8):
         for p in (1.0, 2.0, 3.0):
-            prod = classical_ft_constant(d, p) * classical_ft_constant(d, d - p)
+            prod = (classical_multiplier(0, p, d)
+                    * classical_multiplier(0, d - p, d))
             assert prod == pytest.approx((2.0 * math.pi) ** d, rel=1e-12)
 
 
 def test_degree_zero_multiplier_is_the_classical_constant():
-    for d in (4, 8):
-        for p in (1.5, 2.0, 3.0):
-            assert classical_multiplier(0, p, d) == pytest.approx(
-                classical_ft_constant(d, p), rel=1e-12)
+    # c(d, p) = 2^{d-p} pi^{d/2} Gamma((d-p)/2) / Gamma(p/2), bit for bit
+    for d in range(4, 11):
+        for p in (0.5, 1.0, 1.5, 2.0, 3.0, d - 0.5):
+            assert classical_multiplier(0, p, d) == (
+                2.0 ** (d - p) * math.pi ** (d / 2.0)
+                * special.gamma((d - p) / 2.0) / special.gamma(p / 2.0))
 
 
 def test_derivative_route_on_the_ball():
@@ -44,7 +47,7 @@ def test_derivative_route_on_the_ball():
         sample = ft_derivative_route(EuclideanBall(d), xi, m)
         assert sample.method == "derivative"
         assert sample.value == pytest.approx(
-            classical_ft_constant(d, p), rel=1e-3)
+            classical_multiplier(0, p, d), rel=1e-3)
 
 
 @pytest.mark.parametrize("value", [2.0, -2.0])
@@ -75,20 +78,15 @@ def test_fractional_route_on_the_ball_dim4():
     xi = unit(4, seed=1)
     sample = ft_value(EuclideanBall(4), xi, 1.0, method="fractional")
     assert sample.value == pytest.approx(4.0 * math.pi ** 2, rel=0.02)
-    assert sample.value == pytest.approx(classical_ft_constant(4, 1.0),
+    assert sample.value == pytest.approx(classical_multiplier(0, 1.0, 4),
                                          rel=0.02)
 
 
 def test_pairing_oracle_on_the_ball():
     xi = unit(6, seed=2)
     [sample] = pairing_oracle(EuclideanBall(6), xi, [2.0])
-    truth = classical_ft_constant(6, 2.0)
+    truth = classical_multiplier(0, 2.0, 6)
     assert abs(sample.value - truth) < 3.0 * sample.stderr + 0.01 * truth
-
-
-def test_pairing_oracle_rejects_wide_bumps():
-    with pytest.raises(ValueError):
-        pairing_oracle(EuclideanBall(6), unit(6, seed=3), [2.0], sigma=0.3)
 
 
 def test_pairing_oracle_shares_one_pass_bit_for_bit():
@@ -110,9 +108,8 @@ def test_pairing_oracle_shares_one_pass_bit_for_bit():
 
 def test_multiplier_route_on_the_ball():
     xi = unit(6, seed=4)
-    sample = ft_multiplier_route(EuclideanBall(6), xi, 2.0, max_degree=4,
-                                 tail_degree=8)
-    truth = classical_ft_constant(6, 2.0)
+    sample = ft_multiplier_route(EuclideanBall(6), xi, 2.0)
+    truth = classical_multiplier(0, 2.0, 6)
     assert abs(sample.value - truth) < 3.0 * sample.stderr + 0.01 * truth
     # rho^p = 1 has only a degree-0 component, and lambda(0, p) is exact
     assert sample.value == pytest.approx(truth, rel=1e-10)
@@ -141,8 +138,8 @@ def test_routes_agree_on_a_mollified_body():
     body = mollify(ComplexLqBall(3, 4.0), 0.2)
     xi = unit(6, seed=5)
     der = ft_derivative_route(body, xi, 1)
-    [par] = pairing_oracle(body, xi, [2.0], sigma=0.1)
-    mul = ft_multiplier_route(body, xi, 2.0, max_degree=8, tail_degree=16)
+    [par] = pairing_oracle(body, xi, [2.0])
+    mul = ft_multiplier_route(body, xi, 2.0)
     assert agrees(der, par, factor=4.0)
     assert agrees(der, mul, factor=4.0)
 
@@ -250,7 +247,7 @@ def test_invariance_is_required_by_symmetry_routes():
     with pytest.raises(UnsupportedRouteError):
         ft_multiplier_route(body, xi, 2.0)
     # the pairing oracle needs no invariance
-    [sample] = pairing_oracle(body, xi, [2.0], sigma=0.1,
+    [sample] = pairing_oracle(body, xi, [2.0],
                               rule=SphereRule(6, "quasi_monte_carlo",
                                               node_count=2 ** 16, seed=9))
     assert np.isfinite(sample.value)

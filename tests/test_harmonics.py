@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import checks
 from cbplab import harmonics
-from cbplab.bodies import ComplexLqBall, MollifiedBody, block_moduli, mollify
+from cbplab.bodies import ComplexLqBall, MollifiedBody, mollify
 from cbplab.harmonics import (_BLOCK_ROWS, _monomials, _moment_table, c_add,
                               c_eval, c_harmonic_components,
                               c_laplacian, c_mul, c_p1, c_scale,
@@ -140,8 +140,21 @@ def test_atom_evaluation_uses_block_moduli():
     g = np.random.Generator(np.random.Philox(key=9))
     x = g.standard_normal((64, 4))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
-    assert np.allclose(a(x), c_eval(a.c_poly, block_moduli(x) ** 2),
+    assert np.allclose(a(x), c_eval(a.c_poly, checks.block_moduli(x) ** 2),
                        atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_an_atom_at_one_direction_is_its_moduli_polynomial_bit_for_bit(n):
+    # ft_multiplier_route calls each atom at one direction xi: the same bits
+    # as c_eval of its squared block moduli, one (1, n) row
+    g = np.random.Generator(np.random.Philox(key=n))
+    xs = g.standard_normal((16, 2 * n))
+    xs /= np.linalg.norm(xs, axis=1, keepdims=True)
+    for a in symmetric_harmonic_atoms(n, 16):
+        for xi in xs:
+            cxi = np.atleast_2d(checks.block_moduli(xi) ** 2)
+            assert a(xi)[0] == c_eval(a.c_poly, cxi)[0], (a.label, xi)
 
 
 def _c_eval_unblocked(p, cvals):

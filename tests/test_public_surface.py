@@ -5,7 +5,8 @@ Every public top-level function and class of `src/cbplab` and
 somewhere in those files outside its own definition: as a name, an
 attribute or a string (the traced benchmark wraps functions by name).
 Tests do not count as callers; an audit only tests call belongs in
-`tests/checks.py`."""
+`tests/checks.py`.  Likewise every parameter with a default must be set
+by some call in those files, or it is a constant."""
 
 import ast
 import collections
@@ -71,3 +72,90 @@ def test_every_public_name_is_reached_outside_the_tests():
                  for qual, name, node in _public_definitions(tree)
                  if total[name] - _mentions(node)[name] <= 0]
     assert not unreached, unreached
+
+
+# defaults that only tests set, with the reason each is kept
+_TEST_ONLY_SETTINGS = {
+    ("_pairing_core", "levels"):
+        "the closed-form multiplier audit pairs at one width (levels=1)",
+    ("_pairing_core", "masses"):
+        "the same audit passes the exact bump moment of its atom",
+    ("moduli_gauss_quadrature", "res"):
+        "the n = 5 bit-identity test needs a small res, and n = 5 is to "
+        "build at res 32 (ROADMAP item 7)",
+}
+
+
+def _defaulted_parameters(tree):
+    """(callee name, parameter, position or None, default node) of each
+    parameter with a default of a top-level function or of a method of a
+    top-level class; calls to a class reach its __init__.  Positions count
+    from the first argument a call passes, so after `self` or `cls`."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield from _defaults_of(node.name, node)
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield from _defaults_of(node.name if item.name == "__init__"
+                                            else item.name, item)
+
+
+def _defaults_of(callee, fn):
+    args = fn.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    if positional[:1] in (["self"], ["cls"]):
+        positional = positional[1:]
+    for name, default in zip(positional[len(positional) - len(args.defaults):],
+                             args.defaults):
+        yield callee, name, positional.index(name), default
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield callee, arg.arg, None, default
+
+
+def _passed(call, name, position):
+    """The expression `call` passes for the parameter, or None."""
+    for kw in call.keywords:
+        if kw.arg == name:
+            return kw.value
+    if (position is not None and position < len(call.args) and not any(
+            isinstance(a, ast.Starred) for a in call.args[:position + 1])):
+        return call.args[position]
+    return None
+
+
+def _sets(value, name, default, callee, classes):
+    """Whether passing `value` sets the parameter: not when it is the
+    default's own literal, nor when a class call copies the same-named
+    setting of another object (`SphereRule(..., seed=rule.seed)`)."""
+    if (isinstance(value, ast.Constant) and isinstance(default, ast.Constant)
+            and value.value == default.value):
+        return False
+    return not (callee in classes and isinstance(value, ast.Attribute)
+                and value.attr == name)
+
+
+def test_every_default_is_set_outside_the_tests():
+    trees = _sources()
+    calls = collections.defaultdict(list)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                calls[name].append(node)
+    classes = {node.name for tree in trees.values() for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    params = [(path, *param) for path, tree in trees.items()
+              if path.startswith("src")
+              for param in _defaulted_parameters(tree)]
+    assert set(_TEST_ONLY_SETTINGS) <= {(c, n) for _, c, n, _, _ in params}
+    unset = [f"{path}: {callee}({name})"
+             for path, callee, name, position, default in params
+             if (callee, name) not in _TEST_ONLY_SETTINGS
+             and not any(
+                 (value := _passed(call, name, position)) is not None
+                 and _sets(value, name, default, callee, classes)
+                 for call in calls[callee])]
+    assert not unset, unset
