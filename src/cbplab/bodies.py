@@ -188,7 +188,7 @@ class RadialPerturbation(StarBody):
     _CHECK_SAMPLES = 2 ** 14  # directions that check positivity, invariance
 
     def __init__(self, base: StarBody, exponent: float, amplitude: float, bump,
-                 bump_id="custom", seed=7):
+                 bump_id, seed=7):
         if not (math.isfinite(exponent) and exponent > 0):
             raise ValueError(f"exponent must be finite and positive, not "
                              f"{exponent}")
@@ -349,7 +349,7 @@ class ConvexityReport:
     samples: int
 
 
-def convexity_probe(body: StarBody, samples=10**5, seed=0) -> ConvexityReport:
+def convexity_probe(body: StarBody, samples, seed) -> ConvexityReport:
     """Sampled midpoint test on boundary pairs; a probe, not a certificate.
     A midpoint whose norm exceeds 1 + 1e-9 is a violation."""
     g = np.random.Generator(np.random.Philox(key=seed))

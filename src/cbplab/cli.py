@@ -8,10 +8,11 @@ that cannot move a number (--out, --csv, --cache-dir, --no-cache,
 --workers), with body specs canonical and rule and grid defaults filled
 in; bp-verify --pair hashes the file's name and its pair record.  The
 sha256 of their canonical serialization is the config hash, which keys
-the result cache.  Each command takes only the options it reads; argparse
-refuses any other with exit code 2.  Exit codes: 0 on success, 1 on
-errors, and 2 when a verdict is undecided: an inconclusive scan or `ft`
-sample, or a bp-verify tie.
+the result cache.  Each command takes only the options it reads, each
+setting has one spelling (a rule's node count is `--rule qmc:nodes=N`),
+and argparse refuses any other option with exit code 2.  Exit codes: 0 on
+success, 1 on errors, and 2 when a verdict is undecided: an inconclusive
+scan or `ft` sample, or a bp-verify tie.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .busemann_petty import (ConstructionFailedError,
                              ConstructionImpossibleError, bp_construct,
                              bp_verify, pair_from_record, pair_record,
                              read_pair_record)
-from .embedding import scan
+from .embedding import _TOL, scan
 from .fourier import _METHODS, classical_multiplier, ft_value
 from .frames import make_frame
 from .sections import section_volume, volume
@@ -156,12 +157,15 @@ def _ball_ft_baseline(body, sample):
 
 
 def _rule(args, spec, dim):
-    """The SphereRule of a rule spec on S^{dim-1}, or None for None; counts
-    the spec leaves open come from --nodes, where the command takes it, and
-    --seed."""
-    return None if spec is None else parse_rule(
-        spec, dim=dim, default_nodes=getattr(args, "nodes", None),
-        default_seed=args.seed)
+    """The SphereRule of a rule spec on S^{dim-1}, or None for None; a seed
+    the spec leaves open comes from --seed."""
+    return None if spec is None else parse_rule(spec, dim=dim,
+                                                default_seed=args.seed)
+
+
+def _grid_spec(args, dim):
+    """--grid, or the default grid: the orbit-reduced res 8 grid in R^dim."""
+    return args.grid or f"grid:dim={dim},res=8,reduce=orbit,seed={args.seed}"
 
 
 def _run(args, compute, **canonical) -> int:
@@ -246,7 +250,7 @@ def cmd_ft(args) -> int:
 
 def cmd_scan(args) -> int:
     body = parse_body(args.body)
-    grid_spec = args.grid or f"grid:dim={body.dim},res=8,reduce=orbit,seed={args.seed}"
+    grid_spec = _grid_spec(args, body.dim)
 
     def compute():
         grid = parse_grid(grid_spec)
@@ -279,10 +283,9 @@ def cmd_bp_verify(args) -> int:
 
     def compute():
         K, L = pair_from_record(pair) if args.pair else bodies
-        grid = parse_grid(args.grid or f"grid:dim={K.dim},res=8,reduce=orbit,seed={args.seed}")
-        # without --rule or --nodes bp_verify picks the rule for the pair
-        spec = args.rule or ("qmc" if args.nodes is not None else None)
-        report = bp_verify(K, L, grid, rule=_rule(args, spec, K.dim - 2))
+        grid = parse_grid(_grid_spec(args, K.dim))
+        # without --rule bp_verify picks the rule for the pair
+        report = bp_verify(K, L, grid, rule=_rule(args, args.rule, K.dim - 2))
         if args.csv:
             _write_table(args.csv, grid, "gap", report.gaps,
                          report.gap_stderrs)
@@ -324,40 +327,35 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--cache-dir", default=None,
                         help=f"cache root (default ${CACHE_ENV} or ~/.cache/cbplab)")
     common.add_argument("--no-cache", action="store_true")
-    nodes = argparse.ArgumentParser(add_help=False)
-    nodes.add_argument("--nodes", type=int, default=None,
-                       help="node count of the QMC rule when --rule names "
-                            "none")
+    rules = argparse.ArgumentParser(add_help=False)
+    rules.add_argument("--rule", help="quadrature rule spec: qmc:nodes=N or "
+                       "mc:nodes=N (N nodes, default 2^16), or gauss:level=L")
     table = argparse.ArgumentParser(add_help=False)
     table.add_argument("--csv", help="per-direction CSV table path; the "
                        "command then computes afresh, never from the cache")
 
     sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("volume", parents=[common, nodes])
+    p = sub.add_parser("volume", parents=[common, rules])
     p.add_argument("--body", required=True)
-    p.add_argument("--rule")
     p.set_defaults(func=cmd_volume)
 
-    p = sub.add_parser("section", parents=[common, nodes])
+    p = sub.add_parser("section", parents=[common, rules])
     p.add_argument("--body", required=True)
-    p.add_argument("--rule")
     p.add_argument("--xi", help="comma-separated direction (default e1)")
     p.set_defaults(func=cmd_section)
 
-    p = sub.add_parser("ft", parents=[common])
+    p = sub.add_parser("ft", parents=[common, rules])
     p.add_argument("--body", required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--method", default="auto", choices=["auto", *_METHODS])
-    p.add_argument("--rule")
     p.add_argument("--xi")
     p.set_defaults(func=cmd_ft)
 
-    p = sub.add_parser("scan", parents=[common, table])
+    p = sub.add_parser("scan", parents=[common, rules, table])
     p.add_argument("--body", required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--grid")
-    p.add_argument("--rule")
-    p.add_argument("--tol", type=float, default=1e-3,
+    p.add_argument("--tol", type=float, default=_TOL,
                    help="floor of the sign threshold, as a fraction of "
                         "max(1, largest |value|)")
     p.add_argument("--workers", type=int, default=1,
@@ -365,12 +363,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "do not depend on it")
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("bp-verify", parents=[common, nodes, table])
+    p = sub.add_parser("bp-verify", parents=[common, rules, table])
     p.add_argument("--K")
     p.add_argument("--L")
     p.add_argument("--pair", help="pair file from bp-construct")
     p.add_argument("--grid")
-    p.add_argument("--rule", help="section-sphere rule spec")
     p.set_defaults(func=cmd_bp_verify)
 
     p = sub.add_parser("bp-construct", parents=[common])

@@ -132,9 +132,11 @@ def _verdicts(body, grid, samples, tol) -> dict:
 def _sweep(body, ps, grid, rule, tol, workers) -> dict:
     """Map p -> EmbeddingVerdict for each distinct exponent of `ps`, in
     order: the one per-direction loop, on `rule` or the routes' default.
-    ft_values checks every exponent before any work.  `workers` threads
-    share the directions, reassembled by index.
+    The grid, and in ft_values every exponent, is checked before any
+    work.  `workers` threads share the directions, reassembled by index.
     """
+    if grid.dim != body.dim:
+        raise ValueError(f"grid dim {grid.dim} != body dim {body.dim}")
     ps = list(dict.fromkeys(float(p) for p in ps))
     pts = grid.points
 

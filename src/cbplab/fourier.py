@@ -112,7 +112,7 @@ def ft_derivative_route(body: StarBody, xi, m: int,
 # route 2: fractional pairing of the section profile
 # ---------------------------------------------------------------------------
 
-def section_profile(body: StarBody, xi, rule: SphereRule = None):
+def section_profile(body: StarBody, xi, rule: SphereRule):
     """Spline of the section profile t -> A_{K,H_xi}(t xi) on [0, rho(xi)].
 
     By rotation invariance the profile does not depend on the offset
@@ -389,7 +389,7 @@ def ft_multiplier_route(body: StarBody, xi, p: float) -> FtSample:
 _METHODS = ("derivative", "fractional", "pairing", "multiplier")
 
 
-def _route(p: float, n: int, method: str = None):
+def _route(p: float, n: int, method: str):
     """(route, order) of p in dim 2n by the named method, or by the natural
     route: 'derivative' with m where p = 2n - 2m - 2 and 0 <= m < n - 1,
     else 'fractional' with q = 2n - p - 2 in (0, 2).  'pairing' and

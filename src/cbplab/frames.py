@@ -121,7 +121,7 @@ def moduli_angle_map(angles, n):
     return m.reshape(-1, n), jac.reshape(-1)
 
 
-def make_grid(dim, resolution, reduction="none", seed=0,
+def make_grid(dim, resolution, reduction, seed=0,
               sort_moduli=False) -> DirectionGrid:
     """Deterministic direction grid on S^{dim-1}.
 
@@ -134,6 +134,8 @@ def make_grid(dim, resolution, reduction="none", seed=0,
         raise ValueError("resolution must be >= 8")
     n = dim // 2
     if reduction == "none":
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, not {seed}")
         eng = stats.qmc.Sobol(d=dim, scramble=True, seed=seed)
         z = stats.norm.ppf(np.clip(eng.random(int(resolution)), 1e-15, 1 - 1e-15))
         pts = z / np.linalg.norm(z, axis=1, keepdims=True)

@@ -389,7 +389,7 @@ class HarmonicAtom:
 
     moduli_symmetric = True
 
-    def __init__(self, n, degree, c_poly, label=""):
+    def __init__(self, n, degree, c_poly, label):
         self.n = int(n)
         self.dim = 2 * self.n
         self.degree = int(degree)

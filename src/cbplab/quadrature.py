@@ -91,9 +91,10 @@ class SphereRule:
         product_gauss     -- Gauss-Jacobi product rule (dim <= 6), weights
                              sum to the surface area exactly
 
-    A random rule yields _BATCHES = 32 equal batches, whose spread is its
-    error bar; a product rule at most 32, or one per outermost polar node
-    when it streams.
+    batch_count is the number of batches the rule yields: _BATCHES = 32
+    equal ones for a random rule, whose spread is its error bar, and for a
+    product rule, which needs a `level`, min(32, node_count), or `level`
+    (one per outermost polar node) when it streams.
     """
 
     def __init__(self, dim, kind, node_count=2**16, seed=0, level=None):
@@ -109,12 +110,17 @@ class SphereRule:
         if kind == "product_gauss":
             if dim > 6:
                 raise ValueError("product_gauss rules are limited to dim <= 6")
-            self.level = int(level if level is not None else 20)
-            if self.level < 2:
-                raise ValueError("gauss level must be >= 2")
+            if level is None or int(level) < 2:
+                raise ValueError(f"gauss level must be >= 2, not {level}")
+            self.level = int(level)
             self._axes = self._gauss_axes()
             self.node_count = int(np.prod([len(t) for t, _ in self._axes]))
+            self._streams = self.node_count > 2 ** 22 and self.dim > 2
+            self.batch_count = (self.level if self._streams
+                                else min(_BATCHES, self.node_count))
         else:
+            if self.seed < 0 or kind == "monte_carlo" and self.seed >> 64:
+                raise ValueError(f"seed must be >= 0 (< 2^64 for mc): {seed}")
             if int(node_count) < 1:
                 raise ValueError(f"node_count must be >= 1 for a {kind} "
                                  f"rule, not {node_count}")
@@ -204,10 +210,9 @@ class SphereRule:
 
     def _make_batches(self):
         if self.kind == "product_gauss":
-            if self.node_count <= 2 ** 22 or self.dim == 2:
+            if not self._streams:
                 pts, w = self._gauss_nodes()
-                nb = min(self.batch_count, len(w))
-                for idx in np.array_split(np.arange(len(w)), nb):
+                for idx in np.array_split(np.arange(len(w)), self.batch_count):
                     yield pts[idx], w[idx]
             else:
                 # large grids stream one outermost polar node at a time so

@@ -132,23 +132,19 @@ def parse_grid(text: str) -> DirectionGrid:
                      sort_moduli=sort and reduction == "orbit_reduced")
 
 
-def parse_rule(text: str, dim: int = None, default_nodes: int = None,
-               default_seed: int = 1) -> SphereRule:
-    """`mc:...` / `qmc:...` / `gauss:level=40[,dim=6]` -> SphereRule.
+def parse_rule(text: str, dim: int, default_seed: int) -> SphereRule:
+    """`mc:[nodes=N,seed=S,dim=D]` / `qmc:...` / `gauss:level=40[,dim=6]`
+    -> SphereRule.
 
-    `dim` and `default_nodes` supply the sphere dimension and node count
-    when the spec omits them (the CLI passes its --nodes flag here); a
-    node count is refused for a spec that fixes its own, as it would act
-    on nothing.
+    `dim` and `default_seed` supply the sphere dimension and seed when the
+    spec omits them; a random rule without `nodes` has 2^16 nodes, and a
+    Gauss rule needs its `level`.
     """
     head, fields = split_spec(text)
     kinds = {"mc": "monte_carlo", "qmc": "quasi_monte_carlo",
              "gauss": "product_gauss"}
     if head not in kinds:
         raise SpecError(f"unknown rule spec head {head!r} in {text!r}")
-    if default_nodes is not None and (head == "gauss" or "nodes" in fields):
-        raise SpecError(f"node count {default_nodes} does not act on the "
-                        f"rule {text!r}, which fixes its own")
     rdim = _number(fields, "dim", text, int, default=dim or 0)
     if not rdim:
         raise SpecError(f"missing field 'dim' in {text!r}")
@@ -157,8 +153,6 @@ def parse_rule(text: str, dim: int = None, default_nodes: int = None,
         level = _number(fields, "level", text, int)
         _done(fields, text)
         return SphereRule(rdim, "product_gauss", level=level, seed=seed)
-    nodes = _number(fields, "nodes", text, int,
-                    default=2 ** 16 if default_nodes is None
-                    else default_nodes)
+    nodes = _number(fields, "nodes", text, int, default=2 ** 16)
     _done(fields, text)
     return SphereRule(rdim, kinds[head], node_count=nodes, seed=seed)

@@ -172,7 +172,8 @@ def test_radial_perturbation_refuses_a_non_finite_field_by_name(field, bad):
 
     fields = {"exponent": 2.0, "amplitude": 0.05, field: bad}
     with pytest.raises(ValueError, match=f"{field} must be finite"):
-        RadialPerturbation(EuclideanBall(4), bump=bump, **fields)
+        RadialPerturbation(EuclideanBall(4), bump=bump, bump_id="wiggle",
+                           **fields)
     assert calls == []  # refused before any sampling
 
 

@@ -1,7 +1,9 @@
+import ast
 import csv
 import json
 import math
 import os
+import types
 
 import numpy as np
 import pytest
@@ -198,18 +200,19 @@ _REQUIRED = {"volume": ["--body", "ball:dim=4"],
 
 
 @pytest.mark.parametrize("command,flag", [
-    ("volume", "--workers"),
+    ("volume", "--workers"), ("volume", "--nodes"),
     ("volume", "--tol"), ("volume", "--csv"),
-    ("section", "--tol"), ("section", "--csv"),
+    ("section", "--nodes"), ("section", "--tol"), ("section", "--csv"),
     ("ft", "--nodes"), ("ft", "--tol"), ("ft", "--csv"),
     ("scan", "--nodes"),
-    ("bp-verify", "--tol"),
+    ("bp-verify", "--nodes"), ("bp-verify", "--tol"),
     ("bp-construct", "--nodes"), ("bp-construct", "--tol"),
     ("bp-construct", "--csv"),
 ], ids=lambda value: value.lstrip("-"))
 def test_only_scan_takes_workers(capsys, command, flag):
     # a command refuses every flag it does not read: --workers off scan,
-    # and each option that once reached it only through the shared parent
+    # each option that once reached it only through the shared parent, and
+    # --nodes, which a rule spec spells `qmc:nodes=N`
     with pytest.raises(SystemExit) as exc:
         main([command, *_REQUIRED[command], flag, "2", "--no-cache"])
     assert exc.value.code == 2
@@ -222,7 +225,7 @@ def test_inputs_hold_only_the_options_a_command_reads(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "bp_construct", impossible)
     argvs = {
-        "volume": ["--body", "ball:dim=4", "--nodes", "512"],
+        "volume": ["--body", "ball:dim=4", "--rule", "qmc:nodes=512"],
         "section": ["--body", "ball:dim=4", "--rule", "gauss:level=6"],
         "ft": ["--body", "ball:dim=4", "--p", "2"],
         "scan": ["--body", "ball:dim=4", "--p", "2",
@@ -237,19 +240,10 @@ def test_inputs_hold_only_the_options_a_command_reads(tmp_path, monkeypatch):
         assert code == (1 if command == "bp-construct" else 0), command
         assert rec["exit_code"] == code
         assert ("tol" in rec["inputs"]) == (command == "scan"), command
-        assert ("nodes" in rec["inputs"]) == (
-            command in ("volume", "section", "bp-verify")), command
-    # --nodes sets the count of the rule the spec leaves open
+        assert "nodes" not in rec["inputs"], command
+    # the rule spec sets the node count
     assert json.loads((tmp_path / "volume.json").read_text())[
         "results"][0]["node_count"] == 512
-
-
-@pytest.mark.parametrize("rule", ["gauss:level=6", "qmc:nodes=4096"])
-def test_nodes_that_would_act_on_nothing_are_refused(tmp_path, capsys, rule):
-    code, rec = run(tmp_path, "volume", "--body", "ball:dim=4",
-                    "--rule", rule, "--nodes", "64")
-    assert code == 1 and rec is None
-    assert "node count 64 does not act on the rule" in capsys.readouterr().err
 
 
 def test_csv_is_written_on_every_call(tmp_path):
@@ -271,13 +265,27 @@ def test_empty_rules_are_refused(tmp_path, capsys):
     # an empty rule made every section gap 0: a false violation
     pair = ["--K", "ball:dim=6", "--L", "scale:base=(ball:dim=6),lam=0.9"]
     for nodes in ("-3", "0"):
-        code, rec = run(tmp_path, "bp-verify", *pair, "--nodes", nodes)
+        code, rec = run(tmp_path, "bp-verify", *pair,
+                        "--rule", f"qmc:nodes={nodes}")
         assert code == 1 and rec is None
         assert "node_count" in capsys.readouterr().err
     code, rec = run(tmp_path, "volume", "--body", "ball:dim=6",
                     "--rule", "qmc:nodes=0")
     assert code == 1 and rec is None
     assert "node_count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["volume", "--body", "ball:dim=4", "--seed", "-1"],
+    ["volume", "--body", "ball:dim=4", "--rule", "mc:seed=-2"],
+    ["volume", "--body", "ball:dim=4", "--rule", f"mc:seed={2 ** 64}"],
+    ["scan", "--body", "ball:dim=4", "--p", "2",
+     "--grid", "grid:dim=4,res=8,seed=-1"],
+], ids=["qmc-negative", "mc-negative", "mc-2^64", "grid-negative"])
+def test_a_seed_out_of_range_is_refused_by_name(tmp_path, capsys, argv):
+    code, rec = run(tmp_path, *argv)
+    assert code == 1 and rec is None
+    assert "seed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("xi", ["nan,0,0,0", "inf,0,0,0", "1,-inf,0,0",
@@ -382,6 +390,48 @@ def test_a_constructed_pair_report_is_verified_from_its_file(tmp_path,
     # the file's sorted keys reorder the bump's terms: round-off only
     assert max(float(r["gap"]) for r in rows) == pytest.approx(
         made["max_gap"], rel=1e-9)
+
+
+def test_a_construction_that_exhausts_its_halvings_fails(tmp_path,
+                                                         monkeypatch):
+    # a negativity region on the grid, but no amplitude that bp_verify
+    # calls a violation: every halving is spent and the command fails
+    perturb, built = busemann_petty.RadialPerturbation, []
+
+    def first_not_positive(*args, **kwargs):
+        built.append(args)
+        if len(built) == 1:
+            raise ValueError("the perturbed radial function is not positive")
+        return perturb(*args, **kwargs)
+
+    def witness(body, p, grid, rule):
+        values = -np.cos(np.arange(len(grid.points)))
+        k = int(np.argmin(values))
+        return embedding.EmbeddingVerdict(
+            body.spec(), p, grid, values, np.zeros(len(values)), values[k],
+            0.0, grid.points[k], "negativity_witness")
+
+    verified = []
+
+    def consistent(K, L, grid):
+        verified.append(K.eps)
+        return types.SimpleNamespace(verdict="consistent")
+
+    monkeypatch.setattr(busemann_petty, "RadialPerturbation",
+                        first_not_positive)
+    monkeypatch.setattr(busemann_petty, "scan", witness)
+    monkeypatch.setattr(busemann_petty, "bp_verify", consistent)
+    code, rec = run(tmp_path, "bp-construct", "--n", "2", "--q", "4")
+    assert code == 1 and rec["exit_code"] == 1
+    [failed] = rec["results"]
+    assert failed["error"] == "construction-failed"
+    trace = ast.literal_eval(failed["message"].split("trace: ", 1)[1])
+    eps = [step["eps"] for step in trace]
+    assert eps == [eps[0] / 2 ** i for i in range(busemann_petty._MAX_HALVINGS
+                                                  + 1)]
+    assert trace[0]["status"] == "not_positive"
+    assert verified == [step["eps"] for step in trace
+                        if step["status"] == "consistent"] != []
 
 
 def test_pair_whose_specs_do_not_match_its_bodies_is_refused(tmp_path,

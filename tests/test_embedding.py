@@ -118,6 +118,17 @@ def test_embedding_interval_rejects_a_bad_exponent_before_any_work(
     assert profiles == [] and derivatives == []
 
 
+def test_a_grid_of_another_dimension_is_refused_before_any_work(
+        b42, monkeypatch):
+    values = _counted(monkeypatch, embedding, "ft_values")
+    grid = make_grid(6, 8, reduction="orbit_reduced")
+    with pytest.raises(ValueError, match="grid dim 6 != body dim 4"):
+        scan(b42, 2.0, grid)
+    with pytest.raises(ValueError, match="grid dim 6 != body dim 4"):
+        embedding_interval(b42, [1.5, 2.0], grid)
+    assert values == []
+
+
 def test_embedding_interval_evaluates_a_repeated_exponent_once(monkeypatch):
     body = mollify(ComplexLqBall(2, 4.0), 0.2)
     grid = make_grid(4, 8, reduction="orbit_reduced", sort_moduli=True)

@@ -6,7 +6,8 @@ somewhere in those files outside its own definition: as a name, an
 attribute or a string (the traced benchmark wraps functions by name).
 Tests do not count as callers; an audit only tests call belongs in
 `tests/checks.py`.  Likewise every parameter with a default must be set
-by some call in those files, or it is a constant."""
+by some call in those files, or it is a constant, and left out by some
+call there or in the tests, or it is required."""
 
 import ast
 import collections
@@ -159,3 +160,35 @@ def test_every_default_is_set_outside_the_tests():
                  and _sets(value, name, default, callee, classes)
                  for call in calls[callee])]
     assert not unset, unset
+
+
+def _all_calls():
+    """Calls by callee name in every file of `src/cbplab`, `perfbench` and
+    `tests`, test modules included, leaving out those that unpack `*` or
+    `**`: what they pass cannot be read off the call."""
+    paths = (glob.glob(os.path.join(ROOT, "src", "cbplab", "*.py"))
+             + glob.glob(os.path.join(ROOT, "perfbench", "*.py"))
+             + glob.glob(os.path.join(ROOT, "tests", "*.py")))
+    calls = collections.defaultdict(list)
+    for path in paths:
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and not (
+                    any(isinstance(a, ast.Starred) for a in node.args)
+                    or any(kw.arg is None for kw in node.keywords)):
+                func = node.func
+                calls[getattr(func, "id", getattr(func, "attr", None))].append(
+                    node)
+    return calls
+
+
+def test_every_default_is_relied_on_by_some_call():
+    # a default that every call overrides is a required parameter
+    calls = _all_calls()
+    unused = [f"{path}: {callee}({name})"
+              for path, tree in _sources().items() if path.startswith("src")
+              for callee, name, position, _ in _defaulted_parameters(tree)
+              if all(_passed(call, name, position) is not None
+                     for call in calls[callee])]
+    assert not unused, unused

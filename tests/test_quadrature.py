@@ -148,6 +148,34 @@ def test_random_rules_need_a_node(kind):
     assert SphereRule(4, kind, node_count=1).node_count == 32
 
 
+@pytest.mark.parametrize("dim, kind, args", [
+    (4, "quasi_monte_carlo", {"node_count": 100}),
+    (2, "product_gauss", {"level": 4}),  # 8 nodes
+    (4, "product_gauss", {"level": 4}),  # 128 nodes
+    (4, "product_gauss", {"level": 129}),  # > 2^22 nodes: streamed
+], ids=["qmc", "gauss-8", "gauss-128", "gauss-streamed"])
+def test_batch_count_is_the_number_of_batches_the_rule_yields(dim, kind,
+                                                              args):
+    # slice and pairing sums are sized by batch_count, one column a batch
+    rule = SphereRule(dim, kind, **args)
+    assert rule.batch_count == sum(1 for _ in rule.batches())
+
+
+def test_a_product_rule_needs_its_level():
+    with pytest.raises(ValueError, match="level"):
+        SphereRule(4, "product_gauss")
+
+
+@pytest.mark.parametrize("kind, seed", [("monte_carlo", -1),
+                                        ("monte_carlo", 2 ** 64),
+                                        ("quasi_monte_carlo", -2)])
+def test_random_rules_refuse_a_seed_they_cannot_key_by_name(kind, seed):
+    with pytest.raises(ValueError, match="seed"):
+        SphereRule(4, kind, node_count=64, seed=seed)
+    # a product rule ignores its seed
+    assert SphereRule(4, "product_gauss", level=4, seed=seed).node_count == 128
+
+
 @pytest.mark.parametrize("q", [0.5, 1.0, 1.5])
 def test_fractional_radial_closed_form(q):
     # g = (1 - t^2) on [0, 1]: int (g - g(0)) t^{-1-q}

@@ -65,6 +65,14 @@ def test_parallel_section_of_the_ball_matches_the_offset_formula():
             kappa(d - 2) * (1.0 - s) ** ((d - 2) / 2.0), rel=1e-10)
 
 
+def test_a_streamed_product_rule_slices_every_batch():
+    # 129 outer polar nodes on S^3 stream as 129 batches, one sum column each
+    rule = SphereRule(4, "product_gauss", level=129)
+    [est] = parallel_sections(EuclideanBall(6), make_frame(np.eye(6)[0]),
+                              [[0.0, 0.0]], rule)
+    assert est.value == pytest.approx(kappa(4), rel=1e-13)
+
+
 def test_parallel_section_is_zero_outside_the_body():
     frame = make_frame(unit(6, seed=4))
     rule = SphereRule(4, "product_gauss", level=6)
