@@ -122,7 +122,10 @@ def _parse_xi(text: str, dim: int):
         xi = np.zeros(dim)
         xi[0] = 1.0
         return xi
-    vals = np.array([float(v) for v in text.split(",")], dtype=float)
+    try:
+        vals = np.array([float(v) for v in text.split(",")], dtype=float)
+    except ValueError:
+        raise SpecError(f"direction {text!r}: not a number") from None
     if len(vals) != dim:
         raise SpecError(f"direction needs {dim} components, got {len(vals)}")
     if not np.all(np.isfinite(vals)):

@@ -7,7 +7,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+
+from .quadrature import _sobol_sphere, sphere_area
 
 _UNIT_TOL = 1e-12
 
@@ -125,7 +126,7 @@ def make_grid(dim, resolution, reduction, seed=0,
               sort_moduli=False) -> DirectionGrid:
     """Deterministic direction grid on S^{dim-1}.
 
-    reduction="none": a quasi-uniform (Sobol) point set of `resolution` points.
+    reduction="none": `resolution` Sobol points from quadrature._sobol_sphere.
     reduction="orbit_reduced": canonical representatives on the moduli
     simplex, optionally sorted descending for permutation-symmetric bodies.
     """
@@ -136,9 +137,7 @@ def make_grid(dim, resolution, reduction, seed=0,
     if reduction == "none":
         if seed < 0:
             raise ValueError(f"seed must be >= 0, not {seed}")
-        eng = stats.qmc.Sobol(d=dim, scramble=True, seed=seed)
-        z = stats.norm.ppf(np.clip(eng.random(int(resolution)), 1e-15, 1 - 1e-15))
-        pts = z / np.linalg.norm(z, axis=1, keepdims=True)
+        pts = _sobol_sphere(dim, int(resolution), seed)
         return DirectionGrid(dim, pts, "none", int(resolution), seed)
     if reduction != "orbit_reduced":
         raise ValueError(f"unknown reduction {reduction!r}")
@@ -159,6 +158,5 @@ def make_grid(dim, resolution, reduction, seed=0,
     pts[:, 0::2] = m
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     # scale weights so invariant quadrature reproduces the sphere area
-    from .quadrature import sphere_area
     w = w * (sphere_area(dim) / w.sum())
     return DirectionGrid(dim, pts, "orbit_reduced", int(resolution), seed, w)

@@ -3,17 +3,21 @@
 All rules are deterministic given their seed: Monte Carlo node batches are
 generated by a counter-based generator keyed on (seed, batch index), so the
 node stream does not depend on how many workers consume it, and integrals of
-nearby integrands evaluated with the same rule share nodes exactly.
+nearby integrands evaluated with the same rule share nodes exactly.  QMC
+batches are scrambled Sobol points made with numpy on scipy's Joe-Kuo
+direction numbers, keyed on seed * 1000003 + batch index.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, special, stats
+import scipy
+from scipy import integrate, special
 
 
 class PoisonedEstimateError(ValueError):
@@ -75,6 +79,53 @@ def _gauss_jacobi(count, a):
     t.flags.writeable = False
     w.flags.writeable = False
     return t, w
+
+
+@lru_cache(maxsize=None)
+def _sobol_directions(d):
+    """Read-only (d, 30) Bratley-Fox direction numbers, column j << 29 - j,
+    from scipy's Joe-Kuo table, which is read once per d and not kept."""
+    with np.load(os.path.join(os.path.dirname(scipy.__file__), "stats",
+                              "_sobol_direction_numbers.npz")) as table:
+        poly, vinit = table["poly"][:d], table["vinit"][:d]
+    v = np.ones((d, 30), dtype=np.uint32)
+    for j in range(1, d):
+        p, m = int(poly[j]), int(poly[j]).bit_length() - 1
+        row = [int(c) for c in vinit[j, :m]]
+        for i in range(m, 30):
+            row.append(row[i - m])
+            for t in range(1, m + 1):
+                row[i] ^= (p >> m - t & 1) * row[i - t] << t
+        v[j] = row
+    v <<= np.arange(29, -1, -1, dtype=np.uint32)
+    v.flags.writeable = False
+    return v
+
+
+def _sobol(d, n, seed):
+    """scipy.stats.qmc.Sobol(d, scramble=True, seed=seed).random(n), bit for
+    bit: 30-bit points, LMS and digital shift drawn as scipy draws them."""
+    if d > 21201 or not 1 <= n <= 2 ** 30:
+        raise ValueError(f"Sobol needs d <= 21201, 1 <= n <= 2^30: {d}, {n}")
+    rng = np.random.default_rng(seed)
+    pow2 = 1 << np.arange(30, dtype=np.uint32)
+    shift = rng.integers(0, 2, (d, 30), dtype=np.uint32) @ pow2
+    ltm = np.tril(rng.integers(0, 2, (d, 30, 30), dtype=np.uint32))
+    ltm |= np.eye(30, dtype=np.uint32)
+    # the LMS matrix acts on the binary digits, most significant first
+    digits = (_sobol_directions(d)[:, :, None] & pow2[::-1]) != 0
+    sv = (digits @ ltm.transpose(0, 2, 1) & 1) @ pow2[::-1]
+    # point i is point i - 1 XOR the direction at the lowest zero bit of i - 1
+    i = np.arange(1, n)
+    steps = np.concatenate([shift[None], sv.T[np.frexp(i & -i)[1] - 1]])
+    return np.bitwise_xor.accumulate(steps, axis=0) * 2.0 ** -30
+
+
+def _sobol_sphere(d, n, seed):
+    """n scrambled Sobol points on S^{d-1}, mapped through the Gaussian."""
+    z = special.ndtri(np.clip(_sobol(d, n, seed), 1e-15, 1 - 1e-15))
+    norm = np.linalg.norm(z, axis=1, keepdims=True)
+    return z / np.where(norm == 0, 1.0, norm)
 
 
 _KINDS = ("monte_carlo", "quasi_monte_carlo", "product_gauss")
@@ -179,14 +230,8 @@ class SphereRule:
     def _qmc_batch(self, index):
         # independently scrambled replicates make the batch-variance error
         # model honest while keeping the stream deterministic per batch
-        per = self.node_count // self.batch_count
-        eng = stats.qmc.Sobol(d=self.dim, scramble=True,
-                              seed=self.seed * 1000003 + index)
-        u = eng.random(per)
-        z = stats.norm.ppf(np.clip(u, 1e-15, 1 - 1e-15))
-        n = np.linalg.norm(z, axis=1, keepdims=True)
-        n[n == 0] = 1.0
-        return z / n
+        return _sobol_sphere(self.dim, self.node_count // self.batch_count,
+                             self.seed * 1000003 + index)
 
     def batches(self):
         """Yield read-only (nodes, weights) pairs; weights sum to the sphere

@@ -12,7 +12,7 @@ bit.
 import math
 
 import numpy as np
-from scipy import special
+from scipy import special, stats
 
 from cbplab.bodies import StarBody
 from cbplab.busemann_petty import _require_invariant as _require_bp
@@ -266,3 +266,12 @@ def c_sphere_inner(p, q, n):
     mom = (math.factorial(n - 1) * np.prod(fact[E], axis=2)
            / kfact[k])
     return float(v1 @ mom @ v2) * sphere_area(2 * n)
+
+
+def scipy_sobol_sphere(d, n, seed):
+    """n scrambled Sobol points on S^{d-1} as scipy.stats made them: the
+    formula of SphereRule's QMC batches and make_grid(reduction="none")
+    before they drew their points with numpy."""
+    u = stats.qmc.Sobol(d=d, scramble=True, seed=seed).random(n)
+    z = stats.norm.ppf(np.clip(u, 1e-15, 1 - 1e-15))
+    return z / np.linalg.norm(z, axis=1, keepdims=True)

@@ -298,6 +298,15 @@ def test_non_finite_directions_are_refused_by_name(tmp_path, capsys, xi):
     assert "usage error" in err and repr(xi) in err
 
 
+@pytest.mark.parametrize("xi", ["1,x,0,0", "1,,0,0", "1;0,0,0"])
+def test_a_direction_that_is_not_numbers_is_refused_by_name(tmp_path, capsys,
+                                                            xi):
+    code, rec = run(tmp_path, "section", "--body", "ball:dim=4", "--xi", xi)
+    assert code == 1 and rec is None
+    err = capsys.readouterr().err
+    assert "usage error" in err and repr(xi) in err and "not a number" in err
+
+
 def test_malformed_specs_exit_one(tmp_path, capsys):
     assert main(["volume", "--body", "mystery:dim=6", "--no-cache"]) == 1
     assert "usage error" in capsys.readouterr().err

@@ -7,7 +7,7 @@ import checks
 from cbplab import frames
 from cbplab.frames import make_frame, make_grid, perp, rotate
 from cbplab.quadrature import sphere_area
-from checks import orbit_distance, unit
+from checks import orbit_distance, scipy_sobol_sphere, unit
 
 
 def test_perp_swaps_pairs_with_sign():
@@ -82,6 +82,12 @@ def test_sobol_grid_is_deterministic_and_unit():
     assert np.array_equal(g1.points, g2.points)
     assert np.allclose(np.linalg.norm(g1.points, axis=1), 1.0)
     assert len(g1) == 64
+
+
+@pytest.mark.parametrize("dim, seed", [(4, 0), (8, 5), (10, 12)])
+def test_sobol_grid_is_the_scipy_formula_bit_for_bit(dim, seed):
+    grid = make_grid(dim, 64, reduction="none", seed=seed)
+    assert np.array_equal(grid.points, scipy_sobol_sphere(dim, 64, seed))
 
 
 def test_orbit_reduced_grid_canonical_form():

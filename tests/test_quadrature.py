@@ -1,15 +1,21 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
+from scipy import special, stats
 
+import cbplab
 from cbplab import quadrature
 from cbplab.bodies import ComplexLqBall, mollify
 from cbplab.frames import make_frame
 from cbplab.quadrature import (Estimate, PoisonedEstimateError, SphereRule,
                                fractional_radial, integrate_sphere,
                                integrate_subsphere, kahan_reduce, sphere_area)
-from checks import kappa
+from checks import kappa, scipy_sobol_sphere
 
 
 def test_sphere_area_matches_gamma_formula():
@@ -328,3 +334,55 @@ def test_streamed_gauss_rules_keep_no_batches(monkeypatch):
     for _ in range(2):
         assert sum(len(w) for _, w in rule.batches()) == rule.node_count
     assert calls == [{"skip_outer": 1}] * 2
+
+
+@pytest.mark.parametrize("d", [*range(1, 13), 40])
+def test_sobol_points_are_scipys_bit_for_bit(d):
+    with warnings.catch_warnings():
+        # scipy warns on a count that is not a power of two
+        warnings.simplefilter("ignore", UserWarning)
+        for seed in (0, 7, 5 * 1000003 + 31, 2 ** 40 + 3):
+            for n in (1, 3, 64, 2048, 16384):
+                ref = stats.qmc.Sobol(d=d, scramble=True, seed=seed).random(n)
+                assert np.array_equal(quadrature._sobol(d, n, seed), ref)
+
+
+def test_ndtri_is_the_normal_quantile_bit_for_bit():
+    u = np.random.default_rng(3).random(10 ** 6)
+    u[:4] = 0.0, 1.0, 1e-15, 1 - 1e-15
+    u = np.clip(u, 1e-15, 1 - 1e-15)
+    assert np.array_equal(special.ndtri(u), stats.norm.ppf(u))
+
+
+@pytest.mark.parametrize("dim, seed", [(4, 0), (6, 5), (8, 3)])
+def test_qmc_batches_are_the_scipy_formulas_bit_for_bit(dim, seed):
+    rule = SphereRule(dim, "quasi_monte_carlo", node_count=2 ** 12, seed=seed)
+    for b, (pts, _) in enumerate(rule.batches()):
+        assert np.array_equal(pts, scipy_sobol_sphere(dim, 128,
+                                                      seed * 1000003 + b))
+
+
+def test_sobol_points_refuse_what_the_table_cannot_give_by_name():
+    with pytest.raises(ValueError, match="d <= 21201.*: 21202, 8"):
+        quadrature._sobol(21202, 8, 0)
+    for n in (0, 2 ** 30 + 1):
+        with pytest.raises(ValueError, match=rf"1 <= n <= 2\^30: 2, {n}$"):
+            quadrature._sobol(2, n, 0)
+    # as before, numpy refuses a negative seed
+    with pytest.raises(ValueError, match="negative"):
+        quadrature._sobol(2, 8, -1)
+
+
+def test_node_generation_does_not_import_scipy_stats():
+    # scipy.stats costs about 17 MB and 0.4 s to import
+    code = ("import sys\n"
+            "import cbplab\n"
+            "rule = cbplab.SphereRule(6, 'quasi_monte_carlo', 2 ** 10, 3)\n"
+            "assert sum(len(p) for p, _ in rule.batches()) == 2 ** 10\n"
+            "cbplab.make_grid(8, 64, reduction='none', seed=5)\n"
+            "print('scipy.stats' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(cbplab.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == ["False"]
