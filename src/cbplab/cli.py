@@ -45,7 +45,7 @@ CACHE_ENV = "CBPLAB_CACHE_DIR"
 UNHASHED = ("func", "out", "csv", "cache_dir", "no_cache", "workers")
 #: hashed with every command's inputs, so cached results of older numerics
 #: are not served: a change that moves any computed number bumps it
-NUMERICS_VERSION = 1
+NUMERICS_VERSION = 2
 
 
 # ---------------------------------------------------------------------------

@@ -12,16 +12,18 @@ of ||x||_K^{-p} restricted to the unit sphere is constant along rotation
 orbits, and values at non-unit y follow by (p - d)-homogeneity.
 
 Exponents are routed in one place, `_route`; `ft_values` evaluates a list
-of them at one direction and shares what the routes allow.
+of them at one direction and shares what the routes allow.  The fractional
+route splines the section profile by a numpy port of scipy's CubicSpline.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import interpolate, special
+from scipy import linalg, special
 
 from . import quadrature
 from .bodies import StarBody
@@ -112,8 +114,43 @@ def ft_derivative_route(body: StarBody, xi, m: int,
 # route 2: fractional pairing of the section profile
 # ---------------------------------------------------------------------------
 
+class _ProfileSpline:
+    """scipy's CubicSpline(x, y, bc_type=((1, 0.0), "not-a-knot")) on n >= 4
+    knots, bit for bit: the same banded system and coefficients `c`, and a
+    scalar evaluated as PPoly evaluates it (not by Horner's rule), on the
+    first or last piece outside the knots."""
+
+    def __init__(self, x, y):
+        n, dx = len(x), np.diff(x)
+        slope = np.diff(y) / dx
+        A, b = np.zeros((3, n)), np.empty(n)
+        A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+        A[0, 2:] = dx[:-1]
+        A[-1, :-2] = dx[1:]
+        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        A[1, 0], b[0] = 1, 0.0  # zero slope at t = 0
+        d = x[-1] - x[-3]  # not-a-knot at the far end
+        A[1, -1], A[-1, -2] = dx[-2], d
+        b[-1] = ((dx[-1]**2 * slope[-2] + (2*d + dx[-1]) * dx[-2] * slope[-1])
+                 / d)
+        s = linalg.solve_banded((1, 1), A, b.reshape(n, -1), overwrite_ab=True,
+                                overwrite_b=True, check_finite=False).reshape(n)
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        self.c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+        self._knots, self._pieces = x[:-1].tolist(), self.c.T[:, ::-1].tolist()
+
+    def __call__(self, t):
+        i = max(bisect.bisect_right(self._knots, t) - 1, 0)
+        res, z, dt = 0.0, 1.0, t - self._knots[i]
+        for coef in self._pieces[i]:
+            res = res + coef * z
+            z *= dt
+        return res
+
+
 def section_profile(body: StarBody, xi, rule: SphereRule):
-    """Spline of the section profile t -> A_{K,H_xi}(t xi) on [0, rho(xi)].
+    """Spline of the section profile t -> A_{K,H_xi}(t xi) on [0, rho(xi)]:
+    a _ProfileSpline, CubicSpline's clamped (zero slope at 0) cubic.
 
     By rotation invariance the profile does not depend on the offset
     direction within span{xi, xi_perp}.  All profile points are sliced in
@@ -137,27 +174,25 @@ def section_profile(body: StarBody, xi, rule: SphereRule):
                              np.stack([ts, np.zeros_like(ts)], axis=1), rule)
     vals = np.array([e.value for e in ests])
     errs = np.array([e.stderr for e in ests])
-    spline = interpolate.CubicSpline(ts, vals, bc_type=((1, 0.0), "not-a-knot"))
-    return spline, cutoff, float(np.max(errs))
+    return _ProfileSpline(ts, vals), cutoff, float(np.max(errs))
 
 
-def fractional_from_profile(spline, cutoff, max_err, q, n, xi) -> FtSample:
-    """Finish the fractional route from a precomputed section profile."""
+def fractional_from_profile(spline, cutoff, max_err, p, q, n, xi) -> FtSample:
+    """Finish the fractional route at p (order q) from a section profile."""
     if not 0.0 < q < 2.0:
         raise UnsupportedRouteError("q must lie strictly inside (0, 2)")
 
     def profile(t):
-        return float(spline(t)) if t < cutoff else 0.0
+        return spline(t) if t < cutoff else 0.0
 
     radial = fractional_radial(profile, q, cutoff)
     pairing = 2.0 * math.pi * radial / special.gamma(-q / 2.0)
-    p = 2.0 * n - q - 2.0
     scale = 2.0 ** (q + 1.0) * special.gamma((q + 2.0) / 2.0) * (2 * n - q - 2)
     # profile noise enters nearly linearly; bound it by the worst node error
     stderr = abs(scale * 2.0 * math.pi / special.gamma(-q / 2.0)) * (
         max_err * (1.0 / q + 1.0 / (2.0 - q)) * max(cutoff, 1.0))
-    return FtSample(np.asarray(xi, dtype=float), p, scale * pairing, stderr,
-                    "fractional")
+    return FtSample(np.asarray(xi, dtype=float), float(p), scale * pairing,
+                    stderr, "fractional")
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +468,7 @@ def ft_values(body: StarBody, xi, ps, rule: SphereRule = None,
             done[p] = ft_multiplier_route(body, xi, p)
         elif route == "fractional":
             profile = profile or section_profile(body, xi, rule)
-            done[p] = fractional_from_profile(*profile, order, n, xi)
+            done[p] = fractional_from_profile(*profile, p, order, n, xi)
     pair = [p for p, (route, _) in routes.items() if route == "pairing"]
     if pair:
         done.update(zip(pair, pairing_oracle(body, xi, pair, rule=rule)))

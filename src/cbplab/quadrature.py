@@ -5,19 +5,25 @@ generated by a counter-based generator keyed on (seed, batch index), so the
 node stream does not depend on how many workers consume it, and integrals of
 nearby integrands evaluated with the same rule share nodes exactly.  QMC
 batches are scrambled Sobol points made with numpy on scipy's Joe-Kuo
-direction numbers, keyed on seed * 1000003 + batch index.
+direction numbers, keyed on seed * 1000003 + batch index.  The singular
+radial integral calls QUADPACK's QAGS in scipy's compiled extension, as
+scipy.integrate.quad does, without importing scipy.integrate.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 import os
+import sys
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 import scipy
-from scipy import integrate, special
+from scipy import special
 
 
 class PoisonedEstimateError(ValueError):
@@ -386,6 +392,44 @@ def integrate_subsphere(rule: SphereRule, basis, f) -> Estimate:
 
 _TAYLOR_END = 1e-3  # singular end of fractional_radial, over the cutoff
 _TAYLOR_SAMPLES = 5  # profile values the Taylor fit there is made from
+_QAGS_WARNINGS = {  # scipy.integrate.quad's texts for QAGS's ier, limit 200
+    1: "The maximum number of subdivisions (200) has been achieved.\n  If "
+       "increasing the limit yields no improvement it is advised to analyze \n"
+       "  the integrand in order to determine the difficulties.  If the "
+       "position of a \n  local difficulty can be determined (singularity, "
+       "discontinuity) one will \n  probably gain from splitting up the "
+       "interval and calling the integrator \n  on the subranges.  Perhaps a "
+       "special-purpose integrator should be used.",
+    2: "The occurrence of roundoff error is detected, which prevents \n  the "
+       "requested tolerance from being achieved.  The error may be \n  "
+       "underestimated.",
+    3: "Extremely bad integrand behavior occurs at some points of the\n  "
+       "integration interval.",
+    4: "The algorithm does not converge.  Roundoff error is detected\n  in "
+       "the extrapolation table.  It is assumed that the requested tolerance"
+       "\n  cannot be achieved, and that the returned result (if full_output "
+       "= 1) is \n  the best which can be obtained.",
+    5: "The integral is probably divergent, or slowly convergent.",
+    7: "Abnormal termination of the routine.  The estimates for result\n  and "
+       "error are less reliable.  It is assumed that the requested accuracy\n"
+       "  has not been achieved."}
+
+
+@lru_cache(maxsize=None)
+def _quadpack():
+    """scipy's compiled QUADPACK extension, loaded once without running the
+    scipy.integrate package and the subpackages it imports."""
+    name = "scipy.integrate._quadpack"
+    if name not in sys.modules:
+        spec = importlib.machinery.FileFinder(
+            os.path.join(os.path.dirname(scipy.__file__), "integrate"),
+            (importlib.machinery.ExtensionFileLoader,
+             importlib.machinery.EXTENSION_SUFFIXES)).find_spec(name)
+        if spec is None:
+            raise ImportError(f"scipy's compiled QUADPACK {name} is missing")
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
 
 
 def fractional_radial(g, q, cutoff) -> float:
@@ -393,8 +437,9 @@ def fractional_radial(g, q, cutoff) -> float:
 
     g must be a continuous even profile (g'(0) = 0) that vanishes for
     t >= cutoff. The singular end [0, delta] is handled by a quadratic/quartic
-    Taylor fit, [delta, cutoff] by adaptive quadrature, and the tail by the
-    exact value -g(0) cutoff^{-q} / q.
+    Taylor fit, [delta, cutoff] by QAGS called as scipy.integrate.quad(...,
+    limit=200) calls it (with its warnings, as UserWarning), and the tail by
+    the exact value -g(0) cutoff^{-q} / q.
     """
     if not 0.0 < q < 2.0:
         raise ValueError("q must lie in (0, 2)")
@@ -410,9 +455,12 @@ def fractional_radial(g, q, cutoff) -> float:
     (a2, a4), *_ = np.linalg.lstsq(design, dg, rcond=None)
     head = a2 * delta ** (2.0 - q) / (2.0 - q) + a4 * delta ** (4.0 - q) / (4.0 - q)
 
-    mid, _ = integrate.quad(
+    mid, _, ier = _quadpack()._qagse(
         lambda t: (float(g(t)) - g0) / t ** (1.0 + q),
-        delta, T, limit=200,
-    )
+        delta, T, (), 0, 1.49e-8, 1.49e-8, 200)
+    if ier in _QAGS_WARNINGS:
+        warnings.warn(_QAGS_WARNINGS[ier], UserWarning, stacklevel=2)
+    elif ier:
+        raise ValueError(f"QUADPACK QAGS refused the radial integral: ier={ier}")
     tail = -g0 * T ** (-q) / q
     return float(head + mid + tail)

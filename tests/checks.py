@@ -12,7 +12,7 @@ bit.
 import math
 
 import numpy as np
-from scipy import special, stats
+from scipy import integrate, special, stats
 
 from cbplab.bodies import StarBody
 from cbplab.busemann_petty import _require_invariant as _require_bp
@@ -275,3 +275,22 @@ def scipy_sobol_sphere(d, n, seed):
     u = stats.qmc.Sobol(d=d, scramble=True, seed=seed).random(n)
     z = stats.norm.ppf(np.clip(u, 1e-15, 1 - 1e-15))
     return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+def scipy_fractional_radial(g, q, cutoff):
+    """quadrature.fractional_radial as it was when it called
+    scipy.integrate.quad: the reference for its direct QUADPACK call."""
+    T = float(cutoff)
+    g0 = float(g(0.0))
+    delta = T * 1e-3
+    ts = np.linspace(delta / 5, delta, 5)
+    dg = np.array([float(g(t)) - g0 for t in ts])
+    design = np.stack([ts**2, ts**4], axis=1)
+    (a2, a4), *_ = np.linalg.lstsq(design, dg, rcond=None)
+    head = a2 * delta ** (2.0 - q) / (2.0 - q) + a4 * delta ** (4.0 - q) / (4.0 - q)
+    mid, _ = integrate.quad(
+        lambda t: (float(g(t)) - g0) / t ** (1.0 + q),
+        delta, T, limit=200,
+    )
+    tail = -g0 * T ** (-q) / q
+    return float(head + mid + tail)

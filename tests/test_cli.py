@@ -68,6 +68,18 @@ def test_ft_multiplier_at_an_explicit_direction(tmp_path):
     assert baseline["passed"] and baseline["rel_gap"] < 1e-12
 
 
+def test_ft_reports_the_requested_fractional_exponent(tmp_path):
+    # the route works at q = 2n - p - 2, and 2n - q - 2 would read
+    # 0.20000000000000018
+    code, rec = run(tmp_path, "ft", "--body", "ball:dim=4", "--p", "0.2")
+    assert code == 0
+    [result] = rec["results"]
+    assert result["method"] == "fractional"
+    assert result["p"] == rec["inputs"]["p"] == 0.2
+    # value and error bar as when the report echoed 2n - q - 2
+    assert (result["value"], result["stderr"]) == (13.89768292386431, 0.0)
+
+
 def test_an_inconclusive_scan_exits_two_with_its_report(tmp_path,
                                                         monkeypatch):
     # a confirmation far from the primary route: the routes disagree

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy import special
+from scipy import interpolate, special
 
 from cbplab import fourier
 from cbplab.bodies import (ComplexLqBall, EuclideanBall, RadialPerturbation,
@@ -15,9 +15,10 @@ from cbplab.fourier import (FtSample, UnsupportedRouteError,
                             classical_multiplier,
                             ft_derivative_route, ft_multiplier_route,
                             ft_value, ft_values, pairing_oracle)
-from cbplab.frames import make_grid, rotate
+from cbplab.frames import make_frame, make_grid, rotate
 from cbplab.harmonics import symmetric_harmonic_atoms
 from cbplab.quadrature import Estimate, SphereRule, sphere_area
+from cbplab.sections import parallel_sections
 from checks import agrees, parseval_check, sph_identity_check, unit
 
 
@@ -80,6 +81,38 @@ def test_fractional_route_on_the_ball_dim4():
     assert sample.value == pytest.approx(4.0 * math.pi ** 2, rel=0.02)
     assert sample.value == pytest.approx(classical_multiplier(0, 1.0, 4),
                                          rel=0.02)
+
+
+def _assert_is_scipys_spline(x, y, ours):
+    ref = interpolate.CubicSpline(x, y, bc_type=((1, 0.0), "not-a-knot"))
+    assert np.array_equal(ours.c, ref.c)
+    # the knots, points between and outside them, and past the last knot
+    # up to 2% beyond it (the route reads up to the cutoff, just past it)
+    mid = (x[:-1] + x[1:]) / 2
+    ts = np.concatenate([x, mid, x[:-1] + 1e-3 * np.diff(x), [-0.1 * x[1]],
+                         x[-1] + np.linspace(0.0, 0.02, 9) * x[-1]])
+    assert [ours(t) for t in ts] == [float(ref(t)) for t in ts]
+    assert [ours(float(t)) for t in ts] == [float(ref(t)) for t in ts]
+
+
+@given(st.integers(4, 120), st.integers(0, 2 ** 32 - 1))
+def test_profile_spline_is_scipys_cubic_spline_bit_for_bit(count, seed):
+    rng = np.random.default_rng(seed)
+    x = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 2.0, count - 1))])
+    y = rng.normal(size=count)
+    if np.all(np.diff(x) > 0):
+        _assert_is_scipys_spline(x, y, fourier._ProfileSpline(x, y))
+
+
+def test_section_profile_is_scipys_cubic_spline_bit_for_bit():
+    body = mollify(ComplexLqBall(2, 4.0), 0.2)
+    xi = make_grid(4, 8, reduction="orbit_reduced").points[3]
+    rule = fourier.default_section_rule(4)
+    spline, cutoff, _ = fourier.section_profile(body, xi, rule)
+    ts = np.linspace(0.0, cutoff * (1.0 - 1e-9), fourier._PROFILE_POINTS)
+    vals = [e.value for e in parallel_sections(
+        body, make_frame(xi), np.stack([ts, np.zeros_like(ts)], axis=1), rule)]
+    _assert_is_scipys_spline(ts, vals, spline)
 
 
 def test_pairing_oracle_on_the_ball():

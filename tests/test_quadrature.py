@@ -11,11 +11,12 @@ from scipy import special, stats
 import cbplab
 from cbplab import quadrature
 from cbplab.bodies import ComplexLqBall, mollify
+from cbplab.fourier import section_profile
 from cbplab.frames import make_frame
 from cbplab.quadrature import (Estimate, PoisonedEstimateError, SphereRule,
                                fractional_radial, integrate_sphere,
                                integrate_subsphere, kahan_reduce, sphere_area)
-from checks import kappa, scipy_sobol_sphere
+from checks import kappa, scipy_fractional_radial, scipy_sobol_sphere
 
 
 def test_sphere_area_matches_gamma_formula():
@@ -192,6 +193,51 @@ def test_fractional_radial_closed_form(q):
 
     expected = -1.0 / (2.0 - q) - 1.0 / q
     assert fractional_radial(g, q, 1.0) == pytest.approx(expected, rel=1e-6)
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0])
+def test_fractional_radial_is_the_scipy_quad_code_bit_for_bit(q):
+    # frac4's exponents p = 1.5 and 1.0 in dim 4; a t^(q + 0.1) profile
+    # makes a t^-0.9 integrand, whose singular end QAGS extrapolates, and a
+    # real section profile is the route's own case
+    def power(t):
+        return 1.0 - float(t) ** (q + 0.1) if t <= 1.0 else 0.0
+
+    body = mollify(ComplexLqBall(2, 4.0), 0.2)
+    spline, cutoff, _ = section_profile(body, np.array([1.0, 0, 0, 0]), None)
+
+    def profile(t):
+        return spline(t) if t < cutoff else 0.0
+
+    for g, end in ((power, 1.0), (profile, cutoff)):
+        assert fractional_radial(g, q, end) == scipy_fractional_radial(g, q,
+                                                                       end)
+
+
+def test_a_missing_quadpack_extension_is_refused_by_name(monkeypatch,
+                                                         tmp_path):
+    monkeypatch.delitem(sys.modules, "scipy.integrate._quadpack",
+                        raising=False)
+    monkeypatch.setattr(quadrature.scipy, "__file__",
+                        str(tmp_path / "__init__.py"))
+    with pytest.raises(ImportError, match=r"scipy\.integrate\._quadpack"):
+        quadrature._quadpack.__wrapped__()
+
+
+def test_qags_warnings_are_scipy_quads_texts():
+    def wild(t):  # sin(1/t^2) on [1e-3, 1] exhausts QAGS's 200 subintervals
+        return float(t) ** 1.5 * math.sin(float(t) ** -2) if t > 0 else 0.0
+
+    with warnings.catch_warnings(record=True) as ours:
+        warnings.simplefilter("always")
+        fractional_radial(wild, 0.5, 1.0)
+    with warnings.catch_warnings(record=True) as scipys:
+        warnings.simplefilter("always")
+        scipy_fractional_radial(wild, 0.5, 1.0)
+    [ours], [scipys] = ours, scipys
+    assert ours.category is UserWarning
+    assert str(ours.message) == str(scipys.message)
+    assert "maximum number of subdivisions (200)" in str(ours.message)
 
 
 def test_worker_independent_batch_stream():
@@ -373,16 +419,42 @@ def test_sobol_points_refuse_what_the_table_cannot_give_by_name():
         quadrature._sobol(2, 8, -1)
 
 
-def test_node_generation_does_not_import_scipy_stats():
-    # scipy.stats costs about 17 MB and 0.4 s to import
+def _fresh_python(code):
+    """Standard output of `code` run in a fresh interpreter on this cbplab."""
+    src = os.path.dirname(os.path.dirname(cbplab.__file__))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src}).stdout
+
+
+def test_the_pipeline_imports_no_scipy_subpackage_but_special_and_linalg():
+    # importing scipy.stats costs about 17 MB and 0.4 s; scipy.integrate and
+    # scipy.interpolate (with optimize, sparse, spatial and fft) 23 MB
     code = ("import sys\n"
             "import cbplab\n"
             "rule = cbplab.SphereRule(6, 'quasi_monte_carlo', 2 ** 10, 3)\n"
             "assert sum(len(p) for p, _ in rule.batches()) == 2 ** 10\n"
             "cbplab.make_grid(8, 64, reduction='none', seed=5)\n"
-            "print('scipy.stats' in sys.modules)\n")
-    src = os.path.dirname(os.path.dirname(cbplab.__file__))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.split() == ["False"]
+            "body = cbplab.mollify(cbplab.ComplexLqBall(2, 4.0), 0.2)\n"
+            "xi = cbplab.make_grid(4, 8, 'orbit_reduced').points[1]\n"
+            "assert cbplab.ft_value(body, xi, 1.5).method == 'fractional'\n"
+            "print(*(m for m in ('stats', 'integrate', 'interpolate', "
+            "'optimize', 'sparse', 'spatial', 'fft')\n"
+            "        if 'scipy.' + m in sys.modules))\n")
+    assert _fresh_python(code).split() == []
+
+
+@pytest.mark.parametrize("scipy_first", [False, True])
+def test_direct_qags_is_scipy_quad_in_either_import_order(scipy_first):
+    # cbplab loads the extension itself, or takes the one scipy.integrate
+    # loaded; either way scipy.integrate.quad then runs that same module
+    code = ("from scipy import integrate\n" * scipy_first
+            + "from cbplab import quadrature\n"
+            "f = lambda t: t ** -0.9 + 3.0 * t\n"
+            "mid, err, ier = quadrature._quadpack()._qagse(f, 1e-3, 1.0, (), "
+            "0, 1.49e-8, 1.49e-8, 200)\n"
+            "from scipy import integrate\n"
+            "from scipy.integrate import _quadpack\n"
+            "print((mid, err) == integrate.quad(f, 1e-3, 1.0, limit=200), "
+            "ier, quadrature._quadpack() is _quadpack)\n")
+    assert _fresh_python(code).split() == ["True", "0", "True"]
