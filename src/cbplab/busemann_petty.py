@@ -290,8 +290,7 @@ def _negative_weighted_square(n, grid, values, max_atom_degree):
     With A_{ia} = P_a(xi_i) and the invariant grid weights w, the integral
     is c^T (A^T diag(w F) A) c for f = (sum_a c_a P_a)^2; the minimizing
     unit c is the bottom eigenvector.  f is nonnegative by construction."""
-    atoms = [a for a in symmetric_harmonic_atoms(n, max_atom_degree)
-             if a.degree <= max_atom_degree]
+    atoms = symmetric_harmonic_atoms(n, max_atom_degree)
     w = _grid_weights(grid)
     A = np.stack([a(grid.points) for a in atoms], axis=1)
     M = A.T @ (w[:, None] * values[:, None] * A)

@@ -45,7 +45,7 @@ CACHE_ENV = "CBPLAB_CACHE_DIR"
 UNHASHED = ("func", "out", "csv", "cache_dir", "no_cache", "workers")
 #: hashed with every command's inputs, so cached results of older numerics
 #: are not served: a change that moves any computed number bumps it
-NUMERICS_VERSION = 2
+NUMERICS_VERSION = 3
 
 
 # ---------------------------------------------------------------------------
@@ -136,27 +136,14 @@ def _parse_xi(text: str, dim: int):
     return vals / nrm
 
 
-def _ball_volume_baseline(body, est):
-    if not isinstance(body, EuclideanBall):
-        return []
-    n = body.dim // 2
-    expected = math.pi ** n / math.factorial(n)
-    gap = abs(est.value - expected) / expected
-    return [{"name": f"ball_volume_dim{body.dim}", "expected": expected,
-             "observed": est.value, "rel_gap": gap,
-             "passed": bool(gap < max(0.005, 4.0 * est.stderr / expected))}]
-
-
-def _ball_ft_baseline(body, sample):
-    if not isinstance(body, EuclideanBall):
-        return []
-    expected = classical_multiplier(0, sample.exponent, body.dim)
+def _ball_baseline(name, expected, est, floor):
+    """A ball's estimate against its closed form: it passes when the
+    relative gap is below max(floor, 4 stderr / |expected|)."""
     scale = max(abs(expected), 1e-300)
-    gap = abs(sample.value - expected) / scale
-    tol = max(0.02, 4.0 * sample.stderr / scale)
-    return [{"name": f"ball_ft_dim{body.dim}_p{sample.exponent:g}",
-             "expected": expected, "observed": sample.value, "rel_gap": gap,
-             "passed": bool(gap < tol)}]
+    gap = abs(est.value - expected) / scale
+    return [{"name": name, "expected": expected, "observed": est.value,
+             "rel_gap": gap,
+             "passed": bool(gap < max(floor, 4.0 * est.stderr / scale))}]
 
 
 def _rule(args, spec, dim):
@@ -167,8 +154,9 @@ def _rule(args, spec, dim):
 
 
 def _grid_spec(args, dim):
-    """--grid, or the default grid: the orbit-reduced res 8 grid in R^dim."""
-    return args.grid or f"grid:dim={dim},res=8,reduce=orbit,seed={args.seed}"
+    """--grid, or the default grid: the orbit-reduced res 8 grid in R^dim.
+    A seed the spec leaves open comes from --seed (see parse_grid)."""
+    return args.grid or f"grid:dim={dim},res=8,reduce=orbit"
 
 
 def _run(args, compute, **canonical) -> int:
@@ -209,8 +197,11 @@ def cmd_volume(args) -> int:
 
     def compute():
         est = volume(body, _rule(args, rule_spec, body.dim))
-        return {"results": [asdict(est)],
-                "baselines_checked": _ball_volume_baseline(body, est)}
+        n = body.dim // 2
+        return {"results": [asdict(est)], "baselines_checked":
+                _ball_baseline(f"ball_volume_dim{body.dim}",
+                               math.pi ** n / math.factorial(n), est, 0.005)
+                if isinstance(body, EuclideanBall) else []}
 
     return _run(args, compute, body=body.spec(), rule=rule_spec)
 
@@ -245,7 +236,10 @@ def cmd_ft(args) -> int:
                              "value": sample.value, "stderr": sample.stderr,
                              "method": sample.method,
                              "flags": list(sample.flags)}],
-                "baselines_checked": _ball_ft_baseline(body, sample),
+                "baselines_checked": _ball_baseline(
+                    f"ball_ft_dim{body.dim}_p{sample.exponent:g}",
+                    classical_multiplier(0, sample.exponent, body.dim),
+                    sample, 0.02) if isinstance(body, EuclideanBall) else [],
                 "exit_code": 2 if "inconclusive" in sample.flags else 0}
 
     return _run(args, compute, body=body.spec())
@@ -256,7 +250,7 @@ def cmd_scan(args) -> int:
     grid_spec = _grid_spec(args, body.dim)
 
     def compute():
-        grid = parse_grid(grid_spec)
+        grid = parse_grid(grid_spec, args.seed)
         verdict = scan(body, args.p, grid,
                        rule=_rule(args, args.rule, body.dim - 2),
                        tol=args.tol, workers=args.workers)
@@ -270,6 +264,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_bp_verify(args) -> int:
+    if args.pair and (args.K or args.L):
+        raise SpecError("bp-verify takes --pair or --K and --L, not both")
     if args.pair:
         with open(args.pair) as fh:
             pair = read_pair_record(json.load(fh), args.pair)
@@ -286,7 +282,7 @@ def cmd_bp_verify(args) -> int:
 
     def compute():
         K, L = pair_from_record(pair) if args.pair else bodies
-        grid = parse_grid(_grid_spec(args, K.dim))
+        grid = parse_grid(_grid_spec(args, K.dim), args.seed)
         # without --rule bp_verify picks the rule for the pair
         report = bp_verify(K, L, grid, rule=_rule(args, args.rule, K.dim - 2))
         if args.csv:
@@ -331,8 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"cache root (default ${CACHE_ENV} or ~/.cache/cbplab)")
     common.add_argument("--no-cache", action="store_true")
     rules = argparse.ArgumentParser(add_help=False)
-    rules.add_argument("--rule", help="quadrature rule spec: qmc:nodes=N or "
-                       "mc:nodes=N (N nodes, default 2^16), or gauss:level=L")
+    rules.add_argument("--rule", help="quadrature rule spec: qmc:nodes=N "
+                       "(N nodes, default 2^16) or gauss:level=L")
     table = argparse.ArgumentParser(add_help=False)
     table.add_argument("--csv", help="per-direction CSV table path; the "
                        "command then computes afresh, never from the cache")

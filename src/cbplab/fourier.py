@@ -236,16 +236,15 @@ def _perp_basis(xi):
     return vt[: d - 1]
 
 
-def _latitude_nodes(d, sigma_min):
+def _latitude_nodes(d):
     """Composite Gauss rule in t = <xi, theta> resolving the width-sigma
-    band of the bump response around the equator; returns (t, w) on [0, 1]
-    with the surface jacobian (1-t^2)^{(d-3)/2} folded into w."""
-    edges = [0.0, min(10.0 * sigma_min, 0.5), min(30.0 * sigma_min, 0.75), 1.0]
-    counts = [48, 24, 16]
+    band (sigma <= _SIGMA) of the bump response around the equator with 48,
+    24 and 16 nodes on the fixed cells [0, 0.5], [0.5, 0.75], [0.75, 1];
+    returns (t, w) on [0, 1] with the surface jacobian (1-t^2)^{(d-3)/2}
+    folded into w."""
+    edges = (0.0, 0.5, 0.75, 1.0)
     ts, ws = [], []
-    for (a, b), m in zip(zip(edges[:-1], edges[1:]), counts):
-        if b <= a:
-            continue
+    for a, b, m in zip(edges[:-1], edges[1:], (48, 24, 16)):
         x, w = _gauss_legendre(m)
         ts.append(0.5 * (b - a) * (x + 1.0) + a)
         ws.append(0.5 * (b - a) * w)
@@ -254,12 +253,13 @@ def _latitude_nodes(d, sigma_min):
     return t, w
 
 
-def _pairing_core(angular, d, xi, ps, sigma, rule, levels=2, masses=None):
+def _pairing_core(angular, d, xi, ps, rule, levels=2, masses=None):
     """<f^, phi> / weighted-mass for f = angular(x/|x|) |x|^{-p}, with
     `angular` even on the sphere, for each exponent p of `ps`: a list of
     (value, stderr, residual), one per exponent, in order.
 
-    phi is the even pair of unit-mass Gaussians at +-xi with width sigma.
+    phi is the even pair of unit-mass Gaussians at +-xi with width
+    sigma = _SIGMA.
     <f^, phi> = <f, phi^> with phi^(x) = cos(<xi, x>) exp(-sigma^2|x|^2/2);
     the radial integral is exact (confluent hypergeometric), leaving a
     spherical integral whose latitude profile G(t) concentrates in a
@@ -281,12 +281,12 @@ def _pairing_core(angular, d, xi, ps, sigma, rule, levels=2, masses=None):
     shares the nodes, the points and the call; the latitude weights, the
     bump moments and the extrapolation are each exponent's own.
     """
-    sigmas = [sigma / 2 ** i for i in range(levels)]
+    sigmas = [_SIGMA / 2 ** i for i in range(levels)]
     if masses is None:
         masses = [[_harmonic_bump_moment(d, p, 0, s) for s in sigmas]
                   for p in ps]
     xi = np.asarray(xi, dtype=float)
-    t, wt = _latitude_nodes(d, sigmas[-1])
+    t, wt = _latitude_nodes(d)
     # even integrand: fold to t >= 0 and double
     gw = [np.stack([2.0 * wt * _radial_cos_integral(t, d - p, s ** 2 / 2.0)
                     for s in sigmas]) for p in ps]  # per exponent (levels, T)
@@ -362,7 +362,7 @@ def pairing_oracle(body: StarBody, xi, ps,
 
     samples = []
     for p, (value, stderr, residual) in zip(
-            ps, _pairing_core(powers, body.dim, xi, ps, _SIGMA, rule)):
+            ps, _pairing_core(powers, body.dim, xi, ps, rule)):
         # fold the residual extrapolation bias estimate into the error bar
         stderr = stderr + residual / 3.0
         flags = ("inconclusive",) if stderr > 0.1 * abs(value) else ()

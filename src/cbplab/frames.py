@@ -141,8 +141,6 @@ def make_grid(dim, resolution, reduction, seed=0,
         return DirectionGrid(dim, pts, "none", int(resolution), seed)
     if reduction != "orbit_reduced":
         raise ValueError(f"unknown reduction {reduction!r}")
-    if n == 1:
-        raise ValueError("orbit reduction needs n >= 2")
     # midpoint cells in each moduli angle, weighted by the invariant measure
     edges = np.linspace(0.0, math.pi / 2.0, int(resolution) + 1)
     m, jac = moduli_angle_map(0.5 * (edges[:-1] + edges[1:]), n)

@@ -405,19 +405,13 @@ class HarmonicAtom:
         return f"HarmonicAtom(n={self.n}, degree={self.degree})"
 
 
-_SYM_ATOM_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def symmetric_harmonic_atoms(n, max_degree):
     """Unit-L^2 harmonic atoms in the fully symmetric algebra (polynomials
     in the block moduli squared), one list over even degrees <= max_degree.
     Atom lists are cached per (n, max_degree); treat them as read-only."""
     if max_degree % 2 != 0:
         raise ValueError("max_degree must be even")
-    key = (int(n), int(max_degree))
-    cached = _SYM_ATOM_CACHE.get(key)
-    if cached is not None:
-        return cached
     atoms = [HarmonicAtom(n, 0, c_poly={tuple([0] * n): 1.0 / math.sqrt(sphere_area(2 * n))},
                           label="const")]
     for deg in range(4, max_degree + 1, 2):
@@ -452,7 +446,6 @@ def symmetric_harmonic_atoms(n, max_degree):
             for c, p in zip(coefs[:, i], projs):
                 poly = c_add(poly, c_scale(p, c))
             atoms.append(HarmonicAtom(n, deg, c_poly=poly, label=f"sym{deg}/{i}"))
-    _SYM_ATOM_CACHE[key] = atoms
     return atoms
 
 

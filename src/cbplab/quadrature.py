@@ -1,13 +1,12 @@
 """Quadrature on spheres, subspace spheres and singular 1-D radial integrals.
 
-All rules are deterministic given their seed: Monte Carlo node batches are
-generated by a counter-based generator keyed on (seed, batch index), so the
-node stream does not depend on how many workers consume it, and integrals of
-nearby integrands evaluated with the same rule share nodes exactly.  QMC
-batches are scrambled Sobol points made with numpy on scipy's Joe-Kuo
-direction numbers, keyed on seed * 1000003 + batch index.  The singular
-radial integral calls QUADPACK's QAGS in scipy's compiled extension, as
-scipy.integrate.quad does, without importing scipy.integrate.
+All rules are deterministic given their seed: the batches of the one
+randomised rule, QMC, are scrambled Sobol points made with numpy on scipy's
+Joe-Kuo direction numbers, keyed on seed * 1000003 + batch index, so the
+node stream does not depend on how many workers consume it, and integrals
+of nearby integrands evaluated with the same rule share nodes exactly.  The
+singular radial integral calls QUADPACK's QAGS in scipy's compiled
+extension, as scipy.integrate.quad does, without importing scipy.integrate.
 """
 
 from __future__ import annotations
@@ -134,7 +133,7 @@ def _sobol_sphere(d, n, seed):
     return z / np.where(norm == 0, 1.0, norm)
 
 
-_KINDS = ("monte_carlo", "quasi_monte_carlo", "product_gauss")
+_KINDS = ("quasi_monte_carlo", "product_gauss")
 _CACHE_FLOATS = 2 ** 22  # most node coordinates a rule keeps (32 MB)
 _BATCHES = 32  # batches of a rule (see SphereRule)
 
@@ -143,8 +142,8 @@ class SphereRule:
     """Quadrature nodes and weights on S^{dim-1}, materialized lazily in batches.
 
     kind:
-        monte_carlo       -- Philox counter-based, keyed per batch
-        quasi_monte_carlo -- scrambled Sobol mapped through the Gaussian
+        quasi_monte_carlo -- scrambled Sobol mapped through the Gaussian,
+                             the one randomised rule
         product_gauss     -- Gauss-Jacobi product rule (dim <= 6), weights
                              sum to the surface area exactly
 
@@ -176,8 +175,8 @@ class SphereRule:
             self.batch_count = (self.level if self._streams
                                 else min(_BATCHES, self.node_count))
         else:
-            if self.seed < 0 or kind == "monte_carlo" and self.seed >> 64:
-                raise ValueError(f"seed must be >= 0 (< 2^64 for mc): {seed}")
+            if self.seed < 0:
+                raise ValueError(f"seed must be >= 0: {seed}")
             if int(node_count) < 1:
                 raise ValueError(f"node_count must be >= 1 for a {kind} "
                                  f"rule, not {node_count}")
@@ -225,14 +224,6 @@ class SphereRule:
             pts = new
         return pts, w
 
-    def _mc_batch(self, index):
-        per = self.node_count // self.batch_count
-        bg = np.random.Philox(key=(self.seed << 64) + index)
-        g = np.random.Generator(bg)
-        x = g.standard_normal((per, self.dim))
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-        return x
-
     def _qmc_batch(self, index):
         # independently scrambled replicates make the batch-variance error
         # model honest while keeping the stream deterministic per batch
@@ -277,11 +268,9 @@ class SphereRule:
                     chunk[:, -1] = t
                     yield chunk, wt * win
         else:
-            make = (self._mc_batch if self.kind == "monte_carlo"
-                    else self._qmc_batch)
             wt = self.area / self.node_count
             for b in range(self.batch_count):
-                pts = make(b)
+                pts = self._qmc_batch(b)
                 yield pts, np.full(len(pts), wt)
 
     def nodes(self):

@@ -114,14 +114,15 @@ def parse_body(text: str) -> StarBody:
     raise SpecError(f"unknown body spec head {head!r} in {text!r}")
 
 
-def parse_grid(text: str) -> DirectionGrid:
-    """`grid:dim=8,res=16,reduce=orbit,seed=7[,sort=1]` -> DirectionGrid."""
+def parse_grid(text: str, default_seed: int) -> DirectionGrid:
+    """`grid:dim=8,res=16[,reduce=orbit,seed=7,sort=1]` -> DirectionGrid;
+    `default_seed` is the seed of a spec that omits it."""
     head, fields = split_spec(text)
     if head != "grid":
         raise SpecError(f"unknown grid spec head {head!r} in {text!r}")
     dim = _number(fields, "dim", text, int)
     res = _number(fields, "res", text, int)
-    seed = _number(fields, "seed", text, int, default=0)
+    seed = _number(fields, "seed", text, int, default=default_seed)
     sort = bool(_number(fields, "sort", text, int, default=1))
     reduce_name = fields.pop("reduce", "none")
     reduction = {"orbit": "orbit_reduced", "none": "none"}.get(reduce_name)
@@ -133,17 +134,14 @@ def parse_grid(text: str) -> DirectionGrid:
 
 
 def parse_rule(text: str, dim: int, default_seed: int) -> SphereRule:
-    """`mc:[nodes=N,seed=S,dim=D]` / `qmc:...` / `gauss:level=40[,dim=6]`
-    -> SphereRule.
+    """`qmc:[nodes=N,seed=S,dim=D]` / `gauss:level=40[,dim=6]` -> SphereRule.
 
     `dim` and `default_seed` supply the sphere dimension and seed when the
-    spec omits them; a random rule without `nodes` has 2^16 nodes, and a
+    spec omits them; a QMC rule without `nodes` has 2^16 nodes, and a
     Gauss rule needs its `level`.
     """
     head, fields = split_spec(text)
-    kinds = {"mc": "monte_carlo", "qmc": "quasi_monte_carlo",
-             "gauss": "product_gauss"}
-    if head not in kinds:
+    if head not in ("qmc", "gauss"):
         raise SpecError(f"unknown rule spec head {head!r} in {text!r}")
     rdim = _number(fields, "dim", text, int, default=dim or 0)
     if not rdim:
@@ -155,4 +153,4 @@ def parse_rule(text: str, dim: int, default_seed: int) -> SphereRule:
         return SphereRule(rdim, "product_gauss", level=level, seed=seed)
     nodes = _number(fields, "nodes", text, int, default=2 ** 16)
     _done(fields, text)
-    return SphereRule(rdim, kinds[head], node_count=nodes, seed=seed)
+    return SphereRule(rdim, "quasi_monte_carlo", node_count=nodes, seed=seed)

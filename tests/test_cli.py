@@ -258,6 +258,23 @@ def test_inputs_hold_only_the_options_a_command_reads(tmp_path, monkeypatch):
         "results"][0]["node_count"] == 512
 
 
+def test_seed_reaches_a_grid_spec_that_leaves_it_open(tmp_path):
+    def directions(grid, seed):
+        table = tmp_path / "grid.csv"
+        code, _ = run(tmp_path, "scan", "--body", "ball:dim=4", "--p", "2",
+                      "--grid", grid, "--seed", seed, "--csv", str(table))
+        assert code == 0
+        with open(table, newline="") as fh:
+            return [row[:4] for row in csv.reader(fh)]
+
+    assert (directions("grid:dim=4,res=8", "0")
+            != directions("grid:dim=4,res=8", "1"))
+    # a seed in the spec wins over --seed
+    seeded = directions("grid:dim=4,res=8,seed=7", "0")
+    assert seeded == directions("grid:dim=4,res=8,seed=7", "1")
+    assert seeded == directions("grid:dim=4,res=8", "7")
+
+
 def test_csv_is_written_on_every_call(tmp_path):
     cache = tmp_path / "cache"
     for name in ("a", "b"):
@@ -289,11 +306,9 @@ def test_empty_rules_are_refused(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["volume", "--body", "ball:dim=4", "--seed", "-1"],
-    ["volume", "--body", "ball:dim=4", "--rule", "mc:seed=-2"],
-    ["volume", "--body", "ball:dim=4", "--rule", f"mc:seed={2 ** 64}"],
     ["scan", "--body", "ball:dim=4", "--p", "2",
      "--grid", "grid:dim=4,res=8,seed=-1"],
-], ids=["qmc-negative", "mc-negative", "mc-2^64", "grid-negative"])
+], ids=["qmc-negative", "grid-negative"])
 def test_a_seed_out_of_range_is_refused_by_name(tmp_path, capsys, argv):
     code, rec = run(tmp_path, *argv)
     assert code == 1 and rec is None
@@ -382,10 +397,27 @@ def test_pair_cache_hit_builds_no_body(tmp_path, monkeypatch):
     assert hit["results"] == cold["results"]
 
 
+def test_a_pair_file_refuses_k_and_l_before_building_a_body(
+        tmp_path, capsys, monkeypatch):
+    # the hashed inputs would name the pair's bodies, not the ones passed
+    def refuse(*args):
+        raise AssertionError("a refused call must not build a body")
+
+    monkeypatch.setattr(cli, "pair_from_record", refuse)
+    monkeypatch.setattr(cli, "parse_body", refuse)
+    path = _write_pair(tmp_path / "pair.json")
+    for bodies in (["--K", _PAIR_K], ["--L", "ball:dim=4"],
+                   ["--K", "ball:dim=4", "--L", "ball:dim=4"]):
+        code, rec = run(tmp_path, "bp-verify", "--pair", path, *bodies)
+        assert code == 1 and rec is None
+        err = capsys.readouterr().err
+        assert "--pair" in err and "--K" in err and "--L" in err
+
+
 def test_a_constructed_pair_report_is_verified_from_its_file(tmp_path,
                                                            monkeypatch):
     K, L = pair_from_record(_pair())
-    report = bp_verify(K, L, parse_grid("grid:dim=4,res=8,reduce=orbit"))
+    report = bp_verify(K, L, parse_grid("grid:dim=4,res=8,reduce=orbit", 0))
 
     def construct(n, q, width, seed):
         return K, L, report, {"eps": [K.eps], "halvings": 0, "bump": "f"}
@@ -572,7 +604,8 @@ def test_bp_construct_at_n_two_is_impossible_and_replays(tmp_path):
     (["section", "--body", "ball:dim=10", "--rule", "gauss:level=4"],
      "dim <= 6"),
     (["scan", "--body", "ball:dim=4", "--p", "2", "--grid",
-      "grid:dim=4,res=4"], "resolution must be >= 8")])
+      "grid:dim=4,res=4"], "resolution must be >= 8"),
+    (["volume", "--body", "ball:dim=4", "--rule", "mc:nodes=64"], "'mc'")])
 def test_a_bad_spec_exits_one_naming_its_token(capsys, argv, token):
     assert main([*argv, "--no-cache"]) == 1
     assert token in capsys.readouterr().err
@@ -609,7 +642,7 @@ def test_a_tie_exits_two_with_its_report(tmp_path, monkeypatch):
     K, L = parse_body("scale:base=(ball:dim=4),lam=0.9"), parse_body(
         "ball:dim=4")
     report = busemann_petty.bp_verify(K, L, parse_grid(
-        "grid:dim=4,res=8,reduce=orbit"))
+        "grid:dim=4,res=8,reduce=orbit", 0))
     assert report.verdict == "not_dominated" and report.flags == ("tie",)
     assert report.details == {"exceed_count": 0, "tie_count": 1}
     code, rec = run(tmp_path, "bp-verify", "--K", K.spec(), "--L", L.spec())

@@ -152,7 +152,7 @@ def test_pairing_oracle_audits_the_closed_form_multiplier():
     # calibrate lambda(4, 2) on R^6 against one degree-4 symmetric atom at
     # the direction where the atom peaks; the exact bump moment of a
     # degree-4 harmonic makes a single bump width unbiased
-    d, j, p, sigma = 6, 4, 2.0, 0.2
+    d, j, p = 6, 4, 2.0
     atom = [a for a in symmetric_harmonic_atoms(d // 2, j) if a.degree == j][0]
     probe = SphereRule(d, "quasi_monte_carlo", node_count=2 ** 12,
                        seed=101).nodes()
@@ -160,8 +160,8 @@ def test_pairing_oracle_audits_the_closed_form_multiplier():
     ref = float(atom(xi[None, :])[0])
     rule = SphereRule(d, "quasi_monte_carlo", node_count=2 ** 19, seed=13)
     [(value, stderr, _)] = _pairing_core(
-        lambda x: [atom(x)], d, xi, [p], sigma, rule, levels=1,
-        masses=[[_harmonic_bump_moment(d, p, j, sigma)]])
+        lambda x: [atom(x)], d, xi, [p], rule, levels=1,
+        masses=[[_harmonic_bump_moment(d, p, j, fourier._SIGMA)]])
     lam, err = value / ref, abs(stderr / ref)
     assert 0.0 < err < 0.01 * abs(lam)
     assert abs(lam - classical_multiplier(j, p, d)) < 3.0 * err

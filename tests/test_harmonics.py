@@ -304,9 +304,9 @@ def _atom_bytes(atoms):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_atoms_from_the_moment_table_are_bit_identical(monkeypatch, n):
-    monkeypatch.setattr(harmonics, "_SYM_ATOM_CACHE", {})
+    symmetric_harmonic_atoms.cache_clear()
     atoms = symmetric_harmonic_atoms(n, 16)
-    monkeypatch.setattr(harmonics, "_SYM_ATOM_CACHE", {})
+    symmetric_harmonic_atoms.cache_clear()
     monkeypatch.setattr(harmonics, "c_sphere_inner", checks.c_sphere_inner)
     assert _atom_bytes(atoms) == _atom_bytes(symmetric_harmonic_atoms(n, 16))
 

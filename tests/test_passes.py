@@ -120,7 +120,7 @@ def _powers(ps):
     return lambda x: [_BODY4.radial(x) ** p for p in ps]
 
 
-_PAIR_REF = {ps: _pairing_core(_powers(ps), 4, _PAIR_XI, ps, 0.2, _PAIR_RULE)
+_PAIR_REF = {ps: _pairing_core(_powers(ps), 4, _PAIR_XI, ps, _PAIR_RULE)
              for ps in _PAIR_PS}
 
 
@@ -129,7 +129,7 @@ _PAIR_REF = {ps: _pairing_core(_powers(ps), 4, _PAIR_XI, ps, 0.2, _PAIR_RULE)
 def test_pairing_core_is_independent_of_the_pass_size(size, ps):
     f = _Recorded(_powers(ps))
     got = _at(size, _PAIR_RULE, lambda: _pairing_core(
-        f, 4, _PAIR_XI, ps, 0.2, _PAIR_RULE))
+        f, 4, _PAIR_XI, ps, _PAIR_RULE))
     assert got == _PAIR_REF[ps]
     # the subsphere batches hold 32 nodes: one latitude is 32 points
     assert all(f.columns)

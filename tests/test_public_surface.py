@@ -9,10 +9,13 @@ Tests do not count as callers; an audit only tests call belongs in
 by some call in those files, or it is a constant, and left out by some
 call there or in the tests, or it is required."""
 
+import argparse
 import ast
 import collections
 import glob
 import os
+
+from cbplab import cli
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -192,3 +195,18 @@ def test_every_default_is_relied_on_by_some_call():
               if all(_passed(call, name, position) is not None
                      for call in calls[callee])]
     assert not unused, unused
+
+
+def test_settable_values_do_not_grow():
+    # parameters with a default in src/cbplab plus the options of every
+    # subcommand; a change that adds a knob raises the bound in review
+    defaults = sum(1 for path, tree in _sources().items()
+                   if path.startswith("src")
+                   for _ in _defaulted_parameters(tree))
+    [commands] = [action for action in cli.build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    options = sum(1 for parser in commands.choices.values()
+                  for action in parser._actions
+                  if action.option_strings
+                  and not isinstance(action, argparse._HelpAction))
+    assert defaults + options <= 80, (defaults, options)

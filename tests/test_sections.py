@@ -138,7 +138,7 @@ def test_noisy_estimate_carries_the_value():
     # needs a body whose slice integrand actually varies
     body = mollify(ComplexLqBall(3, 4.0), 0.2)
     frame = make_frame(unit(6, seed=10))
-    rule = SphereRule(4, "monte_carlo", node_count=2 ** 10, seed=11)
+    rule = SphereRule(4, "quasi_monte_carlo", node_count=2 ** 10, seed=11)
     est = laplacian_at_zero(body, frame, 1, 0.1, rule)
     assert est is not None
     assert est.stderr > 0.0
@@ -148,11 +148,11 @@ def test_noisy_estimate_carries_the_value():
 
 
 def test_shared_nodes_make_differences_quiet():
-    # the finite-difference combination on shared Monte Carlo nodes has an
+    # the finite-difference combination on shared QMC nodes has an
     # error bar far below the raw slice error bar divided by h^2
     body = mollify(ComplexLqBall(3, 4.0), 0.2)
     frame = make_frame(unit(6, seed=12))
-    rule = SphereRule(4, "monte_carlo", node_count=2 ** 12, seed=13)
+    rule = SphereRule(4, "quasi_monte_carlo", node_count=2 ** 12, seed=13)
     raw = parallel_section(body, frame, (0.1, 0.0), rule)
     assert raw.stderr > 0.0
     fd = laplacian_at_zero(body, frame, 1, 0.1, rule)
