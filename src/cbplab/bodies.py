@@ -289,10 +289,10 @@ class MollifiedBody(StarBody):
         self._build_series()
 
     def _build_series(self):
-        from .harmonics import (c_eval, symmetric_coefficients,
-                                symmetric_power_form)
+        from .harmonics import (_MODULI_RES, _c_eval_into, _moduli_blocks,
+                                symmetric_coefficients, symmetric_power_form)
 
-        atoms, coefs, m2 = symmetric_coefficients(
+        atoms, coefs = symmetric_coefficients(
             self.base.radial, self.n_blocks, self.max_degree)
         d = self.dim
         series = {}
@@ -303,7 +303,11 @@ class MollifiedBody(StarBody):
                 series[mono] = series.get(mono, 0.0) + coef * damp * cc
         # compact power-sum form for fast evaluation on the sphere
         self._power_form = symmetric_power_form(series, self.n_blocks)
-        vals = c_eval(series, m2)
+        # the extremes of the series on the build's nodes, made again
+        vals = np.empty(_MODULI_RES ** (self.n_blocks - 1))
+        blocks = _moduli_blocks(self.n_blocks, _MODULI_RES)
+        _c_eval_into(series, (np.square(m, out=m) for _, m, _ in blocks),
+                     vals)
         lo, hi = float(np.min(vals)), float(np.max(vals))
         if lo <= 0.0:
             raise ValueError("mollified radial function lost positivity; "

@@ -25,12 +25,12 @@ from .bodies import (ComplexLqBall, RadialPerturbation, StarBody,
                      convexity_probe, mollify)
 from .embedding import scan
 from .frames import DirectionGrid, make_frame, make_grid
-from .fourier import classical_multiplier
+from .fourier import _route, classical_multiplier
 from .harmonics import (c_add, c_eval, c_harmonic_components, c_mul, c_scale,
                         symmetric_harmonic_atoms)
 from .quadrature import (Estimate, SphereRule, integrate_sphere,
                          integrate_subsphere, sphere_area)
-from .sections import _polar, volume
+from .sections import _polar
 from .specs import SpecError, parse_body
 
 
@@ -110,13 +110,18 @@ def _section_gaps(K, L, grid, rule):
     return gaps, errs
 
 
-def _volume_gap(K, L, rule):
-    """Vol(K) - Vol(L) on shared nodes (the difference is usually tiny
-    against either volume, and common nodes keep its error bar tiny too)."""
+def _volumes(K, L, rule):
+    """Vol(K), Vol(L) and Vol(K) - Vol(L) on one reading of the rule's
+    nodes, which also keeps the small gap's error bar small."""
     d = K.dim
-    est = integrate_sphere(rule, lambda pts: K.radial(pts) ** d
-                           - L.radial(pts) ** d)
-    return _polar(est, d, "polar_volume_gap")
+
+    def powers(pts):
+        rho_K, rho_L = K.radial(pts) ** d, L.radial(pts) ** d
+        return np.stack([rho_K, rho_L, rho_K - rho_L])
+
+    vol_K, vol_L, gap = integrate_sphere(rule, powers)
+    return (_polar(vol_K, d, "polar_volume"), _polar(vol_L, d, "polar_volume"),
+            _polar(gap, d, "polar_volume_gap"))
 
 
 _ATOM_DEGREE = 6  # degree bound of the atoms bp_construct's bump squares
@@ -146,10 +151,12 @@ def bp_verify(K: StarBody, L: StarBody, grid: DirectionGrid,
 
     Sections use `rule`, by default _default_section_rule's: Gauss nodes
     that make every gap of a pair bp_construct builds exact, else Sobol
-    nodes.  Volumes use 2^16 Sobol nodes.  A violation needs the dominance
-    gap <= +3 stderr at every grid point and Vol(K) > Vol(L) + 3 combined
-    stderr.  A positive gap inside its own 3-stderr band is an undecidable
-    dominance comparison: the verdict is not_dominated with the flag "tie".
+    nodes.  Vol(K), Vol(L) and their gap come from one reading of 2^16
+    Sobol nodes (_volumes), so the volume rule keeps no batches.  A
+    violation needs the dominance gap <= +3 stderr at every grid point and
+    Vol(K) > Vol(L) + 3 combined stderr.  A positive gap inside its own
+    3-stderr band is an undecidable dominance comparison: the verdict is
+    not_dominated with the flag "tie".
     """
     _require_invariant(K)
     _require_invariant(L)
@@ -162,9 +169,7 @@ def bp_verify(K: StarBody, L: StarBody, grid: DirectionGrid,
     vol_rule = SphereRule(K.dim, "quasi_monte_carlo", node_count=2 ** 16,
                           seed=12)
     gaps, errs = _section_gaps(K, L, grid, rule)
-    vol_K = volume(K, vol_rule)
-    vol_L = volume(L, vol_rule)
-    vgap = _volume_gap(K, L, vol_rule)
+    vol_K, vol_L, vgap = _volumes(K, L, vol_rule)
 
     flags = []
     exceeds = gaps > 3.0 * errs
@@ -338,6 +343,7 @@ def bp_construct(n: int, q_body: float, width: float = 0.1,
     if n < 2:
         raise ValueError("n must be >= 2")
     d = 2 * n
+    _route(2.0, n, None)  # the scan's route, before any build
     L = mollify(ComplexLqBall(n, q_body), width)
     if grid is None:
         res = {2: 224, 3: 16}.get(n, 8)

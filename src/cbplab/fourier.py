@@ -32,7 +32,8 @@ from .harmonics import symmetric_coefficients
 from .quadrature import (Estimate, SphereRule, _gauss_jacobi,
                          _gauss_legendre, fractional_radial, kahan_reduce,
                          sphere_area)
-from .sections import laplacian_at_zero, parallel_sections, section_volume
+from .sections import (_STENCILS, laplacian_at_zero, parallel_sections,
+                       section_volume)
 
 
 _FD_STEP = 0.1  # difference step h of the derivative route (and h / 2)
@@ -402,7 +403,7 @@ def ft_multiplier_route(body: StarBody, xi, p: float) -> FtSample:
     if not 0.0 < p < body.dim:
         raise ValueError("p must lie in (0, dim)")
     xi = np.asarray(xi, dtype=float)
-    atoms, coefs, _ = symmetric_coefficients(
+    atoms, coefs = symmetric_coefficients(
         lambda pts: body.radial(pts) ** p, body.dim // 2, _TAIL_DEGREE)
     value = 0.0
     tail = 0.0
@@ -429,7 +430,9 @@ def _route(p: float, n: int, method: str):
     route: 'derivative' with m where p = 2n - 2m - 2 and 0 <= m < n - 1,
     else 'fractional' with q = 2n - p - 2 in (0, 2).  'pairing' and
     'multiplier' take any p and no order.  Raises UnsupportedRouteError
-    when the route does not reach p, or for a method of another name."""
+    when the route does not reach p, when p needs a derivative order that
+    laplacian_at_zero does not implement, or for a method of another
+    name."""
     if method not in (None, *_METHODS):
         raise UnsupportedRouteError(
             f"unknown method {method!r}; choose one of {', '.join(_METHODS)}")
@@ -438,6 +441,11 @@ def _route(p: float, n: int, method: str):
     if (method in (None, "derivative") and math.isfinite(p)
             and abs(p - round(p)) < 1e-12 and not round(p) % 2
             and 0 <= (m := (2 * n - 2 - round(p)) // 2) < n - 1):
+        if m > max(_STENCILS):
+            raise UnsupportedRouteError(
+                f"no implemented route reaches p={p} in dim {2 * n}: the "
+                f"derivative route needs order m={m}, and laplacian_at_zero "
+                f"implements m <= {max(_STENCILS)}")
         return "derivative", m
     if method == "derivative":
         raise UnsupportedRouteError(f"p={p} is not of the form 2m+2")

@@ -89,37 +89,43 @@ class DirectionGrid:
         return len(self.points)
 
 
-def moduli_angle_map(angles, n):
+def moduli_angle_map(angles, n, lead):
     """Moduli vectors on S^{n-1}_+ at the product grid of the 1-D `angles`
     in each of the n-1 spherical angles (first angle slowest), and the
     surface element prod_i sin^{n-2-i}(phi_i) of S^{n-1} there.
 
-    Returns (m, jac) with m of shape (N, n).  Callers supply their own
-    nodes and weights; the pushforward of the uniform measure on S^{2n-1}
-    to the moduli adds the density prod_j m_j.
+    `lead` cuts the grid to a block: one slice of `angles` per leading
+    angle, () for the whole grid.  Returns (m, jac): m is the (N, n)
+    transposed view of n contiguous moduli columns, its rows the block's
+    nodes in the order of the whole grid.  Callers supply their own nodes
+    and weights; the pushforward of the uniform measure on S^{2n-1} to the
+    moduli adds the density prod_j m_j.
 
-    No grid of angles is formed: the 1-D cos and sin factors of angle i lie
-    along axis i of the (n-1)-fold grid and broadcast over the others, and
-    the products are taken factor by factor in the order of the angles, so
-    each value is the one the same products give on a meshgrid.
+    No grid of angles is formed: the 1-D cos and sin factors of angle i,
+    cut to the block, lie along axis i of the (n-1)-fold grid and broadcast
+    over the others, and the products are taken factor by factor in the
+    order of the angles, so each value is the one the same products give
+    on a meshgrid.
     """
     angles = np.asarray(angles, dtype=float)
     cos, sin = np.cos(angles), np.sin(angles)
+    cut = (*lead, *[slice(None)] * (n - 1 - len(lead)))
 
     def along(v, i):
-        """v along axis i of the grid."""
-        return v.reshape((1,) * i + (-1,) + (1,) * (n - 2 - i))
+        """v cut to the block, along axis i of the grid."""
+        return v[cut[i]].reshape((1,) * i + (-1,) + (1,) * (n - 2 - i))
 
-    m = np.empty((len(angles),) * (n - 1) + (n,))
+    m = np.empty((n,) + tuple(len(angles[c]) for c in cut))
     sin_prod = np.ones((1,) * (n - 1))
     jac = np.ones((1,) * (n - 1))
     for i in range(n - 1):
-        np.multiply(sin_prod, along(cos, i), out=m[..., i])
-        sin_prod = sin_prod * along(sin, i)
+        np.multiply(sin_prod, along(cos, i), out=m[i])
+        # the product of all n - 1 sines is the last modulus
+        sin_prod = np.multiply(sin_prod, along(sin, i),
+                               out=m[n - 1] if i == n - 2 else None)
         jac = jac * along(sin ** (n - 2 - i), i)
-    m[..., n - 1] = sin_prod
     # the last factor, sin ** 0, spans the last axis: jac is a full grid
-    return m.reshape(-1, n), jac.reshape(-1)
+    return m.reshape(n, -1).T, jac.reshape(-1)
 
 
 def make_grid(dim, resolution, reduction, seed=0,
@@ -143,7 +149,7 @@ def make_grid(dim, resolution, reduction, seed=0,
         raise ValueError(f"unknown reduction {reduction!r}")
     # midpoint cells in each moduli angle, weighted by the invariant measure
     edges = np.linspace(0.0, math.pi / 2.0, int(resolution) + 1)
-    m, jac = moduli_angle_map(0.5 * (edges[:-1] + edges[1:]), n)
+    m, jac = moduli_angle_map(0.5 * (edges[:-1] + edges[1:]), n, ())
     w = np.prod(m, axis=1) * jac * (edges[1] - edges[0]) ** (n - 1)
     if sort_moduli:
         key = np.sort(m, axis=1)[:, ::-1]

@@ -183,90 +183,128 @@ def _add_terms(out, coefs, factors, pows, scratch):
 
 
 def c_eval(p, cvals):
-    """Evaluate a c-polynomial at rows of cvals (N, n), in blocks of
-    _BLOCK_ROWS rows with a table of powers c_j^e (repeated products) per
-    block, built on the block's columns made contiguous; each row sums its
-    terms in the order of p, so a row's value depends neither on the block
-    it falls in nor on the memory layout of cvals.  The factor lists are
-    made once per call, and the power table and each term are written into
-    buffers made once per call."""
+    """Evaluate a c-polynomial at rows of cvals (N, n): the one-array case
+    of _c_eval_into."""
     cvals = np.atleast_2d(np.asarray(cvals, dtype=float))
-    out = np.zeros(cvals.shape[0])
-    if not p:
-        return out
-    max_e = np.max(np.array(list(p), dtype=int), axis=0)
-    factors = _factor_lists(p)
-    coefs = list(p.values())
-    rows = min(len(out), _BLOCK_ROWS)
-    table = np.empty((int(max_e.sum()) + 1, rows))
-    for s in range(0, len(out), _BLOCK_ROWS):
-        block = cvals[s:s + _BLOCK_ROWS]
-        size = len(block)
-        # pows[j][e] = c_j**e, a row of the table; the last row is scratch
-        pows, at = [], 0
-        for j, top in enumerate(max_e):
-            row = [None]
-            for e in range(1, top + 1):
-                dst = table[at, :size]
-                if e == 1:
-                    np.copyto(dst, block[:, j])
-                else:
-                    np.multiply(row[-1], row[1], out=dst)
-                row.append(dst)
-                at += 1
-            pows.append(row)
-        _add_terms(out[s:s + size], coefs, factors, pows, table[-1, :size])
+    out = np.empty(cvals.shape[0])
+    _c_eval_into(p, [cvals], out)
     return out
 
 
-def moduli_gauss_quadrature(n, res=64):
-    """Gauss-Legendre quadrature in the block-moduli angles of S^{2n-1}.
+def _c_eval_into(p, arrays, out):
+    """Write the values of the c-polynomial p at the rows of each (N, n)
+    array of `arrays` into the next N entries of out, in blocks of
+    _BLOCK_ROWS rows with a table of powers c_j^e (repeated products) per
+    block, built on the block's columns made contiguous; each row sums its
+    terms in the order of p, so a row's value depends neither on the block
+    or array it falls in nor on the memory layout.  The factor lists are
+    made once, and the power table and each term are written into buffers
+    made once, or again for a longer array."""
+    factors = _factor_lists(p)
+    coefs = list(p.values())
+    max_e = np.max(np.array(list(p), dtype=int), axis=0) if p else ()
+    table = np.empty((int(np.sum(max_e)) + 1, 0))
+    at = 0
+    for cvals in arrays:
+        dst = out[at:at + len(cvals)]
+        dst.fill(0.0)
+        at += len(cvals)
+        if table.shape[1] < min(len(dst), _BLOCK_ROWS):
+            table = np.empty((len(table), min(len(dst), _BLOCK_ROWS)))
+        for s in range(0, len(dst), _BLOCK_ROWS):
+            block = cvals[s:s + _BLOCK_ROWS]
+            size = len(block)
+            # pows[j][e] = c_j**e, a row of the table; the last row is scratch
+            pows, row_at = [], 0
+            for j, top in enumerate(max_e):
+                row = [None]
+                for e in range(1, top + 1):
+                    row_dst = table[row_at, :size]
+                    if e == 1:
+                        np.copyto(row_dst, block[:, j])
+                    else:
+                        np.multiply(row[-1], row[1], out=row_dst)
+                    row.append(row_dst)
+                    row_at += 1
+                pows.append(row)
+            _add_terms(dst[s:s + size], coefs, factors, pows,
+                       table[-1, :size])
 
-    Returns (m, weights): m is an (N, n) array of nonnegative moduli with
-    sum(m^2) = 1 per row, and weights carry the invariant surface measure,
-    normalized so that any function of the moduli alone integrates over the
-    sphere as weights . f(m).  Spectrally accurate for smooth integrands.
-    The product weights are formed from the 1-D weights broadcast along the
-    axes of the angle grid, multiplied in the order of the angles, with no
-    grid of weights per angle.
-    """
-    res = int(res)
-    x, w = _gauss_legendre(res)
-    m, jac = moduli_angle_map(0.25 * math.pi * (x + 1.0), n)
-    w = 0.25 * math.pi * w
-    weights = w
-    for i in range(1, n - 1):
-        weights = weights[..., None] * w.reshape((1,) * i + (-1,))
-    weights = weights.reshape(-1) * jac * np.prod(m, axis=1)
-    weights *= sphere_area(2 * n) / weights.sum()
-    return m, weights
+
+#: Gauss-Legendre nodes per moduli angle of the mollifier build
+_MODULI_RES = 64
+
+
+def _moduli_blocks(n, res):
+    """(cut, m, jac) of frames.moduli_angle_map on each block of the grid
+    of res Gauss-Legendre nodes per moduli angle of S^{2n-1}, in the grid's
+    order: the block's slice of each angle cuts the first k angles, all
+    but the last to one node, so that it spans at most
+    quadrature._PASS_NODES rows."""
+    angles = 0.25 * math.pi * (_gauss_legendre(res)[0] + 1.0)
+    k = 1
+    while k < n - 1 and res ** (n - 1 - k) > _PASS_NODES:
+        k += 1
+    step = max(1, _PASS_NODES // res ** (n - 1 - k))
+    for outer in itertools.product(range(res), repeat=k - 1):
+        for s in range(0, res, step):
+            cut = (*(slice(i, i + 1) for i in outer), slice(s, s + step),
+                   *[slice(None)] * (n - 1 - k))
+            yield (cut, *moduli_angle_map(angles, n, cut))
+
+
+def moduli_gauss_blocks(n, res):
+    """Gauss-Legendre quadrature in the block-moduli angles of S^{2n-1},
+    spectrally accurate for smooth integrands, block by block
+    (_moduli_blocks): (m, weights) with m a (B, n) array of nonnegative
+    moduli, sum(m^2) = 1 per row.  Scaled by sphere_area(2n) over the sum
+    of all blocks' weights, weights . f(m) integrates a function of the
+    moduli over the sphere.  The 1-D weights, cut to the block, broadcast
+    along the axes of the angle grid and multiply in the order of the
+    angles, with no grid of weights per angle."""
+    w = 0.25 * math.pi * _gauss_legendre(res)[1]
+    for cut, m, jac in _moduli_blocks(n, res):
+        weights = w[cut[0]]
+        for i in range(1, n - 1):
+            weights = weights[..., None] * w[cut[i]].reshape((1,) * i + (-1,))
+        yield m, weights.reshape(-1) * jac * np.prod(m, axis=1)
 
 
 def symmetric_coefficients(f, n, max_degree):
     """Inner products <f, P> over S^{2n-1} of a function f of the block
     moduli with the symmetric atoms P of degree <= max_degree, on the nodes
-    (m_1, 0, m_2, 0, ...) of moduli_gauss_quadrature.  Returns (atoms,
-    coefs, m ** 2).
+    (m_1, 0, m_2, 0, ...) of moduli_gauss_blocks at res _MODULI_RES.
+    Returns (atoms, coefs).
 
-    f is called in passes of at most quadrature._PASS_NODES nodes, each
-    time on the (P, 2n) transposed view of one reused (2n, P) array of
-    coordinate columns (the moduli in the even rows, zeros in the odd
-    ones), so no array of all the nodes' coordinates is made; f must act
-    row by row, as the integrands of integrate_sphere do."""
-    m, weights = moduli_gauss_quadrature(n)
-    vals = np.empty(len(m))
-    cols = np.zeros((2 * n, min(len(m), _PASS_NODES)))
-    for s in range(0, len(m), _PASS_NODES):
-        block = m[s:s + _PASS_NODES]
-        if len(block) < cols.shape[1]:
-            cols = np.zeros((2 * n, len(block)))
-        cols[0::2] = block.T
-        vals[s:s + len(block)] = f(cols.T)
-    m **= 2
+    Three arrays span all the nodes: the normalised weights, f's values
+    and one product vector, which each atom fills with its values block by
+    block (its blocks made again, its factor lists once) and multiplies by
+    f's in place; each coefficient is one np.dot of the weights with it.
+    f is called once per block, on the (B, 2n) transposed view of a
+    (2n, B) array of coordinate columns (the moduli in the even rows, zeros
+    in the odd ones); f must act row by row, as the integrands of
+    integrate_sphere do."""
+    weights = np.empty(_MODULI_RES ** (n - 1))
+    vals = np.empty_like(weights)
+    cols, at = np.zeros((2 * n, 0)), 0
+    for m, w in moduli_gauss_blocks(n, _MODULI_RES):
+        if cols.shape[1] != len(m):
+            cols = np.zeros((2 * n, len(m)))
+        cols[0::2] = m.T
+        weights[at:at + len(m)] = w
+        vals[at:at + len(m)] = f(cols.T)
+        at += len(m)
+    del cols, m, w  # only the weights and values outlive the first pass
+    weights *= sphere_area(2 * n) / weights.sum()
     atoms = symmetric_harmonic_atoms(n, max_degree)
-    coefs = [float(np.dot(weights, vals * c_eval(atom.c_poly, m)))
-             for atom in atoms]
-    return atoms, coefs, m
+    prod, coefs = np.empty_like(vals), []
+    for atom in atoms:
+        blocks = _moduli_blocks(n, _MODULI_RES)
+        _c_eval_into(atom.c_poly,
+                     (np.square(m, out=m) for _, m, _ in blocks), prod)
+        prod *= vals
+        coefs.append(float(np.dot(weights, prod)))
+    return atoms, coefs
 
 
 _FIT_TOL = 1e-9  # largest power-sum fit residual, relative to the scale

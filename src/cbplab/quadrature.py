@@ -340,24 +340,32 @@ def _node_passes(rule: SphereRule, basis, limit):
         yield flush(held, count)
 
 
-def _integrate(rule, basis, f) -> Estimate:
-    sums = []
+def _integrate(rule, basis, f):
+    """integrate_sphere's work: batch sums w . row over one reading of the
+    nodes, for each row of a (k, N) integrand (a list of k Estimates)."""
+    sums = None
     for x, parts in _node_passes(rule, basis, _PASS_NODES):
         vals = np.asarray(f(x), dtype=float)
-        _check_finite(vals, x)
-        sums.extend(float(np.dot(w, vals[part])) for _, part, w in parts)
-    return Estimate.from_batches(sums, rule, rule.kind)
+        rows = vals.reshape(-1, len(x))
+        if sums is None:
+            sums = [[] for _ in rows]
+        for row, out in zip(rows, sums):
+            _check_finite(row, x)
+            out.extend(float(np.dot(w, row[part])) for _, part, w in parts)
+    ests = [Estimate.from_batches(out, rule, rule.kind) for out in sums]
+    return ests if vals.ndim == 2 else ests[0]
 
 
-def integrate_sphere(rule: SphereRule, f) -> Estimate:
+def integrate_sphere(rule: SphereRule, f) -> Estimate | list[Estimate]:
     """Integral of f over S^{dim-1} with a batch-variance error bar.
 
     f must accept an (N, dim) array of unit vectors and return (N,) values,
-    acting row by row: it is called once per pass of consecutive batches,
-    on the transposed view of a C-contiguous (dim, N) array of coordinate
-    columns with N <= _PASS_NODES (or one larger batch), and each batch sum
-    is w . f(nodes) over that batch's rows, so the value of a row must not
-    depend on the others.
+    or a (k, N) stack of k integrands' values for a list of k Estimates
+    made on one reading of the nodes.  f acts row by row: it is called once
+    per pass of consecutive batches, on the transposed view of a
+    C-contiguous (dim, N) array of coordinate columns with N <= _PASS_NODES
+    (or one larger batch), and each batch sum is w . f(nodes) over that
+    batch's rows, so the value of a node must not depend on the others.
     """
     return _integrate(rule, None, f)
 

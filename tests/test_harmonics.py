@@ -8,17 +8,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import checks
-from cbplab import harmonics
+from cbplab import fourier, harmonics
 from cbplab.bodies import ComplexLqBall, MollifiedBody, mollify
+from cbplab.fourier import ft_multiplier_route
 from cbplab.harmonics import (_BLOCK_ROWS, _monomials, _moment_table, c_add,
                               c_eval, c_harmonic_components,
                               c_laplacian, c_mul, c_p1, c_scale,
-                              c_sphere_inner,
-                              moduli_gauss_quadrature, power_form_eval,
-                              symmetric_coefficients,
+                              c_sphere_inner, moduli_gauss_blocks,
+                              power_form_eval, symmetric_coefficients,
                               symmetric_harmonic_atoms, symmetric_power_form)
 from cbplab.quadrature import sphere_area
 from checks import c_sphere_integral
+
+
+def moduli_nodes(n, res):
+    """The blocks of moduli_gauss_blocks joined, with the weights scaled as
+    symmetric_coefficients scales them."""
+    m, w = map(np.concatenate, zip(*moduli_gauss_blocks(n, res)))
+    w *= sphere_area(2 * n) / w.sum()
+    return m, w
 
 
 def dirichlet_points(n, count=256, seed=0):
@@ -74,7 +82,7 @@ def test_exact_sphere_moments():
 
 def test_moduli_gauss_quadrature_matches_exact_moments():
     for n in (2, 3, 4):
-        m, w = moduli_gauss_quadrature(n, res=24)
+        m, w = moduli_nodes(n, 24)
         assert np.allclose(np.sum(m ** 2, axis=1), 1.0, atol=1e-12)
         assert np.sum(w) == pytest.approx(sphere_area(2 * n), rel=1e-12)
         poly = {tuple(2 if j == 0 else 0 for j in range(n)): 1.0}
@@ -291,8 +299,21 @@ def test_buffered_power_form_eval_is_bit_identical_to_the_allocating_loop(
                                     (4, 64), (5, 8), (5, 16), (5, 24)])
 def test_moduli_gauss_quadrature_is_bit_identical_to_the_meshgrid_form(n,
                                                                        res):
-    m, w = moduli_gauss_quadrature(n, res)
+    # the joined blocks of the moduli rule are the one-shot rule
+    m, w = moduli_nodes(n, res)
     ref_m, ref_w = checks.moduli_gauss_quadrature(n, res)
+    assert m.tobytes() == ref_m.tobytes()
+    assert w.tobytes() == ref_w.tobytes()
+
+
+def test_moduli_blocks_cut_the_leading_angles(monkeypatch):
+    # 8^3 rows per first angle exceed 200, so blocks cut the second angle
+    # to 3, 3 and 2 of its nodes: blocks of 192, 192 and 128 rows
+    monkeypatch.setattr(harmonics, "_PASS_NODES", 200)
+    blocks = list(moduli_gauss_blocks(5, 8))
+    assert [len(m) for m, _ in blocks] == [192, 192, 128] * 8
+    m, w = moduli_nodes(5, 8)
+    ref_m, ref_w = checks.moduli_gauss_quadrature(5, 8)
     assert m.tobytes() == ref_m.tobytes()
     assert w.tobytes() == ref_w.tobytes()
 
@@ -321,25 +342,55 @@ def test_moment_table_is_read_only_and_sized_per_coordinate():
     assert _moment_table(3, (3, 1, 1)) is table
 
 
+@pytest.mark.parametrize("n, res, pass_nodes", [
+    (2, 64, 2 ** 14), (3, 64, 2 ** 14), (4, 64, 2 ** 14), (5, 8, 2 ** 14),
+    (5, 8, 200)])
+def test_streamed_coefficients_are_bit_identical_to_the_one_shot_build(
+        monkeypatch, n, res, pass_nodes):
+    monkeypatch.setattr(harmonics, "_MODULI_RES", res)
+    monkeypatch.setattr(harmonics, "_PASS_NODES", pass_nodes)
+    base = ComplexLqBall(n, 4.0)
+    _, coefs = symmetric_coefficients(base.radial, n, 16)
+    _, ref = checks.symmetric_coefficients(base.radial, n, 16, res)
+    assert np.array(coefs).tobytes() == np.array(ref).tobytes()
+
+
+def _one_shot_build(monkeypatch):
+    """The build's coefficients from the one-shot reference, and its extremes
+    from the series on one block of all the moduli nodes."""
+    monkeypatch.setattr(harmonics, "symmetric_coefficients",
+                        checks.symmetric_coefficients)
+    monkeypatch.setattr(harmonics, "_moduli_blocks", lambda n, res: iter(
+        [((), checks.moduli_gauss_quadrature(n, res)[0], None)]))
+
+
 def test_streamed_mollifier_build_is_bit_identical_to_the_one_shot_build(
         monkeypatch):
     base = ComplexLqBall(4, 4.0)
-    _, coefs, m2 = symmetric_coefficients(base.radial, 4, 16)
-    _, ref_coefs, ref_m2 = checks.symmetric_coefficients(base.radial, 4, 16)
-    assert np.array(coefs).tobytes() == np.array(ref_coefs).tobytes()
-    assert m2.tobytes() == ref_m2.tobytes()
     body = MollifiedBody(base, 0.1)
-    monkeypatch.setattr(harmonics, "symmetric_coefficients",
-                        checks.symmetric_coefficients)
+    _one_shot_build(monkeypatch)
     ref = MollifiedBody(base, 0.1)
     for got, want in zip(body._power_form, ref._power_form):
         assert got.tobytes() == want.tobytes()
     assert (body.r_min, body.r_max) == (ref.r_min, ref.r_max)
 
 
+def test_the_multiplier_route_is_bit_identical_to_the_one_shot_build(
+        monkeypatch):
+    body = mollify(ComplexLqBall(3, 4.0), 0.1)
+    xi = np.array([0.8, 0.0, 0.6, 0.0, 0.0, 0.0])
+    got = ft_multiplier_route(body, xi, 2.0)
+    monkeypatch.setattr(fourier, "symmetric_coefficients",
+                        checks.symmetric_coefficients)
+    want = ft_multiplier_route(body, xi, 2.0)
+    assert (got.value, got.stderr) == (want.value, want.stderr)
+
+
 def test_the_mollifier_build_stays_small():
     """Traced peak of building mollify(clq(4, 4), 0.1), atoms prebuilt: 44
-    MB with full meshgrids and a (2n, N) point array, 17 MB streamed."""
+    MB with full meshgrids and a (2n, N) point array, 17 MB with the moduli
+    resident, 10.5 MB with only the weights, the base's values and one
+    product vector spanning all 64^3 nodes."""
     base = ComplexLqBall(4, 4.0)
     symmetric_harmonic_atoms(4, 16)
     tracing = tracemalloc.is_tracing()
@@ -351,4 +402,4 @@ def test_the_mollifier_build_stays_small():
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak < 24 * 2 ** 20
+    assert peak < 12 * 2 ** 20

@@ -84,9 +84,6 @@ _TEST_ONLY_SETTINGS = {
         "the closed-form multiplier audit pairs at one width (levels=1)",
     ("_pairing_core", "masses"):
         "the same audit passes the exact bump moment of its atom",
-    ("moduli_gauss_quadrature", "res"):
-        "the n = 5 bit-identity test needs a small res, and n = 5 is to "
-        "build at res 32 (ROADMAP item 7)",
 }
 
 

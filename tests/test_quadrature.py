@@ -332,6 +332,23 @@ def test_poisoned_estimate_names_the_first_bad_node():
     assert np.array_equal(err.value.node, first)
 
 
+def test_a_stack_of_integrands_gives_each_ones_estimate():
+    rule = SphereRule(4, "quasi_monte_carlo", node_count=2 ** 12, seed=2)
+    fs = [lambda x: x[:, 0] ** 2, lambda x: np.ones(len(x)),
+          lambda x: x[:, 1] * x[:, 2]]
+    stacked = integrate_sphere(rule, lambda x: np.stack([f(x) for f in fs]))
+    assert stacked == [integrate_sphere(rule, f) for f in fs]
+    later = list(rule.batches())[2][0][7]
+
+    def bad(x):
+        hit = np.all(x == later, axis=1)
+        return np.stack([np.ones(len(x)), np.where(hit, np.inf, 1.0)])
+
+    with pytest.raises(PoisonedEstimateError) as err:
+        integrate_sphere(rule, bad)
+    assert np.array_equal(err.value.node, later)
+
+
 def test_rules_keep_their_batches_read_only(monkeypatch):
     made = {"_gauss_nodes": 0, "_qmc_batch": 0}
     for name in made:
