@@ -188,7 +188,7 @@ class RadialPerturbation(StarBody):
     _CHECK_SAMPLES = 2 ** 14  # directions that check positivity, invariance
 
     def __init__(self, base: StarBody, exponent: float, amplitude: float, bump,
-                 bump_id, seed=7):
+                 bump_id):
         if not (math.isfinite(exponent) and exponent > 0):
             raise ValueError(f"exponent must be finite and positive, not "
                              f"{exponent}")
@@ -201,7 +201,8 @@ class RadialPerturbation(StarBody):
         self.bump_id = bump_id
         self.dim = base.dim
 
-        g = np.random.Generator(np.random.Philox(key=seed))
+        # one fixed sample: a body rebuilt from its record keeps its bounds
+        g = np.random.Generator(np.random.Philox(key=7))
         theta = g.standard_normal((self._CHECK_SAMPLES, self.dim))
         theta /= np.linalg.norm(theta, axis=1, keepdims=True)
         gv = np.asarray(bump(theta), dtype=float)
@@ -267,8 +268,7 @@ class MollifiedBody(StarBody):
     #: series degree of `mollify` and of specs without a max_degree field
     DEFAULT_DEGREE = 16
 
-    def __init__(self, base: StarBody, width: float,
-                 max_degree=DEFAULT_DEGREE):
+    def __init__(self, base: StarBody, width: float, max_degree):
         if not 0.0 < width < 1.0:
             raise ValueError("width must lie in (0, 1)")
         if not (math.isfinite(max_degree) and max_degree == int(max_degree)

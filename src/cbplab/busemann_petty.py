@@ -14,6 +14,7 @@ volume change pairs f against the negative transform values).
 
 from __future__ import annotations
 
+import itertools
 import re
 import sys
 from dataclasses import dataclass, field
@@ -193,12 +194,17 @@ def bp_verify(K: StarBody, L: StarBody, grid: DirectionGrid,
 
 class HarmonicBump:
     """Even spherical function given by a polynomial in the block moduli
-    squared; callable on points, serializable, orbit-invariant."""
+    squared; callable on points, serializable, orbit-invariant, and
+    `moduli_symmetric` if block permutations keep it to 1e-12 relative."""
 
     def __init__(self, c_poly: dict, label: str = "bump"):
         self.c_poly = dict(c_poly)
         self.label = label
-        self.moduli_symmetric = True
+        scale = max(map(abs, self.c_poly.values()), default=0.0)
+        self.moduli_symmetric = all(
+            abs(self.c_poly.get(perm, 0.0) - coef) <= 1e-12 * scale
+            for mono, coef in self.c_poly.items()
+            for perm in itertools.permutations(mono))
 
     def __call__(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -378,8 +384,7 @@ def bp_construct(n: int, q_body: float, width: float = 0.1,
              "eps_trace": [], "seed": seed}
     for _ in range(_MAX_HALVINGS + 1):
         try:
-            K = RadialPerturbation(L, d - 2, eps, bump,
-                                   bump_id=bump.label, seed=seed + 5)
+            K = RadialPerturbation(L, d - 2, eps, bump, bump_id=bump.label)
             bad = convexity_probe(K, samples=10 ** 5, seed=seed + 9).violations
         except ValueError:
             trace["eps_trace"].append({"eps": eps, "status": "not_positive"})

@@ -3,16 +3,17 @@ content-addressed cache.
 
 Every command writes a report `{config_hash, inputs, results[],
 baselines_checked[], exit_code, cached}`.  `inputs` holds the command's
-name, NUMERICS_VERSION and every option the command takes except those
-that cannot move a number (--out, --csv, --cache-dir, --no-cache,
---workers), with body specs canonical and rule and grid defaults filled
-in; bp-verify --pair hashes the file's name and its pair record.  The
-sha256 of their canonical serialization is the config hash, which keys
-the result cache.  Each command takes only the options it reads, each
-setting has one spelling (a rule's node count is `--rule qmc:nodes=N`),
-and argparse refuses any other option with exit code 2.  Exit codes: 0 on
-success, 1 on errors, and 2 when a verdict is undecided: an inconclusive
-scan or `ft` sample, or a bp-verify tie.
+name, NUMERICS_VERSION, the numpy and scipy versions, and every option the
+command takes but those that cannot move a number (--out, --csv,
+--cache-dir, --no-cache, --workers), with body specs canonical and rule
+and grid defaults filled in; bp-verify --pair hashes the file's name and
+its pair record.  The sha256 of their canonical serialization is the
+config hash, which keys the result cache.  Each command takes only the
+options it reads, each setting has one spelling (a rule's node count is
+`--rule qmc:nodes=N`, its sphere the command's), and argparse refuses any
+other option with exit code 2.  Exit codes: 0 on success, 1 on errors,
+and 2 when a verdict is undecided: an inconclusive scan or `ft` sample, or
+a bp-verify tie.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import tempfile
 from dataclasses import asdict
 
 import numpy as np
+import scipy
 
 from .bodies import EuclideanBall
 from .busemann_petty import (ConstructionFailedError,
@@ -45,7 +47,9 @@ CACHE_ENV = "CBPLAB_CACHE_DIR"
 UNHASHED = ("func", "out", "csv", "cache_dir", "no_cache", "workers")
 #: hashed with every command's inputs, so cached results of older numerics
 #: are not served: a change that moves any computed number bumps it
-NUMERICS_VERSION = 3
+NUMERICS_VERSION = 4
+#: hashed too: numbers hang on numpy's and scipy's releases (Sobol, QUADPACK)
+LIBRARY_VERSIONS = {"numpy": np.__version__, "scipy": scipy.__version__}
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +170,8 @@ def _run(args, compute, **canonical) -> int:
     computes, as reports do not keep the table.  The report goes to --out
     or stdout; its exit code is returned."""
     inputs = {k: v for k, v in vars(args).items() if k not in UNHASHED}
-    inputs.update(canonical, numerics_version=NUMERICS_VERSION)
+    inputs.update(canonical, numerics_version=NUMERICS_VERSION,
+                  libraries=LIBRARY_VERSIONS)
     root = args.cache_dir or os.environ.get(
         CACHE_ENV, os.path.join(os.path.expanduser("~"), ".cache", "cbplab"))
     fresh = args.no_cache or getattr(args, "csv", None)
@@ -193,7 +198,7 @@ def _run(args, compute, **canonical) -> int:
 
 def cmd_volume(args) -> int:
     body = parse_body(args.body)
-    rule_spec = args.rule or f"qmc:dim={body.dim}"
+    rule_spec = args.rule or "qmc"
 
     def compute():
         est = volume(body, _rule(args, rule_spec, body.dim))
@@ -208,7 +213,7 @@ def cmd_volume(args) -> int:
 
 def cmd_section(args) -> int:
     body = parse_body(args.body)
-    rule_spec = args.rule or f"qmc:dim={body.dim - 2}"
+    rule_spec = args.rule or "qmc"
 
     def compute():
         xi = _parse_xi(args.xi, body.dim)
@@ -327,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"cache root (default ${CACHE_ENV} or ~/.cache/cbplab)")
     common.add_argument("--no-cache", action="store_true")
     rules = argparse.ArgumentParser(add_help=False)
-    rules.add_argument("--rule", help="quadrature rule spec: qmc:nodes=N "
-                       "(N nodes, default 2^16) or gauss:level=L")
+    rules.add_argument("--rule", help="rule spec on the command's sphere: "
+                       "qmc[:nodes=N,seed=S] (2^16 nodes) or gauss:level=L")
     table = argparse.ArgumentParser(add_help=False)
     table.add_argument("--csv", help="per-direction CSV table path; the "
                        "command then computes afresh, never from the cache")

@@ -133,6 +133,13 @@ def _sobol_sphere(d, n, seed):
     return z / np.where(norm == 0, 1.0, norm)
 
 
+def _lift(t, wt, pts, w, j, i):
+    """Product-rule rows (sqrt(1 - t_j^2) pts_i, t_j) on S^{d-1}, weights
+    wt_j w_i, from polar nodes t, wt and S^{d-2} nodes pts, w."""
+    return (np.column_stack([np.sqrt(1.0 - t[j] ** 2)[:, None] * pts[i], t[j]]),
+            wt[j] * w[i])
+
+
 _KINDS = ("quasi_monte_carlo", "product_gauss")
 _CACHE_FLOATS = 2 ** 22  # most node coordinates a rule keeps (32 MB)
 _BATCHES = 32  # batches of a rule (see SphereRule)
@@ -145,12 +152,13 @@ class SphereRule:
         quasi_monte_carlo -- scrambled Sobol mapped through the Gaussian,
                              the one randomised rule
         product_gauss     -- Gauss-Jacobi product rule (dim <= 6), weights
-                             sum to the surface area exactly
+                             sum to the surface area exactly; each batch is
+                             lifted from the grid of all axes but the
+                             outermost, so the whole grid is never made
 
     batch_count is the number of batches the rule yields: _BATCHES = 32
-    equal ones for a random rule, whose spread is its error bar, and for a
-    product rule, which needs a `level`, min(32, node_count), or `level`
-    (one per outermost polar node) when it streams.
+    equal ones for a random rule, whose spread is its error bar, and
+    min(32, node_count) for a product rule, which needs a `level`.
     """
 
     def __init__(self, dim, kind, node_count=2**16, seed=0, level=None):
@@ -171,9 +179,7 @@ class SphereRule:
             self.level = int(level)
             self._axes = self._gauss_axes()
             self.node_count = int(np.prod([len(t) for t, _ in self._axes]))
-            self._streams = self.node_count > 2 ** 22 and self.dim > 2
-            self.batch_count = (self.level if self._streams
-                                else min(_BATCHES, self.node_count))
+            self.batch_count = min(_BATCHES, self.node_count)
         else:
             if self.seed < 0:
                 raise ValueError(f"seed must be >= 0: {seed}")
@@ -206,22 +212,14 @@ class SphereRule:
         axes.append((ang, np.full(m, 2.0 * math.pi / m)))
         return axes
 
-    def _gauss_nodes(self, skip_outer=0):
-        """Node/weight arrays of the product rule over the inner axes,
-        skipping the `skip_outer` outermost polar angles."""
-        t_axes = self._axes[skip_outer:-1]
-        ang, wang = self._axes[-1]
+    def _gauss_nodes(self):
+        """Node/weight arrays of the product rule over every axis but the
+        outermost polar one (S^1 has none: its whole circle)."""
+        ang, w = self._axes[-1]
         pts = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        w = wang.copy()
-        for t, wt in reversed(t_axes):
-            # lift S^{d-2} nodes to S^{d-1}: x = (sqrt(1-t^2) y, t)
-            s = np.sqrt(1.0 - t**2)
-            n_old = pts.shape[0]
-            new = np.empty((len(t) * n_old, pts.shape[1] + 1))
-            new[:, :-1] = np.repeat(s, n_old)[:, None] * np.tile(pts, (len(t), 1))
-            new[:, -1] = np.repeat(t, n_old)
-            w = (wt[:, None] * w[None, :]).ravel()
-            pts = new
+        for t, wt in reversed(self._axes[1:-1]):
+            j, i = np.divmod(np.arange(len(t) * len(w)), len(w))
+            pts, w = _lift(t, wt, pts, w, j, i)
         return pts, w
 
     def _qmc_batch(self, index):
@@ -232,9 +230,9 @@ class SphereRule:
 
     def batches(self):
         """Yield read-only (nodes, weights) pairs; weights sum to the sphere
-        area.  A rule of at most _CACHE_FLOATS node coordinates (so never a
-        streamed product grid) keeps the batches of its second full pass and
-        yields them from then on; a rule read once keeps none."""
+        area.  A rule of at most _CACHE_FLOATS node coordinates keeps the
+        batches of its second full pass and yields them from then on; a
+        rule read once keeps none."""
         if self._batches is not None:
             yield from self._batches
             return
@@ -252,21 +250,15 @@ class SphereRule:
 
     def _make_batches(self):
         if self.kind == "product_gauss":
-            if not self._streams:
-                pts, w = self._gauss_nodes()
-                for idx in np.array_split(np.arange(len(w)), self.batch_count):
-                    yield pts[idx], w[idx]
-            else:
-                # large grids stream one outermost polar node at a time so
-                # the full product is never materialized
-                inner, win = self._gauss_nodes(skip_outer=1)
-                t_out, w_out = self._axes[0]
-                for t, wt in zip(t_out, w_out):
-                    s = math.sqrt(1.0 - t * t)
-                    chunk = np.empty((len(inner), inner.shape[1] + 1))
-                    chunk[:, :-1] = s * inner
-                    chunk[:, -1] = t
-                    yield chunk, wt * win
+            # batch b is np.array_split's batch b of the whole grid
+            inner, win = self._gauss_nodes()
+            count, extra = divmod(self.node_count, self.batch_count)
+            for b in range(self.batch_count):
+                start = b * count + min(b, extra)
+                j, i = np.divmod(np.arange(start, start + count + (b < extra)),
+                                 len(win))
+                yield ((inner[i], win[i]) if self.dim == 2
+                       else _lift(*self._axes[0], inner, win, j, i))
         else:
             wt = self.area / self.node_count
             for b in range(self.batch_count):

@@ -134,23 +134,20 @@ def parse_grid(text: str, default_seed: int) -> DirectionGrid:
 
 
 def parse_rule(text: str, dim: int, default_seed: int) -> SphereRule:
-    """`qmc:[nodes=N,seed=S,dim=D]` / `gauss:level=40[,dim=6]` -> SphereRule.
+    """`qmc[:nodes=N,seed=S]` / `gauss:level=L` -> SphereRule on S^{dim-1}.
 
-    `dim` and `default_seed` supply the sphere dimension and seed when the
-    spec omits them; a QMC rule without `nodes` has 2^16 nodes, and a
-    Gauss rule needs its `level`.
+    A spec names only its rule's own fields: a QMC rule without `nodes` has
+    2^16 nodes and one without `seed` takes `default_seed`; a Gauss rule is
+    deterministic, so it takes no seed, and needs its `level`.
     """
     head, fields = split_spec(text)
-    if head not in ("qmc", "gauss"):
-        raise SpecError(f"unknown rule spec head {head!r} in {text!r}")
-    rdim = _number(fields, "dim", text, int, default=dim or 0)
-    if not rdim:
-        raise SpecError(f"missing field 'dim' in {text!r}")
-    seed = _number(fields, "seed", text, int, default=default_seed)
     if head == "gauss":
         level = _number(fields, "level", text, int)
         _done(fields, text)
-        return SphereRule(rdim, "product_gauss", level=level, seed=seed)
+        return SphereRule(dim, "product_gauss", level=level)
+    if head != "qmc":
+        raise SpecError(f"unknown rule spec head {head!r} in {text!r}")
     nodes = _number(fields, "nodes", text, int, default=2 ** 16)
+    seed = _number(fields, "seed", text, int, default=default_seed)
     _done(fields, text)
-    return SphereRule(rdim, "quasi_monte_carlo", node_count=nodes, seed=seed)
+    return SphereRule(dim, "quasi_monte_carlo", node_count=nodes, seed=seed)

@@ -307,3 +307,24 @@ def scipy_fractional_radial(g, q, cutoff):
     )
     tail = -g0 * T ** (-q) / q
     return float(head + mid + tail)
+
+
+def whole_grid_gauss_batches(rule):
+    """The batches of a product rule as SphereRule made them when it built
+    the whole grid first and split it by np.array_split: the reference for
+    the batches it now builds from the inner grid."""
+    t_axes = rule._axes[0:-1]
+    ang, wang = rule._axes[-1]
+    pts = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    w = wang.copy()
+    for t, wt in reversed(t_axes):
+        # lift S^{d-2} nodes to S^{d-1}: x = (sqrt(1-t^2) y, t)
+        s = np.sqrt(1.0 - t**2)
+        n_old = pts.shape[0]
+        new = np.empty((len(t) * n_old, pts.shape[1] + 1))
+        new[:, :-1] = np.repeat(s, n_old)[:, None] * np.tile(pts, (len(t), 1))
+        new[:, -1] = np.repeat(t, n_old)
+        w = (wt[:, None] * w[None, :]).ravel()
+        pts = new
+    for idx in np.array_split(np.arange(len(w)), min(32, len(w))):
+        yield pts[idx], w[idx]

@@ -6,12 +6,12 @@ import pytest
 
 from cbplab import busemann_petty
 from cbplab.bodies import (ComplexLqBall, EuclideanBall, RadialPerturbation,
-                           ScaledBody)
+                           ScaledBody, mollify)
 from cbplab.busemann_petty import (ConstructionImpossibleError, HarmonicBump,
                                    _negative_weighted_square, _section_gaps,
                                    _volumes, bp_construct, bp_verify,
                                    pair_from_record, pair_record)
-from cbplab.fourier import UnsupportedRouteError
+from cbplab.fourier import UnsupportedRouteError, ft_multiplier_route
 from cbplab.frames import DirectionGrid, make_frame, make_grid, rotate
 from cbplab.harmonics import c_eval, symmetric_harmonic_atoms
 from cbplab.quadrature import (SphereRule, integrate_sphere, kahan_reduce,
@@ -142,6 +142,28 @@ def test_harmonic_bump_is_invariant_and_serializable():
     assert rec["label"] == "b"
 
 
+def test_a_bump_not_symmetric_under_block_permutations_is_refused():
+    # a c-polynomial depends on the block moduli alone, but this one is not
+    # symmetric in them; the multiplier route and mollify would symmetrize
+    # the body without a word
+    bump = HarmonicBump({(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0,
+                         (1, 1, 0): -2.0})
+    assert not bump.moduli_symmetric
+    K = RadialPerturbation(mollify(ComplexLqBall(3, 4.0), 0.1), 4, 0.3, bump,
+                           bump_id="skew")
+    xi = np.array([0.8, 0.0, 0.6, 0.0, 0.0, 0.0])
+    assert K.radial(xi) != K.radial(xi[[4, 5, 0, 1, 2, 3]])
+    assert K.rotation_invariant and not K.moduli_symmetric
+    with pytest.raises(UnsupportedRouteError, match="block moduli"):
+        ft_multiplier_route(K, xi, 2.0)
+    with pytest.raises(ValueError, match="block moduli"):
+        mollify(K, 0.1)
+    # a symmetric one, off by round-off, keeps the full group
+    assert HarmonicBump({(1, 0): 1.0, (0, 1): 1.0 + 1e-15}).moduli_symmetric
+    assert not HarmonicBump({(1, 0): 1.0, (0, 1): 1.0 + 1e-11}
+                            ).moduli_symmetric
+
+
 def test_negative_weighted_square_minimizes_the_pairing():
     grid = make_grid(8, 8, reduction="orbit_reduced", sort_moduli=True)
     # an invariant weight profile that is negative near the axis orbit
@@ -207,6 +229,9 @@ def test_a_constructed_pair_survives_its_record(pair8):
     assert np.array_equal(K2.norm(x), K.norm(x))
     assert np.array_equal(L2.norm(x), L.norm(x))
     assert pair_record(K2, L2) == record
+    # the slice engine's brackets too
+    assert (K2.r_min, K2.r_max) == (K.r_min, K.r_max)
+    assert K.bump.moduli_symmetric and K.moduli_symmetric
 
 
 def test_construction_routes_its_scan_before_any_build(monkeypatch):

@@ -7,6 +7,7 @@ import types
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -628,7 +629,13 @@ def test_bp_construct_at_n_two_is_impossible_and_replays(tmp_path):
      "dim <= 6"),
     (["scan", "--body", "ball:dim=4", "--p", "2", "--grid",
       "grid:dim=4,res=4"], "resolution must be >= 8"),
-    (["volume", "--body", "ball:dim=4", "--rule", "mc:nodes=64"], "'mc'")])
+    (["volume", "--body", "ball:dim=4", "--rule", "mc:nodes=64"], "'mc'"),
+    # a rule spec names only its own fields: the sphere is the command's,
+    # and a Gauss rule has no seed
+    (["volume", "--body", "ball:dim=4", "--rule", "qmc:dim=4"],
+     "unknown field 'dim'"),
+    (["volume", "--body", "ball:dim=4", "--rule", "gauss:level=8,seed=3"],
+     "unknown field 'seed'")])
 def test_a_bad_spec_exits_one_naming_its_token(capsys, argv, token):
     assert main([*argv, "--no-cache"]) == 1
     assert token in capsys.readouterr().err
@@ -707,6 +714,29 @@ def test_a_new_numerics_version_misses_the_cache(tmp_path, monkeypatch):
     assert rec3["cached"] is False
     assert rec3["config_hash"] != rec1["config_hash"]
     assert rec3["results"] == rec1["results"]
+
+
+def test_a_new_library_version_misses_the_cache(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    args = ("volume", "--body", "ball:dim=4", "--rule", "qmc:nodes=4096")
+    _, rec1 = run(tmp_path, *args, name="r1.json", cache=cache)
+    assert rec1["inputs"]["libraries"] == {"numpy": np.__version__,
+                                           "scipy": scipy.__version__}
+    for lib in ("numpy", "scipy"):
+        monkeypatch.setattr(cli, "LIBRARY_VERSIONS",
+                            {**cli.LIBRARY_VERSIONS, lib: "0.0"})
+        _, rec2 = run(tmp_path, *args, name=f"{lib}.json", cache=cache)
+        assert rec2["cached"] is False
+        assert rec2["config_hash"] != rec1["config_hash"]
+        assert rec2["results"] == rec1["results"]
+        monkeypatch.undo()
+
+
+def test_default_rule_specs_name_no_field(tmp_path):
+    for command in ("volume", "section"):
+        code, rec = run(tmp_path, command, "--body", "ball:dim=6")
+        assert code == 0 and rec["inputs"]["rule"] == "qmc", command
+        assert rec["results"][0]["node_count"] == 2 ** 16
 
 
 def test_volume_keys_tell_series_degrees_apart(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import checks
 from cbplab import fourier, harmonics
-from cbplab.bodies import ComplexLqBall, MollifiedBody, mollify
+from cbplab.bodies import ComplexLqBall, mollify
 from cbplab.fourier import ft_multiplier_route
 from cbplab.harmonics import (_BLOCK_ROWS, _monomials, _moment_table, c_add,
                               c_eval, c_harmonic_components,
@@ -367,9 +367,9 @@ def _one_shot_build(monkeypatch):
 def test_streamed_mollifier_build_is_bit_identical_to_the_one_shot_build(
         monkeypatch):
     base = ComplexLqBall(4, 4.0)
-    body = MollifiedBody(base, 0.1)
+    body = mollify(base, 0.1)
     _one_shot_build(monkeypatch)
-    ref = MollifiedBody(base, 0.1)
+    ref = mollify(base, 0.1)
     for got, want in zip(body._power_form, ref._power_form):
         assert got.tobytes() == want.tobytes()
     assert (body.r_min, body.r_max) == (ref.r_min, ref.r_max)

@@ -206,4 +206,4 @@ def test_settable_values_do_not_grow():
                   for action in parser._actions
                   if action.option_strings
                   and not isinstance(action, argparse._HelpAction))
-    assert defaults + options <= 80, (defaults, options)
+    assert defaults + options <= 76, (defaults, options)

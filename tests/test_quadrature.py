@@ -16,7 +16,8 @@ from cbplab.frames import make_frame
 from cbplab.quadrature import (Estimate, PoisonedEstimateError, SphereRule,
                                fractional_radial, integrate_sphere,
                                integrate_subsphere, kahan_reduce, sphere_area)
-from checks import kappa, scipy_fractional_radial, scipy_sobol_sphere
+from checks import (kappa, scipy_fractional_radial, scipy_sobol_sphere,
+                    whole_grid_gauss_batches)
 
 
 def test_sphere_area_matches_gamma_formula():
@@ -70,13 +71,17 @@ def test_gauss_polynomial_exactness():
     assert est.stderr == 0.0
 
 
-def test_streamed_gauss_matches_materialized():
-    # above the streaming threshold the same nodes arrive in outer slices
-    small = SphereRule(4, "product_gauss", level=6)
-    est1 = integrate_sphere(small, lambda x: x[:, 0] ** 4 + x[:, 2] ** 2)
-    total = sum(float(np.dot(w, p[:, 0] ** 4 + p[:, 2] ** 2))
-                for p, w in small.batches())
-    assert total == pytest.approx(est1.value, rel=1e-14)
+def test_gauss_batches_are_the_whole_grid_split_bit_for_bit():
+    # each batch is made from the inner grid's rows, never from the whole
+    # grid, and is the whole grid's np.array_split batch
+    for dim, level in [(2, 16), (3, 8), (4, 16), (5, 6), (6, 8), (6, 12)]:
+        rule = SphereRule(dim, "product_gauss", level=level)
+        got = list(rule.batches())
+        want = list(whole_grid_gauss_batches(rule))
+        assert len(got) == len(want) == rule.batch_count == 32
+        for (p1, w1), (p2, w2) in zip(got, want):
+            assert p1.shape == p2.shape and np.array_equal(p1, p2)
+            assert w1.shape == w2.shape and np.array_equal(w1, w2)
 
 
 def test_stderr_shrinks_with_node_count():
@@ -156,7 +161,7 @@ def test_random_rules_need_a_node(kind):
     (4, "quasi_monte_carlo", {"node_count": 100}),
     (2, "product_gauss", {"level": 4}),  # 8 nodes
     (4, "product_gauss", {"level": 4}),  # 128 nodes
-    (4, "product_gauss", {"level": 129}),  # > 2^22 nodes: streamed
+    (4, "product_gauss", {"level": 129}),  # > 2^22 nodes, 32 batches too
 ], ids=["qmc", "gauss-8", "gauss-128", "gauss-streamed"])
 def test_batch_count_is_the_number_of_batches_the_rule_yields(dim, kind,
                                                               args):
@@ -382,16 +387,17 @@ def test_rules_keep_their_batches_read_only(monkeypatch):
 
 
 def test_streamed_gauss_rules_keep_no_batches(monkeypatch):
+    # a rule above the cache bound builds its inner grid on every read and
+    # lets each batch go once it is yielded
     rule = SphereRule(4, "product_gauss", level=129)
-    assert rule.node_count > 2 ** 22
+    assert rule.node_count > 2 ** 22 and rule.batch_count == 32
     calls = []
     original = SphereRule._gauss_nodes
     monkeypatch.setattr(SphereRule, "_gauss_nodes",
-                        lambda self, *a, **k: calls.append(k)
-                        or original(self, *a, **k))
+                        lambda self: calls.append(1) or original(self))
     for _ in range(2):
         assert sum(len(w) for _, w in rule.batches()) == rule.node_count
-    assert calls == [{"skip_outer": 1}] * 2
+    assert len(calls) == 2 and rule._batches is None
 
 
 @pytest.mark.parametrize("d", [*range(1, 13), 40])

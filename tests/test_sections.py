@@ -66,7 +66,7 @@ def test_parallel_section_of_the_ball_matches_the_offset_formula():
 
 
 def test_a_streamed_product_rule_slices_every_batch():
-    # 129 outer polar nodes on S^3 stream as 129 batches, one sum column each
+    # 4.3M nodes on S^3 stream as 32 batches, one sum column each
     rule = SphereRule(4, "product_gauss", level=129)
     [est] = parallel_sections(EuclideanBall(6), make_frame(np.eye(6)[0]),
                               [[0.0, 0.0]], rule)
