@@ -214,11 +214,16 @@ class RadialPerturbation(StarBody):
         sup_pos = max(float(np.max(gv)), 0.0)
         sup_neg = max(float(np.max(-gv)), 0.0)
         safety = 1.05
-        low = base.r_min ** self.s - safety * self.eps * sup_pos
-        if low <= 0:
-            low = float(np.min(rad_pow)) / safety
-        self.r_min = low ** (1.0 / self.s)
-        self.r_max = (base.r_max ** self.s + safety * self.eps * sup_neg) ** (1.0 / self.s)
+        try:
+            low = base.r_min ** self.s - safety * self.eps * sup_pos
+            if low <= 0:
+                low = float(np.min(rad_pow)) / safety
+            self.r_min = low ** (1.0 / self.s)
+            self.r_max = (base.r_max ** self.s
+                          + safety * self.eps * sup_neg) ** (1.0 / self.s)
+        except OverflowError:
+            raise ValueError(f"the radial bounds overflow at exponent "
+                             f"{exponent}") from None
 
         self.rotation_invariant = base.rotation_invariant
         if self.rotation_invariant and not getattr(bump, "moduli_symmetric",
@@ -365,10 +370,9 @@ def convexity_probe(body: StarBody, samples, seed) -> ConvexityReport:
         k = min(batch, samples - done)
         theta = g.standard_normal((2, k, body.dim))
         theta /= np.linalg.norm(theta, axis=2, keepdims=True)
-        rho = body.radial(theta.reshape(-1, body.dim)).reshape(2, k)
-        pts = rho[..., None] * theta
-        mids = 0.5 * (pts[0] + pts[1])
-        nrm = body.norm(mids)
+        # one radial call per end: k <= 2^14 rows, quadrature._PASS_NODES
+        pts = [body.radial(ends)[:, None] * ends for ends in theta]
+        nrm = body.norm(0.5 * (pts[0] + pts[1]))
         worst = max(worst, float(np.max(nrm) - 1.0))
         violations += int(np.count_nonzero(nrm > 1.0 + 1e-9))
         done += k

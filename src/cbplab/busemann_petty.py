@@ -165,12 +165,11 @@ def bp_verify(K: StarBody, L: StarBody, grid: DirectionGrid,
         raise ValueError("bodies must share a dimension")
     if grid.dim != K.dim:
         raise ValueError("grid dimension does not match the bodies")
-    if rule is None:
-        rule = _default_section_rule(K, L)
-    vol_rule = SphereRule(K.dim, "quasi_monte_carlo", node_count=2 ** 16,
-                          seed=12)
-    gaps, errs = _section_gaps(K, L, grid, rule)
-    vol_K, vol_L, vgap = _volumes(K, L, vol_rule)
+    # a rule made here, with the batches it keeps, is freed before _volumes
+    gaps, errs = _section_gaps(
+        K, L, grid, _default_section_rule(K, L) if rule is None else rule)
+    vol_K, vol_L, vgap = _volumes(K, L, SphereRule(
+        K.dim, "quasi_monte_carlo", node_count=2 ** 16, seed=12))
 
     flags = []
     exceeds = gaps > 3.0 * errs

@@ -13,7 +13,11 @@ orbits, and values at non-unit y follow by (p - d)-homogeneity.
 
 Exponents are routed in one place, `_route`; `ft_values` evaluates a list
 of them at one direction and shares what the routes allow.  The fractional
-route splines the section profile by a numpy port of scipy's CubicSpline.
+route splines the section profile by a numpy port of scipy's CubicSpline,
+which solves its system by LAPACK dgtsv.  Gamma, 1F1, the Gegenbauer
+polynomials and dgtsv come from the compiled scipy extensions that
+quadrature loads, as the scipy.special and scipy.linalg packages would
+cost about 30 MB and 0.35 s of import.
 """
 
 from __future__ import annotations
@@ -23,15 +27,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg, special
 
 from . import quadrature
 from .bodies import StarBody
 from .frames import make_frame
 from .harmonics import symmetric_coefficients
 from .quadrature import (Estimate, SphereRule, _gauss_jacobi,
-                         _gauss_legendre, fractional_radial, kahan_reduce,
-                         sphere_area)
+                         _gauss_legendre, _lapack, _ufuncs, fractional_radial,
+                         kahan_reduce, sphere_area)
 from .sections import (_STENCILS, laplacian_at_zero, parallel_sections,
                        section_volume)
 
@@ -134,8 +137,9 @@ class _ProfileSpline:
         A[1, -1], A[-1, -2] = dx[-2], d
         b[-1] = ((dx[-1]**2 * slope[-2] + (2*d + dx[-1]) * dx[-2] * slope[-1])
                  / d)
-        s = linalg.solve_banded((1, 1), A, b.reshape(n, -1), overwrite_ab=True,
-                                overwrite_b=True, check_finite=False).reshape(n)
+        # solve_banded((1, 1), A, b, overwrite_ab=True, overwrite_b=True)
+        s = _lapack("dgtsv", A[2, :-1], A[1], A[0, 1:], b.reshape(n, -1),
+                    1, 1, 1, 1)[-1].reshape(n)
         t = (s[:-1] + s[1:] - 2 * slope) / dx
         self.c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
         self._knots, self._pieces = x[:-1].tolist(), self.c.T[:, ::-1].tolist()
@@ -187,10 +191,10 @@ def fractional_from_profile(spline, cutoff, max_err, p, q, n, xi) -> FtSample:
         return spline(t) if t < cutoff else 0.0
 
     radial = fractional_radial(profile, q, cutoff)
-    pairing = 2.0 * math.pi * radial / special.gamma(-q / 2.0)
-    scale = 2.0 ** (q + 1.0) * special.gamma((q + 2.0) / 2.0) * (2 * n - q - 2)
+    pairing = 2.0 * math.pi * radial / _ufuncs.gamma(-q / 2.0)
+    scale = 2.0 ** (q + 1.0) * _ufuncs.gamma((q + 2.0) / 2.0) * (2 * n - q - 2)
     # profile noise enters nearly linearly; bound it by the worst node error
-    stderr = abs(scale * 2.0 * math.pi / special.gamma(-q / 2.0)) * (
+    stderr = abs(scale * 2.0 * math.pi / _ufuncs.gamma(-q / 2.0)) * (
         max_err * (1.0 / q + 1.0 / (2.0 - q)) * max(cutoff, 1.0))
     return FtSample(np.asarray(xi, dtype=float), float(p), scale * pairing,
                     stderr, "fractional")
@@ -202,8 +206,8 @@ def fractional_from_profile(spline, cutoff, max_err, p, q, n, xi) -> FtSample:
 
 def _radial_cos_integral(t, mu, beta):
     """Exact int_0^inf r^{mu-1} exp(-beta r^2) cos(r t) dr (elementwise)."""
-    return (0.5 * beta ** (-mu / 2.0) * special.gamma(mu / 2.0)
-            * special.hyp1f1(mu / 2.0, 0.5, -np.square(t) / (4.0 * beta)))
+    return (0.5 * beta ** (-mu / 2.0) * _ufuncs.gamma(mu / 2.0)
+            * _ufuncs.hyp1f1(mu / 2.0, 0.5, -np.square(t) / (4.0 * beta)))
 
 
 def _harmonic_bump_moment(d, p, j, sigma):
@@ -217,7 +221,8 @@ def _harmonic_bump_moment(d, p, j, sigma):
     nu = (d - 2) / 2.0
     r_nodes, t_nodes = _MOMENT_NODES
     t, wt = _gauss_jacobi(t_nodes, (d - 3) / 2.0)
-    gegen = special.eval_gegenbauer(j, nu, t) / special.eval_gegenbauer(j, nu, 1.0)
+    gegen = (_ufuncs.eval_gegenbauer(j, nu, t)
+             / _ufuncs.eval_gegenbauer(j, nu, 1.0))
     hi = 1.0 + 15.0 * sigma
     r, wr = _gauss_legendre(r_nodes)
     r = 0.5 * hi * (r + 1.0)
@@ -382,8 +387,8 @@ def classical_multiplier(j, p, d):
     section 3).  Degree 0 is the constant c(d, p) of the classical
     (|x|^{-p})^ = c(d, p) |y|^{-(d-p)}."""
     return ((-1.0) ** (j // 2) * 2.0 ** (d - p) * math.pi ** (d / 2.0)
-            * special.gamma((j + d - p) / 2.0)
-            / special.gamma((j + p) / 2.0))
+            * _ufuncs.gamma((j + d - p) / 2.0)
+            / _ufuncs.gamma((j + p) / 2.0))
 
 
 def ft_multiplier_route(body: StarBody, xi, p: float) -> FtSample:

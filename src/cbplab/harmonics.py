@@ -6,6 +6,12 @@ the sphere and fast vectorized evaluation.  The fully symmetric atoms
 (invariant under independent block rotations and permutations) expand the
 radial functions of moduli-symmetric bodies and build perturbation bumps,
 because bodies perturbed by them keep the full symmetry group.
+
+LAPACK and Gamma come from the compiled scipy extensions that quadrature
+loads, as the scipy.linalg and scipy.special packages would cost about
+30 MB and 0.35 s of import: _lu_factor, _lu_solve, _eigh and _factorials
+port scipy 1.17.1's lu_factor, lu_solve, eigh and factorial for the one
+case of each that cbplab calls.
 """
 
 from __future__ import annotations
@@ -15,11 +21,11 @@ import math
 from functools import lru_cache, reduce
 
 import numpy as np
-from scipy import linalg, special
 
 from .bodies import _block_moduli_columns, _columns
 from .frames import moduli_angle_map
-from .quadrature import _PASS_NODES, _gauss_legendre, sphere_area
+from .quadrature import (_PASS_NODES, _gauss_legendre, _lapack, _ufuncs,
+                         sphere_area)
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +120,19 @@ def _c_harmonic_solver(n, k):
         img = c_laplacian(c_mul(p1, {mono: 1.0}))
         for m, c in img.items():
             A[idx[m], j] += c
-    return linalg.lu_factor(A)
+    return _lu_factor(A)
+
+
+def _lu_factor(a):
+    """scipy.linalg.lu_factor(a) for a real square a, which refuses a
+    singular a where scipy warns."""
+    return tuple(_lapack("dgetrf", a, overwrite_a=False))
+
+
+def _lu_solve(lu_and_piv, b):
+    """scipy.linalg.lu_solve(lu_and_piv, b) for a finite real b."""
+    return _lapack("dgetrs", *lu_and_piv, np.asarray_chkfinite(b), trans=0,
+                   overwrite_b=False)[0]
 
 
 def c_harmonic_split(p, n, k):
@@ -123,7 +141,7 @@ def c_harmonic_split(p, n, k):
         return dict(p), {}
     lap = c_laplacian(p)
     rhs = _dict_to_vec(lap, n, k - 1)
-    s = linalg.lu_solve(_c_harmonic_solver(n, k), rhs)
+    s = _lu_solve(_c_harmonic_solver(n, k), rhs)
     monos = _monomials(n, k - 1)
     S = {m: float(c) for m, c in zip(monos, s) if c != 0.0}
     H = c_add(p, c_scale(c_mul(c_p1(n), S), -1.0))
@@ -379,8 +397,11 @@ def power_form_eval(exps, coefs, cvals):
 
 @lru_cache(maxsize=None)
 def _factorials(lo, hi):
-    """Read-only table of k! for k = lo, ..., hi - 1 (floats)."""
-    table = special.factorial(np.arange(lo, hi), exact=False)
+    """Read-only table of k! for k = lo, ..., hi - 1 (floats): scipy's
+    factorial(np.arange(lo, hi), exact=False), Gamma(k + 1), for lo >= 0."""
+    if lo < 0:
+        raise ValueError(f"factorials start at 0, not {lo}")
+    table = _ufuncs.gamma(np.arange(lo, hi) + 1)
     table.flags.writeable = False
     return table
 
@@ -470,7 +491,7 @@ def symmetric_harmonic_atoms(n, max_degree):
         for i, p in enumerate(projs):
             for j in range(i + 1):
                 G[i, j] = G[j, i] = c_sphere_inner(p, projs[j], n)
-        evals, evecs = linalg.eigh(G)
+        evals, evecs = _eigh(G)
         # genuine harmonic parts may be tiny relative to the monomials, so
         # the cut is relative to the leading eigenvalue; the absolute floor
         # (vs the candidate scale) rejects round-off ghosts when the
@@ -485,6 +506,18 @@ def symmetric_harmonic_atoms(n, max_degree):
                 poly = c_add(poly, c_scale(p, c))
             atoms.append(HarmonicAtom(n, deg, c_poly=poly, label=f"sym{deg}/{i}"))
     return atoms
+
+
+def _eigh(a):
+    """scipy.linalg.eigh(a) for a finite real symmetric a, read from its
+    lower triangle: LAPACK dsyevr, with the work sizes dsyevr_lwork gives
+    converted as scipy's _compute_lwork converts them."""
+    a = np.asarray_chkfinite(a)
+    lwork, liwork = (int(size.real) for size in _lapack(
+        "dsyevr_lwork", n=len(a), lower=True))
+    w, v, *_ = _lapack("dsyevr", a=a, overwrite_a=False, lower=True,
+                       compute_v=1, lwork=lwork, liwork=liwork)
+    return w, v
 
 
 def _partitions(k, max_parts):

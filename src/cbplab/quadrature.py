@@ -6,7 +6,13 @@ Joe-Kuo direction numbers, keyed on seed * 1000003 + batch index, so the
 node stream does not depend on how many workers consume it, and integrals
 of nearby integrands evaluated with the same rule share nodes exactly.  The
 singular radial integral calls QUADPACK's QAGS in scipy's compiled
-extension, as scipy.integrate.quad does, without importing scipy.integrate.
+extension, as scipy.integrate.quad does.
+
+cbplab imports no scipy subpackage: the scipy.special and scipy.linalg
+packages would cost about 30 MB and 0.35 s of import for a few routines.
+This module loads the compiled extensions that hold them (_load_scipy):
+the ufuncs (_ufuncs) and LAPACK (_flapack) when cbplab is imported, and
+QUADPACK on first use.  _gauss_jacobi ports scipy's roots_jacobi.
 """
 
 from __future__ import annotations
@@ -22,7 +28,52 @@ from functools import lru_cache
 
 import numpy as np
 import scipy
-from scipy import special
+
+
+def _load_scipy(package, names, calls):
+    """scipy's compiled extension modules scipy.<package>.<name>, each
+    loaded by its full name, in the order of `names`, unless it is already
+    in sys.modules, so no scipy package runs; an extension that imports a
+    sibling finds it loaded before it.  Returns the last one, which must
+    have every attribute in `calls`.  A missing module or attribute raises
+    ImportError naming it."""
+    for name in names:
+        full = f"scipy.{package}.{name}"
+        if full not in sys.modules:
+            spec = importlib.machinery.FileFinder(
+                os.path.join(os.path.dirname(scipy.__file__), package),
+                (importlib.machinery.ExtensionFileLoader,
+                 importlib.machinery.EXTENSION_SUFFIXES)).find_spec(full)
+            if spec is None:
+                raise ImportError(f"scipy's compiled {full} is missing")
+            sys.modules[full] = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(sys.modules[full])
+    module = sys.modules[full]
+    missing = [call for call in calls if not hasattr(module, call)]
+    if missing:
+        raise ImportError(f"scipy's compiled {full} has no "
+                          f"{', '.join(missing)}")
+    return module
+
+
+#: the scipy.special ufuncs cbplab calls; the siblings come first
+_ufuncs = _load_scipy(
+    "special", ("_special_ufuncs", "_ufuncs_cxx", "_gufuncs", "_ellip_harm_2",
+                "_ufuncs"),
+    ("eval_gegenbauer", "eval_legendre", "gamma", "hyp1f1", "ndtri"))
+#: the LAPACK routines cbplab calls, through _lapack
+_flapack = _load_scipy(
+    "linalg", ("_flapack",),
+    ("dgetrf", "dgetrs", "dgtsv", "dsbevd", "dsyevr", "dsyevr_lwork"))
+
+
+def _lapack(routine, *args, **kwargs):
+    """The outputs of LAPACK `routine` in scipy's _flapack but the last,
+    its info, which must be 0 (else LinAlgError, a ValueError)."""
+    *out, info = getattr(_flapack, routine)(*args, **kwargs)
+    if info:
+        raise np.linalg.LinAlgError(f"LAPACK {routine} failed: info {info}")
+    return out
 
 
 class PoisonedEstimateError(ValueError):
@@ -38,7 +89,7 @@ class PoisonedEstimateError(ValueError):
 
 def sphere_area(d: int) -> float:
     """Surface area of the unit sphere S^{d-1}: 2 pi^{d/2} / Gamma(d/2)."""
-    return 2.0 * math.pi ** (d / 2.0) / special.gamma(d / 2.0)
+    return 2.0 * math.pi ** (d / 2.0) / _ufuncs.gamma(d / 2.0)
 
 
 @dataclass(frozen=True)
@@ -79,8 +130,42 @@ def _gauss_legendre(count):
 
 @lru_cache(maxsize=None)
 def _gauss_jacobi(count, a):
-    """Read-only Gauss-Jacobi nodes and weights for (1-t)^a (1+t)^a."""
-    t, w = special.roots_jacobi(count, a, a)
+    """Read-only Gauss-Jacobi nodes and weights for (1-t)^a (1+t)^a, a >= 0:
+    scipy.special.roots_jacobi(count, a, a), bit for bit, by scipy 1.17.1's
+    code for that case, roots_legendre(count) at a = 0 and
+    roots_gegenbauer(count, a + 1/2) otherwise, each with its
+    _gen_roots_and_weights: eigenvalues of the Jacobi matrix, one Newton
+    step, weights from the derivative, symmetrised."""
+    if count < 1 or not 0.0 <= a <= 169.5:
+        raise ValueError(f"Gauss-Jacobi nodes need count >= 1 and "
+                         f"0 <= a <= 169.5: {count}, {a}")
+    alpha = a + 0.5
+    k = np.arange(1, count, dtype="d")
+    if a == 0.0:
+        mu0, offdiag = 2.0, k * np.sqrt(1.0 / (4 * k * k - 1))
+        poly = _ufuncs.eval_legendre
+    else:
+        mu0 = (np.sqrt(np.pi) * _ufuncs.gamma(alpha + 0.5)
+               / _ufuncs.gamma(alpha + 1))
+        offdiag = np.sqrt(k * (k + 2 * alpha - 1)
+                          / (4 * (k + alpha) * (k + alpha - 1)))
+
+        def poly(m, x):
+            return _ufuncs.eval_gegenbauer(m, alpha, x)
+    band = np.zeros((2, count))  # the diagonal, row 1, is zero
+    band[0, 1:] = offdiag
+    x, _ = _lapack("dsbevd", band, compute_v=0, lower=0, overwrite_ab=1)
+    # at alpha = 1/2, n + 2 alpha - 1 is roots_legendre's n
+    dy = (-count * x * poly(count, x)
+          + (count + 2 * alpha - 1) * poly(count - 1, x)) / (1 - x ** 2)
+    x -= poly(count, x) / dy
+    fm = poly(count - 1, x)
+    log_fm, log_dy = np.log(np.abs(fm)), np.log(np.abs(dy))
+    fm /= np.exp((log_fm.max() + log_fm.min()) / 2.)
+    dy /= np.exp((log_dy.max() + log_dy.min()) / 2.)
+    w = 1.0 / (fm * dy)
+    t, w = (x - x[::-1]) / 2, (w + w[::-1]) / 2
+    w *= mu0 / w.sum()
     t.flags.writeable = False
     w.flags.writeable = False
     return t, w
@@ -128,7 +213,7 @@ def _sobol(d, n, seed):
 
 def _sobol_sphere(d, n, seed):
     """n scrambled Sobol points on S^{d-1}, mapped through the Gaussian."""
-    z = special.ndtri(np.clip(_sobol(d, n, seed), 1e-15, 1 - 1e-15))
+    z = _ufuncs.ndtri(np.clip(_sobol(d, n, seed), 1e-15, 1 - 1e-15))
     norm = np.linalg.norm(z, axis=1, keepdims=True)
     return z / np.where(norm == 0, 1.0, norm)
 
@@ -406,19 +491,19 @@ _QAGS_WARNINGS = {  # scipy.integrate.quad's texts for QAGS's ier, limit 200
 
 @lru_cache(maxsize=None)
 def _quadpack():
-    """scipy's compiled QUADPACK extension, loaded once without running the
-    scipy.integrate package and the subpackages it imports."""
-    name = "scipy.integrate._quadpack"
-    if name not in sys.modules:
-        spec = importlib.machinery.FileFinder(
-            os.path.join(os.path.dirname(scipy.__file__), "integrate"),
-            (importlib.machinery.ExtensionFileLoader,
-             importlib.machinery.EXTENSION_SUFFIXES)).find_spec(name)
-        if spec is None:
-            raise ImportError(f"scipy's compiled QUADPACK {name} is missing")
-        sys.modules[name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sys.modules[name])
-    return sys.modules[name]
+    """scipy's compiled QUADPACK extension, loaded on first use, and checked
+    by one call of _qagse: a changed signature fails here, by name."""
+    module = _load_scipy("integrate", ("_quadpack",), ("_qagse",))
+    try:
+        mid, _, ier = module._qagse(lambda t: t, 0.0, 1.0, (), 0, 1.49e-8,
+                                    1.49e-8, 200)
+        if ier or abs(mid - 0.5) > 1e-12:
+            raise ValueError(f"{mid}, ier={ier}")
+    except (TypeError, ValueError) as err:
+        raise ImportError(f"scipy's compiled scipy.integrate._quadpack._qagse "
+                          f"does not integrate t on [0, 1] as QAGS: {err}"
+                          ) from err
+    return module
 
 
 def fractional_radial(g, q, cutoff) -> float:

@@ -177,6 +177,13 @@ def test_radial_perturbation_refuses_a_non_finite_field_by_name(field, bad):
     assert calls == []  # refused before any sampling
 
 
+@pytest.mark.parametrize("base", [ComplexLqBall(2, 4.0),  # 1 <= rho <= 2^1/4
+                                  ScaledBody(EuclideanBall(4), 2.0)])
+def test_radial_perturbation_refuses_bounds_past_the_float_range(base):
+    with pytest.raises(ValueError, match="bounds overflow at exponent 4097"):
+        RadialPerturbation(base, 4097, 0.01, bump=_wiggle, bump_id="wiggle")
+
+
 def test_radial_perturbation_builds_a_valid_body_as_before():
     body = RadialPerturbation(EuclideanBall(4), 2.0, 0.05, _wiggle,
                               bump_id="wiggle")

@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import linalg, special
 
 import checks
 from cbplab import fourier, harmonics
 from cbplab.bodies import ComplexLqBall, mollify
 from cbplab.fourier import ft_multiplier_route
-from cbplab.harmonics import (_BLOCK_ROWS, _monomials, _moment_table, c_add,
-                              c_eval, c_harmonic_components,
+from cbplab.harmonics import (_BLOCK_ROWS, _factorials, _monomials,
+                              _moment_table, c_add, c_eval,
+                              c_harmonic_components, c_harmonic_split,
                               c_laplacian, c_mul, c_p1, c_scale,
                               c_sphere_inner, moduli_gauss_blocks,
                               power_form_eval, symmetric_coefficients,
@@ -330,6 +332,36 @@ def test_atoms_from_the_moment_table_are_bit_identical(monkeypatch, n):
     symmetric_harmonic_atoms.cache_clear()
     monkeypatch.setattr(harmonics, "c_sphere_inner", checks.c_sphere_inner)
     assert _atom_bytes(atoms) == _atom_bytes(symmetric_harmonic_atoms(n, 16))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_atoms_and_splits_are_those_of_scipys_linalg_bit_for_bit(
+        monkeypatch, n):
+    # the ports of eigh, lu_factor and lu_solve against scipy.linalg's own
+    poly = {mono: 1.0 + i for i, mono in enumerate(_monomials(n, 3))}
+
+    def build():
+        symmetric_harmonic_atoms.cache_clear()
+        harmonics._c_harmonic_solver.cache_clear()
+        return (_atom_bytes(symmetric_harmonic_atoms(n, 16)),
+                [list(part.items()) for part in c_harmonic_split(poly, n, 3)])
+
+    ours = build()
+    monkeypatch.setattr(harmonics, "_eigh", linalg.eigh)
+    monkeypatch.setattr(harmonics, "_lu_factor", linalg.lu_factor)
+    monkeypatch.setattr(harmonics, "_lu_solve", linalg.lu_solve)
+    assert build() == ours
+    monkeypatch.undo()
+    assert build() == ours
+
+
+def test_factorials_are_scipys_bit_for_bit():
+    # the tables of _moment_table: 0!, 1!, ... and (n - 1)!, n!, ...
+    for lo, hi in ((0, 1), (0, 40), (1, 40), (4, 60), (0, 171)):
+        assert (_factorials(lo, hi).tobytes()
+                == special.factorial(np.arange(lo, hi), exact=False).tobytes())
+    with pytest.raises(ValueError, match="factorials start at 0, not -1"):
+        _factorials.__wrapped__(-1, 3)
 
 
 def test_moment_table_is_read_only_and_sized_per_coordinate():

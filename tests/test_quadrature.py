@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 import warnings
 
 import numpy as np
@@ -216,12 +217,51 @@ def test_fractional_radial_is_the_scipy_quad_code_bit_for_bit(q):
 
 def test_a_missing_quadpack_extension_is_refused_by_name(monkeypatch,
                                                          tmp_path):
-    monkeypatch.delitem(sys.modules, "scipy.integrate._quadpack",
-                        raising=False)
+    # and so is every other extension cbplab loads, or a routine it calls
+    for package, name in (("integrate", "_quadpack"),
+                          ("special", "_special_ufuncs"),
+                          ("special", "_ufuncs"), ("linalg", "_flapack")):
+        monkeypatch.delitem(sys.modules, f"scipy.{package}.{name}",
+                            raising=False)
     monkeypatch.setattr(quadrature.scipy, "__file__",
                         str(tmp_path / "__init__.py"))
-    with pytest.raises(ImportError, match=r"scipy\.integrate\._quadpack"):
+    with pytest.raises(ImportError, match=r"scipy\.integrate\._quadpack is"):
         quadrature._quadpack.__wrapped__()
+    with pytest.raises(ImportError,
+                       match=r"scipy\.special\._special_ufuncs is missing"):
+        quadrature._load_scipy("special", ("_special_ufuncs", "_ufuncs"),
+                               ("gamma",))
+    with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack is"):
+        quadrature._load_scipy("linalg", ("_flapack",), ("dgtsv",))
+    monkeypatch.undo()
+    with pytest.raises(ImportError,
+                       match=r"scipy\.linalg\._flapack has no dgtsv2, dsyevq$"):
+        quadrature._load_scipy("linalg", ("_flapack",),
+                               ("dgtsv", "dgtsv2", "dsyevq"))
+
+
+@pytest.mark.parametrize("qagse", [
+    lambda f, a, b: (0.5, 0.0, 0),  # a changed signature
+    lambda *args: (0.5, 0.0),  # a changed result
+    lambda *args: (0.25, 0.0, 0)])  # a wrong integral
+def test_a_changed_qagse_is_refused_by_name(monkeypatch, qagse):
+    monkeypatch.setitem(sys.modules, "scipy.integrate._quadpack",
+                        types.SimpleNamespace(_qagse=qagse))
+    with pytest.raises(ImportError, match=r"_quadpack\._qagse does not"):
+        quadrature._quadpack.__wrapped__()
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 8, 16, 29, 64, 400])
+def test_gauss_jacobi_is_scipys_roots_jacobi_bit_for_bit(count):
+    # the exponents of product rules up to S^5 and of the pairing oracle's
+    # latitudes up to dim 10
+    for a in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5):
+        ours = quadrature._gauss_jacobi(count, a)
+        theirs = special.roots_jacobi(count, a, a)
+        assert [x.tobytes() for x in ours] == [x.tobytes() for x in theirs]
+    for count, a in ((0, 0.5), (4, -0.5), (4, 170.0), (4, math.nan)):
+        with pytest.raises(ValueError, match="Gauss-Jacobi nodes need"):
+            quadrature._gauss_jacobi.__wrapped__(count, a)
 
 
 def test_qags_warnings_are_scipy_quads_texts():
@@ -445,21 +485,52 @@ def _fresh_python(code):
                           env={**os.environ, "PYTHONPATH": src}).stdout
 
 
-def test_the_pipeline_imports_no_scipy_subpackage_but_special_and_linalg():
+#: touches every scipy routine cbplab calls, and prints what it computed
+_PIPELINE = (
+    "import zlib\n"
+    "import cbplab\n"
+    "from cbplab import quadrature\n"
+    "rule = cbplab.SphereRule(6, 'quasi_monte_carlo', 2 ** 10, 3)\n"
+    "nodes = rule.nodes()\n"
+    "assert len(nodes) == 2 ** 10\n"
+    "grid = cbplab.make_grid(8, 64, reduction='none', seed=5)\n"
+    "body = cbplab.mollify(cbplab.ComplexLqBall(2, 4.0), 0.2)\n"
+    "xi = cbplab.make_grid(4, 8, 'orbit_reduced').points[1]\n"
+    "sample = cbplab.ft_value(body, xi, 1.5)\n"
+    "assert sample.method == 'fractional'\n"
+    "[pair] = cbplab.pairing_oracle(\n"
+    "    body, xi, [2.0], cbplab.SphereRule(4, 'product_gauss', level=8))\n"
+    "atoms = cbplab.symmetric_harmonic_atoms(3, 12)\n"
+    "print(*(zlib.crc32(x.tobytes())\n"
+    "        for x in (nodes, grid.points, body._power_form[1])),\n"
+    "      sample.value, pair.value, cbplab.sphere_area(7),\n"
+    "      *(list(a.c_poly.items()) for a in atoms))\n")
+
+
+def test_the_pipeline_imports_no_scipy_subpackage():
     # importing scipy.stats costs about 17 MB and 0.4 s; scipy.integrate and
-    # scipy.interpolate (with optimize, sparse, spatial and fft) 23 MB
-    code = ("import sys\n"
-            "import cbplab\n"
-            "rule = cbplab.SphereRule(6, 'quasi_monte_carlo', 2 ** 10, 3)\n"
-            "assert sum(len(p) for p, _ in rule.batches()) == 2 ** 10\n"
-            "cbplab.make_grid(8, 64, reduction='none', seed=5)\n"
-            "body = cbplab.mollify(cbplab.ComplexLqBall(2, 4.0), 0.2)\n"
-            "xi = cbplab.make_grid(4, 8, 'orbit_reduced').points[1]\n"
-            "assert cbplab.ft_value(body, xi, 1.5).method == 'fractional'\n"
+    # scipy.interpolate (with optimize, sparse, spatial and fft) 23 MB;
+    # scipy.special and scipy.linalg 30 MB and 0.35 s
+    code = (_PIPELINE + "import sys\n"
             "print(*(m for m in ('stats', 'integrate', 'interpolate', "
-            "'optimize', 'sparse', 'spatial', 'fft')\n"
+            "'optimize', 'sparse', 'spatial', 'fft', 'special', 'linalg')\n"
             "        if 'scipy.' + m in sys.modules))\n")
-    assert _fresh_python(code).split() == []
+    assert _fresh_python(code).splitlines()[-1] == ""
+
+
+def test_the_pipeline_is_the_same_in_either_import_order():
+    # cbplab loads the extensions itself, or takes the ones the scipy
+    # packages loaded; either way the packages then hand out those same
+    # ufuncs and LAPACK wrappers
+    packages = "from scipy import linalg, special\n"
+    same = ("print(special._ufuncs is quadrature._ufuncs,\n"
+            "      special.ndtri is quadrature._ufuncs.ndtri,\n"
+            "      special.eval_gegenbauer is quadrature._ufuncs.eval_gegenbauer,"
+            "\n      linalg.lapack.dsyevr is quadrature._flapack.dsyevr)\n")
+    after = _fresh_python(_PIPELINE + packages + same).splitlines()
+    before = _fresh_python(packages + _PIPELINE + same).splitlines()
+    assert after == before
+    assert after[-1].split() == ["True"] * 4
 
 
 @pytest.mark.parametrize("scipy_first", [False, True])
