@@ -370,9 +370,15 @@ def convexity_probe(body: StarBody, samples, seed) -> ConvexityReport:
         k = min(batch, samples - done)
         theta = g.standard_normal((2, k, body.dim))
         theta /= np.linalg.norm(theta, axis=2, keepdims=True)
-        # one radial call per end: k <= 2^14 rows, quadrature._PASS_NODES
-        pts = [body.radial(ends)[:, None] * ends for ends in theta]
-        nrm = body.norm(0.5 * (pts[0] + pts[1]))
+        # one radial call per end: k <= 2^14 rows, quadrature._PASS_NODES.
+        # The ends become boundary points and then midpoints in place,
+        # with the roundings of 0.5 * (rho_0 theta_0 + rho_1 theta_1)
+        for ends in theta:
+            ends *= body.radial(ends)[:, None]
+        mid = theta[0]
+        mid += theta[1]
+        mid *= 0.5
+        nrm = body.norm(mid)
         worst = max(worst, float(np.max(nrm) - 1.0))
         violations += int(np.count_nonzero(nrm > 1.0 + 1e-9))
         done += k

@@ -21,6 +21,7 @@ from cbplab.frames import rotate
 from cbplab.harmonics import _factorials, c_eval, symmetric_harmonic_atoms
 from cbplab.quadrature import (SphereRule, _gauss_legendre, integrate_sphere,
                                sphere_area)
+from cbplab.sections import _BISECT_ITERS, RootBracketError
 
 
 def kappa(d):
@@ -328,3 +329,37 @@ def whole_grid_gauss_batches(rule):
         pts = new
     for idx in np.array_split(np.arange(len(w)), min(32, len(w))):
         yield pts[idx], w[idx]
+
+
+def bisect_slice_radii(body, bases, labels, r_hi, theta):
+    """sections._slice_radii as it was before its secant search: 48
+    halvings of [0, r_hi], each with one gauge call over every (base, node)
+    pair.  The reference for the roots the secant search and the replayed
+    halvings give."""
+    bases_t = bases.T[:, :, None]
+    theta_t = theta.T[:, None, :]
+    buf = np.empty((body.dim, len(bases), len(theta)))
+    pts = buf.reshape(body.dim, -1).T
+
+    def gauge(r):
+        np.multiply(r, theta_t, out=buf)
+        np.add(buf, bases_t, out=buf)
+        return body.norm(pts).reshape(r.shape)
+
+    hi = np.broadcast_to(r_hi[:, None], (len(bases), len(theta))).copy()
+    short = np.nonzero(np.any(gauge(hi) < 1.0, axis=1))[0]
+    if len(short):
+        k = short[0]
+        raise RootBracketError(
+            f"bracket end r = {r_hi[k]:.6g} lies inside the body at offset "
+            f"({labels[k][0]:.6g}, {labels[k][1]:.6g}); r_max = "
+            f"{body.r_max:.6g} is understated")
+    lo = np.zeros_like(hi)
+    mid = np.empty_like(hi)
+    for _ in range(_BISECT_ITERS):
+        np.add(lo, hi, out=mid)
+        mid *= 0.5
+        less = gauge(mid) < 1.0
+        np.copyto(lo, mid, where=less)
+        np.copyto(hi, mid, where=~less)
+    return 0.5 * (lo + hi)

@@ -1,11 +1,17 @@
+import functools
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import interpolate
 
-from cbplab.bodies import (ComplexLqBall, EuclideanBall, ScaledBody,
-                           mollify)
+from cbplab import sections
+from cbplab.bodies import (ComplexLqBall, EuclideanBall, RadialPerturbation,
+                           ScaledBody, mollify)
+from cbplab.busemann_petty import HarmonicBump, pair_from_record
 from cbplab.fourier import default_section_rule, section_profile
 from cbplab.frames import make_frame, make_grid
 from cbplab import quadrature
@@ -15,7 +21,7 @@ from cbplab.sections import (_STENCILS, RootBracketError,
                              laplacian_at_zero,
                              parallel_section, parallel_sections,
                              section_volume, volume)
-from checks import kappa, unit
+from checks import bisect_slice_radii, kappa, unit
 
 
 def test_volume_of_scaled_ball():
@@ -312,3 +318,162 @@ def test_buffered_roots_are_bit_identical_to_the_row_major_bisection(dim):
         got = _slice_radii(body, bases, offsets, r_hi, theta)
         want = _old_slice_radii(old_norm, dim, bases, r_hi, theta)
         assert np.array_equal(got, want), body.spec()
+
+
+# The secant search and the replayed halvings of _slice_radii against the
+# plain halvings, checks.bisect_slice_radii: the same roots bit for bit
+# wherever a ray crosses the boundary once.
+
+_LAPLACIAN_OFFSETS = np.array(sorted({(i * s, j * s) for s in (0.1, 0.05)
+                                      for i, j in _STENCILS[2][0]}))
+_PAIR_FILE = (Path(__file__).resolve().parents[1] / "perfbench" / "data"
+              / "pair_n4_q4_seed0.json")
+_DENT = {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0}  # sum_j c_j^2
+
+
+@functools.lru_cache(maxsize=None)
+def _committed_pair():
+    return pair_from_record(json.loads(_PAIR_FILE.read_text())["pair"])
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_body(name):
+    if name in ("mollified", "committed K"):
+        # the committed pair's L is mollify(ComplexLqBall(4, 4.0), 0.1)
+        K, L = _committed_pair()
+        return L if name == "mollified" else K
+    return {"ball": lambda: EuclideanBall(8),
+            "scaled ball": lambda: ScaledBody(EuclideanBall(8), 1.3),
+            "clq(4, 4)": lambda: ComplexLqBall(4, 4.0),
+            "clq(3, 1)": lambda: ComplexLqBall(3, 1.0),
+            "dented ball": lambda: RadialPerturbation(
+                EuclideanBall(6), 4, 0.9, HarmonicBump(_DENT), "dent")}[name]()
+
+
+def _against_the_oracle(monkeypatch):
+    """Make every _slice_radii call also run the plain halvings; returns
+    the list of (roots, plain roots) it fills."""
+    calls = []
+    secant = sections._slice_radii
+
+    def both(body, bases, labels, r_hi, theta):
+        got = secant(body, bases, labels, r_hi, theta)
+        calls.append((got, bisect_slice_radii(body, bases, labels, r_hi,
+                                              theta)))
+        return got
+
+    monkeypatch.setattr(sections, "_slice_radii", both)
+    return calls
+
+
+# 2^12 nodes make 86,016 Laplacian roots (21 offsets), enough for the
+# mollified body to show that a margin of 2^-50 is too small: one root
+# then differs.  K's norm is the slowest, so it gets fewer
+@pytest.mark.parametrize("name,nodes", [
+    ("ball", 2 ** 10), ("scaled ball", 2 ** 10), ("clq(4, 4)", 2 ** 10),
+    ("clq(3, 1)", 2 ** 10), ("mollified", 2 ** 12), ("committed K", 2 ** 9),
+    ("dented ball", 2 ** 10)])
+def test_secant_roots_are_the_plain_halvings_bit_for_bit(name, nodes,
+                                                         monkeypatch):
+    body = _oracle_body(name)
+    frame = make_frame(unit(body.dim, seed=15))
+    calls = _against_the_oracle(monkeypatch)
+    rule = SphereRule(body.dim - 2, "quasi_monte_carlo", node_count=nodes,
+                      seed=5)
+    _slice_batch_sums(body, frame, _LAPLACIAN_OFFSETS, rule)
+    laplacian_passes = len(calls)
+    # a profile out to 0.99 r_max, sliced in passes of four nodes; the
+    # base points near the boundary see rays at a grazing angle, where the
+    # computed f is flat over many ulps of r
+    ts = np.linspace(0.0, 0.99 * body.r_max, 97)
+    monkeypatch.setattr(quadrature, "_PASS_NODES", 4 * len(ts))
+    rule = SphereRule(body.dim - 2, "quasi_monte_carlo", node_count=2 ** 7,
+                      seed=5)
+    _slice_batch_sums(body, frame, np.stack([ts, 0.0 * ts], axis=1), rule)
+    assert len(calls) == laplacian_passes + 32
+    for got, want in calls:
+        assert np.array_equal(got, want)
+
+
+def test_a_ray_that_crosses_the_boundary_thrice_still_ends_on_it():
+    # the dented ball is not convex: some rays from base points half way
+    # out cross its boundary three times.  Where a ray crosses once the
+    # root is the plain halvings'; where it crosses thrice it is one of the
+    # crossings, and maybe not the one the halvings find
+    body = _oracle_body("dented ball")
+    frame = make_frame(unit(6, seed=16))
+    rule = SphereRule(4, "quasi_monte_carlo", node_count=2 ** 8, seed=16)
+    theta = np.concatenate([pts for pts, _ in rule.batches()]) @ frame.basis
+    ts = np.array([0.5, 0.52, 0.55])
+    offsets = np.stack([ts, 0.0 * ts], axis=1)
+    bases = ts[:, None] * frame.xi[None, :]
+    r_hi = body.r_max * 1.01 + ts
+    got = _slice_radii(body, bases, offsets, r_hi, theta)
+    want = bisect_slice_radii(body, bases, offsets, r_hi, theta)
+    rs = np.linspace(0.0, r_hi.max(), 161)
+    f = body.norm(rs[:, None, None, None] * theta[None, None, :, :]
+                  + bases[None, :, None, :]) - 1.0
+    crossings = np.count_nonzero(np.diff(np.sign(f), axis=0), axis=0)
+    assert set(np.unique(crossings)) == {1, 3}
+    once = crossings == 1
+    assert np.array_equal(got[once], want[once])
+    ends = body.norm(got[..., None] * theta[None] + bases[:, None]) - 1.0
+    assert np.max(np.abs(ends)) < 1e-13
+
+
+class _CountedClq(ComplexLqBall):
+    """clq(4, 4) that keeps a copy of the points of every norm call."""
+
+    def __init__(self):
+        super().__init__(4, 4.0)
+        self.calls = []
+
+    def norm(self, x):
+        self.calls.append(np.array(x))
+        return super().norm(x)
+
+
+def test_a_pass_checks_its_brackets_first_and_evaluates_few_points(
+        monkeypatch):
+    body = _CountedClq()
+    frame = make_frame(unit(8, seed=15))
+    rule = SphereRule(6, "quasi_monte_carlo", node_count=2 ** 10, seed=5)
+    passes = []
+    secant = sections._slice_radii
+
+    def spy(body_, bases, labels, r_hi, theta):
+        body.calls.clear()
+        roots = secant(body_, bases, labels, r_hi, theta)
+        passes.append((bases, r_hi, np.array(theta), roots.size,
+                       list(body.calls)))
+        return roots
+
+    monkeypatch.setattr(sections, "_slice_radii", spy)
+    _slice_batch_sums(body, frame, _LAPLACIAN_OFFSETS, rule)
+    assert len(passes) == 2
+    for bases, r_hi, theta, pairs, calls in passes:
+        # the first call is the r_hi bracket check over the whole pass
+        ends = r_hi[:, None, None] * theta[None, :, :] + bases[:, None, :]
+        assert np.array_equal(calls[0], ends.reshape(-1, 8))
+        # 49 points a pair with plain halvings
+        assert sum(len(x) for x in calls) <= 16 * pairs
+
+
+def test_an_understated_r_max_is_reported_as_by_the_plain_halvings():
+    body = ScaledBody(EuclideanBall(6), 1.0)
+    body.r_max = 0.5  # the true radius is 1
+    frame = make_frame(unit(6, seed=14))
+    offsets = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.2]])
+    bases = (offsets[:, 0:1] * frame.xi[None, :]
+             + offsets[:, 1:2] * frame.xi_perp[None, :])
+    theta = np.concatenate(
+        [pts for pts, _ in SphereRule(4, "product_gauss", level=6).batches()]
+    ) @ frame.basis
+    r_hi = body.r_max * 1.01 + np.linalg.norm(offsets, axis=1)
+    with pytest.raises(RootBracketError) as got:
+        _slice_radii(body, bases, offsets, r_hi, theta)
+    with pytest.raises(RootBracketError) as want:
+        bisect_slice_radii(body, bases, offsets, r_hi, theta)
+    assert str(got.value) == str(want.value)
+    assert str(got.value) == ("bracket end r = 0.505 lies inside the body at "
+                              "offset (0, 0); r_max = 0.5 is understated")
