@@ -55,13 +55,13 @@ class StarBody:
         return self.dim // 2
 
 
-def _columns(x, dim=None):
+def _columns(x, dim):
     """Points x (..., dim) as contiguous coordinate columns, a (dim, N)
-    array; copies x only if it is not laid out so already."""
-    dim = x.shape[-1] if dim is None else dim
+    array; copies x only if it is not laid out so already, and refuses
+    points of another dimension."""
     if x.shape[-1] != dim:
-        raise ValueError(f"points of dimension {x.shape[-1]} given to a "
-                         f"body of dimension {dim}")
+        raise ValueError(f"points of dimension {x.shape[-1]} given where "
+                         f"dimension {dim} is needed")
     return np.ascontiguousarray(x.reshape(-1, dim).T)
 
 
@@ -249,7 +249,9 @@ class RadialPerturbation(StarBody):
         del xt  # a copy of x need not live while the base and bump run
         rad_pow = self.base.radial(xhat) ** self.s - self.eps * np.asarray(
             self.bump(xhat), dtype=float)
-        return _shaped(r * rad_pow ** (-1.0 / self.s), x)
+        values = r * rad_pow ** (-1.0 / self.s)
+        values[r == 0.0] = 0.0  # the origin, whose direction is NaN
+        return _shaped(values, x)
 
     def spec(self):
         return (f"perturb:base=({self.base.spec()}),eps={self.eps:.12g},"
@@ -329,12 +331,15 @@ class MollifiedBody(StarBody):
         xt = _columns(x, self.dim)
         r = np.sqrt(_sum_squares(xt))
         # moduli squared of x/|x|, (n, N); a copy of x is let go here
-        xt = xt / r
+        with np.errstate(invalid="ignore", divide="ignore"):
+            xt = xt / r
         xt *= xt
         m2 = xt[0::2] + xt[1::2]
         m2 /= _row_sum(m2)
         rho = harmonics.power_form_eval(*self._power_form, m2.T)
-        return _shaped(r / rho, x)
+        values = r / rho
+        values[r == 0.0] = 0.0  # the origin, whose direction is NaN
+        return _shaped(values, x)
 
     def spec(self):
         spec = (f"mollify:base=({self.base.spec()}),"

@@ -9,12 +9,12 @@ nonnegative spherical bump f supported near the negativity region is pushed
 through the transform, degree by degree with the closed-form harmonic
 multipliers, and subtracted from the radial power of L.  Sections shrink pointwise (the transform of the perturbation is
 -eps f up to positive constants) while the volume grows (the first-order
-volume change pairs f against the negative transform values).
+volume change pairs f against the negative transform values).  The bump
+is a harmonics.HarmonicBump, which this module also exports.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 import sys
 from dataclasses import dataclass, field
@@ -22,13 +22,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bodies import (ComplexLqBall, RadialPerturbation, StarBody,
-                     _block_moduli_columns, _columns, _row_sum,
                      convexity_probe, mollify)
 from .embedding import scan
 from .frames import DirectionGrid, make_frame, make_grid
 from .fourier import _route, classical_multiplier
-from .harmonics import (c_add, c_eval, c_harmonic_components, c_mul, c_scale,
-                        symmetric_harmonic_atoms)
+from .harmonics import (HarmonicBump, c_add, c_harmonic_components, c_mul,
+                        c_scale, symmetric_harmonic_atoms)
 from .quadrature import (Estimate, SphereRule, integrate_sphere,
                          integrate_subsphere, sphere_area)
 from .sections import _polar
@@ -189,33 +188,6 @@ def bp_verify(K: StarBody, L: StarBody, grid: DirectionGrid,
         verdict=verdict, flags=tuple(flags),
         details={"exceed_count": int(np.sum(exceeds)),
                  "tie_count": int(np.sum(ties))})
-
-
-class HarmonicBump:
-    """Even spherical function given by a polynomial in the block moduli
-    squared; callable on points, serializable, orbit-invariant, and
-    `moduli_symmetric` if block permutations keep it to 1e-12 relative."""
-
-    def __init__(self, c_poly: dict, label: str = "bump"):
-        self.c_poly = dict(c_poly)
-        self.label = label
-        scale = max(map(abs, self.c_poly.values()), default=0.0)
-        self.moduli_symmetric = all(
-            abs(self.c_poly.get(perm, 0.0) - coef) <= 1e-12 * scale
-            for mono, coef in self.c_poly.items()
-            for perm in itertools.permutations(mono))
-
-    def __call__(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        m2 = _block_moduli_columns(_columns(x)) ** 2
-        m2 /= _row_sum(m2)
-        return c_eval(self.c_poly, m2.T).reshape(x.shape[:-1])
-
-    def as_record(self) -> dict:
-        """{label, c_poly: {"i j ...": coef}}, terms in summation order."""
-        return {"label": self.label,
-                "c_poly": {" ".join(map(str, k)): v
-                           for k, v in self.c_poly.items()}}
 
 
 def pair_record(K: RadialPerturbation, L: StarBody) -> dict:

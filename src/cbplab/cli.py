@@ -37,7 +37,7 @@ from .busemann_petty import (ConstructionFailedError,
                              bp_verify, pair_from_record, pair_record,
                              read_pair_record)
 from .embedding import _TOL, scan
-from .fourier import _METHODS, classical_multiplier, ft_value
+from .fourier import _METHODS, classical_multiplier, ft_values
 from .frames import make_frame
 from .sections import section_volume, volume
 from .specs import SpecError, parse_body, parse_grid, parse_rule
@@ -235,8 +235,8 @@ def cmd_ft(args) -> int:
         rule = _rule(args, args.rule or (f"qmc:nodes={2 ** 19}" if pairing
                                          else None),
                      body.dim if pairing else body.dim - 2)
-        sample = ft_value(body, xi, args.p, rule=rule, method=None
-                          if args.method == "auto" else args.method)
+        [sample] = ft_values(body, xi, [args.p], rule, None
+                             if args.method == "auto" else args.method)
         return {"results": [{"xi": list(xi), "p": sample.exponent,
                              "value": sample.value, "stderr": sample.stderr,
                              "method": sample.method,

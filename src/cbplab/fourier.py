@@ -164,7 +164,9 @@ def section_profile(body: StarBody, xi, rule: SphereRule):
     per point whenever the rule's batches hold one node (the default
     Gauss rule on S^1), and differ by round-off otherwise.  Returns
     (spline, cutoff, worst_node_stderr); the profile can be reused for
-    every fractional exponent at this direction.
+    every fractional exponent at this direction.  Each slice must be
+    star-shaped about its base point: on a non-convex body, A(u) integrates
+    one crossing per ray, unflagged.
     """
     _require_invariant(body)
     xi = np.asarray(xi, dtype=float)
@@ -259,7 +261,7 @@ def _latitude_nodes(d):
     return t, w
 
 
-def _pairing_core(angular, d, xi, ps, rule, levels=2, masses=None):
+def _pairing_core(angular, d, xi, ps, rule, masses=None):
     """<f^, phi> / weighted-mass for f = angular(x/|x|) |x|^{-p}, with
     `angular` even on the sphere, for each exponent p of `ps`: a list of
     (value, stderr, residual), one per exponent, in order.
@@ -273,10 +275,12 @@ def _pairing_core(angular, d, xi, ps, rule, levels=2, masses=None):
     integral therefore splits into an exact composite Gauss rule in t and a
     quadrature over the orthogonal subsphere, which removes the 1/sigma
     variance blow-up of uniform sampling.  Richardson extrapolation in
-    sigma^2 over {sigma, sigma/2, ...} removes the bump-width bias; all
-    widths share nodes.  Callers with an exactly-known bump moment pass it
-    via `masses`, one list of per-width moments per exponent (with
-    levels=1 the result is then unbiased).
+    sigma^2 over {sigma, sigma/2}, (4 fine - wide) / 3 per batch, removes
+    the leading bump-width bias; both widths share nodes, and the gap of
+    the result to the sigma/2 value is the residual.  `masses` holds one
+    pair of bump moments (sigma, sigma/2) per exponent; by default the
+    degree-0 moments, and a caller pairing a harmonic of another degree
+    passes its exact ones.
 
     The points theta = t xi + sqrt(1 - t^2) u of a subsphere batch are built
     a few latitudes at a time as coordinate columns, a C-contiguous
@@ -287,7 +291,7 @@ def _pairing_core(angular, d, xi, ps, rule, levels=2, masses=None):
     shares the nodes, the points and the call; the latitude weights, the
     bump moments and the extrapolation are each exponent's own.
     """
-    sigmas = [_SIGMA / 2 ** i for i in range(levels)]
+    sigmas = (_SIGMA, _SIGMA / 2)
     if masses is None:
         masses = [[_harmonic_bump_moment(d, p, 0, s) for s in sigmas]
                   for p in ps]
@@ -295,7 +299,7 @@ def _pairing_core(angular, d, xi, ps, rule, levels=2, masses=None):
     t, wt = _latitude_nodes(d)
     # even integrand: fold to t >= 0 and double
     gw = [np.stack([2.0 * wt * _radial_cos_integral(t, d - p, s ** 2 / 2.0)
-                    for s in sigmas]) for p in ps]  # per exponent (levels, T)
+                    for s in sigmas]) for p in ps]  # per exponent (2, T)
     basis = _perp_basis(xi)
     if rule.dim != d:
         raise ValueError("rule dimension must be d")
@@ -305,7 +309,7 @@ def _pairing_core(angular, d, xi, ps, rule, levels=2, masses=None):
                         level=rule.level)
     root = np.sqrt(1.0 - t ** 2)
     txi = t[None, :, None] * xi[:, None, None]  # (d, T, 1)
-    per = np.zeros((len(ps), levels, u_rule.batch_count))
+    per = np.zeros((len(ps), len(sigmas), u_rule.batch_count))
     for bi, (pts, w) in enumerate(u_rule.batches()):
         ut = (pts @ basis).T[:, None, :]  # (d, 1, U)
         k = max(1, quadrature._PASS_NODES // ut.shape[2])
@@ -320,22 +324,14 @@ def _pairing_core(angular, d, xi, ps, rule, levels=2, masses=None):
                                                             len(cols[0]), -1)
         for pi in range(len(ps)):
             lat = a[pi] @ w  # (T,) subsphere integrals at each latitude
-            for li in range(levels):
+            for li in range(len(sigmas)):
                 per[pi, li, bi] = (float(np.dot(gw[pi][li], lat))
                                    / masses[pi][li])
     out = []
-    for rows in per:
-        # eliminate sigma^2, sigma^4, ... terms batchwise (shared nodes)
-        prev = rows
-        for stage in range(1, levels):
-            fac = 4.0 ** stage
-            prev = rows
-            rows = (fac * rows[1:] - rows[:-1]) / (fac - 1.0)
-        est = Estimate.from_batches(rows[0], u_rule, "pairing")
-        # the gap to the previous extrapolation order (on the finest
-        # widths) estimates the residual width bias
-        residual = (abs(est.value - float(kahan_reduce(prev[-1])))
-                    if levels > 1 else 0.0)
+    for wide, fine in per:
+        est = Estimate.from_batches((4.0 * fine - wide) / 3.0, u_rule,
+                                    "pairing")
+        residual = abs(est.value - float(kahan_reduce(fine)))
         out.append((est.value, est.stderr, residual))
     return out
 
@@ -487,8 +483,3 @@ def ft_values(body: StarBody, xi, ps, rule: SphereRule = None,
         done.update(zip(pair, pairing_oracle(body, xi, pair, rule=rule)))
     return [done[p] for p in ps]
 
-
-def ft_value(body: StarBody, xi, p: float, rule: SphereRule = None,
-             method: str = None) -> FtSample:
-    """Evaluate (||x||^{-p})^(xi): the one-exponent case of ft_values."""
-    return ft_values(body, xi, [p], rule, method)[0]

@@ -4,8 +4,9 @@ Polynomials are kept in the block moduli squared c_j = |z_j|^2 (the
 c-algebra): harmonic projection, exact Dirichlet-moment inner products on
 the sphere and fast vectorized evaluation.  The fully symmetric atoms
 (invariant under independent block rotations and permutations) expand the
-radial functions of moduli-symmetric bodies and build perturbation bumps,
-because bodies perturbed by them keep the full symmetry group.
+radial functions of moduli-symmetric bodies and build perturbation bumps
+(HarmonicBump), because bodies perturbed by them keep the full symmetry
+group.  Atoms and bumps refuse points of another dimension.
 
 LAPACK and Gamma come from the compiled scipy extensions that quadrature
 loads, as the scipy.linalg and scipy.special packages would cost about
@@ -22,7 +23,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .bodies import _block_moduli_columns, _columns
+from .bodies import _block_moduli_columns, _columns, _row_sum
 from .frames import moduli_angle_map
 from .quadrature import (_PASS_NODES, _gauss_legendre, _lapack, _ufuncs,
                          sphere_area)
@@ -442,6 +443,16 @@ def c_sphere_inner(p, q, n):
 # atoms
 # ---------------------------------------------------------------------------
 
+def _moduli_values(c_poly, n, x, on_sphere):
+    """c_poly at the block moduli squared c_j = |z_j|^2 of points x
+    (..., 2n), or of x/|x| if on_sphere."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    m2 = _block_moduli_columns(_columns(x, 2 * n)) ** 2
+    if on_sphere:
+        m2 /= _row_sum(m2)
+    return c_eval(c_poly, m2.T).reshape(x.shape[:-1])
+
+
 class HarmonicAtom:
     """A unit-L^2(S) harmonic polynomial in the block moduli squared
     c_j = |z_j|^2, hence invariant under independent block rotations."""
@@ -456,12 +467,40 @@ class HarmonicAtom:
         self.label = label
 
     def __call__(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        m2 = _block_moduli_columns(_columns(x)) ** 2
-        return c_eval(self.c_poly, m2.T).reshape(x.shape[:-1])
+        return _moduli_values(self.c_poly, self.n, x, on_sphere=False)
 
     def __repr__(self):
         return f"HarmonicAtom(n={self.n}, degree={self.degree})"
+
+
+class HarmonicBump:
+    """Even spherical function given by a polynomial in the block moduli
+    squared of x/|x|; callable on points of dimension 2n, n the length of
+    its exponent tuples, serializable, orbit-invariant, and
+    `moduli_symmetric` if block permutations keep it to 1e-12 relative."""
+
+    def __init__(self, c_poly: dict, label: str = "bump"):
+        self.c_poly = dict(c_poly)
+        self.label = label
+        lengths = {len(mono) for mono in self.c_poly}
+        if len(lengths) != 1:
+            raise ValueError(f"bump {label!r}: c_poly needs terms of one "
+                             f"length, not lengths {sorted(lengths)}")
+        [self.n] = lengths
+        scale = max(map(abs, self.c_poly.values()))
+        self.moduli_symmetric = all(
+            abs(self.c_poly.get(perm, 0.0) - coef) <= 1e-12 * scale
+            for mono, coef in self.c_poly.items()
+            for perm in itertools.permutations(mono))
+
+    def __call__(self, x):
+        return _moduli_values(self.c_poly, self.n, x, on_sphere=True)
+
+    def as_record(self) -> dict:
+        """{label, c_poly: {"i j ...": coef}}, terms in summation order."""
+        return {"label": self.label,
+                "c_poly": {" ".join(map(str, k)): v
+                           for k, v in self.c_poly.items()}}
 
 
 @lru_cache(maxsize=None)

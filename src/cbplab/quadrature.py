@@ -466,27 +466,13 @@ def integrate_subsphere(rule: SphereRule, basis, f) -> Estimate:
 
 _TAYLOR_END = 1e-3  # singular end of fractional_radial, over the cutoff
 _TAYLOR_SAMPLES = 5  # profile values the Taylor fit there is made from
-_QAGS_WARNINGS = {  # scipy.integrate.quad's texts for QAGS's ier, limit 200
-    1: "The maximum number of subdivisions (200) has been achieved.\n  If "
-       "increasing the limit yields no improvement it is advised to analyze \n"
-       "  the integrand in order to determine the difficulties.  If the "
-       "position of a \n  local difficulty can be determined (singularity, "
-       "discontinuity) one will \n  probably gain from splitting up the "
-       "interval and calling the integrator \n  on the subranges.  Perhaps a "
-       "special-purpose integrator should be used.",
-    2: "The occurrence of roundoff error is detected, which prevents \n  the "
-       "requested tolerance from being achieved.  The error may be \n  "
-       "underestimated.",
-    3: "Extremely bad integrand behavior occurs at some points of the\n  "
-       "integration interval.",
-    4: "The algorithm does not converge.  Roundoff error is detected\n  in "
-       "the extrapolation table.  It is assumed that the requested tolerance"
-       "\n  cannot be achieved, and that the returned result (if full_output "
-       "= 1) is \n  the best which can be obtained.",
-    5: "The integral is probably divergent, or slowly convergent.",
-    7: "Abnormal termination of the routine.  The estimates for result\n  and "
-       "error are less reliable.  It is assumed that the requested accuracy\n"
-       "  has not been achieved."}
+_QAGS_WARNINGS = {  # QAGS's ier, at a limit of 200 subintervals
+    1: "the 200 subintervals are used up",
+    2: "round-off keeps the tolerance from being reached",
+    3: "the integrand behaves extremely badly at some points",
+    4: "round-off in the extrapolation table stops convergence",
+    5: "the integral is probably divergent, or converges slowly",
+    7: "abnormal termination"}
 
 
 @lru_cache(maxsize=None)
@@ -512,8 +498,9 @@ def fractional_radial(g, q, cutoff) -> float:
     g must be a continuous even profile (g'(0) = 0) that vanishes for
     t >= cutoff. The singular end [0, delta] is handled by a quadratic/quartic
     Taylor fit, [delta, cutoff] by QAGS called as scipy.integrate.quad(...,
-    limit=200) calls it (with its warnings, as UserWarning), and the tail by
-    the exact value -g(0) cutoff^{-q} / q.
+    limit=200) calls it, and the tail by the exact value -g(0) cutoff^{-q} / q.
+    A QAGS error code that quad would warn of is a UserWarning naming the
+    code (ier) and its reason; any other nonzero code raises ValueError.
     """
     if not 0.0 < q < 2.0:
         raise ValueError("q must lie in (0, 2)")
@@ -533,7 +520,8 @@ def fractional_radial(g, q, cutoff) -> float:
         lambda t: (float(g(t)) - g0) / t ** (1.0 + q),
         delta, T, (), 0, 1.49e-8, 1.49e-8, 200)
     if ier in _QAGS_WARNINGS:
-        warnings.warn(_QAGS_WARNINGS[ier], UserWarning, stacklevel=2)
+        warnings.warn(f"QUADPACK QAGS, ier={ier}: {_QAGS_WARNINGS[ier]}",
+                      UserWarning, stacklevel=2)
     elif ier:
         raise ValueError(f"QUADPACK QAGS refused the radial integral: ier={ier}")
     tail = -g0 * T ** (-q) / q

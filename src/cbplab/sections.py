@@ -129,12 +129,9 @@ def _slice_radii(body, bases, labels, r_hi, theta):
             f"{body.r_max:.6g} is understated")
     f_hi -= 1.0
     # f(0) = norm(base) - 1, where norm is 0 at the origin
-    f_lo = np.full(shape, -1.0)
-    away = np.any(bases != 0.0, axis=1)
-    if np.any(away):
-        cols = flat[:dim * np.count_nonzero(away)].reshape(dim, -1)
-        cols[...] = bases[away].T
-        f_lo[away] += body.norm(cols.T)[:, None]
+    cols = flat[:dim * len(bases)].reshape(dim, -1)
+    cols[...] = bases.T
+    f_lo = np.broadcast_to((body.norm(cols.T) - 1.0)[:, None], shape).copy()
     below, above = _secant_brackets(gauge, r_hi, hi, f_lo, f_hi)
 
     # the halvings, in the arrays of f_lo and f_hi
@@ -270,10 +267,7 @@ def _slice_batch_sums(body, frame, offsets, rule):
     m = body.dim - 2
     bases = offsets[:, 0:1] * frame.xi[None, :] + offsets[:, 1:2] * frame.xi_perp[None, :]
     unorm = np.linalg.norm(offsets, axis=1)
-    inside = np.ones(len(offsets), dtype=bool)
-    off = unorm != 0.0
-    if np.any(off):
-        inside[off] = ~(body.norm(bases[off]) >= 1.0)
+    inside = ~(body.norm(bases) >= 1.0)
     sums = np.zeros((len(offsets), rule.batch_count))
     act = np.nonzero(inside)[0]
     if len(act) == 0:
@@ -319,6 +313,9 @@ def parallel_sections(body: StarBody, frame: ComplexFrame, offsets,
 
     An offset with |u| >= r_max gives 0.  So does one whose base point lies
     outside the body, after a probe checks that its slice is empty.
+    Each slice must be star-shaped about its base point, as on a convex
+    body: on a non-convex body, A(u) integrates one crossing per ray,
+    unflagged.
     """
     offsets = np.atleast_2d(np.asarray(offsets, dtype=float))
     if rule.dim != body.dim - 2:
@@ -362,7 +359,9 @@ def laplacian_at_zero(body: StarBody, frame: ComplexFrame, m: int, h: float,
     """Delta^m A_{K,H_xi}(0) by 2-D central differences, always Richardson
     extrapolated over the steps {h, h/2}: (4 D(h/2) - D(h)) / 3 per batch.
     All slices share quadrature nodes.  The estimate carries its error bar
-    whatever its size; judging it is the caller's job."""
+    whatever its size; judging it is the caller's job.  Each slice must be
+    star-shaped about its base point: on a non-convex body, A(u) integrates
+    one crossing per ray, unflagged."""
     if not body.smooth:
         raise ValueError("laplacian_at_zero needs a C2-smooth body")
     if m not in (1, 2):

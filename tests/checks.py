@@ -16,7 +16,7 @@ from scipy import integrate, special, stats
 
 from cbplab.bodies import StarBody
 from cbplab.busemann_petty import _require_invariant as _require_bp
-from cbplab.fourier import FtSample, _require_invariant, ft_value
+from cbplab.fourier import FtSample, _require_invariant, ft_values
 from cbplab.frames import rotate
 from cbplab.harmonics import _factorials, c_eval, symmetric_harmonic_atoms
 from cbplab.quadrature import (SphereRule, _gauss_legendre, integrate_sphere,
@@ -115,8 +115,8 @@ def parseval_check(bodyK: StarBody, bodyL: StarBody, p: float,
     lhs = 0.0
     var = 0.0
     for w, xi in zip(grid.weights, grid.points):
-        fk = ft_value(bodyK, xi, p)
-        fl = ft_value(bodyL, xi, d - p)
+        [fk] = ft_values(bodyK, xi, [p])
+        [fl] = ft_values(bodyL, xi, [d - p])
         lhs += w * fk.value * fl.value
         var += (w * math.hypot(fk.stderr * fl.value,
                                fl.stderr * fk.value)) ** 2

@@ -476,3 +476,25 @@ def test_every_norm_is_independent_of_the_memory_layout(dim):
         for name, view in views.items():
             assert np.array_equal(view, x)
             assert np.array_equal(body.norm(view), want), (type(body), name)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dim", [4, 8])
+def test_every_gauge_is_zero_at_the_origin(dim):
+    # a 1-homogeneous gauge, with no warning; the slice engine reads
+    # f(0) = norm(base) - 1 for every base point, the origin among them
+    n = dim // 2
+    bodies = [EuclideanBall(dim), ComplexLqBall(n, 3.0),
+              ScaledBody(ComplexLqBall(n, 4.0), 0.8), _mollified(n),
+              _perturbed(n)]
+    x = np.random.Generator(np.random.Philox(key=90 + dim)).standard_normal(
+        (64, dim))
+    x[::5] = 0.0
+    zero = np.all(x == 0.0, axis=1)
+    for body in bodies:
+        at_origin = body.norm(np.zeros(dim))
+        assert isinstance(at_origin, float) and at_origin == 0.0, type(body)
+        got = body.norm(x)
+        assert np.all(got[zero] == 0.0), type(body)
+        # the other rows are those of a batch without the origin
+        assert np.array_equal(got[~zero], body.norm(x[~zero])), type(body)

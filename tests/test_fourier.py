@@ -14,7 +14,7 @@ from cbplab.fourier import (FtSample, UnsupportedRouteError,
                             _harmonic_bump_moment, _pairing_core,
                             classical_multiplier,
                             ft_derivative_route, ft_multiplier_route,
-                            ft_value, ft_values, pairing_oracle)
+                            ft_values, pairing_oracle)
 from cbplab.frames import make_frame, make_grid, rotate
 from cbplab.harmonics import symmetric_harmonic_atoms
 from cbplab.quadrature import Estimate, SphereRule, sphere_area
@@ -78,7 +78,7 @@ def test_derivative_route_flags_an_error_bar_above_a_quarter_of_the_value(
 def test_fractional_route_on_the_ball_dim4():
     # q = 1 in dim 4 targets p = 1 and c(4, 1) = 4 pi^2
     xi = unit(4, seed=1)
-    sample = ft_value(EuclideanBall(4), xi, 1.0, method="fractional")
+    [sample] = ft_values(EuclideanBall(4), xi, [1.0], method="fractional")
     assert sample.value == pytest.approx(4.0 * math.pi ** 2, rel=0.02)
     assert sample.value == pytest.approx(classical_multiplier(0, 1.0, 4),
                                          rel=0.02)
@@ -151,8 +151,8 @@ def test_multiplier_route_on_the_ball():
 
 def test_pairing_oracle_audits_the_closed_form_multiplier():
     # calibrate lambda(4, 2) on R^6 against one degree-4 symmetric atom at
-    # the direction where the atom peaks; the exact bump moment of a
-    # degree-4 harmonic makes a single bump width unbiased
+    # the direction where the atom peaks, with the exact degree-4 bump
+    # moments at both pairing widths
     d, j, p = 6, 4, 2.0
     atom = [a for a in symmetric_harmonic_atoms(d // 2, j) if a.degree == j][0]
     probe = SphereRule(d, "quasi_monte_carlo", node_count=2 ** 12,
@@ -161,8 +161,9 @@ def test_pairing_oracle_audits_the_closed_form_multiplier():
     ref = float(atom(xi[None, :])[0])
     rule = SphereRule(d, "quasi_monte_carlo", node_count=2 ** 19, seed=13)
     [(value, stderr, _)] = _pairing_core(
-        lambda x: [atom(x)], d, xi, [p], rule, levels=1,
-        masses=[[_harmonic_bump_moment(d, p, j, fourier._SIGMA)]])
+        lambda x: [atom(x)], d, xi, [p], rule,
+        masses=[[_harmonic_bump_moment(d, p, j, sigma)
+                 for sigma in (fourier._SIGMA, fourier._SIGMA / 2)]])
     lam, err = value / ref, abs(stderr / ref)
     assert 0.0 < err < 0.01 * abs(lam)
     assert abs(lam - classical_multiplier(j, p, d)) < 3.0 * err
@@ -193,16 +194,21 @@ def test_ft_samples_constant_on_rotation_orbits():
 def test_ft_value_dispatch():
     body = EuclideanBall(6)
     xi = unit(6, seed=7)
-    assert ft_value(body, xi, 2.0).method == "derivative"
-    assert ft_value(body, xi, 3.5).method == "fractional"
-    assert ft_value(body, xi, 2.0, method="pairing").method == "pairing"
+
+    def route(p, method=None):
+        [sample] = ft_values(body, xi, [p], method=method)
+        return sample.method
+
+    assert route(2.0) == "derivative"
+    assert route(3.5) == "fractional"
+    assert route(2.0, method="pairing") == "pairing"
     with pytest.raises(UnsupportedRouteError):
-        ft_value(body, xi, 3.5, method="derivative")
+        route(3.5, method="derivative")
     with pytest.raises(UnsupportedRouteError,
                        match="no implemented route reaches p=0.5 in dim 6"):
-        ft_value(body, xi, 0.5)  # q = 2n - p - 2 outside (0, 2)
+        route(0.5)  # q = 2n - p - 2 outside (0, 2)
     with pytest.raises(UnsupportedRouteError, match="fractional route"):
-        ft_value(body, xi, 2.0, method="fractional")  # q = 2
+        route(2.0, method="fractional")  # q = 2
 
 
 def test_an_unknown_method_is_refused_before_any_work(monkeypatch):
@@ -221,11 +227,13 @@ def test_an_unknown_method_is_refused_before_any_work(monkeypatch):
 
 @pytest.fixture(scope="module")
 def b42_alone():
-    """mollify(clq(2, 4), 0.2), a direction, and one ft_value per exponent
-    the routes reach in dim 4 (p = 2 derivative, 1 and 1.5 fractional)."""
+    """mollify(clq(2, 4), 0.2), a direction, and one one-exponent
+    ft_values call per exponent the routes reach in dim 4 (p = 2
+    derivative, 1 and 1.5 fractional)."""
     body = mollify(ComplexLqBall(2, 4.0), 0.2)
     xi = unit(4, seed=4)
-    return body, xi, {p: ft_value(body, xi, p) for p in (1.0, 1.5, 2.0)}
+    return body, xi, {p: ft_values(body, xi, [p])[0]
+                      for p in (1.0, 1.5, 2.0)}
 
 
 def _key(sample):
@@ -263,7 +271,7 @@ def test_ft_value_passes_its_rule_to_the_pairing_oracle():
     body = ComplexLqBall(3, 4.0)
     xi = unit(6, seed=10)
     rule = SphereRule(6, "quasi_monte_carlo", node_count=2 ** 14, seed=3)
-    got = ft_value(body, xi, 2.0, rule=rule, method="pairing")
+    [got] = ft_values(body, xi, [2.0], rule=rule, method="pairing")
     [want] = pairing_oracle(body, xi, [2.0], rule=rule)
     assert (got.value, got.stderr) == (want.value, want.stderr)
 

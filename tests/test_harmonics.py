@@ -10,9 +10,11 @@ from scipy import linalg, special
 
 import checks
 from cbplab import fourier, harmonics
-from cbplab.bodies import ComplexLqBall, mollify
+from cbplab.bodies import (ComplexLqBall, EuclideanBall, RadialPerturbation,
+                           mollify)
 from cbplab.fourier import ft_multiplier_route
-from cbplab.harmonics import (_BLOCK_ROWS, _factorials, _monomials,
+from cbplab.harmonics import (_BLOCK_ROWS, HarmonicBump, _factorials,
+                              _monomials,
                               _moment_table, c_add, c_eval,
                               c_harmonic_components, c_harmonic_split,
                               c_laplacian, c_mul, c_p1, c_scale,
@@ -152,6 +154,30 @@ def test_atom_evaluation_uses_block_moduli():
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     assert np.allclose(a(x), c_eval(a.c_poly, checks.block_moduli(x) ** 2),
                        atol=1e-13)
+
+
+def test_atoms_and_bumps_refuse_points_of_another_dimension():
+    atom = next(a for a in symmetric_harmonic_atoms(3, 4) if a.degree == 4)
+    squares = HarmonicBump({(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0},
+                           label="squares")
+    assert squares.n == 3
+    g = np.random.Generator(np.random.Philox(key=12))
+    for dim in (4, 8):
+        x = g.standard_normal((16, dim))
+        for f in (atom, squares):
+            with pytest.raises(ValueError, match=f"points of dimension {dim} "
+                                                 "given where dimension 6"):
+                f(x)
+    # so a bump of another dimension does not perturb a body
+    with pytest.raises(ValueError, match="points of dimension 8"):
+        RadialPerturbation(EuclideanBall(8), 6, 0.01, squares,
+                           bump_id="squares")
+
+
+@pytest.mark.parametrize("c_poly", [{}, {(2, 0): 1.0, (0, 2, 0): 1.0}])
+def test_a_bump_needs_exponent_tuples_of_one_length(c_poly):
+    with pytest.raises(ValueError, match="bump 'b': c_poly needs"):
+        HarmonicBump(c_poly, label="b")
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
