@@ -206,7 +206,8 @@ class RadialPerturbation(StarBody):
         theta = g.standard_normal((self._CHECK_SAMPLES, self.dim))
         theta /= np.linalg.norm(theta, axis=1, keepdims=True)
         gv = np.asarray(bump(theta), dtype=float)
-        rad_pow = base.radial(theta) ** self.s - self.eps * gv
+        with np.errstate(over="ignore"):  # inf fails the float bounds below
+            rad_pow = base.radial(theta) ** self.s - self.eps * gv
         if np.min(rad_pow) <= 0:
             raise ValueError(
                 "perturbed radial power is not strictly positive on the sphere"

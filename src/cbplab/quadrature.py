@@ -2,7 +2,8 @@
 
 All rules are deterministic given their seed: the batches of the one
 randomised rule, QMC, are scrambled Sobol points made with numpy on scipy's
-Joe-Kuo direction numbers, keyed on seed * 1000003 + batch index, so the
+Joe-Kuo direction numbers (the table is read by prefix, up to the rows a
+dimension needs), keyed on seed * 1000003 + batch index, so the
 node stream does not depend on how many workers consume it, and integrals
 of nearby integrands evaluated with the same rule share nodes exactly.  The
 singular radial integral calls QUADPACK's QAGS in scipy's compiled
@@ -12,7 +13,10 @@ cbplab imports no scipy subpackage: the scipy.special and scipy.linalg
 packages would cost about 30 MB and 0.35 s of import for a few routines.
 This module loads the compiled extensions that hold them (_load_scipy):
 the ufuncs (_ufuncs) and LAPACK (_flapack) when cbplab is imported, and
-QUADPACK on first use.  _gauss_jacobi ports scipy's roots_jacobi.
+QUADPACK on first use.  _gauss_jacobi ports scipy's roots_jacobi, and
+_gauss_legendre numpy's leggauss: both take the eigenvalues of a
+tridiagonal matrix from LAPACK's banded dsbevd, where leggauss solves it as
+a dense matrix, so numpy.polynomial is not imported either.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import math
 import os
 import sys
 import warnings
+import zipfile
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -119,10 +124,52 @@ class Estimate:
         return cls(value, stderr, rule.node_count, method)
 
 
+def _tridiagonal_eigenvalues(offdiag):
+    """Ascending eigenvalues of the symmetric tridiagonal matrix with a zero
+    diagonal and off-diagonal `offdiag`, by LAPACK dsbevd."""
+    band = np.zeros((2, len(offdiag) + 1))  # the diagonal, row 1, is zero
+    band[0, 1:] = offdiag
+    return _lapack("dsbevd", band, compute_v=0, lower=0, overwrite_ab=1)[0]
+
+
+def _legval(x, c):
+    """numpy's legval(x, c[:, j]) for each column j of c (>= 2 rows), as
+    rows, by its Clenshaw recurrence with its scalar factors."""
+    c0, c1, nd = c[-2][:, None], c[-1][:, None], len(c)
+    for i in range(3, len(c) + 1):
+        nd -= 1
+        c0, c1 = (c[-i][:, None] - c1 * ((nd - 1) / nd),
+                  c0 + c1 * x * ((2 * nd - 1) / nd))
+    return c0 + c1 * x
+
+
 @lru_cache(maxsize=None)
 def _gauss_legendre(count):
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1]."""
-    x, w = np.polynomial.legendre.leggauss(count)
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1]:
+    numpy.polynomial.legendre.leggauss(count), bit for bit, by numpy 2.4's
+    code: eigenvalues of the symmetric companion matrix of L_count, one
+    Newton step, weights from L_count' and L_{count-1}, symmetrised."""
+    if count < 2:
+        raise ValueError(f"Gauss-Legendre nodes need count >= 2: {count}")
+    k = np.arange(1, count, dtype="d")
+    x = _tridiagonal_eigenvalues(
+        k * (1. / np.sqrt(2 * k - 1)) * (1. / np.sqrt(2 * k + 1)))
+    # columns: L_count and its derivative, the sum of (2k + 1) L_k over
+    # k = count - 1, count - 3, ...; the derivative's zero top row makes
+    # the first Clenshaw step land exactly on legval's start for it, so
+    # both share one recurrence
+    c = np.zeros((count + 1, 2))
+    c[count, 0] = 1.0
+    c[count - 1::-2, 1] = 2 * np.arange(count - 1, -1, -2) + 1
+    dy, df = _legval(x, c)
+    x -= dy / df
+    [fm] = _legval(x, c[1:, :1])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2. / w.sum()
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
@@ -152,9 +199,7 @@ def _gauss_jacobi(count, a):
 
         def poly(m, x):
             return _ufuncs.eval_gegenbauer(m, alpha, x)
-    band = np.zeros((2, count))  # the diagonal, row 1, is zero
-    band[0, 1:] = offdiag
-    x, _ = _lapack("dsbevd", band, compute_v=0, lower=0, overwrite_ab=1)
+    x = _tridiagonal_eigenvalues(offdiag)
     # at alpha = 1/2, n + 2 alpha - 1 is roots_legendre's n
     dy = (-count * x * poly(count, x)
           + (count + 2 * alpha - 1) * poly(count - 1, x)) / (1 - x ** 2)
@@ -171,13 +216,49 @@ def _gauss_jacobi(count, a):
     return t, w
 
 
+#: scipy's Joe-Kuo table: 21201 primitive polynomials, poly, and their
+#: initial direction numbers, vinit, stored column-major
+_JOE_KUO = os.path.join(os.path.dirname(scipy.__file__), "stats",
+                        "_sobol_direction_numbers.npz")
+
+
+def _npy_prefix(archive, name, rows, cols):
+    """The first `rows` rows of the first `cols` columns of the column-major
+    array `name` (a 1-D array is one column) in the open .npz `archive`,
+    inflated only up to the end of those columns."""
+    with archive.open(name + ".npy") as fh:
+        version = np.lib.format.read_magic(fh)
+        shape, fortran, dtype = (
+            np.lib.format.read_array_header_1_0 if version == (1, 0)
+            else np.lib.format.read_array_header_2_0)(fh)
+        if not (fortran or len(shape) == 1):
+            raise ValueError(f"{name} is not stored column-major: {shape}, "
+                             f"fortran_order={fortran}, {dtype}")
+        data = fh.read(cols * shape[0] * dtype.itemsize)
+    return np.frombuffer(data, dtype).reshape(cols, shape[0])[:, :rows].T
+
+
+def _joe_kuo(path, d):
+    """The first d entries of poly and the first d rows of vinit's first m
+    columns, m the largest degree among those d polynomials, read by
+    prefix from the Joe-Kuo .npz at `path`.  A table that cannot be read
+    so raises ImportError naming it."""
+    try:
+        with zipfile.ZipFile(path) as archive:
+            poly = _npy_prefix(archive, "poly", d, 1)[:, 0]
+            return poly, _npy_prefix(archive, "vinit", d,
+                                     int(poly.max()).bit_length() - 1)
+    except (KeyError, ValueError) as err:
+        raise ImportError(f"scipy's Joe-Kuo table {path} cannot be read by "
+                          f"prefix: {err}") from err
+
+
 @lru_cache(maxsize=None)
 def _sobol_directions(d):
     """Read-only (d, 30) Bratley-Fox direction numbers, column j << 29 - j,
-    from scipy's Joe-Kuo table, which is read once per d and not kept."""
-    with np.load(os.path.join(os.path.dirname(scipy.__file__), "stats",
-                              "_sobol_direction_numbers.npz")) as table:
-        poly, vinit = table["poly"][:d], table["vinit"][:d]
+    from the first d rows of scipy's Joe-Kuo table, read once per d and
+    not kept."""
+    poly, vinit = _joe_kuo(_JOE_KUO, d)
     v = np.ones((d, 30), dtype=np.uint32)
     for j in range(1, d):
         p, m = int(poly[j]), int(poly[j]).bit_length() - 1

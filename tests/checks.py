@@ -10,8 +10,10 @@ bit.
 """
 
 import math
+import os
 
 import numpy as np
+import scipy
 from scipy import integrate, special, stats
 
 from cbplab.bodies import StarBody
@@ -363,3 +365,23 @@ def bisect_slice_radii(body, bases, labels, r_hi, theta):
         np.copyto(lo, mid, where=less)
         np.copyto(hi, mid, where=~less)
     return 0.5 * (lo + hi)
+
+
+def sobol_directions_full(d):
+    """quadrature._sobol_directions as it was before it read the Joe-Kuo
+    table by prefix: both arrays inflated whole by np.load, then cut to d
+    rows.  The reference for the direction numbers the prefix read gives."""
+    with np.load(os.path.join(os.path.dirname(scipy.__file__), "stats",
+                              "_sobol_direction_numbers.npz")) as table:
+        poly, vinit = table["poly"][:d], table["vinit"][:d]
+    v = np.ones((d, 30), dtype=np.uint32)
+    for j in range(1, d):
+        p, m = int(poly[j]), int(poly[j]).bit_length() - 1
+        row = [int(c) for c in vinit[j, :m]]
+        for i in range(m, 30):
+            row.append(row[i - m])
+            for t in range(1, m + 1):
+                row[i] ^= (p >> m - t & 1) * row[i - t] << t
+        v[j] = row
+    v <<= np.arange(29, -1, -1, dtype=np.uint32)
+    return v

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import types
@@ -18,7 +19,7 @@ from cbplab.quadrature import (Estimate, PoisonedEstimateError, SphereRule,
                                fractional_radial, integrate_sphere,
                                integrate_subsphere, kahan_reduce, sphere_area)
 from checks import (kappa, scipy_fractional_radial, scipy_sobol_sphere,
-                    whole_grid_gauss_batches)
+                    sobol_directions_full, whole_grid_gauss_batches)
 
 
 def test_sphere_area_matches_gamma_formula():
@@ -262,6 +263,44 @@ def test_gauss_jacobi_is_scipys_roots_jacobi_bit_for_bit(count):
     for count, a in ((0, 0.5), (4, -0.5), (4, 170.0), (4, math.nan)):
         with pytest.raises(ValueError, match="Gauss-Jacobi nodes need"):
             quadrature._gauss_jacobi.__wrapped__(count, a)
+
+
+def test_gauss_legendre_is_numpys_leggauss_bit_for_bit():
+    # the moduli-angle and latitude rules, and the bump moment's 600 nodes
+    for count in (*range(2, 131), 400, 600, 601):
+        ours = quadrature._gauss_legendre.__wrapped__(count)
+        theirs = np.polynomial.legendre.leggauss(count)
+        assert [x.tobytes() for x in ours] == [x.tobytes() for x in theirs], \
+            count
+    for count in (1, 0, -3):
+        with pytest.raises(ValueError, match=rf"count >= 2: {count}$"):
+            quadrature._gauss_legendre.__wrapped__(count)
+
+
+def test_sobol_directions_read_by_prefix_are_the_full_tables():
+    for d in (*range(1, 65), 1111, 21201):
+        assert np.array_equal(quadrature._sobol_directions.__wrapped__(d),
+                              sobol_directions_full(d)), d
+
+
+def test_a_joe_kuo_table_not_read_by_prefix_is_refused_by_name(tmp_path):
+    with np.load(quadrature._JOE_KUO) as table:
+        poly, vinit = table["poly"][:100], table["vinit"][:100]
+    # an uncompressed table is read by prefix too
+    np.savez(tmp_path / "stored.npz", poly=poly, vinit=np.asfortranarray(vinit))
+    ours = quadrature._joe_kuo(str(tmp_path / "stored.npz"), 50)
+    assert np.array_equal(ours[0], poly[:50])
+    assert np.array_equal(ours[1], vinit[:50, :ours[1].shape[1]])
+    for name, arrays, reason in (
+            ("rows", {"poly": poly, "vinit": np.ascontiguousarray(vinit)},
+             "vinit is not stored column-major"),
+            ("no_vinit", {"poly": poly}, "vinit.npy")):
+        path = str(tmp_path / f"{name}.npz")
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(ImportError, match=rf"Joe-Kuo table "
+                           rf"{re.escape(path)} cannot be read by prefix: "
+                           rf".*{re.escape(reason)}"):
+            quadrature._joe_kuo(path, 3)
 
 
 def test_a_qags_warning_names_its_code_and_reason():
@@ -512,11 +551,13 @@ _PIPELINE = (
 def test_the_pipeline_imports_no_scipy_subpackage():
     # importing scipy.stats costs about 17 MB and 0.4 s; scipy.integrate and
     # scipy.interpolate (with optimize, sparse, spatial and fft) 23 MB;
-    # scipy.special and scipy.linalg 30 MB and 0.35 s
+    # scipy.special and scipy.linalg 30 MB and 0.35 s; numpy.polynomial,
+    # which numpy imports only on first use, 0.8 MB
     code = (_PIPELINE + "import sys\n"
-            "print(*(m for m in ('stats', 'integrate', 'interpolate', "
-            "'optimize', 'sparse', 'spatial', 'fft', 'special', 'linalg')\n"
-            "        if 'scipy.' + m in sys.modules))\n")
+            "print(*(m for m in [*('scipy.' + m for m in ('stats', "
+            "'integrate', 'interpolate', 'optimize', 'sparse', 'spatial', "
+            "'fft', 'special', 'linalg')), 'numpy.polynomial']\n"
+            "        if m in sys.modules))\n")
     assert _fresh_python(code).splitlines()[-1] == ""
 
 
