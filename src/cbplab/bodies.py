@@ -337,6 +337,7 @@ class MollifiedBody(StarBody):
         xt *= xt
         m2 = xt[0::2] + xt[1::2]
         m2 /= _row_sum(m2)
+        del xt  # the squared coordinates, before the power form's temporaries
         rho = harmonics.power_form_eval(*self._power_form, m2.T)
         values = r / rho
         values[r == 0.0] = 0.0  # the origin, whose direction is NaN

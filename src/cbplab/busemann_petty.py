@@ -97,17 +97,15 @@ def _require_invariant(body: StarBody):
 
 def _section_gaps(K, L, grid, rule):
     """Per-direction A_K(0) - A_L(0) with both integrals on shared nodes,
-    so the quadrature noise cancels in the difference."""
+    so the quadrature noise cancels in the difference; every direction's
+    frame is in one stack, so the rule is read once and keeps no batches."""
     m = K.dim - 2
-    gaps = np.empty(len(grid.points))
-    errs = np.empty(len(grid.points))
-    for i, xi in enumerate(grid.points):
-        est = integrate_subsphere(
-            rule, make_frame(xi).basis,
-            lambda x: K.radial(x) ** m - L.radial(x) ** m)
-        est = _polar(est, m, "section_gap")
-        gaps[i], errs[i] = est.value, est.stderr
-    return gaps, errs
+    ests = integrate_subsphere(
+        rule, np.stack([make_frame(xi).basis for xi in grid.points]),
+        lambda x: K.radial(x) ** m - L.radial(x) ** m)
+    ests = [_polar(est, m, "section_gap") for est in ests]
+    return (np.array([est.value for est in ests]),
+            np.array([est.stderr for est in ests]))
 
 
 def _volumes(K, L, rule):
@@ -151,8 +149,9 @@ def bp_verify(K: StarBody, L: StarBody, grid: DirectionGrid,
 
     Sections use `rule`, by default _default_section_rule's: Gauss nodes
     that make every gap of a pair bp_construct builds exact, else Sobol
-    nodes.  Vol(K), Vol(L) and their gap come from one reading of 2^16
-    Sobol nodes (_volumes), so the volume rule keeps no batches.  A
+    nodes, read once for all the directions (_section_gaps).  Vol(K),
+    Vol(L) and their gap come from one reading of 2^16 Sobol nodes
+    (_volumes), so neither rule keeps batches.  A
     violation needs the dominance gap <= +3 stderr at every grid point and
     Vol(K) > Vol(L) + 3 combined stderr.  A positive gap inside its own
     3-stderr band is an undecidable dominance comparison: the verdict is
@@ -164,7 +163,6 @@ def bp_verify(K: StarBody, L: StarBody, grid: DirectionGrid,
         raise ValueError("bodies must share a dimension")
     if grid.dim != K.dim:
         raise ValueError("grid dimension does not match the bodies")
-    # a rule made here, with the batches it keeps, is freed before _volumes
     gaps, errs = _section_gaps(
         K, L, grid, _default_section_rule(K, L) if rule is None else rule)
     vol_K, vol_L, vgap = _volumes(K, L, SphereRule(

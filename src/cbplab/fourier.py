@@ -212,13 +212,16 @@ def _radial_cos_integral(t, mu, beta):
             * _ufuncs.hyp1f1(mu / 2.0, 0.5, -np.square(t) / (4.0 * beta)))
 
 
-def _harmonic_bump_moment(d, p, j, sigma):
+def _harmonic_bump_moments(d, ps, j, sigma):
     """int P_j(y/|y|) |y|^{-(d-p)} phi_sigma(y) dy / P_j(xi) for the unit
-    Gaussian pair phi at +-xi, any degree-j harmonic P_j.
+    Gaussian pair phi at +-xi, any degree-j harmonic P_j: a list, one per
+    exponent p of `ps`.
 
     Funk-Hecke collapses the angular integral onto the Gegenbauer kernel,
     leaving a 2-D (radius x cosine) quadrature with a stable combined
-    exponent exp(-(r^2 - 2rt + 1)/(2 sigma^2)).
+    exponent exp(-(r^2 - 2rt + 1)/(2 sigma^2)).  Its radial profile does
+    not depend on p, so every exponent shares it; the exponent table is
+    made in place.
     """
     nu = (d - 2) / 2.0
     r_nodes, t_nodes = _MOMENT_NODES
@@ -229,11 +232,14 @@ def _harmonic_bump_moment(d, p, j, sigma):
     r, wr = _gauss_legendre(r_nodes)
     r = 0.5 * hi * (r + 1.0)
     wr = 0.5 * hi * wr
-    expo = -(r[:, None] ** 2 - 2.0 * r[:, None] * t[None, :] + 1.0) / (2.0 * sigma ** 2)
-    inner = np.exp(expo) @ (wt * gegen)
-    radial = float(np.dot(wr, r ** (p - 1) * inner))
-    return ((2.0 * math.pi * sigma ** 2) ** (-d / 2.0)
-            * sphere_area(d - 1) * radial)
+    expo = 2.0 * r[:, None] * t[None, :]
+    np.subtract(r[:, None] ** 2, expo, out=expo)
+    np.add(expo, 1.0, out=expo)
+    np.negative(expo, out=expo)
+    np.divide(expo, 2.0 * sigma ** 2, out=expo)
+    inner = np.exp(expo, out=expo) @ (wt * gegen)
+    scale = (2.0 * math.pi * sigma ** 2) ** (-d / 2.0) * sphere_area(d - 1)
+    return [scale * float(np.dot(wr, r ** (p - 1) * inner)) for p in ps]
 
 
 def _perp_basis(xi):
@@ -293,8 +299,8 @@ def _pairing_core(angular, d, xi, ps, rule, masses=None):
     """
     sigmas = (_SIGMA, _SIGMA / 2)
     if masses is None:
-        masses = [[_harmonic_bump_moment(d, p, 0, s) for s in sigmas]
-                  for p in ps]
+        masses = list(zip(*(_harmonic_bump_moments(d, ps, 0, s)
+                             for s in sigmas)))
     xi = np.asarray(xi, dtype=float)
     t, wt = _latitude_nodes(d)
     # even integrand: fold to t >= 0 and double

@@ -507,7 +507,9 @@ class HarmonicBump:
 def symmetric_harmonic_atoms(n, max_degree):
     """Unit-L^2 harmonic atoms in the fully symmetric algebra (polynomials
     in the block moduli squared), one list over even degrees <= max_degree.
-    Atom lists are cached per (n, max_degree); treat them as read-only."""
+    Atom lists are cached per (n, max_degree); treat them as read-only.
+    The moment tables of their inner products are freed once a list is
+    built."""
     if max_degree % 2 != 0:
         raise ValueError("max_degree must be even")
     atoms = [HarmonicAtom(n, 0, c_poly={tuple([0] * n): 1.0 / math.sqrt(sphere_area(2 * n))},
@@ -544,6 +546,9 @@ def symmetric_harmonic_atoms(n, max_degree):
             for c, p in zip(coefs[:, i], projs):
                 poly = c_add(poly, c_scale(p, c))
             atoms.append(HarmonicAtom(n, deg, c_poly=poly, label=f"sym{deg}/{i}"))
+    # the atoms stay cached, their moment tables need not: an entry does
+    # not depend on the box it was built in
+    _moment_table.cache_clear()
     return atoms
 
 

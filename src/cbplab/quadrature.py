@@ -463,55 +463,65 @@ def _check_finite(vals, nodes):
 _PASS_NODES = 2 ** 14
 
 
-def _node_passes(rule: SphereRule, basis, limit):
-    """The rule's batches in passes of consecutive batches with at most
-    `limit` nodes together (a larger batch is a pass of its own).
+def _node_passes(rule: SphereRule, bases, limit):
+    """The rule's batches, each mapped through every frame of `bases`, in
+    passes of consecutive (batch, frame) blocks with at most `limit` nodes
+    together (a larger block is a pass of its own).
 
-    Each batch is mapped through `basis` (an (m, n) row stack; None keeps
-    the nodes) by a matrix product of its own, because a 1-row and an
-    N-row product round differently, and written into one C-contiguous
-    (dim, N) array of coordinate columns per pass.  Yields (nodes, parts):
-    the (N, dim) transposed view of that array, whose rows are the nodes
-    of the pass in batch order, and per batch (batch index, slice of nodes,
-    weights).
+    bases is a (k, m, n) stack of row stacks, or None to keep the nodes (one
+    frame).  The blocks go batch by batch, each batch through every frame
+    before the next is made, so the rule is read once whatever k and one
+    batch is held at a time.  Each block is mapped by a matrix product of
+    its own, because a 1-row and an N-row product round differently, and
+    written into one C-contiguous (dim, N) array of coordinate columns per
+    pass, made before its first block.  Yields (nodes, parts):
+    the (N, dim) transposed view of that array, whose rows are the nodes of
+    the pass in block order, and per block (frame index, batch index, slice
+    of nodes, weights).
     """
-    dim = rule.dim if basis is None else basis.shape[1]
-
-    def flush(held, count):
-        cols = np.empty((dim, count))
-        parts, at = [], 0
-        for bi, pts, w in held:
-            x = pts if basis is None else pts @ basis
-            cols[:, at:at + len(x)] = x.T
-            parts.append((bi, slice(at, at + len(x)), w))
-            at += len(x)
-        return cols.T, parts
-
-    held, count = [], 0
+    frames = [None] if bases is None else bases
+    dim = rule.dim if bases is None else bases.shape[2]
+    # every batch's size is known before it is made (SphereRule splits its
+    # nodes as np.array_split does), so each pass's array is made first and
+    # a batch is let go once it has gone through every frame
+    count, extra = divmod(rule.node_count, rule.batch_count)
+    lengths, held = [], 0
+    for bi in range(rule.batch_count):
+        for _ in frames:
+            if held and held + count + (bi < extra) > limit:
+                lengths.append(held)
+                held = 0
+            held += count + (bi < extra)
+    lengths = iter(lengths + [held])
+    at = None
     for bi, (pts, w) in enumerate(rule.batches()):
-        if held and count + len(pts) > limit:
-            yield flush(held, count)
-            held, count = [], 0
-        held.append((bi, pts, w))
-        count += len(pts)
-    if held:
-        yield flush(held, count)
+        for fi in range(len(frames)):
+            if at is None:
+                cols, parts, at = np.empty((dim, next(lengths))), [], 0
+            x = pts if bases is None else pts @ frames[fi]
+            cols[:, at:at + len(x)] = x.T
+            parts.append((fi, bi, slice(at, at + len(x)), w))
+            at += len(x)
+            if at == cols.shape[1]:
+                yield cols.T, parts
+                at = None
 
 
-def _integrate(rule, basis, f):
-    """integrate_sphere's work: batch sums w . row over one reading of the
-    nodes, for each row of a (k, N) integrand (a list of k Estimates)."""
-    sums = None
-    for x, parts in _node_passes(rule, basis, _PASS_NODES):
+def _integrate(rule, bases, f):
+    """integrate_sphere's work: per frame of `bases` (None: the rule's own
+    sphere, one frame), batch sums w . row over one reading of the nodes,
+    for each row of a (k, N) integrand (a list of k Estimates)."""
+    sums = [[] for _ in range(1 if bases is None else len(bases))]
+    for x, parts in _node_passes(rule, bases, _PASS_NODES):
         vals = np.asarray(f(x), dtype=float)
         rows = vals.reshape(-1, len(x))
-        if sums is None:
-            sums = [[] for _ in rows]
-        for row, out in zip(rows, sums):
+        for row in rows:
             _check_finite(row, x)
-            out.extend(float(np.dot(w, row[part])) for _, part, w in parts)
-    ests = [Estimate.from_batches(out, rule, rule.kind) for out in sums]
-    return ests if vals.ndim == 2 else ests[0]
+        for fi, _, part, w in parts:
+            sums[fi].append([float(np.dot(w, row[part])) for row in rows])
+    ests = [[Estimate.from_batches(out, rule, rule.kind) for out in zip(*frame)]
+            for frame in sums]
+    return [e if vals.ndim == 2 else e[0] for e in ests]
 
 
 def integrate_sphere(rule: SphereRule, f) -> Estimate | list[Estimate]:
@@ -525,24 +535,29 @@ def integrate_sphere(rule: SphereRule, f) -> Estimate | list[Estimate]:
     (or one larger batch), and each batch sum is w . f(nodes) over that
     batch's rows, so the value of a node must not depend on the others.
     """
-    return _integrate(rule, None, f)
+    return _integrate(rule, None, f)[0]
 
 
-def integrate_subsphere(rule: SphereRule, basis, f) -> Estimate:
+def integrate_subsphere(rule: SphereRule, basis, f) -> Estimate | list:
     """Integral of f over the unit sphere of the subspace spanned by `basis`.
 
     basis is an (m, n) orthonormal row stack; rule.dim must equal m. Nodes of
     the m-dimensional rule are mapped through the basis into R^n, batch by
-    batch; f acts row by row, as in integrate_sphere.
+    batch; f acts row by row, as in integrate_sphere.  A (k, m, n) stack of
+    such frames gives a list of k results, each equal to the one-frame
+    call's, on one reading of the rule: each batch goes through every frame
+    (_node_passes), and a pass may hold the nodes of several frames.
     """
     basis = np.asarray(basis, dtype=float)
-    m = basis.shape[0]
+    bases = basis if basis.ndim == 3 else basis[None]
+    m = bases.shape[1]
     if rule.dim != m:
         raise ValueError(f"rule dim {rule.dim} != subspace dim {m}")
-    gram = basis @ basis.T
+    gram = bases @ bases.transpose(0, 2, 1)
     if not np.allclose(gram, np.eye(m), atol=1e-10):
         raise ValueError("basis is not orthonormal")
-    return _integrate(rule, basis, f)
+    out = _integrate(rule, bases, f)
+    return out if basis.ndim == 3 else out[0]
 
 
 _TAYLOR_END = 1e-3  # singular end of fractional_radial, over the cutoff

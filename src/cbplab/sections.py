@@ -276,12 +276,12 @@ def _slice_batch_sums(body, frame, offsets, rule):
     r_hi = body.r_max * 1.01 + unorm[act]
     act_bases, act_offsets = bases[act], offsets[act]
     width = max(1, quadrature._PASS_NODES // len(act))
-    for theta, parts in _node_passes(rule, frame.basis, width):
+    for theta, parts in _node_passes(rule, frame.basis[None], width):
         r = np.concatenate([
             _slice_radii(body, act_bases, act_offsets, r_hi,
                          theta[s:s + width])
             for s in range(0, len(theta), width)], axis=1)
-        for bi, part, w in parts:
+        for _, bi, part, w in parts:
             sums[act, bi] = (r[:, part] ** m) @ w / m
     return sums, inside
 

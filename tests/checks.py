@@ -3,7 +3,8 @@ helpers several test modules share.
 
 Each audit checks a library result against an independent identity or
 closed form (the Hoelder volume chain, spherical Parseval, the circle
-integral, exact Dirichlet moments); none of them is part of the pipeline.
+integral, exact Dirichlet moments, the closed-form section gaps of a
+constructed pair); none of them is part of the pipeline.
 The reference implementations at the end are earlier one-shot forms of
 pipeline functions, kept as oracles the streamed forms must match bit for
 bit.
@@ -16,11 +17,14 @@ import numpy as np
 import scipy
 from scipy import integrate, special, stats
 
-from cbplab.bodies import StarBody
+from cbplab.bodies import RadialPerturbation, StarBody
 from cbplab.busemann_petty import _require_invariant as _require_bp
-from cbplab.fourier import FtSample, _require_invariant, ft_values
+from cbplab.fourier import (FtSample, _require_invariant, classical_multiplier,
+                            ft_values)
 from cbplab.frames import rotate
-from cbplab.harmonics import _factorials, c_eval, symmetric_harmonic_atoms
+from cbplab.harmonics import (HarmonicBump, _factorials, c_add, c_eval,
+                              c_harmonic_components, c_scale,
+                              symmetric_harmonic_atoms)
 from cbplab.quadrature import (SphereRule, _gauss_legendre, integrate_sphere,
                                sphere_area)
 from cbplab.sections import _BISECT_ITERS, RootBracketError
@@ -175,7 +179,7 @@ def c_sphere_integral(p, n):
 
 
 def bump_moment(d, p, sigma):
-    """Closed form of fourier._harmonic_bump_moment at degree 0: the mean of
+    """Closed form of fourier._harmonic_bump_moments at degree 0: the mean of
     |Y|^{p-d} for Y ~ N(xi, sigma^2 I_d) at a unit xi, a moment of the
     noncentral chi-square law, (2 sigma^2)^{(p-d)/2} Gamma(p/2) / Gamma(d/2)
     1F1((d-p)/2; d/2; -1/(2 sigma^2)).  scipy's hyp1f1 gives it to within
@@ -183,6 +187,35 @@ def bump_moment(d, p, sigma):
     return ((2.0 * sigma ** 2) ** ((p - d) / 2.0) * special.gamma(p / 2.0)
             / special.gamma(d / 2.0)
             * special.hyp1f1((d - p) / 2.0, d / 2.0, -0.5 / sigma ** 2))
+
+
+def section_gap_profile(K, L, grid):
+    """-eps f(xi) at each grid direction, for a pair as bp_construct builds
+    it: K = RadialPerturbation(L, 2n - 2, eps, g) with g a HarmonicBump.
+    f = sum_j [g]_j / lambda(j, 2, 2n) undoes _transform_bump degree by
+    degree, so (f(x/|x|) |x|^{-2})^ = g(y/|y|) |y|^{-(2n-2)}.  Any other
+    pair raises ValueError naming the form it needs."""
+    d = K.dim
+    if not (isinstance(K, RadialPerturbation) and K.base is L
+            and K.s == d - 2 and isinstance(K.bump, HarmonicBump)):
+        raise ValueError(f"closed-form section gaps need K = "
+                         f"RadialPerturbation(L, {d - 2}, eps, HarmonicBump) "
+                         f"of L itself, not K = {K.spec()}, L = {L.spec()}")
+    f = {}
+    for deg, poly in c_harmonic_components(K.bump.c_poly, d // 2).items():
+        f = c_add(f, c_scale(poly, 1.0 / classical_multiplier(deg, 2.0, d)))
+    return -K.eps * HarmonicBump(f)(grid.points)
+
+
+def exact_section_gaps(K, L, grid):
+    """Closed-form central section gaps A_K(xi) - A_L(xi) of a pair as
+    bp_construct builds it (section_gap_profile, which refuses any other):
+    -eps (2 pi)^{2n-1} / (2n - 2) f(xi).  A central complex section is the
+    Fourier transform of ||x||^{-2n+2} up to that constant (arXiv
+    0707.3851), and the perturbation's transform is -eps f."""
+    d = K.dim
+    return ((2.0 * math.pi) ** (d - 1) / (d - 2)
+            * section_gap_profile(K, L, grid))
 
 
 def radial_metric(a: StarBody, b: StarBody) -> float:

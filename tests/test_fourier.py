@@ -11,7 +11,7 @@ from cbplab.bodies import (ComplexLqBall, EuclideanBall, RadialPerturbation,
                            mollify)
 from cbplab.fourier import (FtSample, UnsupportedRouteError,
                             _gauss_jacobi, _gauss_legendre,
-                            _harmonic_bump_moment, _pairing_core,
+                            _harmonic_bump_moments, _pairing_core,
                             classical_multiplier,
                             ft_derivative_route, ft_multiplier_route,
                             ft_values, pairing_oracle)
@@ -162,7 +162,7 @@ def test_pairing_oracle_audits_the_closed_form_multiplier():
     rule = SphereRule(d, "quasi_monte_carlo", node_count=2 ** 19, seed=13)
     [(value, stderr, _)] = _pairing_core(
         lambda x: [atom(x)], d, xi, [p], rule,
-        masses=[[_harmonic_bump_moment(d, p, j, sigma)
+        masses=[[_harmonic_bump_moments(d, [p], j, sigma)[0]
                  for sigma in (fourier._SIGMA, fourier._SIGMA / 2)]])
     lam, err = value / ref, abs(stderr / ref)
     assert 0.0 < err < 0.01 * abs(lam)
@@ -317,7 +317,8 @@ def test_agrees_with_uses_combined_error():
 
 
 def _uncached_bump_moment(d, p, j, sigma, r_nodes=600, t_nodes=400):
-    """_harmonic_bump_moment with its Gauss tables made on every call."""
+    """_harmonic_bump_moments at one exponent, with its Gauss tables made on
+    every call."""
     nu = (d - 2) / 2.0
     t, wt = special.roots_jacobi(t_nodes, (d - 3) / 2.0, (d - 3) / 2.0)
     gegen = (special.eval_gegenbauer(j, nu, t)
@@ -340,7 +341,7 @@ def test_the_bump_moment_matches_its_closed_form(d, p, sigma):
     # the 600 x 400 quadrature is within 4.2e-12 here (at d = 4, p = 1.5,
     # sigma = 0.2); at p = 0.5 and sigma = 0.2 it misses r^(p-1)'s
     # singularity at 0 by 3e-6 relative (ROADMAP, Parked)
-    assert _harmonic_bump_moment(d, p, 0, sigma) == pytest.approx(
+    assert _harmonic_bump_moments(d, [p], 0, sigma)[0] == pytest.approx(
         bump_moment(d, p, sigma), rel=1e-11, abs=0.0)
 
 
@@ -348,8 +349,11 @@ def test_bump_moments_read_cached_read_only_gauss_tables():
     for d, p, j, sigma in [(8, 4.0, 0, 0.2), (8, 4.0, 0, 0.1),
                            (6, 2.0, 4, 0.2), (4, 1.5, 0, 0.05)]:
         for _ in range(2):  # the second call reads the cached tables
-            assert (_harmonic_bump_moment(d, p, j, sigma)
+            assert (_harmonic_bump_moments(d, [p], j, sigma)[0]
                     == _uncached_bump_moment(d, p, j, sigma))
+    # the exponents of one call share the radial profile, bit for bit
+    assert (_harmonic_bump_moments(8, [4.0, 1.5, 2.0], 0, 0.2)
+            == [_uncached_bump_moment(8, p, 0, 0.2) for p in (4.0, 1.5, 2.0)])
     assert _gauss_legendre(600) is _gauss_legendre(600)
     for table in (_gauss_legendre(600), _gauss_jacobi(400, 2.5)):
         for arr in table:

@@ -355,6 +355,8 @@ def _atom_bytes(atoms):
 def test_atoms_from_the_moment_table_are_bit_identical(monkeypatch, n):
     symmetric_harmonic_atoms.cache_clear()
     atoms = symmetric_harmonic_atoms(n, 16)
+    # the moment tables are freed with the atoms built
+    assert _moment_table.cache_info().currsize == 0
     symmetric_harmonic_atoms.cache_clear()
     monkeypatch.setattr(harmonics, "c_sphere_inner", checks.c_sphere_inner)
     assert _atom_bytes(atoms) == _atom_bytes(symmetric_harmonic_atoms(n, 16))

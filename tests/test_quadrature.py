@@ -404,6 +404,34 @@ def test_integrate_subsphere_matches_the_per_batch_loop(rule, passes_2_16,
     assert f.calls == passes_2_16
 
 
+def _estimate_bytes(est):
+    return np.float64(est.value).tobytes(), np.float64(est.stderr).tobytes()
+
+
+@pytest.mark.parametrize("frames", [1, 11])
+@pytest.mark.parametrize("kind, kw", [
+    ("product_gauss", {"level": 8}),
+    ("quasi_monte_carlo", {"node_count": 2 ** 13, "seed": 5})])
+def test_a_stack_of_frames_gives_each_frames_estimate(frames, kind, kw):
+    # 11 frames of 2,048-node (Gauss) or 256-node (QMC) batches: a pass of
+    # 2^14 nodes holds blocks of several frames and, for Gauss, two batches
+    body = ComplexLqBall(4, 3.0)
+    g = np.random.Generator(np.random.Philox(key=6))
+    bases = np.stack([make_frame(xi / np.linalg.norm(xi)).basis
+                      for xi in g.standard_normal((frames, 8))])
+    rule = SphereRule(6, kind, **kw)
+    stacked = integrate_subsphere(rule, bases, lambda x: body.radial(x) ** 6)
+    # read once, keeping no batches
+    assert (rule._passes, rule._batches) == (1, None)
+    single = [integrate_subsphere(SphereRule(6, kind, **kw), basis,
+                                  lambda x: body.radial(x) ** 6)
+              for basis in bases]
+    assert len(stacked) == frames
+    assert ([_estimate_bytes(e) for e in stacked]
+            == [_estimate_bytes(e) for e in single])
+    assert stacked == single
+
+
 def test_poisoned_estimate_names_the_first_bad_node():
     rule = SphereRule(4, "quasi_monte_carlo", node_count=2 ** 8, seed=1)
     batches = list(rule.batches())
