@@ -341,9 +341,9 @@ def bp_construct(n: int, q_body: float, width: float = 0.1,
 
     g_poly = _transform_bump(f_poly, n)
     bump = HarmonicBump(g_poly, label=f"sq_kernel_deg{_ATOM_DEGREE}")
-    probe = SphereRule(d, "quasi_monte_carlo", node_count=2 ** 14,
-                       seed=seed + 3).nodes()
-    sup_g = float(np.max(np.abs(bump(probe))))
+    # the sup-probe nodes are not kept through the amplitude steps
+    sup_g = float(np.max(np.abs(bump(SphereRule(
+        d, "quasi_monte_carlo", node_count=2 ** 14, seed=seed + 3).nodes()))))
     eps = 0.5 * L.r_min ** (d - 2) / sup_g
 
     trace = {"L": L.spec(), "f_coefs": f_coefs, "bump": bump.as_record(),

@@ -4,12 +4,15 @@ helpers several test modules share.
 Each audit checks a library result against an independent identity or
 closed form (the Hoelder volume chain, spherical Parseval, the circle
 integral, exact Dirichlet moments, the closed-form section gaps of a
-constructed pair); none of them is part of the pipeline.
+constructed pair, the boundary curvature that decides convexity); none of
+them is part of the pipeline.
 The reference implementations at the end are earlier one-shot forms of
 pipeline functions, kept as oracles the streamed forms must match bit for
 bit.
 """
 
+import functools
+import json
 import math
 import os
 
@@ -17,8 +20,10 @@ import numpy as np
 import scipy
 from scipy import integrate, special, stats
 
-from cbplab.bodies import RadialPerturbation, StarBody
+from cbplab.bodies import (ConvexityReport, EuclideanBall, RadialPerturbation,
+                           StarBody)
 from cbplab.busemann_petty import _require_invariant as _require_bp
+from cbplab.busemann_petty import pair_from_record, read_pair_record
 from cbplab.fourier import (FtSample, _require_invariant, classical_multiplier,
                             ft_values)
 from cbplab.frames import rotate
@@ -218,12 +223,71 @@ def exact_section_gaps(K, L, grid):
             * section_gap_profile(K, L, grid))
 
 
+def curvature_margin(body: StarBody, res):
+    """The smallest curvature of the boundary of `body` over the midpoint
+    grid of res^(n-1) moduli angles, and the moduli (n,) where it occurs.
+
+    Curvature is the smallest eigenvalue of the Hessian of the gauge,
+    restricted to the tangent space (the gradient's complement), at the
+    boundary point x/||x|| over each unit moduli point x = (m_1, 0, m_2,
+    0, ...).  A C^2 gauge bounds a convex body exactly when it is >= 0
+    everywhere (Schneider, Convex Bodies, section 2.5), and for a body
+    whose radial function depends only on the block moduli the moduli
+    grid covers every orbit.  Gradient and Hessian are central
+    differences of `norm` with step h = 1e-4.  A body that is not
+    moduli_symmetric or not smooth raises ValueError naming it."""
+    for need in ("moduli_symmetric", "smooth"):
+        if not getattr(body, need):
+            raise ValueError(f"curvature_margin needs a {need} body, "
+                             f"not {body.spec()}")
+    n, d, h = body.n_blocks, body.dim, 1e-4
+    m, _ = moduli_angle_map((np.arange(res) + 0.5) * (0.5 * math.pi / res),
+                            n, ())
+    b = np.zeros((len(m), d))
+    b[:, 0::2] = m
+    b /= body.norm(b)[:, None]
+    step = h * np.eye(d)
+    grad = (body.norm(b[:, None] + step)
+            - body.norm(b[:, None] - step)) / (2.0 * h)
+
+    def shifted(si, sj):  # norm at b + si h e_i + sj h e_j, (N, d, d)
+        return body.norm(b[:, None, None] + (si * step[:, None]
+                                             + sj * step[None, :]))
+
+    hess = (shifted(1, 1) - shifted(1, -1) - shifted(-1, 1)
+            + shifted(-1, -1)) / (4.0 * h * h)
+    hess = 0.5 * (hess + hess.transpose(0, 2, 1))
+    # rows 1..d-1 of the SVD's right factor span the gradient's complement
+    tangent = np.linalg.svd(grad[:, None, :])[2][:, 1:]
+    low = np.linalg.eigvalsh(tangent @ hess @ tangent.transpose(0, 2, 1))
+    worst = int(np.argmin(low[:, 0]))
+    return float(low[worst, 0]), m[worst]
+
+
 def radial_metric(a: StarBody, b: StarBody) -> float:
     """Sampled sup-distance between radial functions (2^12 directions)."""
     g = np.random.Generator(np.random.Philox(key=3))
     theta = g.standard_normal((2 ** 12, a.dim))
     theta /= np.linalg.norm(theta, axis=1, keepdims=True)
     return float(np.max(np.abs(a.radial(theta) - b.radial(theta))))
+
+
+def dented_ball():
+    """A star body that is not convex: rho^4 = 1 - 0.9 sum_j c_j^2 on S^5,
+    the ball(6) with a dent of amplitude 0.9 along each block's square."""
+    return RadialPerturbation(EuclideanBall(6), 4, 0.9, HarmonicBump(
+        {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0}), bump_id="dent")
+
+
+@functools.lru_cache(maxsize=None)
+def committed_pair():
+    """(K, L) of the committed n = 4 pair, perfbench/data/pair_n4_q4_seed0
+    .json, read through read_pair_record; built once per process."""
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "data",
+        "pair_n4_q4_seed0.json")
+    with open(path) as fh:
+        return pair_from_record(read_pair_record(json.load(fh), path))
 
 
 def orbit_distance(p, q, samples=256):
@@ -418,3 +482,29 @@ def sobol_directions_full(d):
         v[j] = row
     v <<= np.arange(29, -1, -1, dtype=np.uint32)
     return v
+
+
+def one_shot_convexity_probe(body, samples, seed):
+    """bodies.convexity_probe as it was before it tested its pairs in row
+    groups: each 2^14-pair block normalised whole, and one radial call per
+    end over the whole block.  The reference for the row-group form."""
+    g = np.random.Generator(np.random.Philox(key=seed))
+    worst = -math.inf
+    violations = 0
+    batch = 2**14
+    done = 0
+    while done < samples:
+        k = min(batch, samples - done)
+        theta = g.standard_normal((2, k, body.dim))
+        theta /= np.linalg.norm(theta, axis=2, keepdims=True)
+        for ends in theta:
+            ends *= body.radial(ends)[:, None]
+        mid = theta[0]
+        mid += theta[1]
+        mid *= 0.5
+        nrm = body.norm(mid)
+        worst = max(worst, float(np.max(nrm) - 1.0))
+        violations += int(np.count_nonzero(nrm > 1.0 + 1e-9))
+        done += k
+    return ConvexityReport(violations=violations, worst_gap=worst,
+                           samples=samples)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from cbplab.harmonics import c_eval
 from cbplab.quadrature import SphereRule
 from cbplab.sections import volume
 from cbplab.specs import parse_body
-from checks import block_moduli, kappa, radial_metric
+from checks import (block_moduli, committed_pair, curvature_margin,
+                    dented_ball, kappa, one_shot_convexity_probe,
+                    radial_metric)
 
 
 def unit_sample(dim, count=512, seed=0):
@@ -130,16 +133,91 @@ def test_mollified_body_is_convex():
     assert report.violations == 0
 
 
-def test_convexity_probe_flags_a_star_body():
-    base = EuclideanBall(4)
-
+def _wiggled_ball():
+    """A star body that is not convex: ball(4) with rho^2 - 0.3 cos(8 x_0)."""
     def wiggle(theta):
         theta = np.atleast_2d(theta)
         return np.cos(8.0 * theta[:, 0])
 
-    body = RadialPerturbation(base, 2.0, 0.3, wiggle, bump_id="wiggle")
-    report = convexity_probe(body, samples=2 ** 14, seed=11)
+    return RadialPerturbation(EuclideanBall(4), 2.0, 0.3, wiggle,
+                              bump_id="wiggle")
+
+
+def test_convexity_probe_flags_a_star_body():
+    report = convexity_probe(_wiggled_ball(), samples=2 ** 14, seed=11)
     assert report.violations > 0
+
+
+@pytest.mark.parametrize("samples", [0, -1, 2.0, 1.5])
+def test_convexity_probe_refuses_samples_that_are_not_a_count(samples):
+    # no pairs would read as convex with no evidence behind it
+    with pytest.raises(ValueError, match="samples must be an integer >= 1"):
+        convexity_probe(EuclideanBall(4), samples=samples, seed=0)
+
+
+@pytest.mark.parametrize("name, seed", [("committed K", 9),
+                                        ("wiggled ball", 11),
+                                        ("mollified", 10)])
+def test_row_groups_give_the_one_shot_probes_report(name, seed):
+    # a full block, then a partial block that ends in a partial row group
+    body = {"committed K": lambda: committed_pair()[0],
+            "wiggled ball": _wiggled_ball,
+            "mollified": lambda: mollify(ComplexLqBall(2, 4.0), 0.2)}[name]()
+    samples = 2 ** 14 + 2 ** 12 + 5
+    got = convexity_probe(body, samples=samples, seed=seed)
+    want = one_shot_convexity_probe(body, samples, seed)
+    assert got == want
+    assert got.worst_gap.hex() == want.worst_gap.hex()
+    if name == "wiggled ball":
+        assert got.violations > 0
+
+
+#: tracemalloc peak of convexity_probe(K, 2^14, 9) on the committed K in
+#: bytes: 3,468,652 measured (numpy 2.4), plus a margin of 2^19 (15%); the
+#: one-shot form, which normalises and tests whole 2^14-pair blocks, reads
+#: 5,729,140
+_PROBE_PEAK = 3_468_652 + 2 ** 19
+
+
+def test_the_convexity_probe_tests_its_pairs_in_row_groups():
+    K, _ = committed_pair()
+    tracemalloc.start()
+    try:
+        report = convexity_probe(K, samples=2 ** 14, seed=9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report == one_shot_convexity_probe(K, 2 ** 14, 9)
+    assert peak <= _PROBE_PEAK, peak
+
+
+@pytest.mark.parametrize("name, sign, bound", [
+    # measured at res 8: -0.27162, +0.04581, +0.20087, -19.10
+    ("committed K", -1, 0.2), ("committed L", 1, 0.04),
+    ("mollified", 1, 0.0), ("dented ball", -1, 0.0)])
+def test_curvature_margins_of_the_committed_and_control_bodies(name, sign,
+                                                               bound):
+    body = {"committed K": lambda: committed_pair()[0],
+            "committed L": lambda: committed_pair()[1],
+            "mollified": lambda: mollify(ComplexLqBall(2, 4.0), 0.2),
+            "dented ball": dented_ball}[name]()
+    margin, moduli = curvature_margin(body, 8)
+    assert sign * margin > bound, margin
+    assert moduli.shape == (body.n_blocks,)
+    assert np.sum(moduli ** 2) == pytest.approx(1.0)
+    if name == "committed K":
+        # the committed K is not convex, and the midpoint probe does not
+        # see it (worst gap -2.4e-3)
+        assert convexity_probe(body, samples=2 ** 14, seed=9).violations == 0
+
+
+def test_curvature_margin_refuses_a_body_it_cannot_check_by_name():
+    with pytest.raises(ValueError, match="needs a smooth body, not "
+                       "clq:n=2,q=1"):
+        curvature_margin(ComplexLqBall(2, 1.0), 8)
+    with pytest.raises(ValueError, match="needs a moduli_symmetric body, "
+                       r"not perturb:base=\(ball:dim=4\)"):
+        curvature_margin(_wiggled_ball(), 8)
 
 
 def test_radial_perturbation_zero_amplitude_is_identity():

@@ -13,8 +13,7 @@ from cbplab.busemann_petty import (ConstructionImpossibleError, HarmonicBump,
                                    _default_section_rule,
                                    _negative_weighted_square, _section_gaps,
                                    _volumes, bp_construct, bp_verify,
-                                   pair_from_record, pair_record,
-                                   read_pair_record)
+                                   pair_from_record, pair_record)
 from cbplab.fourier import UnsupportedRouteError, ft_multiplier_route
 from cbplab.frames import DirectionGrid, make_frame, make_grid, rotate
 from cbplab.harmonics import c_eval, symmetric_harmonic_atoms
@@ -22,8 +21,8 @@ from cbplab.quadrature import (SphereRule, integrate_sphere, kahan_reduce,
                                sphere_area)
 from cbplab.sections import _polar, volume
 from cbplab.specs import parse_grid
-from checks import (block_moduli, exact_section_gaps, holder_chain_check,
-                    section_gap_profile)
+from checks import (block_moduli, committed_pair, exact_section_gaps,
+                    holder_chain_check, section_gap_profile)
 
 
 @pytest.fixture(scope="module")
@@ -316,24 +315,17 @@ def test_one_volume_pass_gives_the_three_volume_integrals(monkeypatch, pair,
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-@pytest.fixture(scope="module")
-def committed_pair():
-    path = str(_PERFBENCH / "data" / "pair_n4_q4_seed0.json")
-    with open(path) as fh:
-        return pair_from_record(read_pair_record(json.load(fh), path))
-
-
 def _assert_closed_form_gaps(gaps, K, L, grid):
     # measured 9.9e-15 of the largest gap on the committed verify8 gaps
     exact = exact_section_gaps(K, L, grid)
     assert np.max(np.abs(gaps - exact)) <= 1e-12 * np.max(np.abs(gaps))
 
 
-def test_committed_section_gaps_equal_their_closed_form(committed_pair):
+def test_committed_section_gaps_equal_their_closed_form():
     # the closed form checks the paper's section formula, the multipliers,
     # the harmonic split, the bump, the frames and the slice quadrature
     # against each other; the reference file is only read
-    K, L = committed_pair
+    K, L = committed_pair()
     grid = parse_grid("grid:dim=8,res=8,reduce=orbit", 0)  # bp-verify's
     with open(_PERFBENCH / "references" / "verify8.json") as fh:
         gaps = np.array(json.load(fh)["gaps"])

@@ -1,6 +1,4 @@
 import functools
-import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +7,7 @@ from hypothesis import strategies as st
 from scipy import interpolate
 
 from cbplab import sections
-from cbplab.bodies import (ComplexLqBall, EuclideanBall, RadialPerturbation,
-                           ScaledBody, mollify)
-from cbplab.busemann_petty import HarmonicBump, pair_from_record
+from cbplab.bodies import ComplexLqBall, EuclideanBall, ScaledBody, mollify
 from cbplab.fourier import default_section_rule, section_profile
 from cbplab.frames import make_frame, make_grid
 from cbplab import quadrature
@@ -21,7 +17,8 @@ from cbplab.sections import (_STENCILS, RootBracketError,
                              laplacian_at_zero,
                              parallel_section, parallel_sections,
                              section_volume, volume)
-from checks import bisect_slice_radii, kappa, unit
+from checks import (bisect_slice_radii, committed_pair, dented_ball, kappa,
+                    unit)
 
 
 def test_volume_of_scaled_ball():
@@ -326,28 +323,19 @@ def test_buffered_roots_are_bit_identical_to_the_row_major_bisection(dim):
 
 _LAPLACIAN_OFFSETS = np.array(sorted({(i * s, j * s) for s in (0.1, 0.05)
                                       for i, j in _STENCILS[2][0]}))
-_PAIR_FILE = (Path(__file__).resolve().parents[1] / "perfbench" / "data"
-              / "pair_n4_q4_seed0.json")
-_DENT = {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0}  # sum_j c_j^2
-
-
-@functools.lru_cache(maxsize=None)
-def _committed_pair():
-    return pair_from_record(json.loads(_PAIR_FILE.read_text())["pair"])
 
 
 @functools.lru_cache(maxsize=None)
 def _oracle_body(name):
     if name in ("mollified", "committed K"):
         # the committed pair's L is mollify(ComplexLqBall(4, 4.0), 0.1)
-        K, L = _committed_pair()
+        K, L = committed_pair()
         return L if name == "mollified" else K
     return {"ball": lambda: EuclideanBall(8),
             "scaled ball": lambda: ScaledBody(EuclideanBall(8), 1.3),
             "clq(4, 4)": lambda: ComplexLqBall(4, 4.0),
             "clq(3, 1)": lambda: ComplexLqBall(3, 1.0),
-            "dented ball": lambda: RadialPerturbation(
-                EuclideanBall(6), 4, 0.9, HarmonicBump(_DENT), "dent")}[name]()
+            "dented ball": dented_ball}[name]()
 
 
 def _against_the_oracle(monkeypatch):
