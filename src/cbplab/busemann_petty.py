@@ -137,9 +137,8 @@ def _default_section_rule(K: StarBody, L: StarBody) -> SphereRule:
     d = K.dim
     if (isinstance(K, RadialPerturbation) and K.base is L and K.s == d - 2
             and isinstance(K.bump, HarmonicBump) and d - 2 <= 6):
-        return SphereRule(d - 2, "product_gauss", level=8)
-    return SphereRule(d - 2, "quasi_monte_carlo", node_count=2 ** 13,
-                      seed=11)
+        return SphereRule.gauss(d - 2, 8)
+    return SphereRule.qmc(d - 2, 2 ** 13, 11)
 
 
 def bp_verify(K: StarBody, L: StarBody, grid: DirectionGrid,
@@ -165,8 +164,7 @@ def bp_verify(K: StarBody, L: StarBody, grid: DirectionGrid,
         raise ValueError("grid dimension does not match the bodies")
     gaps, errs = _section_gaps(
         K, L, grid, _default_section_rule(K, L) if rule is None else rule)
-    vol_K, vol_L, vgap = _volumes(K, L, SphereRule(
-        K.dim, "quasi_monte_carlo", node_count=2 ** 16, seed=12))
+    vol_K, vol_L, vgap = _volumes(K, L, SphereRule.qmc(K.dim, 2 ** 16, 12))
 
     flags = []
     exceeds = gaps > 3.0 * errs
@@ -254,14 +252,6 @@ def pair_from_record(pair: dict):
     return K, L
 
 
-def _grid_weights(grid: DirectionGrid) -> np.ndarray:
-    """The grid's quadrature weights; equal weights summing to the sphere
-    area for a grid that carries none (reduction 'none')."""
-    if grid.weights is not None:
-        return grid.weights
-    return np.full(len(grid.points), sphere_area(grid.dim) / len(grid.points))
-
-
 def _negative_weighted_square(n, grid, values, max_atom_degree):
     """f = h^2 minimizing int f * F over the sphere for h in the symmetric
     harmonic subspace of degree <= max_atom_degree, F being the scanned
@@ -271,16 +261,17 @@ def _negative_weighted_square(n, grid, values, max_atom_degree):
     is c^T (A^T diag(w F) A) c for f = (sum_a c_a P_a)^2; the minimizing
     unit c is the bottom eigenvector.  f is nonnegative by construction."""
     atoms = symmetric_harmonic_atoms(n, max_atom_degree)
-    w = _grid_weights(grid)
+    w = grid.weights
+    if w is None:  # reduction 'none': equal weights summing to the area
+        w = np.full(len(grid.points), sphere_area(grid.dim) / len(grid.points))
     A = np.stack([a(grid.points) for a in atoms], axis=1)
     M = A.T @ (w[:, None] * values[:, None] * A)
     M = 0.5 * (M + M.T)
     evals, evecs = np.linalg.eigh(M)
     c = evecs[:, 0]
+    coefs = {a.label: float(ca) for a, ca in zip(atoms, c)}
     h = {}
-    coefs = {}
     for a, ca in zip(atoms, c):
-        coefs[a.label] = float(ca)
         h = c_add(h, c_scale(a.c_poly, float(ca)))
     return c_mul(h, h), coefs, float(evals[0])
 
@@ -313,18 +304,21 @@ def bp_construct(n: int, q_body: float, width: float = 0.1,
     bp_verify, on its default rules, returns violation.
 
     Returns (K, L, BpReport, trace) where trace records the construction
-    inputs needed to replay the pair.
+    inputs needed to replay the pair.  `seed` must be >= 0: it keys the
+    Sobol nodes of the sup probe and the convexity probes, and is refused
+    before any build.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0: {seed}")
     d = 2 * n
     _route(2.0, n, None)  # the scan's route, before any build
     L = mollify(ComplexLqBall(n, q_body), width)
     if grid is None:
         res = {2: 224, 3: 16}.get(n, 8)
         grid = make_grid(d, res, reduction="orbit_reduced", sort_moduli=True)
-    verdict = scan(L, 2.0, grid, rule=SphereRule(
-        d - 2, "quasi_monte_carlo", node_count=2 ** 11, seed=7))
+    verdict = scan(L, 2.0, grid, rule=SphereRule.qmc(d - 2, 2 ** 11, 7))
     if verdict.conclusion != "negativity_witness":
         raise ConstructionImpossibleError(
             f"no negativity region for n={n} (scan: {verdict.conclusion})")
@@ -342,8 +336,8 @@ def bp_construct(n: int, q_body: float, width: float = 0.1,
     g_poly = _transform_bump(f_poly, n)
     bump = HarmonicBump(g_poly, label=f"sq_kernel_deg{_ATOM_DEGREE}")
     # the sup-probe nodes are not kept through the amplitude steps
-    sup_g = float(np.max(np.abs(bump(SphereRule(
-        d, "quasi_monte_carlo", node_count=2 ** 14, seed=seed + 3).nodes()))))
+    sup_g = float(np.max(np.abs(bump(
+        SphereRule.qmc(d, 2 ** 14, seed + 3).nodes()))))
     eps = 0.5 * L.r_min ** (d - 2) / sup_g
 
     trace = {"L": L.spec(), "f_coefs": f_coefs, "bump": bump.as_record(),

@@ -67,8 +67,7 @@ def confirm_sample(body: StarBody, xi, ps) -> list[FtSample]:
     # the pairing variance grows steeply with dimension; spend more nodes
     # where the confirmation needs them
     nodes = {4: 2 ** 19, 6: 2 ** 21}.get(body.dim, 2 ** 22)
-    rule = SphereRule(body.dim, "quasi_monte_carlo", node_count=nodes, seed=5)
-    return pairing_oracle(body, xi, ps, rule=rule)
+    return pairing_oracle(body, xi, ps, SphereRule.qmc(body.dim, nodes, 5))
 
 
 def _assemble(body, p, grid, samples, k, confirm, tol) -> EmbeddingVerdict:
@@ -157,9 +156,12 @@ def scan(body: StarBody, p: float, grid: DirectionGrid,
          workers: int = 1) -> EmbeddingVerdict:
     """Sign scan of (||x||^{-p})^ over the grid: the one-exponent sweep,
     on `rule` or the natural route's default; the directions' results do
-    not depend on `workers`.  `tol` must be finite and >= 0."""
+    not depend on `workers`.  `tol` must be finite and >= 0, and
+    `workers` an integer >= 1."""
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and >= 0, not {tol!r}")
+    if not (isinstance(workers, int) and workers >= 1):
+        raise ValueError(f"workers must be an integer >= 1, not {workers!r}")
     return _sweep(body, [p], grid, rule, tol, workers)[float(p)]
 
 

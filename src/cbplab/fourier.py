@@ -74,9 +74,8 @@ def _require_invariant(body: StarBody):
 def default_section_rule(dim) -> SphereRule:
     """Default rule on the (dim-2)-dimensional section sphere."""
     if dim - 2 <= 4:
-        return SphereRule(dim - 2, "product_gauss", level=16)
-    return SphereRule(dim - 2, "quasi_monte_carlo", node_count=2 ** 14,
-                      seed=0)
+        return SphereRule.gauss(dim - 2, 16)
+    return SphereRule.qmc(dim - 2, 2 ** 14, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +266,7 @@ def _latitude_nodes(d):
     return t, w
 
 
-def _pairing_core(angular, d, xi, ps, rule, masses=None):
+def _pairing_core(angular, d, xi, ps, rule, j):
     """<f^, phi> / weighted-mass for f = angular(x/|x|) |x|^{-p}, with
     `angular` even on the sphere, for each exponent p of `ps`: a list of
     (value, stderr, residual), one per exponent, in order.
@@ -283,10 +282,12 @@ def _pairing_core(angular, d, xi, ps, rule, masses=None):
     variance blow-up of uniform sampling.  Richardson extrapolation in
     sigma^2 over {sigma, sigma/2}, (4 fine - wide) / 3 per batch, removes
     the leading bump-width bias; both widths share nodes, and the gap of
-    the result to the sigma/2 value is the residual.  `masses` holds one
-    pair of bump moments (sigma, sigma/2) per exponent; by default the
-    degree-0 moments, and a caller pairing a harmonic of another degree
-    passes its exact ones.
+    the result to the sigma/2 value is the residual.  Each exponent's value
+    is divided by its bump moments at both widths for harmonic degree `j`:
+    `angular` is a degree-j harmonic, or of degree 0 in pairing_oracle.
+    The subsphere rule is `rule`'s kind on S^{d-2}: Gauss at its level, or
+    about rule.node_count / T Sobol nodes (at least 2^10, a power of two)
+    on its seed.
 
     The points theta = t xi + sqrt(1 - t^2) u of a subsphere batch are built
     a few latitudes at a time as coordinate columns, a C-contiguous
@@ -298,9 +299,7 @@ def _pairing_core(angular, d, xi, ps, rule, masses=None):
     bump moments and the extrapolation are each exponent's own.
     """
     sigmas = (_SIGMA, _SIGMA / 2)
-    if masses is None:
-        masses = list(zip(*(_harmonic_bump_moments(d, ps, 0, s)
-                             for s in sigmas)))
+    masses = list(zip(*(_harmonic_bump_moments(d, ps, j, s) for s in sigmas)))
     xi = np.asarray(xi, dtype=float)
     t, wt = _latitude_nodes(d)
     # even integrand: fold to t >= 0 and double
@@ -309,10 +308,12 @@ def _pairing_core(angular, d, xi, ps, rule, masses=None):
     basis = _perp_basis(xi)
     if rule.dim != d:
         raise ValueError("rule dimension must be d")
-    n_u = max(rule.node_count // len(t), 2 ** 10)
-    n_u = 1 << (n_u - 1).bit_length()  # Sobol wants powers of two
-    u_rule = SphereRule(d - 1, rule.kind, node_count=n_u, seed=rule.seed,
-                        level=rule.level)
+    if rule.kind == "product_gauss":
+        u_rule = SphereRule.gauss(d - 1, rule.level)
+    else:
+        n_u = max(rule.node_count // len(t), 2 ** 10)
+        # Sobol wants powers of two
+        u_rule = SphereRule.qmc(d - 1, 1 << (n_u - 1).bit_length(), rule.seed)
     root = np.sqrt(1.0 - t ** 2)
     txi = t[None, :, None] * xi[:, None, None]  # (d, T, 1)
     per = np.zeros((len(ps), len(sigmas), u_rule.batch_count))
@@ -361,8 +362,7 @@ def pairing_oracle(body: StarBody, xi, ps,
         raise ValueError("p must lie in (0, dim)")
     xi = np.asarray(xi, dtype=float)
     if rule is None:
-        rule = SphereRule(body.dim, "quasi_monte_carlo", node_count=2 ** 19,
-                          seed=5)
+        rule = SphereRule.qmc(body.dim, 2 ** 19, 5)
 
     def powers(pts):
         r = body.radial(pts)
@@ -370,7 +370,7 @@ def pairing_oracle(body: StarBody, xi, ps,
 
     samples = []
     for p, (value, stderr, residual) in zip(
-            ps, _pairing_core(powers, body.dim, xi, ps, rule)):
+            ps, _pairing_core(powers, body.dim, xi, ps, rule, 0)):
         # fold the residual extrapolation bias estimate into the error bar
         stderr = stderr + residual / 3.0
         flags = ("inconclusive",) if stderr > 0.1 * abs(value) else ()
@@ -472,7 +472,11 @@ def ft_values(body: StarBody, xi, ps, rule: SphereRule = None,
     method or each one's natural route; one FtSample per exponent, in
     order.  Every exponent is routed before any work and a repeated one is
     evaluated once; fractional exponents share one section profile and
-    pairing ones one pass, so each sample equals a one-exponent call's."""
+    pairing ones one pass, so each sample equals a one-exponent call's.
+    The multiplier route reads no rule, so it refuses one."""
+    if method == "multiplier" and rule is not None:
+        raise UnsupportedRouteError(f"the multiplier route reads no rule, "
+                                    f"not {rule.kind} on S^{rule.dim - 1}")
     n = body.dim // 2
     routes = {p: _route(p, n, method) for p in ps}
     done, profile = {}, None

@@ -314,52 +314,63 @@ _BATCHES = 32  # batches of a rule (see SphereRule)
 class SphereRule:
     """Quadrature nodes and weights on S^{dim-1}, materialized lazily in batches.
 
-    kind:
-        quasi_monte_carlo -- scrambled Sobol mapped through the Gaussian,
-                             the one randomised rule
-        product_gauss     -- Gauss-Jacobi product rule (dim <= 6), weights
-                             sum to the surface area exactly; each batch is
-                             lifted from the grid of all axes but the
-                             outermost, so the whole grid is never made
+    A rule is made by its kind's constructor, which takes that kind's
+    settings and no others, none with a default:
+        SphereRule.qmc(dim, node_count, seed)
+            kind quasi_monte_carlo -- scrambled Sobol mapped through the
+            Gaussian, the one randomised rule; it holds a seed and no level
+        SphereRule.gauss(dim, level)
+            kind product_gauss -- Gauss-Jacobi product rule (dim <= 6),
+            weights sum to the surface area exactly; each batch is lifted
+            from the grid of all axes but the outermost, so the whole grid
+            is never made; it holds a level and no seed
 
     batch_count is the number of batches the rule yields: _BATCHES = 32
-    equal ones for a random rule, whose spread is its error bar, and
-    min(32, node_count) for a product rule, which needs a `level`.
+    equal ones for a random rule, whose spread is its error bar (its
+    node_count is rounded up to a multiple of 32), and min(32, node_count)
+    for a product rule.
     """
 
-    def __init__(self, dim, kind, node_count=2**16, seed=0, level=None):
+    def __init__(self, dim, kind, node_count, seed, level):
+        """The body that qmc and gauss share: a rule of `kind`, which reads
+        its own kind's settings; the other kind's are None."""
         if dim < 2:
             raise ValueError("dim must be >= 2")
         if kind not in _KINDS:
             raise ValueError(f"unknown rule kind {kind!r}")
-        self.dim = int(dim)
-        self.kind = kind
-        self.seed = int(seed)
+        self.dim, self.kind = int(dim), kind
         self.batch_count = _BATCHES
         self._passes, self._batches = 0, None
         if kind == "product_gauss":
             if dim > 6:
                 raise ValueError("product_gauss rules are limited to dim <= 6")
-            if level is None or int(level) < 2:
+            if int(level) < 2:
                 raise ValueError(f"gauss level must be >= 2, not {level}")
             self.level = int(level)
             self._axes = self._gauss_axes()
             self.node_count = int(np.prod([len(t) for t, _ in self._axes]))
             self.batch_count = min(_BATCHES, self.node_count)
         else:
-            if self.seed < 0:
+            if int(seed) < 0:
                 raise ValueError(f"seed must be >= 0: {seed}")
             if int(node_count) < 1:
                 raise ValueError(f"node_count must be >= 1 for a {kind} "
                                  f"rule, not {node_count}")
+            self.seed = int(seed)
             # equal batches keep the batch-variance error model unbiased
-            per = -(-int(node_count) // self.batch_count)
-            self.node_count = per * self.batch_count
-            self.level = None
+            self.node_count = -(-int(node_count) // _BATCHES) * _BATCHES
 
-    @property
-    def area(self) -> float:
-        return sphere_area(self.dim)
+    @classmethod
+    def qmc(cls, dim, node_count, seed) -> "SphereRule":
+        """The scrambled Sobol rule of node_count nodes, rounded up to whole
+        batches, keyed on seed >= 0."""
+        return cls(dim, "quasi_monte_carlo", node_count, seed, None)
+
+    @classmethod
+    def gauss(cls, dim, level) -> "SphereRule":
+        """The Gauss product rule of `level` >= 2 nodes on each polar axis
+        and 2 level on the circle."""
+        return cls(dim, "product_gauss", None, None, level)
 
     @property
     def deterministic(self) -> bool:
@@ -426,7 +437,7 @@ class SphereRule:
                 yield ((inner[i], win[i]) if self.dim == 2
                        else _lift(*self._axes[0], inner, win, j, i))
         else:
-            wt = self.area / self.node_count
+            wt = sphere_area(self.dim) / self.node_count
             for b in range(self.batch_count):
                 pts = self._qmc_batch(b)
                 yield pts, np.full(len(pts), wt)

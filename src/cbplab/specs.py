@@ -134,20 +134,22 @@ def parse_grid(text: str, default_seed: int) -> DirectionGrid:
 
 
 def parse_rule(text: str, dim: int, default_seed: int) -> SphereRule:
-    """`qmc[:nodes=N,seed=S]` / `gauss:level=L` -> SphereRule on S^{dim-1}.
+    """`qmc[:nodes=N,seed=S]` / `gauss:level=L` -> SphereRule on S^{dim-1},
+    made by SphereRule.qmc or SphereRule.gauss.
 
-    A spec names only its rule's own fields: a QMC rule without `nodes` has
-    2^16 nodes and one without `seed` takes `default_seed`; a Gauss rule is
-    deterministic, so it takes no seed, and needs its `level`.
+    A spec names only its rule's own fields, and its defaults live here
+    alone: a QMC rule without `nodes` has 2^16 nodes and one without `seed`
+    takes `default_seed`; a Gauss rule is deterministic, so it takes no
+    seed, and needs its `level`.
     """
     head, fields = split_spec(text)
     if head == "gauss":
         level = _number(fields, "level", text, int)
         _done(fields, text)
-        return SphereRule(dim, "product_gauss", level=level)
+        return SphereRule.gauss(dim, level)
     if head != "qmc":
         raise SpecError(f"unknown rule spec head {head!r} in {text!r}")
     nodes = _number(fields, "nodes", text, int, default=2 ** 16)
     seed = _number(fields, "seed", text, int, default=default_seed)
     _done(fields, text)
-    return SphereRule(dim, "quasi_monte_carlo", node_count=nodes, seed=seed)
+    return SphereRule.qmc(dim, nodes, seed)

@@ -78,7 +78,7 @@ def holder_chain_check(K: StarBody, L: StarBody) -> dict:
         raise ValueError("bodies must share a dimension")
     d = K.dim
     n = d // 2
-    rule = SphereRule(d, "quasi_monte_carlo", node_count=2 ** 16, seed=17)
+    rule = SphereRule.qmc(d, 2 ** 16, 17)
     # three integrals on the same rule, hence on the same nodes
     one = integrate_sphere(rule, lambda pts: K.radial(pts) ** d)
     two = integrate_sphere(rule, lambda pts: L.radial(pts) ** (d - 2)
@@ -132,7 +132,7 @@ def parseval_check(bodyK: StarBody, bodyL: StarBody, p: float,
         var += (w * math.hypot(fk.stderr * fl.value,
                                fl.stderr * fk.value)) ** 2
     rhs = (2.0 * math.pi) ** d * integrate_sphere(
-        SphereRule(d, "quasi_monte_carlo", node_count=2 ** 16, seed=2),
+        SphereRule.qmc(d, 2 ** 16, 2),
         lambda pts: bodyK.radial(pts) ** p * bodyL.radial(pts) ** (d - p)
     ).value
     rel_gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs))

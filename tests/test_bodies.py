@@ -40,7 +40,7 @@ def test_ball_norm_is_euclidean():
 
 def test_ball_volume_oracle():
     for d in (4, 6, 8):
-        rule = SphereRule(d, "quasi_monte_carlo", node_count=2 ** 14, seed=3)
+        rule = SphereRule.qmc(d, 2 ** 14, 3)
         est = volume(EuclideanBall(d), rule)
         assert est.value == pytest.approx(kappa(d), rel=1e-6)
 
@@ -49,7 +49,7 @@ def test_clq_volume_dirichlet_oracle():
     # complex l_q ball: Vol = pi^n Gamma(2/q+1)^n / Gamma(2n/q+1);
     # n=4, q=4 gives pi^6/32
     body = ComplexLqBall(4, 4.0)
-    rule = SphereRule(8, "quasi_monte_carlo", node_count=2 ** 16, seed=4)
+    rule = SphereRule.qmc(8, 2 ** 16, 4)
     est = volume(body, rule)
     assert est.value == pytest.approx(math.pi ** 6 / 32.0, rel=5e-3)
 

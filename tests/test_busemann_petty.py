@@ -118,17 +118,16 @@ def test_gaps_match_the_explicit_batch_loop(n):
     K = RadialPerturbation(L, d - 2, 0.01, HarmonicBump(poly), bump_id="test")
     full = make_grid(d, 8, reduction="orbit_reduced", sort_moduli=True)
     grid = DirectionGrid(d, full.points[::7], full.reduction, full.resolution)
-    for rule in (SphereRule(d - 2, "quasi_monte_carlo", node_count=2 ** 10,
-                            seed=3),
-                 SphereRule(d - 2, "product_gauss", level=6)):
+    for rule in (SphereRule.qmc(d - 2, 2 ** 10, 3),
+                 SphereRule.gauss(d - 2, 6)):
         gaps, errs = _section_gaps(K, L, grid, rule)
         want_gaps, want_errs = _batch_loop_gaps(K, L, grid, rule)
         assert np.all(want_gaps != 0.0)
         np.testing.assert_allclose(gaps, want_gaps, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(errs, want_errs, rtol=1e-12, atol=0.0)
-    vol_rules = [SphereRule(d, "quasi_monte_carlo", node_count=2 ** 12, seed=4)]
+    vol_rules = [SphereRule.qmc(d, 2 ** 12, 4)]
     if d <= 6:
-        vol_rules.append(SphereRule(d, "product_gauss", level=6))
+        vol_rules.append(SphereRule.gauss(d, 6))
     for rule in vol_rules:
         est = _volumes(K, L, rule)[2]
         value, stderr = _batch_loop_volume_gap(K, L, rule)
@@ -253,6 +252,18 @@ def test_construction_routes_its_scan_before_any_build(monkeypatch):
         bp_construct(5, 4.0)
 
 
+@pytest.mark.parametrize("seed", [-1, -4])
+def test_construction_refuses_a_negative_seed_before_any_build(monkeypatch,
+                                                               seed):
+    def no_build(*args, **kwargs):
+        raise AssertionError("bp_construct built L before checking its seed")
+
+    monkeypatch.setattr(busemann_petty, "mollify", no_build)
+    monkeypatch.setattr(busemann_petty, "_route", no_build)
+    with pytest.raises(ValueError, match=f"seed must be >= 0: {seed}$"):
+        bp_construct(4, 4.0, seed=seed)
+
+
 def test_construct_rejects_tiny_n():
     with pytest.raises(ValueError):
         bp_construct(1, 4.0)
@@ -307,8 +318,7 @@ def test_one_volume_pass_gives_the_three_volume_integrals(monkeypatch, pair,
     # each read once and kept no batches
     assert (vol_rule._passes, vol_rule._batches) == (1, None)
     assert (section_rule._passes, section_rule._batches) == (1, None)
-    want = _three_volume_passes(K, L, SphereRule(
-        K.dim, "quasi_monte_carlo", node_count=2 ** 16, seed=12))
+    want = _three_volume_passes(K, L, SphereRule.qmc(K.dim, 2 ** 16, 12))
     assert (report.vol_K, report.vol_L, report.vol_gap) == want
 
 

@@ -309,7 +309,8 @@ def test_empty_rules_are_refused(tmp_path, capsys):
     ["volume", "--body", "ball:dim=4", "--seed", "-1"],
     ["scan", "--body", "ball:dim=4", "--p", "2",
      "--grid", "grid:dim=4,res=8,seed=-1"],
-], ids=["qmc-negative", "grid-negative"])
+    ["bp-construct", "--n", "4", "--q", "4", "--seed", "-1"],
+], ids=["qmc-negative", "grid-negative", "construct-negative"])
 def test_a_seed_out_of_range_is_refused_by_name(tmp_path, capsys, argv):
     code, rec = run(tmp_path, *argv)
     assert code == 1 and rec is None
@@ -635,7 +636,12 @@ def test_bp_construct_at_n_two_is_impossible_and_replays(tmp_path):
     (["volume", "--body", "ball:dim=4", "--rule", "qmc:dim=4"],
      "unknown field 'dim'"),
     (["volume", "--body", "ball:dim=4", "--rule", "gauss:level=8,seed=3"],
-     "unknown field 'seed'")])
+     "unknown field 'seed'"),
+    # the multiplier route reads no rule, so naming one is an error
+    (["ft", "--body", "ball:dim=4", "--p", "2", "--method", "multiplier",
+      "--rule", "qmc:nodes=64"], "multiplier route reads no rule"),
+    (["scan", "--body", "ball:dim=4", "--p", "2", "--workers", "0"],
+     "workers must be an integer >= 1")])
 def test_a_bad_spec_exits_one_naming_its_token(capsys, argv, token):
     assert main([*argv, "--no-cache"]) == 1
     assert token in capsys.readouterr().err

@@ -129,6 +129,15 @@ def test_a_grid_of_another_dimension_is_refused_before_any_work(
     assert values == []
 
 
+@pytest.mark.parametrize("workers", [0, -1, 1.5])
+def test_scan_refuses_workers_that_are_not_a_positive_integer(
+        grid4, b42, monkeypatch, workers):
+    values = _counted(monkeypatch, embedding, "ft_values")
+    with pytest.raises(ValueError, match="workers must be an integer >= 1"):
+        scan(b42, 2.0, grid4, workers=workers)
+    assert values == []
+
+
 def test_embedding_interval_evaluates_a_repeated_exponent_once(monkeypatch):
     body = mollify(ComplexLqBall(2, 4.0), 0.2)
     grid = make_grid(4, 8, reduction="orbit_reduced", sort_moduli=True)

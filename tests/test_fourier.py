@@ -126,7 +126,7 @@ def test_pairing_oracle_on_the_ball():
 def test_pairing_oracle_shares_one_pass_bit_for_bit():
     # several exponents in one call give, in order, each exponent's sample
     # of a one-exponent call, to the bit
-    rule = SphereRule(4, "quasi_monte_carlo", node_count=2 ** 14, seed=3)
+    rule = SphereRule.qmc(4, 2 ** 14, 3)
     xi = unit(4, seed=11)
     ps = [2.0, 1.5, 3.0]
     for body in (EuclideanBall(4), mollify(ComplexLqBall(2, 4.0), 0.2)):
@@ -155,15 +155,12 @@ def test_pairing_oracle_audits_the_closed_form_multiplier():
     # moments at both pairing widths
     d, j, p = 6, 4, 2.0
     atom = [a for a in symmetric_harmonic_atoms(d // 2, j) if a.degree == j][0]
-    probe = SphereRule(d, "quasi_monte_carlo", node_count=2 ** 12,
-                       seed=101).nodes()
+    probe = SphereRule.qmc(d, 2 ** 12, 101).nodes()
     xi = probe[int(np.argmax(np.abs(atom(probe))))]
     ref = float(atom(xi[None, :])[0])
-    rule = SphereRule(d, "quasi_monte_carlo", node_count=2 ** 19, seed=13)
-    [(value, stderr, _)] = _pairing_core(
-        lambda x: [atom(x)], d, xi, [p], rule,
-        masses=[[_harmonic_bump_moments(d, [p], j, sigma)[0]
-                 for sigma in (fourier._SIGMA, fourier._SIGMA / 2)]])
+    rule = SphereRule.qmc(d, 2 ** 19, 13)
+    [(value, stderr, _)] = _pairing_core(lambda x: [atom(x)], d, xi, [p],
+                                         rule, j)
     lam, err = value / ref, abs(stderr / ref)
     assert 0.0 < err < 0.01 * abs(lam)
     assert abs(lam - classical_multiplier(j, p, d)) < 3.0 * err
@@ -225,6 +222,23 @@ def test_an_unknown_method_is_refused_before_any_work(monkeypatch):
         fourier._route(1.0, 2, "derivtive")
 
 
+def test_the_multiplier_route_refuses_a_rule_before_any_work(monkeypatch):
+    # the route expands on its own harmonic tables: a rule would be read
+    # by nothing, yet name a second result for the same value
+    def no_expansion(*args):
+        raise AssertionError("the multiplier route ran")
+
+    monkeypatch.setattr(fourier, "ft_multiplier_route", no_expansion)
+    with pytest.raises(UnsupportedRouteError,
+                       match="reads no rule, not quasi_monte_carlo on S\\^1"):
+        ft_values(EuclideanBall(4), unit(4), [2.0],
+                  SphereRule.qmc(2, 64, 0), method="multiplier")
+    with pytest.raises(UnsupportedRouteError,
+                       match="reads no rule, not product_gauss on S\\^1"):
+        ft_values(EuclideanBall(4), unit(4), [2.0],
+                  SphereRule.gauss(2, 8), method="multiplier")
+
+
 @pytest.fixture(scope="module")
 def b42_alone():
     """mollify(clq(2, 4), 0.2), a direction, and one one-exponent
@@ -270,7 +284,7 @@ def test_ft_values_routes_first_and_equals_one_exponent_calls(
 def test_ft_value_passes_its_rule_to_the_pairing_oracle():
     body = ComplexLqBall(3, 4.0)
     xi = unit(6, seed=10)
-    rule = SphereRule(6, "quasi_monte_carlo", node_count=2 ** 14, seed=3)
+    rule = SphereRule.qmc(6, 2 ** 14, 3)
     [got] = ft_values(body, xi, [2.0], rule=rule, method="pairing")
     [want] = pairing_oracle(body, xi, [2.0], rule=rule)
     assert (got.value, got.stderr) == (want.value, want.stderr)
@@ -290,8 +304,7 @@ def test_invariance_is_required_by_symmetry_routes():
         ft_multiplier_route(body, xi, 2.0)
     # the pairing oracle needs no invariance
     [sample] = pairing_oracle(body, xi, [2.0],
-                              rule=SphereRule(6, "quasi_monte_carlo",
-                                              node_count=2 ** 16, seed=9))
+                              rule=SphereRule.qmc(6, 2 ** 16, 9))
     assert np.isfinite(sample.value)
 
 

@@ -55,7 +55,7 @@ def _at(size, rule, run):
         return run()
 
 
-_SPHERE_RULE = SphereRule(4, "quasi_monte_carlo", node_count=2 ** 15, seed=3)
+_SPHERE_RULE = SphereRule.qmc(4, 2 ** 15, 3)
 _SPHERE_REF = integrate_sphere(_SPHERE_RULE, lambda x: _BODY4.radial(x) ** 4)
 
 
@@ -70,7 +70,7 @@ def test_integrate_sphere_is_independent_of_the_pass_size(size):
     assert sum(f.sizes) == _SPHERE_RULE.node_count
 
 
-_SUB_RULE = SphereRule(6, "product_gauss", level=9)
+_SUB_RULE = SphereRule.gauss(6, 9)
 _SUB_BASIS = make_frame(unit(8, seed=21)).basis
 _SUB_REF = integrate_subsphere(_SUB_RULE, _SUB_BASIS,
                                lambda x: _BODY8.radial(x) ** 6)
@@ -88,7 +88,7 @@ def test_integrate_subsphere_is_independent_of_the_pass_size(size):
     assert max(f.sizes) <= max(_pass_nodes(size, _SUB_RULE), batch)
 
 
-_SLICE_RULE = SphereRule(6, "quasi_monte_carlo", node_count=2 ** 9, seed=5)
+_SLICE_RULE = SphereRule.qmc(6, 2 ** 9, 5)
 _SLICE_FRAME = make_frame(unit(8, seed=15))
 _OFFSETS = np.array(sorted({(i * s, j * s) for s in (0.1, 0.05)
                             for i, j in _STENCILS[2][0]}))
@@ -111,7 +111,7 @@ def test_slice_batch_sums_are_independent_of_the_pass_size(size, count):
     assert all(body.columns[1:]) and max(body.sizes[1:]) <= pairs
 
 
-_PAIR_RULE = SphereRule(4, "quasi_monte_carlo", node_count=2 ** 12, seed=8)
+_PAIR_RULE = SphereRule.qmc(4, 2 ** 12, 8)
 _PAIR_XI = unit(4, seed=4)
 _PAIR_PS = ((2.0,), (2.0, 1.5))
 
@@ -120,7 +120,7 @@ def _powers(ps):
     return lambda x: [_BODY4.radial(x) ** p for p in ps]
 
 
-_PAIR_REF = {ps: _pairing_core(_powers(ps), 4, _PAIR_XI, ps, _PAIR_RULE)
+_PAIR_REF = {ps: _pairing_core(_powers(ps), 4, _PAIR_XI, ps, _PAIR_RULE, 0)
              for ps in _PAIR_PS}
 
 
@@ -129,7 +129,7 @@ _PAIR_REF = {ps: _pairing_core(_powers(ps), 4, _PAIR_XI, ps, _PAIR_RULE)
 def test_pairing_core_is_independent_of_the_pass_size(size, ps):
     f = _Recorded(_powers(ps))
     got = _at(size, _PAIR_RULE, lambda: _pairing_core(
-        f, 4, _PAIR_XI, ps, _PAIR_RULE))
+        f, 4, _PAIR_XI, ps, _PAIR_RULE, 0))
     assert got == _PAIR_REF[ps]
     # the subsphere batches hold 32 nodes: one latitude is 32 points
     assert all(f.columns)

@@ -46,8 +46,12 @@ def test_every_traced_body_class_defines_its_own_norm(tracing):
 
 
 def test_the_traced_node_generators_exist(tracing):
+    # the tracer reads and patches them on SphereRule itself, so every rule
+    # must be a SphereRule, not a subclass that inherits them
     for name in [n for n, _ in tracing.NODEGEN] + ["batches"]:
-        assert callable(getattr(SphereRule, name, None)), name
+        assert callable(vars(SphereRule).get(name)), name
+    assert type(SphereRule.qmc(6, 64, 1)) is SphereRule
+    assert type(SphereRule.gauss(6, 8)) is SphereRule
 
 
 def test_one_mollified_norm_call_reaches_power_form_eval_once(monkeypatch):

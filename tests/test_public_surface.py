@@ -78,14 +78,6 @@ def test_every_public_name_is_reached_outside_the_tests():
     assert not unreached, unreached
 
 
-# defaults that only tests set, with the reason each is kept
-_TEST_ONLY_SETTINGS = {
-    ("_pairing_core", "masses"):
-        "the closed-form multiplier audit passes the exact bump moments of "
-        "its atom",
-}
-
-
 def _defaulted_parameters(tree):
     """(callee name, parameter, position or None, default node) of each
     parameter with a default of a top-level function or of a method of a
@@ -125,15 +117,12 @@ def _passed(call, name, position):
     return None
 
 
-def _sets(value, name, default, callee, classes):
+def _sets(value, default):
     """Whether passing `value` sets the parameter: not when it is the
-    default's own literal, nor when a class call copies the same-named
-    setting of another object (`SphereRule(..., seed=rule.seed)`)."""
-    if (isinstance(value, ast.Constant) and isinstance(default, ast.Constant)
-            and value.value == default.value):
-        return False
-    return not (callee in classes and isinstance(value, ast.Attribute)
-                and value.attr == name)
+    default's own literal."""
+    return not (isinstance(value, ast.Constant)
+                and isinstance(default, ast.Constant)
+                and value.value == default.value)
 
 
 def test_every_default_is_set_outside_the_tests():
@@ -145,19 +134,14 @@ def test_every_default_is_set_outside_the_tests():
                 func = node.func
                 name = getattr(func, "id", getattr(func, "attr", None))
                 calls[name].append(node)
-    classes = {node.name for tree in trees.values() for node in tree.body
-               if isinstance(node, ast.ClassDef)}
     params = [(path, *param) for path, tree in trees.items()
               if path.startswith("src")
               for param in _defaulted_parameters(tree)]
-    assert set(_TEST_ONLY_SETTINGS) <= {(c, n) for _, c, n, _, _ in params}
     unset = [f"{path}: {callee}({name})"
              for path, callee, name, position, default in params
-             if (callee, name) not in _TEST_ONLY_SETTINGS
-             and not any(
-                 (value := _passed(call, name, position)) is not None
-                 and _sets(value, name, default, callee, classes)
-                 for call in calls[callee])]
+             if not any((value := _passed(call, name, position)) is not None
+                        and _sets(value, default)
+                        for call in calls[callee])]
     assert not unset, unset
 
 
@@ -205,7 +189,7 @@ def test_settable_values_do_not_grow():
                   for action in parser._actions
                   if action.option_strings
                   and not isinstance(action, argparse._HelpAction))
-    assert defaults + options <= 72, (defaults, options)
+    assert defaults + options <= 68, (defaults, options)
 
 
 def _code_lines(source):
@@ -232,4 +216,4 @@ def test_src_code_lines_do_not_grow():
     for path in glob.glob(os.path.join(ROOT, "src", "cbplab", "*.py")):
         with open(path) as fh:
             total += _code_lines(fh.read())
-    assert total <= 2367, total
+    assert total <= 2364, total

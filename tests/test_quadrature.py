@@ -21,6 +21,10 @@ from cbplab.quadrature import (Estimate, PoisonedEstimateError, SphereRule,
 from checks import (kappa, scipy_fractional_radial, scipy_sobol_sphere,
                     sobol_directions_full, whole_grid_gauss_batches)
 
+#: each kind's constructor, for tests parametrized by kind
+_BY_KIND = {"quasi_monte_carlo": SphereRule.qmc,
+            "product_gauss": SphereRule.gauss}
+
 
 def test_sphere_area_matches_gamma_formula():
     assert sphere_area(4) == pytest.approx(2.0 * math.pi ** 2)
@@ -29,26 +33,24 @@ def test_sphere_area_matches_gamma_formula():
 
 
 def test_weights_sum_to_area_for_every_kind():
-    for kind, kw in [("quasi_monte_carlo", {"node_count": 2 ** 12}),
-                     ("product_gauss", {"level": 8})]:
-        rule = SphereRule(6, kind, seed=3, **kw)
+    for rule in (SphereRule.qmc(6, 2 ** 12, 3), SphereRule.gauss(6, 8)):
         total = sum(float(np.sum(w)) for _, w in rule.batches())
         assert total == pytest.approx(sphere_area(6), rel=1e-12)
 
 
 def test_nodes_live_on_the_sphere():
-    rule = SphereRule(8, "quasi_monte_carlo", node_count=2 ** 10, seed=5)
+    rule = SphereRule.qmc(8, 2 ** 10, 5)
     pts = rule.nodes()
     assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
-    rule = SphereRule(4, "product_gauss", level=6)
+    rule = SphereRule.gauss(4, 6)
     pts = rule.nodes()
     assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
 
 
 def test_batches_are_deterministic_per_seed():
-    a = SphereRule(6, "quasi_monte_carlo", node_count=2 ** 10, seed=11)
-    b = SphereRule(6, "quasi_monte_carlo", node_count=2 ** 10, seed=11)
-    c = SphereRule(6, "quasi_monte_carlo", node_count=2 ** 10, seed=12)
+    a = SphereRule.qmc(6, 2 ** 10, 11)
+    b = SphereRule.qmc(6, 2 ** 10, 11)
+    c = SphereRule.qmc(6, 2 ** 10, 12)
     pa, pb, pc = a.nodes(), b.nodes(), c.nodes()
     assert np.array_equal(pa, pb)
     assert not np.array_equal(pa, pc)
@@ -56,18 +58,16 @@ def test_batches_are_deterministic_per_seed():
 
 def test_ball_volume_by_polar_integral():
     # int rho^d / d with rho = 1 gives kappa_d
-    for d, kind, tol in [(4, "quasi_monte_carlo", 5e-3),
-                         (6, "quasi_monte_carlo", 1e-3),
-                         (6, "product_gauss", 1e-12)]:
-        kw = {"level": 10} if kind == "product_gauss" else {"node_count": 2 ** 14}
-        rule = SphereRule(d, kind, seed=2, **kw)
+    for d, rule, tol in [(4, SphereRule.qmc(4, 2 ** 14, 2), 5e-3),
+                         (6, SphereRule.qmc(6, 2 ** 14, 2), 1e-3),
+                         (6, SphereRule.gauss(6, 10), 1e-12)]:
         est = integrate_sphere(rule, lambda x: np.ones(len(x)) / d)
         assert est.value == pytest.approx(kappa(d), rel=tol)
 
 
 def test_gauss_polynomial_exactness():
     # int x1^2 over S^{d-1} = area / d
-    rule = SphereRule(6, "product_gauss", level=8)
+    rule = SphereRule.gauss(6, 8)
     est = integrate_sphere(rule, lambda x: x[:, 0] ** 2)
     assert est.value == pytest.approx(sphere_area(6) / 6.0, rel=1e-13)
     assert est.stderr == 0.0
@@ -77,7 +77,7 @@ def test_gauss_batches_are_the_whole_grid_split_bit_for_bit():
     # each batch is made from the inner grid's rows, never from the whole
     # grid, and is the whole grid's np.array_split batch
     for dim, level in [(2, 16), (3, 8), (4, 16), (5, 6), (6, 8), (6, 12)]:
-        rule = SphereRule(dim, "product_gauss", level=level)
+        rule = SphereRule.gauss(dim, level)
         got = list(rule.batches())
         want = list(whole_grid_gauss_batches(rule))
         assert len(got) == len(want) == rule.batch_count == 32
@@ -89,10 +89,8 @@ def test_gauss_batches_are_the_whole_grid_split_bit_for_bit():
 def test_stderr_shrinks_with_node_count():
     def f(x):
         return x[:, 0] ** 4
-    coarse = integrate_sphere(SphereRule(6, "quasi_monte_carlo",
-                                         node_count=2 ** 10, seed=4), f)
-    fine = integrate_sphere(SphereRule(6, "quasi_monte_carlo",
-                                       node_count=2 ** 16, seed=4), f)
+    coarse = integrate_sphere(SphereRule.qmc(6, 2 ** 10, 4), f)
+    fine = integrate_sphere(SphereRule.qmc(6, 2 ** 16, 4), f)
     assert fine.stderr < coarse.stderr / 3.0
 
 
@@ -103,7 +101,7 @@ def test_error_bar_is_calibrated():
     hits = 0
     for seed in range(12):
         est = integrate_sphere(
-            SphereRule(6, "quasi_monte_carlo", node_count=2 ** 12, seed=seed),
+            SphereRule.qmc(6, 2 ** 12, seed),
             lambda x: x[:, 0] ** 6)
         if abs(est.value - truth) < 4.0 * est.stderr:
             hits += 1
@@ -111,7 +109,7 @@ def test_error_bar_is_calibrated():
 
 
 def test_poisoned_estimate_raises_with_node():
-    rule = SphereRule(4, "quasi_monte_carlo", node_count=2 ** 8, seed=1)
+    rule = SphereRule.qmc(4, 2 ** 8, 1)
 
     def bad(x):
         out = np.ones(len(x))
@@ -143,7 +141,8 @@ def test_estimate_rejects_a_non_finite_stderr(stderr):
                                          ("product_gauss", 1)])
 def test_rules_need_enough_batches_for_their_error_bar(kind, least):
     # a random rule's error bar is the spread of at least two batch sums
-    rule = SphereRule(4, kind, node_count=64, level=4)
+    rule = (SphereRule.qmc(4, 64, 0) if kind == "quasi_monte_carlo"
+            else SphereRule.gauss(4, 4))
     assert rule.batch_count == 32 >= least
     est = integrate_sphere(rule, lambda x: np.ones(len(x)))
     assert est.value == pytest.approx(sphere_area(4), rel=1e-12)
@@ -155,12 +154,12 @@ def test_random_rules_need_a_node(kind):
     # an empty rule integrates everything to 0 with stderr 0
     for count in (0, -3):
         with pytest.raises(ValueError, match="node_count"):
-            SphereRule(4, kind, node_count=count)
-    assert SphereRule(4, kind, node_count=1).node_count == 32
+            _BY_KIND[kind](4, count, 0)
+    assert _BY_KIND[kind](4, 1, 0).node_count == 32
 
 
 @pytest.mark.parametrize("dim, kind, args", [
-    (4, "quasi_monte_carlo", {"node_count": 100}),
+    (4, "quasi_monte_carlo", {"node_count": 100, "seed": 0}),
     (2, "product_gauss", {"level": 4}),  # 8 nodes
     (4, "product_gauss", {"level": 4}),  # 128 nodes
     (4, "product_gauss", {"level": 129}),  # > 2^22 nodes, 32 batches too
@@ -168,21 +167,34 @@ def test_random_rules_need_a_node(kind):
 def test_batch_count_is_the_number_of_batches_the_rule_yields(dim, kind,
                                                               args):
     # slice and pairing sums are sized by batch_count, one column a batch
-    rule = SphereRule(dim, kind, **args)
+    rule = _BY_KIND[kind](dim, **args)
     assert rule.batch_count == sum(1 for _ in rule.batches())
 
 
+def test_each_kind_holds_only_its_own_settings():
+    qmc, gauss = SphereRule.qmc(4, 64, 3), SphereRule.gauss(4, 4)
+    assert (qmc.kind, qmc.node_count, qmc.seed) == ("quasi_monte_carlo", 64, 3)
+    assert (gauss.kind, gauss.level) == ("product_gauss", 4)
+    assert not hasattr(qmc, "level") and not hasattr(gauss, "seed")
+    with pytest.raises(TypeError):
+        SphereRule.qmc(4, 64, 3, 4)
+
+
 def test_a_product_rule_needs_its_level():
+    with pytest.raises(TypeError, match="level"):
+        SphereRule.gauss(4)
     with pytest.raises(ValueError, match="level"):
-        SphereRule(4, "product_gauss")
+        SphereRule.gauss(4, 1)
 
 
 @pytest.mark.parametrize("kind, seed", [("quasi_monte_carlo", -2)])
 def test_random_rules_refuse_a_seed_they_cannot_key_by_name(kind, seed):
     with pytest.raises(ValueError, match="seed"):
-        SphereRule(4, kind, node_count=64, seed=seed)
-    # a product rule ignores its seed
-    assert SphereRule(4, "product_gauss", level=4, seed=seed).node_count == 128
+        _BY_KIND[kind](4, 64, seed)
+    # a product rule takes no seed and holds none
+    with pytest.raises(TypeError):
+        SphereRule.gauss(4, 4, seed)
+    assert not hasattr(SphereRule.gauss(4, 4), "seed")
 
 
 @pytest.mark.parametrize("q", [0.5, 1.0, 1.5])
@@ -324,7 +336,7 @@ def test_a_qags_warning_names_its_code_and_reason():
 def test_worker_independent_batch_stream():
     # the batch stream is index-keyed, so consuming it in any order gives
     # the same set of nodes
-    rule = SphereRule(6, "quasi_monte_carlo", node_count=2 ** 10, seed=9)
+    rule = SphereRule.qmc(6, 2 ** 10, 9)
     batches = list(rule.batches())
     again = list(rule.batches())
     for (p1, w1), (p2, w2) in zip(batches, again):
@@ -365,8 +377,8 @@ _BODY4 = mollify(ComplexLqBall(2, 4.0), 0.2)
 
 # passes_2_16: integrand calls when passes hold up to 2^16 nodes
 @pytest.mark.parametrize("rule, passes_2_16", [
-    (SphereRule(4, "quasi_monte_carlo", node_count=2 ** 17, seed=3), 2),
-    (SphereRule(4, "product_gauss", level=30), 1)])
+    (SphereRule.qmc(4, 2 ** 17, 3), 2),
+    (SphereRule.gauss(4, 30), 1)])
 def test_integrate_sphere_matches_the_per_batch_loop(rule, passes_2_16,
                                                      monkeypatch):
     f = _counted(lambda x: _BODY4.radial(x) ** 4)
@@ -379,15 +391,15 @@ def test_integrate_sphere_matches_the_per_batch_loop(rule, passes_2_16,
     assert f.calls == passes_2_16
     monkeypatch.undo()
     body8 = ComplexLqBall(4, 3.0)
-    rule8 = SphereRule(8, "quasi_monte_carlo", node_count=2 ** 17, seed=4)
+    rule8 = SphereRule.qmc(8, 2 ** 17, 4)
     assert (integrate_sphere(rule8, lambda x: body8.radial(x) ** 8)
             == _per_batch(rule8, lambda x: body8.radial(x) ** 8))
 
 
 @pytest.mark.parametrize("rule, passes_2_16", [
-    (SphereRule(2, "product_gauss", level=16), 1),
-    (SphereRule(6, "product_gauss", level=9), 2),
-    (SphereRule(6, "quasi_monte_carlo", node_count=2 ** 17, seed=5), 2)])
+    (SphereRule.gauss(2, 16), 1),
+    (SphereRule.gauss(6, 9), 2),
+    (SphereRule.qmc(6, 2 ** 17, 5), 2)])
 def test_integrate_subsphere_matches_the_per_batch_loop(rule, passes_2_16,
                                                         monkeypatch):
     xi = np.random.Generator(np.random.Philox(key=2)).standard_normal(
@@ -419,11 +431,11 @@ def test_a_stack_of_frames_gives_each_frames_estimate(frames, kind, kw):
     g = np.random.Generator(np.random.Philox(key=6))
     bases = np.stack([make_frame(xi / np.linalg.norm(xi)).basis
                       for xi in g.standard_normal((frames, 8))])
-    rule = SphereRule(6, kind, **kw)
+    rule = _BY_KIND[kind](6, **kw)
     stacked = integrate_subsphere(rule, bases, lambda x: body.radial(x) ** 6)
     # read once, keeping no batches
     assert (rule._passes, rule._batches) == (1, None)
-    single = [integrate_subsphere(SphereRule(6, kind, **kw), basis,
+    single = [integrate_subsphere(_BY_KIND[kind](6, **kw), basis,
                                   lambda x: body.radial(x) ** 6)
               for basis in bases]
     assert len(stacked) == frames
@@ -433,7 +445,7 @@ def test_a_stack_of_frames_gives_each_frames_estimate(frames, kind, kw):
 
 
 def test_poisoned_estimate_names_the_first_bad_node():
-    rule = SphereRule(4, "quasi_monte_carlo", node_count=2 ** 8, seed=1)
+    rule = SphereRule.qmc(4, 2 ** 8, 1)
     batches = list(rule.batches())
     first, later = batches[1][0][5], batches[3][0][0]
 
@@ -447,7 +459,7 @@ def test_poisoned_estimate_names_the_first_bad_node():
 
 
 def test_a_stack_of_integrands_gives_each_ones_estimate():
-    rule = SphereRule(4, "quasi_monte_carlo", node_count=2 ** 12, seed=2)
+    rule = SphereRule.qmc(4, 2 ** 12, 2)
     fs = [lambda x: x[:, 0] ** 2, lambda x: np.ones(len(x)),
           lambda x: x[:, 1] * x[:, 2]]
     stacked = integrate_sphere(rule, lambda x: np.stack([f(x) for f in fs]))
@@ -472,17 +484,16 @@ def test_rules_keep_their_batches_read_only(monkeypatch):
             made[_name] += 1
             return _f(self, *args)
         monkeypatch.setattr(SphereRule, name, counted)
-    gauss = SphereRule(6, "product_gauss", level=8)
-    qmc = SphereRule(6, "quasi_monte_carlo", node_count=2 ** 12, seed=9)
-    for rule in (gauss, qmc):
+    for make in (lambda: SphereRule.gauss(6, 8),
+                 lambda: SphereRule.qmc(6, 2 ** 12, 9)):
+        rule = make()
         once = list(rule.batches())
         first = list(rule.batches())
         again = list(rule.batches())
         assert not any(p1 is p2 for (p1, _), (p2, _) in zip(once, first))
         assert all(p1 is p2 and w1 is w2
                    for (p1, w1), (p2, w2) in zip(first, again))
-        fresh = list(SphereRule(6, rule.kind, node_count=2 ** 12, seed=9,
-                                level=8).batches())
+        fresh = list(make().batches())
         assert all(np.array_equal(p1, p2) and np.array_equal(w1, w2)
                    for (p1, w1), (p2, w2) in zip(first, fresh))
         pts, w = first[0]
@@ -498,7 +509,7 @@ def test_rules_keep_their_batches_read_only(monkeypatch):
 def test_streamed_gauss_rules_keep_no_batches(monkeypatch):
     # a rule above the cache bound builds its inner grid on every read and
     # lets each batch go once it is yielded
-    rule = SphereRule(4, "product_gauss", level=129)
+    rule = SphereRule.gauss(4, 129)
     assert rule.node_count > 2 ** 22 and rule.batch_count == 32
     calls = []
     original = SphereRule._gauss_nodes
@@ -529,7 +540,7 @@ def test_ndtri_is_the_normal_quantile_bit_for_bit():
 
 @pytest.mark.parametrize("dim, seed", [(4, 0), (6, 5), (8, 3)])
 def test_qmc_batches_are_the_scipy_formulas_bit_for_bit(dim, seed):
-    rule = SphereRule(dim, "quasi_monte_carlo", node_count=2 ** 12, seed=seed)
+    rule = SphereRule.qmc(dim, 2 ** 12, seed)
     for b, (pts, _) in enumerate(rule.batches()):
         assert np.array_equal(pts, scipy_sobol_sphere(dim, 128,
                                                       seed * 1000003 + b))
@@ -559,7 +570,7 @@ _PIPELINE = (
     "import zlib\n"
     "import cbplab\n"
     "from cbplab import quadrature\n"
-    "rule = cbplab.SphereRule(6, 'quasi_monte_carlo', 2 ** 10, 3)\n"
+    "rule = cbplab.SphereRule.qmc(6, 2 ** 10, 3)\n"
     "nodes = rule.nodes()\n"
     "assert len(nodes) == 2 ** 10\n"
     "grid = cbplab.make_grid(8, 64, reduction='none', seed=5)\n"
@@ -568,7 +579,7 @@ _PIPELINE = (
     "[sample] = cbplab.ft_values(body, xi, [1.5])\n"
     "assert sample.method == 'fractional'\n"
     "[pair] = cbplab.pairing_oracle(\n"
-    "    body, xi, [2.0], cbplab.SphereRule(4, 'product_gauss', level=8))\n"
+    "    body, xi, [2.0], cbplab.SphereRule.gauss(4, 8))\n"
     "atoms = cbplab.symmetric_harmonic_atoms(3, 12)\n"
     "print(*(zlib.crc32(x.tobytes())\n"
     "        for x in (nodes, grid.points, body._power_form[1])),\n"

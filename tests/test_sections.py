@@ -23,13 +23,13 @@ from checks import (bisect_slice_radii, committed_pair, dented_ball, kappa,
 
 def test_volume_of_scaled_ball():
     body = ScaledBody(EuclideanBall(6), 1.3)
-    rule = SphereRule(6, "product_gauss", level=8)
+    rule = SphereRule.gauss(6, 8)
     est = volume(body, rule)
     assert est.value == pytest.approx(kappa(6) * 1.3 ** 6, rel=1e-12)
     assert est.stderr == 0.0
 
 
-_SCALED_RULE = SphereRule(4, "quasi_monte_carlo", node_count=2 ** 10, seed=1)
+_SCALED_RULE = SphereRule.qmc(4, 2 ** 10, 1)
 _SCALED_BODIES = {"ball": EuclideanBall(4), "clq": ComplexLqBall(2, 4.0),
                   "mollified": mollify(ComplexLqBall(2, 4.0), 0.2)}
 
@@ -50,8 +50,7 @@ def test_volume_is_monotone_and_homogeneous_under_scaling(kind, a, ratio):
 def test_section_volume_of_the_ball_is_lower_dimensional_kappa():
     for d in (4, 6, 8):
         frame = make_frame(unit(d, seed=d))
-        rule = SphereRule(d - 2, "quasi_monte_carlo", node_count=2 ** 12,
-                          seed=1)
+        rule = SphereRule.qmc(d - 2, 2 ** 12, 1)
         est = section_volume(EuclideanBall(d), frame, rule)
         assert est.value == pytest.approx(kappa(d - 2), rel=1e-6)
 
@@ -60,7 +59,7 @@ def test_parallel_section_of_the_ball_matches_the_offset_formula():
     # slice of B^d at distance u from the center: kappa_{d-2} (1-u^2)^{(d-2)/2}
     d = 6
     frame = make_frame(unit(d, seed=3))
-    rule = SphereRule(d - 2, "product_gauss", level=8)
+    rule = SphereRule.gauss(d - 2, 8)
     for u in [(0.0, 0.0), (0.3, 0.0), (0.0, -0.5), (0.4, 0.4)]:
         est = parallel_section(EuclideanBall(d), frame, u, rule)
         s = u[0] ** 2 + u[1] ** 2
@@ -70,7 +69,7 @@ def test_parallel_section_of_the_ball_matches_the_offset_formula():
 
 def test_a_streamed_product_rule_slices_every_batch():
     # 4.3M nodes on S^3 stream as 32 batches, one sum column each
-    rule = SphereRule(4, "product_gauss", level=129)
+    rule = SphereRule.gauss(4, 129)
     [est] = parallel_sections(EuclideanBall(6), make_frame(np.eye(6)[0]),
                               [[0.0, 0.0]], rule)
     assert est.value == pytest.approx(kappa(4), rel=1e-13)
@@ -78,7 +77,7 @@ def test_a_streamed_product_rule_slices_every_batch():
 
 def test_parallel_section_is_zero_outside_the_body():
     frame = make_frame(unit(6, seed=4))
-    rule = SphereRule(4, "product_gauss", level=6)
+    rule = SphereRule.gauss(4, 6)
     est = parallel_section(EuclideanBall(6), frame, (1.2, 0.0), rule)
     assert est.value == 0.0
 
@@ -86,7 +85,7 @@ def test_parallel_section_is_zero_outside_the_body():
 def test_central_slice_maximal_for_a_symmetric_convex_body():
     body = mollify(ComplexLqBall(3, 4.0), 0.2)
     frame = make_frame(unit(6, seed=5))
-    rule = SphereRule(4, "product_gauss", level=10)
+    rule = SphereRule.gauss(4, 10)
     a0 = parallel_section(body, frame, (0.0, 0.0), rule).value
     for u in [(0.2, 0.0), (0.0, 0.35), (0.3, 0.3)]:
         assert parallel_section(body, frame, u, rule).value < a0
@@ -95,7 +94,7 @@ def test_central_slice_maximal_for_a_symmetric_convex_body():
 def test_section_volume_agrees_with_the_zero_offset_slice():
     body = mollify(ComplexLqBall(2, 4.0), 0.2)
     frame = make_frame(unit(4, seed=6))
-    rule = SphereRule(2, "product_gauss", level=16)
+    rule = SphereRule.gauss(2, 16)
     a = section_volume(body, frame, rule).value
     b = parallel_section(body, frame, (0.0, 0.0), rule).value
     assert a == pytest.approx(b, rel=1e-10)
@@ -107,7 +106,7 @@ def test_laplacian_of_the_ball_slice_function():
     d = 8
     m = d - 2
     frame = make_frame(unit(d, seed=7))
-    rule = SphereRule(m, "product_gauss", level=8)
+    rule = SphereRule.gauss(m, 8)
     ball = EuclideanBall(d)
     # Richardson over {h, h/2} leaves an h^4 term with 6th derivatives
     est1 = laplacian_at_zero(ball, frame, 1, 0.1, rule)
@@ -119,11 +118,11 @@ def test_laplacian_of_the_ball_slice_function():
 
 def test_laplacian_rejects_out_of_range_orders():
     frame = make_frame(unit(6, seed=8))
-    rule = SphereRule(4, "product_gauss", level=6)
+    rule = SphereRule.gauss(4, 6)
     with pytest.raises(ValueError):
         laplacian_at_zero(EuclideanBall(6), frame, 3, 0.1, rule)
     frame4 = make_frame(unit(4, seed=8))
-    rule4 = SphereRule(2, "product_gauss", level=6)
+    rule4 = SphereRule.gauss(2, 6)
     with pytest.raises(ValueError):
         # Delta^2 needs a section of dimension at least 4
         laplacian_at_zero(EuclideanBall(4), frame4, 2, 0.1, rule4)
@@ -131,7 +130,7 @@ def test_laplacian_rejects_out_of_range_orders():
 
 def test_laplacian_raises_when_the_stencil_leaves_the_body():
     frame = make_frame(unit(8, seed=9))
-    rule = SphereRule(6, "product_gauss", level=4)
+    rule = SphereRule.gauss(6, 4)
     with pytest.raises(RootBracketError):
         laplacian_at_zero(EuclideanBall(8), frame, 2, 0.6, rule)
 
@@ -141,12 +140,12 @@ def test_noisy_estimate_carries_the_value():
     # needs a body whose slice integrand actually varies
     body = mollify(ComplexLqBall(3, 4.0), 0.2)
     frame = make_frame(unit(6, seed=10))
-    rule = SphereRule(4, "quasi_monte_carlo", node_count=2 ** 10, seed=11)
+    rule = SphereRule.qmc(4, 2 ** 10, 11)
     est = laplacian_at_zero(body, frame, 1, 0.1, rule)
     assert est is not None
     assert est.stderr > 0.0
     quiet = laplacian_at_zero(body, frame, 1, 0.1,
-                              SphereRule(4, "product_gauss", level=10))
+                              SphereRule.gauss(4, 10))
     assert est.value == pytest.approx(quiet.value, abs=5.0 * est.stderr)
 
 
@@ -155,7 +154,7 @@ def test_shared_nodes_make_differences_quiet():
     # error bar far below the raw slice error bar divided by h^2
     body = mollify(ComplexLqBall(3, 4.0), 0.2)
     frame = make_frame(unit(6, seed=12))
-    rule = SphereRule(4, "quasi_monte_carlo", node_count=2 ** 12, seed=13)
+    rule = SphereRule.qmc(4, 2 ** 12, 13)
     raw = parallel_section(body, frame, (0.1, 0.0), rule)
     assert raw.stderr > 0.0
     fd = laplacian_at_zero(body, frame, 1, 0.1, rule)
@@ -166,7 +165,7 @@ def test_an_understated_r_max_raises_a_root_bracket_error():
     body = EuclideanBall(6)
     body.r_max = 0.5  # the true radius is 1
     frame = make_frame(unit(6, seed=14))
-    rule = SphereRule(4, "product_gauss", level=6)
+    rule = SphereRule.gauss(4, 6)
     with pytest.raises(RootBracketError, match=r"offset \(0\.1, 0\)"):
         parallel_section(body, frame, (0.1, 0.0), rule)
     with pytest.raises(RootBracketError):
@@ -256,7 +255,7 @@ def test_one_pass_matches_the_loop_on_the_dim8_laplacian_offsets(
         monkeypatch):
     body = ComplexLqBall(4, 4.0)
     frame = make_frame(unit(8, seed=15))
-    rule = SphereRule(6, "quasi_monte_carlo", node_count=2 ** 10, seed=5)
+    rule = SphereRule.qmc(6, 2 ** 10, 5)
     offsets = np.array(sorted({(i * s, j * s) for s in (0.1, 0.05)
                                for i, j in _STENCILS[2][0]}))
     sums, inside = _slice_batch_sums(body, frame, offsets, rule)
@@ -366,8 +365,7 @@ def test_secant_roots_are_the_plain_halvings_bit_for_bit(name, nodes,
     body = _oracle_body(name)
     frame = make_frame(unit(body.dim, seed=15))
     calls = _against_the_oracle(monkeypatch)
-    rule = SphereRule(body.dim - 2, "quasi_monte_carlo", node_count=nodes,
-                      seed=5)
+    rule = SphereRule.qmc(body.dim - 2, nodes, 5)
     _slice_batch_sums(body, frame, _LAPLACIAN_OFFSETS, rule)
     laplacian_passes = len(calls)
     # a profile out to 0.99 r_max, sliced in passes of four nodes; the
@@ -375,8 +373,7 @@ def test_secant_roots_are_the_plain_halvings_bit_for_bit(name, nodes,
     # computed f is flat over many ulps of r
     ts = np.linspace(0.0, 0.99 * body.r_max, 97)
     monkeypatch.setattr(quadrature, "_PASS_NODES", 4 * len(ts))
-    rule = SphereRule(body.dim - 2, "quasi_monte_carlo", node_count=2 ** 7,
-                      seed=5)
+    rule = SphereRule.qmc(body.dim - 2, 2 ** 7, 5)
     _slice_batch_sums(body, frame, np.stack([ts, 0.0 * ts], axis=1), rule)
     assert len(calls) == laplacian_passes + 32
     for got, want in calls:
@@ -390,7 +387,7 @@ def test_a_ray_that_crosses_the_boundary_thrice_still_ends_on_it():
     # crossings, and maybe not the one the halvings find
     body = _oracle_body("dented ball")
     frame = make_frame(unit(6, seed=16))
-    rule = SphereRule(4, "quasi_monte_carlo", node_count=2 ** 8, seed=16)
+    rule = SphereRule.qmc(4, 2 ** 8, 16)
     theta = np.concatenate([pts for pts, _ in rule.batches()]) @ frame.basis
     ts = np.array([0.5, 0.52, 0.55])
     offsets = np.stack([ts, 0.0 * ts], axis=1)
@@ -425,7 +422,7 @@ def test_a_pass_checks_its_brackets_first_and_evaluates_few_points(
         monkeypatch):
     body = _CountedClq()
     frame = make_frame(unit(8, seed=15))
-    rule = SphereRule(6, "quasi_monte_carlo", node_count=2 ** 10, seed=5)
+    rule = SphereRule.qmc(6, 2 ** 10, 5)
     passes = []
     secant = sections._slice_radii
 
@@ -455,7 +452,7 @@ def test_an_understated_r_max_is_reported_as_by_the_plain_halvings():
     bases = (offsets[:, 0:1] * frame.xi[None, :]
              + offsets[:, 1:2] * frame.xi_perp[None, :])
     theta = np.concatenate(
-        [pts for pts, _ in SphereRule(4, "product_gauss", level=6).batches()]
+        [pts for pts, _ in SphereRule.gauss(4, 6).batches()]
     ) @ frame.basis
     r_hi = body.r_max * 1.01 + np.linalg.norm(offsets, axis=1)
     with pytest.raises(RootBracketError) as got:
