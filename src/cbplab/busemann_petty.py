@@ -136,7 +136,7 @@ def _default_section_rule(K: StarBody, L: StarBody) -> SphereRule:
     Any other pair gets 2^13 Sobol nodes."""
     d = K.dim
     if (isinstance(K, RadialPerturbation) and K.base is L and K.s == d - 2
-            and isinstance(K.bump, HarmonicBump) and d - 2 <= 6):
+            and d - 2 <= 6):
         return SphereRule.gauss(d - 2, 8)
     return SphereRule.qmc(d - 2, 2 ** 13, 11)
 

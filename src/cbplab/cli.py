@@ -36,7 +36,7 @@ from .busemann_petty import (ConstructionFailedError,
                              ConstructionImpossibleError, bp_construct,
                              bp_verify, pair_from_record, pair_record,
                              read_pair_record)
-from .embedding import _TOL, scan
+from .embedding import _TOL, _require_workers, scan
 from .fourier import _METHODS, classical_multiplier, ft_values
 from .frames import make_frame
 from .sections import section_volume, volume
@@ -198,30 +198,28 @@ def _run(args, compute, **canonical) -> int:
 
 def cmd_volume(args) -> int:
     body = parse_body(args.body)
-    rule_spec = args.rule or "qmc"
 
     def compute():
-        est = volume(body, _rule(args, rule_spec, body.dim))
+        est = volume(body, _rule(args, args.rule, body.dim))
         n = body.dim // 2
         return {"results": [asdict(est)], "baselines_checked":
                 _ball_baseline(f"ball_volume_dim{body.dim}",
                                math.pi ** n / math.factorial(n), est, 0.005)
                 if isinstance(body, EuclideanBall) else []}
 
-    return _run(args, compute, body=body.spec(), rule=rule_spec)
+    return _run(args, compute, body=body.spec())
 
 
 def cmd_section(args) -> int:
     body = parse_body(args.body)
-    rule_spec = args.rule or "qmc"
 
     def compute():
         xi = _parse_xi(args.xi, body.dim)
         est = section_volume(body, make_frame(xi),
-                             _rule(args, rule_spec, body.dim - 2))
+                             _rule(args, args.rule, body.dim - 2))
         return {"results": [{"xi": list(xi), **asdict(est)}]}
 
-    return _run(args, compute, body=body.spec(), rule=rule_spec)
+    return _run(args, compute, body=body.spec())
 
 
 def cmd_ft(args) -> int:
@@ -251,6 +249,8 @@ def cmd_ft(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    # --workers is not hashed, so it is checked before a cache hit
+    _require_workers(args.workers)
     body = parse_body(args.body)
     grid_spec = _grid_spec(args, body.dim)
 
@@ -331,31 +331,38 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--cache-dir", default=None,
                         help=f"cache root (default ${CACHE_ENV} or ~/.cache/cbplab)")
     common.add_argument("--no-cache", action="store_true")
-    rules = argparse.ArgumentParser(add_help=False)
-    rules.add_argument("--rule", help="rule spec on the command's sphere: "
-                       "qmc[:nodes=N,seed=S] (2^16 nodes) or gauss:level=L")
+
+    def rules(default):
+        # a parent of its own per default: a subparser's set_defaults would
+        # write the default of the --rule action that all commands share
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument("--rule", default=default, help="rule spec on "
+                            "the command's sphere: qmc[:nodes=N,seed=S] "
+                            "(2^16 nodes) or gauss:level=L")
+        return parent
+
     table = argparse.ArgumentParser(add_help=False)
     table.add_argument("--csv", help="per-direction CSV table path; the "
                        "command then computes afresh, never from the cache")
 
     sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("volume", parents=[common, rules])
+    p = sub.add_parser("volume", parents=[common, rules("qmc")])
     p.add_argument("--body", required=True)
     p.set_defaults(func=cmd_volume)
 
-    p = sub.add_parser("section", parents=[common, rules])
+    p = sub.add_parser("section", parents=[common, rules("qmc")])
     p.add_argument("--body", required=True)
     p.add_argument("--xi", help="comma-separated direction (default e1)")
     p.set_defaults(func=cmd_section)
 
-    p = sub.add_parser("ft", parents=[common, rules])
+    p = sub.add_parser("ft", parents=[common, rules(None)])
     p.add_argument("--body", required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--method", default="auto", choices=["auto", *_METHODS])
     p.add_argument("--xi")
     p.set_defaults(func=cmd_ft)
 
-    p = sub.add_parser("scan", parents=[common, rules, table])
+    p = sub.add_parser("scan", parents=[common, rules(None), table])
     p.add_argument("--body", required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--grid")
@@ -367,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "do not depend on it")
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("bp-verify", parents=[common, rules, table])
+    p = sub.add_parser("bp-verify", parents=[common, rules(None), table])
     p.add_argument("--K")
     p.add_argument("--L")
     p.add_argument("--pair", help="pair file from bp-construct")

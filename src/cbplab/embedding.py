@@ -17,7 +17,6 @@ result equals that of a one-exponent scan.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,12 +142,20 @@ def _sweep(body, ps, grid, rule, tol, workers) -> dict:
         return dict(zip(ps, ft_values(body, pts[i], ps, rule)))
 
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(one, range(len(pts))))
     else:
         rows = [one(i) for i in range(len(pts))]
     return _verdicts(body, grid, {p: [row[p] for row in rows] for p in ps},
                      tol)
+
+
+def _require_workers(workers):
+    """Refuse, by name, a thread count that is not an integer >= 1."""
+    if not (isinstance(workers, int) and workers >= 1):
+        raise ValueError(f"workers must be an integer >= 1, not {workers!r}")
 
 
 def scan(body: StarBody, p: float, grid: DirectionGrid,
@@ -160,8 +167,7 @@ def scan(body: StarBody, p: float, grid: DirectionGrid,
     `workers` an integer >= 1."""
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and >= 0, not {tol!r}")
-    if not (isinstance(workers, int) and workers >= 1):
-        raise ValueError(f"workers must be an integer >= 1, not {workers!r}")
+    _require_workers(workers)
     return _sweep(body, [p], grid, rule, tol, workers)[float(p)]
 
 

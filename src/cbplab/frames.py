@@ -1,5 +1,5 @@
-"""The complex structure on R^{2n}: xi -> xi_perp, section frames, R_theta,
-and symmetry-reduced direction grids on the sphere."""
+"""The complex structure on R^{2n}: xi -> xi_perp, section frames, and
+direction grids on the sphere reduced by the R_theta symmetry."""
 
 from __future__ import annotations
 
@@ -24,20 +24,6 @@ def perp(xi):
     out = np.empty_like(xi)
     out[..., 0::2] = -xi[..., 1::2]
     out[..., 1::2] = xi[..., 0::2]
-    return out
-
-
-def rotate(x, theta):
-    """Apply the blockwise rotation R_theta to every coordinate pair of x."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] % 2 != 0:
-        raise ValueError("rotate requires an even-dimensional vector")
-    c, s = math.cos(theta), math.sin(theta)
-    a = x[..., 0::2]
-    b = x[..., 1::2]
-    out = np.empty_like(x)
-    out[..., 0::2] = c * a - s * b
-    out[..., 1::2] = s * a + c * b
     return out
 
 

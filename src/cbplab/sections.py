@@ -72,9 +72,10 @@ _STALL = 3
 _PROBE_RAYS = 64
 
 
-def _slice_radii(body, bases, labels, r_hi, theta):
+def _slice_radii(body, bases, labels, r_hi, theta, base_norms):
     """Radii r > 0 with norm(base + r theta) = 1 for every (base, node) pair:
     the roots that _BISECT_ITERS halvings of [0, r_hi] find, to ~1e-12.
+    `base_norms` holds norm(base) of each base, which gives f(0).
 
     A secant search on f(r) = norm(base + r theta) - 1 first brackets every
     root of the pass (_secant_brackets).  The halvings are then made with
@@ -129,9 +130,7 @@ def _slice_radii(body, bases, labels, r_hi, theta):
             f"{body.r_max:.6g} is understated")
     f_hi -= 1.0
     # f(0) = norm(base) - 1, where norm is 0 at the origin
-    cols = flat[:dim * len(bases)].reshape(dim, -1)
-    cols[...] = bases.T
-    f_lo = np.broadcast_to((body.norm(cols.T) - 1.0)[:, None], shape).copy()
+    f_lo = np.broadcast_to((base_norms - 1.0)[:, None], shape).copy()
     below, above = _secant_brackets(gauge, r_hi, hi, f_lo, f_hi)
 
     # the halvings, in the arrays of f_lo and f_hi
@@ -267,7 +266,8 @@ def _slice_batch_sums(body, frame, offsets, rule):
     m = body.dim - 2
     bases = offsets[:, 0:1] * frame.xi[None, :] + offsets[:, 1:2] * frame.xi_perp[None, :]
     unorm = np.linalg.norm(offsets, axis=1)
-    inside = ~(body.norm(bases) >= 1.0)
+    base_norms = body.norm(bases)
+    inside = ~(base_norms >= 1.0)
     sums = np.zeros((len(offsets), rule.batch_count))
     act = np.nonzero(inside)[0]
     if len(act) == 0:
@@ -275,11 +275,12 @@ def _slice_batch_sums(body, frame, offsets, rule):
     # |base + r theta| > r_max at the upper end of every bracket
     r_hi = body.r_max * 1.01 + unorm[act]
     act_bases, act_offsets = bases[act], offsets[act]
+    act_norms = base_norms[act]
     width = max(1, quadrature._PASS_NODES // len(act))
     for theta, parts in _node_passes(rule, frame.basis[None], width):
         r = np.concatenate([
             _slice_radii(body, act_bases, act_offsets, r_hi,
-                         theta[s:s + width])
+                         theta[s:s + width], act_norms)
             for s in range(0, len(theta), width)], axis=1)
         for _, bi, part, w in parts:
             sums[act, bi] = (r[:, part] ** m) @ w / m

@@ -21,12 +21,11 @@ import scipy
 from scipy import integrate, special, stats
 
 from cbplab.bodies import (ConvexityReport, EuclideanBall, RadialPerturbation,
-                           StarBody)
+                           StarBody, _columns, _shaped, _sum_squares)
 from cbplab.busemann_petty import _require_invariant as _require_bp
 from cbplab.busemann_petty import pair_from_record, read_pair_record
 from cbplab.fourier import (FtSample, _require_invariant, classical_multiplier,
                             ft_values)
-from cbplab.frames import rotate
 from cbplab.harmonics import (HarmonicBump, _factorials, c_add, c_eval,
                               c_harmonic_components, c_scale,
                               symmetric_harmonic_atoms)
@@ -279,6 +278,30 @@ def dented_ball():
         {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0}), bump_id="dent")
 
 
+class WiggledBall(StarBody):
+    """The ball(dim) with rho^2 = 1 - a cos(k x_0/|x|): a smooth star body
+    that is neither R_theta-invariant nor moduli_symmetric, which no
+    RadialPerturbation is, as its bump is a polynomial in the block moduli.
+    Not convex for large a k^2."""
+
+    def __init__(self, dim, amplitude, frequency):
+        self.dim, self.a, self.k = dim, float(amplitude), float(frequency)
+        self.r_min = math.sqrt(1.0 - self.a)
+        self.r_max = math.sqrt(1.0 + self.a)
+
+    def norm(self, x):
+        x = np.asarray(x, dtype=float)
+        xt = _columns(x, self.dim)
+        r = np.sqrt(_sum_squares(xt))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            values = r / np.sqrt(1.0 - self.a * np.cos(self.k * xt[0] / r))
+        values[r == 0.0] = 0.0  # the origin, whose direction is NaN
+        return _shaped(values, x)
+
+    def spec(self):
+        return f"wiggle:dim={self.dim},a={self.a:g},k={self.k:g}"
+
+
 @functools.lru_cache(maxsize=None)
 def committed_pair():
     """(K, L) of the committed n = 4 pair, perfbench/data/pair_n4_q4_seed0
@@ -288,6 +311,20 @@ def committed_pair():
         "pair_n4_q4_seed0.json")
     with open(path) as fh:
         return pair_from_record(read_pair_record(json.load(fh), path))
+
+
+def rotate(x, theta):
+    """Apply the blockwise rotation R_theta to every coordinate pair of x."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1] % 2 != 0:
+        raise ValueError("rotate requires an even-dimensional vector")
+    c, s = math.cos(theta), math.sin(theta)
+    a = x[..., 0::2]
+    b = x[..., 1::2]
+    out = np.empty_like(x)
+    out[..., 0::2] = c * a - s * b
+    out[..., 1::2] = s * a + c * b
+    return out
 
 
 def orbit_distance(p, q, samples=256):

@@ -10,14 +10,13 @@ from cbplab.bodies import (ComplexLqBall, EuclideanBall, MollifiedBody,
                            RadialPerturbation, ScaledBody, _sum_squares,
                            convexity_probe, mollify)
 from cbplab.busemann_petty import HarmonicBump
-from cbplab.frames import rotate
 from cbplab.harmonics import c_eval
 from cbplab.quadrature import SphereRule
 from cbplab.sections import volume
 from cbplab.specs import parse_body
-from checks import (block_moduli, committed_pair, curvature_margin,
-                    dented_ball, kappa, one_shot_convexity_probe,
-                    radial_metric)
+from checks import (WiggledBall, block_moduli, committed_pair,
+                    curvature_margin, dented_ball, kappa,
+                    one_shot_convexity_probe, radial_metric, rotate)
 
 
 def unit_sample(dim, count=512, seed=0):
@@ -105,12 +104,7 @@ def test_mollified_body_interpolates_towards_the_base():
 
 
 def test_mollify_rejects_a_body_not_moduli_symmetric():
-    def wiggle(theta):
-        theta = np.atleast_2d(theta)
-        return np.cos(4.0 * theta[:, 0])
-
-    body = RadialPerturbation(EuclideanBall(4), 2.0, 0.05, wiggle,
-                              bump_id="wiggle")
+    body = WiggledBall(4, 0.05, 4.0)
     assert not body.moduli_symmetric
     with pytest.raises(ValueError, match="block moduli"):
         mollify(body, 0.2)
@@ -135,12 +129,7 @@ def test_mollified_body_is_convex():
 
 def _wiggled_ball():
     """A star body that is not convex: ball(4) with rho^2 - 0.3 cos(8 x_0)."""
-    def wiggle(theta):
-        theta = np.atleast_2d(theta)
-        return np.cos(8.0 * theta[:, 0])
-
-    return RadialPerturbation(EuclideanBall(4), 2.0, 0.3, wiggle,
-                              bump_id="wiggle")
+    return WiggledBall(4, 0.3, 8.0)
 
 
 def test_convexity_probe_flags_a_star_body():
@@ -216,43 +205,83 @@ def test_curvature_margin_refuses_a_body_it_cannot_check_by_name():
                        "clq:n=2,q=1"):
         curvature_margin(ComplexLqBall(2, 1.0), 8)
     with pytest.raises(ValueError, match="needs a moduli_symmetric body, "
-                       r"not perturb:base=\(ball:dim=4\)"):
+                       r"not wiggle:dim=4,a=0.3,k=8"):
         curvature_margin(_wiggled_ball(), 8)
+
+
+#: |z_1|^2 + |z_2|^2 of x/|x|, which is 1 on S^3
+_FLAT = HarmonicBump({(1, 0): 1.0, (0, 1): 1.0}, label="flat")
+#: |z_1|^2 - |z_2|^2 of x/|x|: R_theta-invariant, and odd under the swap of
+#: the two blocks, so not moduli_symmetric
+_TILT = HarmonicBump({(1, 0): 1.0, (0, 1): -1.0}, label="tilt")
 
 
 def test_radial_perturbation_zero_amplitude_is_identity():
     base = mollify(ComplexLqBall(2, 4.0), 0.2)
-    body = RadialPerturbation(base, 4.0, 0.0, lambda t: np.ones(len(np.atleast_2d(t))),
-                              bump_id="const")
+    body = RadialPerturbation(base, 4.0, 0.0, _FLAT, bump_id="flat")
     assert radial_metric(body, base) < 1e-13
 
 
 def test_radial_perturbation_rejects_lost_positivity():
     with pytest.raises(ValueError):
-        RadialPerturbation(EuclideanBall(4), 2.0, 2.0,
-                           lambda t: np.ones(len(np.atleast_2d(t))),
-                           bump_id="const")
+        RadialPerturbation(EuclideanBall(4), 2.0, 2.0, _FLAT, bump_id="flat")
 
 
-def _wiggle(theta):
-    theta = np.atleast_2d(theta)
-    return np.cos(4.0 * theta[:, 0])
+class _RecordingBump(HarmonicBump):
+    """A HarmonicBump that keeps the points of every call."""
+
+    def __init__(self, c_poly):
+        super().__init__(c_poly, label="recorded")
+        self.calls = []
+
+    def __call__(self, x):
+        self.calls.append(x)
+        return super().__call__(x)
+
+
+def test_radial_perturbation_refuses_a_bump_not_harmonic_by_name():
+    calls = []
+
+    def bump(theta):
+        calls.append(theta)
+        return np.ones(len(np.atleast_2d(theta)))
+
+    with pytest.raises(TypeError, match="bump must be a HarmonicBump, not "
+                       "function"):
+        RadialPerturbation(EuclideanBall(4), 2.0, 0.05, bump, bump_id="const")
+    assert calls == []  # refused before any sampling
+
+
+@pytest.mark.parametrize("base, bump, invariant, symmetric", [
+    ("ball", _FLAT, True, True), ("ball", _TILT, True, False),
+    ("mollified", _FLAT, True, True), ("wiggled", _FLAT, False, False)])
+def test_a_perturbed_body_takes_its_invariance_from_its_types(base, bump,
+                                                              invariant,
+                                                              symmetric):
+    base = {"ball": lambda: EuclideanBall(4),
+            "mollified": lambda: mollify(ComplexLqBall(2, 4.0), 0.2),
+            "wiggled": lambda: WiggledBall(4, 0.05, 4.0)}[base]()
+    body = RadialPerturbation(base, 2.0, 0.05, bump, bump_id=bump.label)
+    assert body.rotation_invariant is invariant
+    assert body.moduli_symmetric is symmetric
+    x = unit_sample(4, 64, seed=12)
+    if invariant:
+        assert np.allclose(body.norm(rotate(x, 1.3)), body.norm(x),
+                           rtol=1e-13, atol=0)
+    if symmetric:
+        assert np.allclose(body.norm(x[:, [2, 3, 0, 1]]), body.norm(x),
+                           rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("field", ["exponent", "amplitude"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_radial_perturbation_refuses_a_non_finite_field_by_name(field, bad):
-    calls = []
-
-    def bump(theta):
-        calls.append(theta)
-        return _wiggle(theta)
-
+    bump = _RecordingBump(_TILT.c_poly)
     fields = {"exponent": 2.0, "amplitude": 0.05, field: bad}
     with pytest.raises(ValueError, match=f"{field} must be finite"):
-        RadialPerturbation(EuclideanBall(4), bump=bump, bump_id="wiggle",
+        RadialPerturbation(EuclideanBall(4), bump=bump, bump_id="tilt",
                            **fields)
-    assert calls == []  # refused before any sampling
+    assert bump.calls == []  # refused before any sampling
 
 
 @pytest.mark.parametrize("base", [ComplexLqBall(2, 4.0),  # 1 <= rho <= 2^1/4
@@ -260,16 +289,17 @@ def test_radial_perturbation_refuses_a_non_finite_field_by_name(field, bad):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_radial_perturbation_refuses_bounds_past_the_float_range(base):
     with pytest.raises(ValueError, match="bounds overflow at exponent 4097"):
-        RadialPerturbation(base, 4097, 0.01, bump=_wiggle, bump_id="wiggle")
+        RadialPerturbation(base, 4097, 0.01, bump=_TILT, bump_id="tilt")
 
 
 def test_radial_perturbation_builds_a_valid_body_as_before():
-    body = RadialPerturbation(EuclideanBall(4), 2.0, 0.05, _wiggle,
-                              bump_id="wiggle")
+    # the values of the constructor that also sampled the bump's invariance
+    body = RadialPerturbation(EuclideanBall(4), 2.0, 0.05, _TILT,
+                              bump_id="tilt")
     x = np.array([[1.0, 0, 0, 0], [0.6, 0, 0.8, 0], [0.5, 0.5, 0.5, 0.5]])
-    assert (body.r_min, body.r_max) == (0.9733961166990268, 1.025914226416093)
-    assert list(body.norm(x)) == [0.9840488504365432, 0.9820597489247793,
-                                  0.9897559188119114]
+    assert (body.r_min, body.r_max) == (0.9733962127894705, 1.025912773369002)
+    assert list(body.norm(x)) == [1.0259783520851542, 0.9930726528736966,
+                                  1.0]
 
 
 def test_spec_round_trip():

@@ -15,14 +15,14 @@ from cbplab.busemann_petty import (ConstructionImpossibleError, HarmonicBump,
                                    _volumes, bp_construct, bp_verify,
                                    pair_from_record, pair_record)
 from cbplab.fourier import UnsupportedRouteError, ft_multiplier_route
-from cbplab.frames import DirectionGrid, make_frame, make_grid, rotate
+from cbplab.frames import DirectionGrid, make_frame, make_grid
 from cbplab.harmonics import c_eval, symmetric_harmonic_atoms
 from cbplab.quadrature import (SphereRule, integrate_sphere, kahan_reduce,
                                sphere_area)
 from cbplab.sections import _polar, volume
 from cbplab.specs import parse_grid
 from checks import (block_moduli, committed_pair, exact_section_gaps,
-                    holder_chain_check, section_gap_profile)
+                    holder_chain_check, rotate, section_gap_profile)
 
 
 @pytest.fixture(scope="module")

@@ -205,6 +205,39 @@ def test_workers_do_not_enter_the_hash(tmp_path):
     assert records[0]["results"] == records[1]["results"]
 
 
+def test_a_cache_hit_does_not_serve_a_bad_worker_count(tmp_path, capsys):
+    # --workers is not hashed, so the entry the first run stores is the
+    # second run's: it must be refused before the cache is read
+    argv = ["scan", "--body", "ball:dim=4", "--p", "2",
+            "--grid", "grid:dim=4,res=8"]
+    code, rec = run(tmp_path, *argv, cache=tmp_path / "c")
+    assert code == 0 and rec["cached"] is False
+    code, rec = run(tmp_path, *argv, "--workers", "0", cache=tmp_path / "c",
+                    name="again.json")
+    assert code == 1 and rec is None
+    assert "workers must be an integer >= 1" in capsys.readouterr().err
+
+
+#: config hashes at the default rule, taken before the rule's default moved
+#: into the parsers, with these library versions
+_PINNED_HASHES = {
+    "volume": (["--body", "ball:dim=4"], "fbdab87f758443def03ba36d49b498394"
+               "eca9c5e0c7f22cd385d84889774db57"),
+    "section": (["--body", "ball:dim=6"], "a061aea4c7c1079414458598c651be8f"
+                "df84abbfd47c27c80ce16f709a5ff9fd")}
+
+
+@pytest.mark.parametrize("command", sorted(_PINNED_HASHES))
+def test_the_default_rule_keeps_its_config_hash(tmp_path, monkeypatch,
+                                                 command):
+    monkeypatch.setattr(cli, "LIBRARY_VERSIONS",
+                        {"numpy": "2.4.6", "scipy": "1.17.1"})
+    argv, want = _PINNED_HASHES[command]
+    code, rec = run(tmp_path, command, *argv)
+    assert code == 0 and rec["inputs"]["rule"] == "qmc"
+    assert rec["config_hash"] == want
+
+
 _REQUIRED = {"volume": ["--body", "ball:dim=4"],
              "section": ["--body", "ball:dim=4"],
              "ft": ["--body", "ball:dim=4", "--p", "2"],

@@ -7,20 +7,19 @@ from hypothesis import strategies as st
 from scipy import interpolate, special
 
 from cbplab import fourier
-from cbplab.bodies import (ComplexLqBall, EuclideanBall, RadialPerturbation,
-                           mollify)
+from cbplab.bodies import ComplexLqBall, EuclideanBall, mollify
 from cbplab.fourier import (FtSample, UnsupportedRouteError,
                             _gauss_jacobi, _gauss_legendre,
                             _harmonic_bump_moments, _pairing_core,
                             classical_multiplier,
                             ft_derivative_route, ft_multiplier_route,
                             ft_values, pairing_oracle)
-from cbplab.frames import make_frame, make_grid, rotate
+from cbplab.frames import make_frame, make_grid
 from cbplab.harmonics import symmetric_harmonic_atoms
 from cbplab.quadrature import Estimate, SphereRule, sphere_area
 from cbplab.sections import parallel_sections
-from checks import (agrees, bump_moment, parseval_check, sph_identity_check,
-                    unit)
+from checks import (WiggledBall, agrees, bump_moment, parseval_check, rotate,
+                    sph_identity_check, unit)
 
 
 def test_gamma_identity_for_the_classical_constant():
@@ -291,12 +290,7 @@ def test_ft_value_passes_its_rule_to_the_pairing_oracle():
 
 
 def test_invariance_is_required_by_symmetry_routes():
-    def wiggle(theta):
-        theta = np.atleast_2d(theta)
-        return np.cos(4.0 * theta[:, 0])
-
-    body = RadialPerturbation(EuclideanBall(6), 2.0, 0.05, wiggle,
-                              bump_id="wiggle")
+    body = WiggledBall(6, 0.05, 4.0)
     xi = unit(6, seed=8)
     with pytest.raises(UnsupportedRouteError):
         ft_derivative_route(body, xi, 1)

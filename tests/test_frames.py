@@ -5,9 +5,9 @@ import pytest
 
 import checks
 from cbplab import frames
-from cbplab.frames import make_frame, make_grid, perp, rotate
+from cbplab.frames import make_frame, make_grid, perp
 from cbplab.quadrature import sphere_area
-from checks import orbit_distance, scipy_sobol_sphere, unit
+from checks import orbit_distance, rotate, scipy_sobol_sphere, unit
 
 
 def test_perp_swaps_pairs_with_sign():

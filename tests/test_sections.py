@@ -311,7 +311,8 @@ def test_buffered_roots_are_bit_identical_to_the_row_major_bisection(dim):
                                    ** 4.0, axis=-1) ** 0.25),
             (ball, lambda x: np.linalg.norm(x, axis=-1) / 1.2)]:
         r_hi = body.r_max * 1.01 + np.linalg.norm(offsets, axis=1)
-        got = _slice_radii(body, bases, offsets, r_hi, theta)
+        got = _slice_radii(body, bases, offsets, r_hi, theta,
+                           body.norm(bases))
         want = _old_slice_radii(old_norm, dim, bases, r_hi, theta)
         assert np.array_equal(got, want), body.spec()
 
@@ -343,8 +344,8 @@ def _against_the_oracle(monkeypatch):
     calls = []
     secant = sections._slice_radii
 
-    def both(body, bases, labels, r_hi, theta):
-        got = secant(body, bases, labels, r_hi, theta)
+    def both(body, bases, labels, r_hi, theta, base_norms):
+        got = secant(body, bases, labels, r_hi, theta, base_norms)
         calls.append((got, bisect_slice_radii(body, bases, labels, r_hi,
                                               theta)))
         return got
@@ -393,7 +394,7 @@ def test_a_ray_that_crosses_the_boundary_thrice_still_ends_on_it():
     offsets = np.stack([ts, 0.0 * ts], axis=1)
     bases = ts[:, None] * frame.xi[None, :]
     r_hi = body.r_max * 1.01 + ts
-    got = _slice_radii(body, bases, offsets, r_hi, theta)
+    got = _slice_radii(body, bases, offsets, r_hi, theta, body.norm(bases))
     want = bisect_slice_radii(body, bases, offsets, r_hi, theta)
     rs = np.linspace(0.0, r_hi.max(), 161)
     f = body.norm(rs[:, None, None, None] * theta[None, None, :, :]
@@ -426,9 +427,9 @@ def test_a_pass_checks_its_brackets_first_and_evaluates_few_points(
     passes = []
     secant = sections._slice_radii
 
-    def spy(body_, bases, labels, r_hi, theta):
+    def spy(body_, bases, labels, r_hi, theta, base_norms):
         body.calls.clear()
-        roots = secant(body_, bases, labels, r_hi, theta)
+        roots = secant(body_, bases, labels, r_hi, theta, base_norms)
         passes.append((bases, r_hi, np.array(theta), roots.size,
                        list(body.calls)))
         return roots
@@ -444,6 +445,33 @@ def test_a_pass_checks_its_brackets_first_and_evaluates_few_points(
         assert sum(len(x) for x in calls) <= 16 * pairs
 
 
+def test_a_slice_sweep_reads_its_base_point_norms_once(monkeypatch):
+    # f(0) of every pass comes from the inside test's norms: the one gauge
+    # call at the base points themselves, whose rows lie in span(xi,
+    # xi_perp), where every other call's rows base + r theta (r > 0) do not
+    body = _CountedClq()
+    frame = make_frame(unit(8, seed=15))
+    monkeypatch.setattr(quadrature, "_PASS_NODES",
+                        64 * len(_LAPLACIAN_OFFSETS))
+    passes = []
+    secant = sections._slice_radii
+
+    def spy(*args):
+        passes.append(1)
+        return secant(*args)
+
+    monkeypatch.setattr(sections, "_slice_radii", spy)
+    _slice_batch_sums(body, frame, _LAPLACIAN_OFFSETS,
+                      SphereRule.qmc(6, 2 ** 10, 5))
+    assert len(passes) == 16
+    bases = (_LAPLACIAN_OFFSETS[:, 0:1] * frame.xi[None, :]
+             + _LAPLACIAN_OFFSETS[:, 1:2] * frame.xi_perp[None, :])
+    at_bases = [x for x in body.calls
+                if np.max(np.abs(x @ frame.basis.T)) < 1e-12]
+    assert len(at_bases) == 1
+    assert np.array_equal(at_bases[0], bases)
+
+
 def test_an_understated_r_max_is_reported_as_by_the_plain_halvings():
     body = ScaledBody(EuclideanBall(6), 1.0)
     body.r_max = 0.5  # the true radius is 1
@@ -456,7 +484,7 @@ def test_an_understated_r_max_is_reported_as_by_the_plain_halvings():
     ) @ frame.basis
     r_hi = body.r_max * 1.01 + np.linalg.norm(offsets, axis=1)
     with pytest.raises(RootBracketError) as got:
-        _slice_radii(body, bases, offsets, r_hi, theta)
+        _slice_radii(body, bases, offsets, r_hi, theta, body.norm(bases))
     with pytest.raises(RootBracketError) as want:
         bisect_slice_radii(body, bases, offsets, r_hi, theta)
     assert str(got.value) == str(want.value)
