@@ -182,9 +182,10 @@ class ScaledBody(StarBody):
 class RadialPerturbation(StarBody):
     """Body K with rho_K^s = rho_L^s - eps * g on the sphere, i.e.
     ||x||_K^{-s} = ||x||_L^{-s} - eps g(x/|x|) |x|^{-s}, for g a
-    harmonics.HarmonicBump, and a bump of any other type is a TypeError.  g
-    is a polynomial in the block moduli, so K keeps L's R_theta invariance,
-    and its block-permutation symmetry when g has it too."""
+    harmonics.HarmonicBump: a bump of any other type is a TypeError, and
+    one with another block count than L's a ValueError, both before g is
+    called.  g is a polynomial in the block moduli, so K keeps L's R_theta
+    invariance, and its block-permutation symmetry when g has it too."""
 
     _CHECK_SAMPLES = 2 ** 14  # directions that check positivity
 
@@ -195,6 +196,10 @@ class RadialPerturbation(StarBody):
         if not isinstance(bump, HarmonicBump):
             raise TypeError(f"bump must be a HarmonicBump, not "
                             f"{type(bump).__name__}")
+        if 2 * bump.n != base.dim:
+            raise ValueError(f"bump {bump.label!r} has {bump.n} blocks, so "
+                             f"it reads points of dimension {2 * bump.n}, not "
+                             f"{base.spec()}'s points of dimension {base.dim}")
         if not (math.isfinite(exponent) and exponent > 0):
             raise ValueError(f"exponent must be finite and positive, not "
                              f"{exponent}")

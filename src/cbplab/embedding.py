@@ -102,7 +102,7 @@ def _assemble(body, p, grid, samples, k, confirm, tol) -> EmbeddingVerdict:
     else:
         conclusion = "inconclusive"
     return EmbeddingVerdict(
-        body_spec=getattr(body, "spec", lambda: repr(body))(),
+        body_spec=body.spec(),
         exponent=float(p), grid=grid, values=values, stderrs=stderrs,
         min_value=float(values[k]), min_stderr=float(stderrs[k]),
         argmin=grid.points[k].copy(), conclusion=conclusion, routes=routes)

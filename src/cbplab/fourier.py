@@ -83,8 +83,10 @@ def default_section_rule(dim) -> SphereRule:
 # ---------------------------------------------------------------------------
 
 def ft_derivative_route(body: StarBody, xi, m: int,
-                        rule: SphereRule = None) -> FtSample:
-    """(||x||^{-p})^(xi) for p = 2n - 2m - 2 from Delta^m A_{K,H_xi}(0).
+                        rule: SphereRule) -> FtSample:
+    """(||x||^{-p})^(xi) for p = 2n - 2m - 2 from Delta^m A_{K,H_xi}(0),
+    on `rule` over the section sphere S^{d-3} (ft_values holds the
+    default).
 
     value = (-1)^m 4 pi (n - m - 1) Delta^m A(0) at step _FD_STEP; m = 0
     uses the central section volume directly.  An m >= 1 sample whose error
@@ -97,8 +99,6 @@ def ft_derivative_route(body: StarBody, xi, m: int,
         raise UnsupportedRouteError(f"m={m} needs 0 <= m < n-1 = {n - 1}")
     xi = np.asarray(xi, dtype=float)
     frame = make_frame(xi)
-    if rule is None:
-        rule = default_section_rule(body.dim)
     p = 2 * n - 2 * m - 2
     flags = ()
     if m == 0:
@@ -154,7 +154,8 @@ class _ProfileSpline:
 
 def section_profile(body: StarBody, xi, rule: SphereRule):
     """Spline of the section profile t -> A_{K,H_xi}(t xi) on [0, rho(xi)]:
-    a _ProfileSpline, CubicSpline's clamped (zero slope at 0) cubic.
+    a _ProfileSpline, CubicSpline's clamped (zero slope at 0) cubic, on
+    `rule` over the section sphere S^{d-3} (ft_values holds the default).
 
     By rotation invariance the profile does not depend on the offset
     direction within span{xi, xi_perp}.  All profile points are sliced in
@@ -170,8 +171,6 @@ def section_profile(body: StarBody, xi, rule: SphereRule):
     _require_invariant(body)
     xi = np.asarray(xi, dtype=float)
     frame = make_frame(xi)
-    if rule is None:
-        rule = default_section_rule(body.dim)
     cutoff = float(body.radial(xi))
     # stop a hair inside the boundary: at t = cutoff the base point sits on
     # the surface and its inside/outside classification is round-off noise
@@ -344,11 +343,11 @@ def _pairing_core(angular, d, xi, ps, rule, j):
 
 
 def pairing_oracle(body: StarBody, xi, ps,
-                   rule: SphereRule = None) -> list[FtSample]:
+                   rule: SphereRule) -> list[FtSample]:
     """(||x||^{-p})^(xi) for each exponent p of the sequence `ps` by
     pairing with an explicit Gaussian test pair, Richardson extrapolated
-    over the widths _SIGMA = 0.2 and _SIGMA / 2; one FtSample per exponent,
-    in order.
+    over the widths _SIGMA = 0.2 and _SIGMA / 2, on `rule` over S^{d-1}
+    (ft_values holds the default); one FtSample per exponent, in order.
 
     All exponents share one pass over the nodes: each gauge call computes
     the radial function once and every exponent takes its own power of it,
@@ -361,8 +360,6 @@ def pairing_oracle(body: StarBody, xi, ps,
     if not all(0.0 < p < body.dim for p in ps):
         raise ValueError("p must lie in (0, dim)")
     xi = np.asarray(xi, dtype=float)
-    if rule is None:
-        rule = SphereRule.qmc(body.dim, 2 ** 19, 5)
 
     def powers(pts):
         r = body.radial(pts)
@@ -473,12 +470,21 @@ def ft_values(body: StarBody, xi, ps, rule: SphereRule = None,
     order.  Every exponent is routed before any work and a repeated one is
     evaluated once; fractional exponents share one section profile and
     pairing ones one pass, so each sample equals a one-exponent call's.
-    The multiplier route reads no rule, so it refuses one."""
+
+    This is the one place where a Fourier route gets a default rule: with
+    `rule` None, the derivative and fractional routes take
+    default_section_rule(d) and the pairing route 2^19 Sobol nodes on
+    S^{d-1} with seed 5.  The multiplier route reads no rule, so it
+    refuses one."""
     if method == "multiplier" and rule is not None:
         raise UnsupportedRouteError(f"the multiplier route reads no rule, "
                                     f"not {rule.kind} on S^{rule.dim - 1}")
     n = body.dim // 2
     routes = {p: _route(p, n, method) for p in ps}
+    if rule is None and method != "multiplier":
+        # no method routes an exponent to pairing but "pairing" itself
+        rule = (SphereRule.qmc(body.dim, 2 ** 19, 5) if method == "pairing"
+                else default_section_rule(body.dim))
     done, profile = {}, None
     for p, (route, order) in routes.items():
         if route == "derivative":
@@ -490,6 +496,6 @@ def ft_values(body: StarBody, xi, ps, rule: SphereRule = None,
             done[p] = fractional_from_profile(*profile, p, order, n, xi)
     pair = [p for p, (route, _) in routes.items() if route == "pairing"]
     if pair:
-        done.update(zip(pair, pairing_oracle(body, xi, pair, rule=rule)))
+        done.update(zip(pair, pairing_oracle(body, xi, pair, rule)))
     return [done[p] for p in ps]
 

@@ -35,20 +35,12 @@ from .quadrature import (_PASS_NODES, _gauss_legendre, _lapack, _ufuncs,
 
 @lru_cache(maxsize=None)
 def _monomials(d, deg):
-    """Exponent tuples of all degree-`deg` monomials in d variables."""
-    if deg == 0:
-        return (tuple([0] * d),)
-    out = []
-
-    def rec(prefix, rem, slots):
-        if slots == 1:
-            out.append(tuple(prefix + [rem]))
-            return
-        for k in range(rem + 1):
-            rec(prefix + [k], rem - k, slots - 1)
-
-    rec([], deg, d)
-    return tuple(out)
+    """Exponent tuples of all degree-`deg` monomials in d variables, in
+    increasing lexicographic order: the gaps between d - 1 bars placed
+    among deg + d - 1 slots ("stars and bars")."""
+    slots = deg + d - 1
+    return tuple(tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, slots)))
+                 for bars in itertools.combinations(range(slots), d - 1))
 
 
 @lru_cache(maxsize=None)
@@ -565,14 +557,8 @@ def _eigh(a):
 
 
 def _partitions(k, max_parts):
-    """Partitions of k into at most max_parts parts (tuples padded with 0)."""
-    def rec(rem, maxv, parts):
-        if rem == 0:
-            yield tuple(parts + [0] * (max_parts - len(parts)))
-            return
-        if len(parts) == max_parts:
-            return
-        for v in range(min(rem, maxv), 0, -1):
-            yield from rec(rem - v, v, parts + [v])
-
-    yield from rec(k, k, [])
+    """Partitions of k into at most max_parts parts, each a non-increasing
+    tuple padded with 0, in decreasing lexicographic order: the degree-k
+    monomials in max_parts variables up to a permutation."""
+    return sorted({tuple(sorted(mono, reverse=True))
+                   for mono in _monomials(max_parts, k)}, reverse=True)

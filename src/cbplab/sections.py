@@ -66,8 +66,6 @@ _ROOT_MARGIN = 2.0 ** -46
 #: most secant steps per pass; a root they leave wider bracketed costs the
 #: halvings more gauge calls, not another result
 _SECANT_ITERS = 20
-#: secant steps in a row that do not halve a bracket before one bisects it
-_STALL = 3
 #: rays of the probe that checks that a slice is empty
 _PROBE_RAYS = 64
 
@@ -160,10 +158,10 @@ def _secant_brackets(gauge, r_hi, hi, f_lo, f_hi):
     `f_lo` and `f_hi` are overwritten.
 
     Each step moves an end to the secant point (Anderson and Bjorck's
-    Illinois variant: the f of an end kept twice in a row is scaled down).
-    After _STALL steps in a row that did not halve a bracket, one step
-    takes the geometric mean of its ends, a bisection of log r for roots
-    near r = 0.  A point is kept half a margin inside the bracket.
+    Illinois variant: the f of an end kept twice in a row is scaled down),
+    kept half a margin inside the bracket.  The search only decides which
+    halvings call the gauge, never a root: a bracket it leaves wide costs
+    those halvings more gauge points.
 
     The margin is _ROOT_MARGIN times r_hi, or times 1 / slope where the
     slope of f at the root may be below 1 / r_hi.  f is convex along the
@@ -174,11 +172,9 @@ def _secant_brackets(gauge, r_hi, hi, f_lo, f_hi):
     shape, eps = hi.shape, _ROOT_MARGIN
     r_hi = r_hi[:, None]
     lo, g_lo = np.zeros(shape), f_lo.copy()  # g_lo: f(lo), never scaled
-    x, tmp, margin = np.empty(shape), np.empty(shape), np.empty(shape)
-    width, prev = np.empty(shape), np.full(shape, np.inf)
+    x, tmp, margin, width = np.empty((4,) + shape)
     slope = np.zeros(shape)
     last = np.zeros(shape, dtype=np.int8)  # end moved last: -1 lo, 1 hi
-    stall = np.zeros(shape, dtype=np.int8)
     todo, flag, to_lo, to_hi = np.empty((4,) + shape, dtype=bool)
     # a step computes x and f for every pair and keeps them for `todo`
     # alone; the others may give inf or NaN, which nothing reads
@@ -194,20 +190,10 @@ def _secant_brackets(gauge, r_hi, hi, f_lo, f_hi):
             np.greater(width, margin, out=todo)
             if step == _SECANT_ITERS or not np.any(todo):
                 break
-            prev *= 0.5
-            np.less_equal(width, prev, out=flag)
-            stall += 1
-            np.copyto(stall, 0, where=flag)
-            np.copyto(prev, width)
             np.subtract(f_hi, f_lo, out=tmp)
             np.multiply(width, f_hi, out=x)
             np.divide(x, tmp, out=x)
             np.subtract(hi, x, out=x)
-            np.greater_equal(stall, _STALL, out=flag)
-            np.multiply(lo, hi, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            np.copyto(x, tmp, where=flag)
-            np.copyto(stall, 0, where=flag)
             # fmax and fmin also move a NaN point inside
             margin *= 0.5
             np.add(lo, margin, out=tmp)

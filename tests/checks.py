@@ -545,3 +545,38 @@ def one_shot_convexity_probe(body, samples, seed):
         done += k
     return ConvexityReport(violations=violations, worst_gap=worst,
                            samples=samples)
+
+
+def recursive_monomials(d, deg):
+    """Exponent tuples of all degree-`deg` monomials in d variables by the
+    recursion harmonics._monomials once used: each leading exponent from 0
+    up, the rest recursively."""
+    if deg == 0:
+        return (tuple([0] * d),)
+    out = []
+
+    def rec(prefix, rem, slots):
+        if slots == 1:
+            out.append(tuple(prefix + [rem]))
+            return
+        for k in range(rem + 1):
+            rec(prefix + [k], rem - k, slots - 1)
+
+    rec([], deg, d)
+    return tuple(out)
+
+
+def recursive_partitions(k, max_parts):
+    """Partitions of k into at most max_parts parts (tuples padded with 0),
+    largest first part first, by the recursion harmonics._partitions once
+    used."""
+    def rec(rem, maxv, parts):
+        if rem == 0:
+            yield tuple(parts + [0] * (max_parts - len(parts)))
+            return
+        if len(parts) == max_parts:
+            return
+        for v in range(min(rem, maxv), 0, -1):
+            yield from rec(rem - v, v, parts + [v])
+
+    yield from rec(k, k, [])

@@ -45,7 +45,8 @@ def test_derivative_route_on_the_ball():
     for d, m in [(4, 0), (6, 0), (6, 1), (8, 1)]:
         p = d - 2 - 2 * m
         xi = unit(d, seed=d + m)
-        sample = ft_derivative_route(EuclideanBall(d), xi, m)
+        sample = ft_derivative_route(EuclideanBall(d), xi, m,
+                                     fourier.default_section_rule(d))
         assert sample.method == "derivative"
         assert sample.value == pytest.approx(
             classical_multiplier(0, p, d), rel=1e-3)
@@ -61,17 +62,18 @@ def test_derivative_route_flags_an_error_bar_above_a_quarter_of_the_value(
         return Estimate(value, stderr, 1, f"laplacian_m{m}")
 
     xi = unit(6, seed=3)
+    rule = fourier.default_section_rule(6)
     scale = 4.0 * math.pi
     for stderr, flags in [(0.5, ()), (np.nextafter(0.5, 1.0), ("noisy",))]:
         monkeypatch.setattr(fourier, "laplacian_at_zero",
                             lambda *args, s=stderr: laplacian(*args, s))
-        sample = ft_derivative_route(EuclideanBall(6), xi, 1)
+        sample = ft_derivative_route(EuclideanBall(6), xi, 1, rule)
         assert sample.flags == flags, stderr
         assert (sample.value, sample.stderr) == (-scale * value,
                                                  scale * stderr)
     monkeypatch.setattr(fourier, "section_volume",
                         lambda *args: Estimate(value, 10.0, 1, "section"))
-    assert ft_derivative_route(EuclideanBall(6), xi, 0).flags == ()
+    assert ft_derivative_route(EuclideanBall(6), xi, 0, rule).flags == ()
 
 
 def test_fractional_route_on_the_ball_dim4():
@@ -117,7 +119,8 @@ def test_section_profile_is_scipys_cubic_spline_bit_for_bit():
 
 def test_pairing_oracle_on_the_ball():
     xi = unit(6, seed=2)
-    [sample] = pairing_oracle(EuclideanBall(6), xi, [2.0])
+    [sample] = pairing_oracle(EuclideanBall(6), xi, [2.0],
+                              SphereRule.qmc(6, 2 ** 19, 5))
     truth = classical_multiplier(0, 2.0, 6)
     assert abs(sample.value - truth) < 3.0 * sample.stderr + 0.01 * truth
 
@@ -168,8 +171,8 @@ def test_pairing_oracle_audits_the_closed_form_multiplier():
 def test_routes_agree_on_a_mollified_body():
     body = mollify(ComplexLqBall(3, 4.0), 0.2)
     xi = unit(6, seed=5)
-    der = ft_derivative_route(body, xi, 1)
-    [par] = pairing_oracle(body, xi, [2.0])
+    der = ft_derivative_route(body, xi, 1, fourier.default_section_rule(6))
+    [par] = pairing_oracle(body, xi, [2.0], SphereRule.qmc(6, 2 ** 19, 5))
     mul = ft_multiplier_route(body, xi, 2.0)
     assert agrees(der, par, factor=4.0)
     assert agrees(der, mul, factor=4.0)
@@ -178,9 +181,10 @@ def test_routes_agree_on_a_mollified_body():
 def test_ft_samples_constant_on_rotation_orbits():
     body = mollify(ComplexLqBall(2, 4.0), 0.2)
     xi = unit(4, seed=6)
-    base = ft_derivative_route(body, xi, 0)
+    rule = fourier.default_section_rule(4)
+    base = ft_derivative_route(body, xi, 0, rule)
     for theta in (0.7, 1.9, 3.1):
-        other = ft_derivative_route(body, rotate(xi, theta), 0)
+        other = ft_derivative_route(body, rotate(xi, theta), 0, rule)
         assert agrees(base, other)
         assert abs(other.value - base.value) <= max(
             3.0 * math.hypot(base.stderr, other.stderr),
@@ -289,11 +293,40 @@ def test_ft_value_passes_its_rule_to_the_pairing_oracle():
     assert (got.value, got.stderr) == (want.value, want.stderr)
 
 
+def _on_default_rule(route, body, xi, p):
+    """The sample of `route` at p on the rule ft_values defaults it to."""
+    section = fourier.default_section_rule(body.dim)
+    if route == "derivative":
+        return ft_derivative_route(body, xi, (body.dim - 2 - round(p)) // 2,
+                                   section)
+    if route == "fractional":
+        return fourier.fractional_from_profile(
+            *fourier.section_profile(body, xi, section), p,
+            body.dim - p - 2, body.dim // 2, xi)
+    [sample] = pairing_oracle(body, xi, [p],
+                              SphereRule.qmc(body.dim, 2 ** 19, 5))
+    return sample
+
+
+@pytest.mark.parametrize("route, body, p, method", [
+    ("derivative", lambda: EuclideanBall(6), 2.0, None),
+    ("fractional", lambda: mollify(ComplexLqBall(2, 4.0), 0.2), 1.5, None),
+    ("pairing", lambda: EuclideanBall(4), 1.0, "pairing")],
+    ids=["derivative", "fractional", "pairing"])
+def test_ft_values_holds_each_routes_default_rule(route, body, p, method):
+    # a None rule gives, bit for bit, the route on its default rule
+    body = body()
+    xi = unit(body.dim, seed=11)
+    [got] = ft_values(body, xi, [p], method=method)
+    assert got.method == route
+    assert _key(got) == _key(_on_default_rule(route, body, xi, p))
+
+
 def test_invariance_is_required_by_symmetry_routes():
     body = WiggledBall(6, 0.05, 4.0)
     xi = unit(6, seed=8)
     with pytest.raises(UnsupportedRouteError):
-        ft_derivative_route(body, xi, 1)
+        ft_derivative_route(body, xi, 1, fourier.default_section_rule(6))
     with pytest.raises(UnsupportedRouteError):
         ft_multiplier_route(body, xi, 2.0)
     # the pairing oracle needs no invariance

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -36,6 +37,17 @@ def moduli_nodes(n, res):
 def dirichlet_points(n, count=256, seed=0):
     g = np.random.Generator(np.random.Philox(key=seed))
     return g.dirichlet(np.ones(n), size=count)
+
+
+def test_monomials_and_partitions_are_the_recursive_enumerations():
+    # the same tuples in the same order as the recursions they replace
+    for d in range(1, 7):
+        for deg in range(21):
+            assert _monomials(d, deg) == checks.recursive_monomials(d, deg)
+    for n in range(1, 7):
+        for k in range(17):
+            assert list(harmonics._partitions(k, n)) == list(
+                checks.recursive_partitions(k, n))
 
 
 def test_c_algebra():
@@ -172,6 +184,31 @@ def test_atoms_and_bumps_refuse_points_of_another_dimension():
     with pytest.raises(ValueError, match="points of dimension 8"):
         RadialPerturbation(EuclideanBall(8), 6, 0.01, squares,
                            bump_id="squares")
+
+
+class _RecordedBump(HarmonicBump):
+    """A HarmonicBump that records the points of every call."""
+
+    def __init__(self, c_poly, label):
+        super().__init__(c_poly, label=label)
+        self.calls = []
+
+    def __call__(self, x):
+        self.calls.append(np.array(x))
+        return super().__call__(x)
+
+
+@pytest.mark.parametrize("base", [EuclideanBall(6), ComplexLqBall(3, 4.0)])
+def test_a_bump_of_another_block_count_is_refused_before_any_call(base):
+    bump = _RecordedBump({(1, 0): 1.0, (0, 1): 1.0}, label="x2")
+    with pytest.raises(ValueError, match=(
+            f"bump 'x2' has 2 blocks, so it reads points of dimension 4, "
+            f"not {re.escape(base.spec())}'s points of dimension 6")):
+        RadialPerturbation(base, 2.0, 0.05, bump, bump_id="x")
+    assert bump.calls == []
+    # a bump type check still comes first
+    with pytest.raises(TypeError, match="bump must be a HarmonicBump"):
+        RadialPerturbation(base, 2.0, 0.05, lambda x: 0.0, bump_id="x")
 
 
 @pytest.mark.parametrize("c_poly", [{}, {(2, 0): 1.0, (0, 2, 0): 1.0}])

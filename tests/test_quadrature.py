@@ -13,7 +13,7 @@ from scipy import special, stats
 import cbplab
 from cbplab import quadrature
 from cbplab.bodies import ComplexLqBall, mollify
-from cbplab.fourier import section_profile
+from cbplab.fourier import default_section_rule, section_profile
 from cbplab.frames import make_frame
 from cbplab.quadrature import (Estimate, PoisonedEstimateError, SphereRule,
                                fractional_radial, integrate_sphere,
@@ -218,7 +218,8 @@ def test_fractional_radial_is_the_scipy_quad_code_bit_for_bit(q):
         return 1.0 - float(t) ** (q + 0.1) if t <= 1.0 else 0.0
 
     body = mollify(ComplexLqBall(2, 4.0), 0.2)
-    spline, cutoff, _ = section_profile(body, np.array([1.0, 0, 0, 0]), None)
+    spline, cutoff, _ = section_profile(body, np.array([1.0, 0, 0, 0]),
+                                        default_section_rule(4))
 
     def profile(t):
         return spline(t) if t < cutoff else 0.0

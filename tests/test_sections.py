@@ -441,8 +441,9 @@ def test_a_pass_checks_its_brackets_first_and_evaluates_few_points(
         # the first call is the r_hi bracket check over the whole pass
         ends = r_hi[:, None, None] * theta[None, :, :] + bases[:, None, :]
         assert np.array_equal(calls[0], ends.reshape(-1, 8))
-        # 49 points a pair with plain halvings
-        assert sum(len(x) for x in calls) <= 16 * pairs
+        # 49 points a pair with plain halvings; 10.69 and 10.70 with the
+        # secant search
+        assert sum(len(x) for x in calls) <= 11 * pairs
 
 
 def test_a_slice_sweep_reads_its_base_point_norms_once(monkeypatch):
