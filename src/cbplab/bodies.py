@@ -261,8 +261,8 @@ class MollifiedBody(StarBody):
     """Spherical convolution of the radial function with a smooth zonal kernel.
 
     The base must depend only on the block moduli.  Its radial function is
-    expanded in moduli-symmetric spherical harmonics up to `max_degree`
-    (harmonics.symmetric_coefficients), and
+    expanded in moduli-symmetric spherical harmonics up to degree
+    `SERIES_DEGREE` (harmonics.symmetric_coefficients), and
     each degree-j component is damped by the heat-kernel factor
     exp(-j (j + d - 2) width^2 / 2).  The kernel is zonal (a function of
     the geodesic angle alone), so every rotation symmetry of the body is
@@ -271,16 +271,12 @@ class MollifiedBody(StarBody):
     to evaluate.
     """
 
-    #: series degree of `mollify` and of specs without a max_degree field
-    DEFAULT_DEGREE = 16
+    #: degree of every mollified series
+    SERIES_DEGREE = 16
 
-    def __init__(self, base: StarBody, width: float, max_degree):
+    def __init__(self, base: StarBody, width: float):
         if not 0.0 < width < 1.0:
             raise ValueError("width must lie in (0, 1)")
-        if not (math.isfinite(max_degree) and max_degree == int(max_degree)
-                and max_degree >= 0 and max_degree % 2 == 0):
-            raise ValueError(f"max_degree must be an even integer >= 0, "
-                             f"not {max_degree}")
         if not base.moduli_symmetric:
             raise ValueError(
                 f"mollify needs a base whose radial function depends only on "
@@ -291,7 +287,6 @@ class MollifiedBody(StarBody):
         self.rotation_invariant = True
         self.smooth = True
         self.moduli_symmetric = True
-        self.max_degree = int(max_degree)
         self._build_series()
 
     def _build_series(self):
@@ -299,7 +294,7 @@ class MollifiedBody(StarBody):
                                 symmetric_coefficients, symmetric_power_form)
 
         atoms, coefs = symmetric_coefficients(
-            self.base.radial, self.n_blocks, self.max_degree)
+            self.base.radial, self.n_blocks, self.SERIES_DEGREE)
         d = self.dim
         series = {}
         for atom, coef in zip(atoms, coefs):
@@ -317,7 +312,7 @@ class MollifiedBody(StarBody):
         lo, hi = float(np.min(vals)), float(np.max(vals))
         if lo <= 0.0:
             raise ValueError("mollified radial function lost positivity; "
-                             "reduce the width or raise max_degree")
+                             "reduce the width")
         pad = 0.02 * (hi - lo) + 1e-9
         self.r_min = max(lo - pad, 0.5 * lo)
         self.r_max = hi + pad
@@ -342,18 +337,14 @@ class MollifiedBody(StarBody):
         return _shaped(values, x)
 
     def spec(self):
-        spec = (f"mollify:base=({self.base.spec()}),"
+        return (f"mollify:base=({self.base.spec()}),"
                 f"width={_spec_number(self.width)}")
-        if self.max_degree != self.DEFAULT_DEGREE:
-            spec += f",max_degree={self.max_degree}"
-        return spec
 
 
-def mollify(body: StarBody, width: float,
-            max_degree=MollifiedBody.DEFAULT_DEGREE) -> StarBody:
+def mollify(body: StarBody, width: float) -> StarBody:
     """Smooth approximation of a moduli-symmetric body in the radial
     metric; raises ValueError for any other body."""
-    return MollifiedBody(body, width, max_degree=max_degree)
+    return MollifiedBody(body, width)
 
 
 @dataclass(frozen=True)

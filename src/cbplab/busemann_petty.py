@@ -124,6 +124,7 @@ def _volumes(K, L, rule):
 
 _ATOM_DEGREE = 6  # degree bound of the atoms bp_construct's bump squares
 _MAX_HALVINGS = 8  # amplitude halvings bp_construct tries
+_WIDTH = 0.1  # mollifier width of bp_construct's L
 
 
 def _default_section_rule(K: StarBody, L: StarBody) -> SphereRule:
@@ -290,15 +291,15 @@ def _transform_bump(f_poly, n):
     return g
 
 
-def bp_construct(n: int, q_body: float, width: float = 0.1,
-                 grid: DirectionGrid = None, seed: int = 0):
+def bp_construct(n: int, q_body: float, grid: DirectionGrid = None,
+                 seed: int = 0):
     """Build a pair (K, L) with dominated sections but Vol(K) > Vol(L).
 
-    Pipeline: L is the mollified complex l_q ball; a p=2 sign scan on 2^11
-    Sobol nodes locates the negativity region of (||x||_L^{-2})^; a
-    nonnegative squared-harmonic bump f concentrated there, whose weighted
-    integral against the scanned transform must be negative, is
-    transformed into g; K carries the radial power
+    Pipeline: L is the complex l_q ball mollified at width _WIDTH; a p=2
+    sign scan on 2^11 Sobol nodes locates the negativity region of
+    (||x||_L^{-2})^; a nonnegative squared-harmonic bump f concentrated
+    there, whose weighted integral against the scanned transform must be
+    negative, is transformed into g; K carries the radial power
     rho_K^{2n-2} = rho_L^{2n-2} - eps g.  The amplitude starts at the
     positivity-safe bound and halves (at most _MAX_HALVINGS times) until
     bp_verify, on its default rules, returns violation.
@@ -314,7 +315,7 @@ def bp_construct(n: int, q_body: float, width: float = 0.1,
         raise ValueError(f"seed must be >= 0: {seed}")
     d = 2 * n
     _route(2.0, n, None)  # the scan's route, before any build
-    L = mollify(ComplexLqBall(n, q_body), width)
+    L = mollify(ComplexLqBall(n, q_body), _WIDTH)
     if grid is None:
         res = {2: 224, 3: 16}.get(n, 8)
         grid = make_grid(d, res, reduction="orbit_reduced", sort_moduli=True)

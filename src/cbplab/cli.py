@@ -36,7 +36,7 @@ from .busemann_petty import (ConstructionFailedError,
                              ConstructionImpossibleError, bp_construct,
                              bp_verify, pair_from_record, pair_record,
                              read_pair_record)
-from .embedding import _TOL, _require_workers, scan
+from .embedding import _require_workers, scan
 from .fourier import _METHODS, classical_multiplier, ft_values
 from .frames import make_frame
 from .sections import section_volume, volume
@@ -258,7 +258,7 @@ def cmd_scan(args) -> int:
         grid = parse_grid(grid_spec, args.seed)
         verdict = scan(body, args.p, grid,
                        rule=_rule(args, args.rule, body.dim - 2),
-                       tol=args.tol, workers=args.workers)
+                       workers=args.workers)
         if args.csv:
             _write_table(args.csv, grid, "value", verdict.values,
                          verdict.stderrs)
@@ -302,7 +302,7 @@ def cmd_bp_verify(args) -> int:
 def cmd_bp_construct(args) -> int:
     def compute():
         try:
-            K, L, report, trace = bp_construct(args.n, args.q, args.width,
+            K, L, report, trace = bp_construct(args.n, args.q,
                                                seed=args.seed)
         except (ConstructionImpossibleError, ConstructionFailedError) as exc:
             kind = ("impossible" if isinstance(exc, ConstructionImpossibleError)
@@ -366,9 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--body", required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--grid")
-    p.add_argument("--tol", type=float, default=_TOL,
-                   help="floor of the sign threshold, as a fraction of "
-                        "max(1, largest |value|)")
     p.add_argument("--workers", type=int, default=1,
                    help="threads that evaluate the directions; the results "
                         "do not depend on it")
@@ -384,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bp-construct", parents=[common])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=float, required=True)
-    p.add_argument("--width", type=float, default=0.1)
     p.set_defaults(func=cmd_bp_construct)
     return parser
 

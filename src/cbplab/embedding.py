@@ -52,7 +52,7 @@ class EmbeddingVerdict:
         }
 
 
-_TOL = 1e-3  # default sign-threshold floor, relative to the value scale
+_TOL = 1e-3  # sign-threshold floor, relative to the value scale
 
 
 def confirm_sample(body: StarBody, xi, ps) -> list[FtSample]:
@@ -69,19 +69,19 @@ def confirm_sample(body: StarBody, xi, ps) -> list[FtSample]:
     return pairing_oracle(body, xi, ps, SphereRule.qmc(body.dim, nodes, 5))
 
 
-def _assemble(body, p, grid, samples, k, confirm, tol) -> EmbeddingVerdict:
+def _assemble(body, p, grid, samples, k, confirm) -> EmbeddingVerdict:
     """Reduce per-direction samples, the index k of their minimum and its
     confirmation to a verdict.
 
     A negativity witness needs both routes below -3 stderr (plus an
-    absolute floor tol times the value scale, guarding deterministic rules
+    absolute floor _TOL times the value scale, guarding deterministic rules
     whose stderr is zero); nonnegative_up_to_tol needs every grid value
     above the mirrored threshold; route disagreement beyond 5 combined
     stderr is inconclusive.
     """
     values = np.array([s.value for s in samples])
     stderrs = np.array([s.stderr for s in samples])
-    floor = tol * max(1.0, float(np.max(np.abs(values))))
+    floor = _TOL * max(1.0, float(np.max(np.abs(values))))
     z_gap = abs(values[k] - confirm.value) / max(
         math.hypot(stderrs[k], confirm.stderr), floor, 1e-300)
     routes = {
@@ -108,7 +108,7 @@ def _assemble(body, p, grid, samples, k, confirm, tol) -> EmbeddingVerdict:
         argmin=grid.points[k].copy(), conclusion=conclusion, routes=routes)
 
 
-def _verdicts(body, grid, samples, tol) -> dict:
+def _verdicts(body, grid, samples) -> dict:
     """Map p -> verdict for per-direction samples {p: [FtSample, ...]}.
 
     The exponents are grouped by the grid direction of their minimum, and
@@ -123,11 +123,11 @@ def _verdicts(body, grid, samples, tol) -> dict:
     confirms = {}
     for k, ps in groups.items():
         confirms.update(zip(ps, confirm_sample(body, grid.points[k], ps)))
-    return {p: _assemble(body, p, grid, row, argmin[p], confirms[p], tol)
+    return {p: _assemble(body, p, grid, row, argmin[p], confirms[p])
             for p, row in samples.items()}
 
 
-def _sweep(body, ps, grid, rule, tol, workers) -> dict:
+def _sweep(body, ps, grid, rule, workers) -> dict:
     """Map p -> EmbeddingVerdict for each distinct exponent of `ps`, in
     order: the one per-direction loop, on `rule` or the routes' default.
     The grid, and in ft_values every exponent, is checked before any
@@ -148,8 +148,7 @@ def _sweep(body, ps, grid, rule, tol, workers) -> dict:
             rows = list(pool.map(one, range(len(pts))))
     else:
         rows = [one(i) for i in range(len(pts))]
-    return _verdicts(body, grid, {p: [row[p] for row in rows] for p in ps},
-                     tol)
+    return _verdicts(body, grid, {p: [row[p] for row in rows] for p in ps})
 
 
 def _require_workers(workers):
@@ -159,19 +158,15 @@ def _require_workers(workers):
 
 
 def scan(body: StarBody, p: float, grid: DirectionGrid,
-         rule: SphereRule = None, tol: float = _TOL,
-         workers: int = 1) -> EmbeddingVerdict:
+         rule: SphereRule = None, workers: int = 1) -> EmbeddingVerdict:
     """Sign scan of (||x||^{-p})^ over the grid: the one-exponent sweep,
     on `rule` or the natural route's default; the directions' results do
-    not depend on `workers`.  `tol` must be finite and >= 0, and
-    `workers` an integer >= 1."""
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be finite and >= 0, not {tol!r}")
+    not depend on `workers`, which must be an integer >= 1."""
     _require_workers(workers)
-    return _sweep(body, [p], grid, rule, tol, workers)[float(p)]
+    return _sweep(body, [p], grid, rule, workers)[float(p)]
 
 
 def embedding_interval(body: StarBody, p_list, grid: DirectionGrid) -> dict:
     """Map p -> EmbeddingVerdict, each as scan gives it on the default
-    rules and tolerance, keyed in order of first appearance."""
-    return _sweep(body, p_list, grid, None, _TOL, 1)
+    rules, keyed in order of first appearance."""
+    return _sweep(body, p_list, grid, None, 1)

@@ -449,11 +449,8 @@ class HarmonicAtom:
     """A unit-L^2(S) harmonic polynomial in the block moduli squared
     c_j = |z_j|^2, hence invariant under independent block rotations."""
 
-    moduli_symmetric = True
-
     def __init__(self, n, degree, c_poly, label):
         self.n = int(n)
-        self.dim = 2 * self.n
         self.degree = int(degree)
         self.c_poly = c_poly
         self.label = label

@@ -41,7 +41,7 @@ def _load_scipy(package, names, calls):
     in sys.modules, so no scipy package runs; an extension that imports a
     sibling finds it loaded before it.  Returns the last one, which must
     have every attribute in `calls`.  A missing module or attribute raises
-    ImportError naming it."""
+    ImportError naming it and the installed scipy version."""
     for name in names:
         full = f"scipy.{package}.{name}"
         if full not in sys.modules:
@@ -50,14 +50,15 @@ def _load_scipy(package, names, calls):
                 (importlib.machinery.ExtensionFileLoader,
                  importlib.machinery.EXTENSION_SUFFIXES)).find_spec(full)
             if spec is None:
-                raise ImportError(f"scipy's compiled {full} is missing")
+                raise ImportError(f"scipy {scipy.__version__}'s compiled "
+                                  f"{full} is missing")
             sys.modules[full] = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(sys.modules[full])
     module = sys.modules[full]
     missing = [call for call in calls if not hasattr(module, call)]
     if missing:
-        raise ImportError(f"scipy's compiled {full} has no "
-                          f"{', '.join(missing)}")
+        raise ImportError(f"scipy {scipy.__version__}'s compiled {full} "
+                          f"has no {', '.join(missing)}")
     return module
 
 

@@ -3,8 +3,7 @@
 A spec is `head:key=value,key=value,...`; values may themselves be a
 parenthesized spec, e.g. `mollify:base=(clq:n=4,q=4),width=0.2`.  The
 `spec()` strings of balls, scaled and mollified bodies round-trip through
-`parse_body` exactly: every number reads back as the same float, and a
-mollified body's series degree is written whenever it is not the default.
+`parse_body` exactly: every number reads back as the same float.
 A perturbed body's `perturb:` spec is only a label: its bump is a
 polynomial the spec does not carry, so such bodies are read from
 `bp-construct` pair files (`bp-verify --pair`) instead.
@@ -12,8 +11,8 @@ polynomial the spec does not carry, so such bodies are read from
 
 from __future__ import annotations
 
-from .bodies import (ComplexLqBall, EuclideanBall, MollifiedBody, ScaledBody,
-                     StarBody, mollify)
+from .bodies import (ComplexLqBall, EuclideanBall, ScaledBody, StarBody,
+                     mollify)
 from .frames import DirectionGrid, make_grid
 from .quadrature import SphereRule
 
@@ -96,9 +95,9 @@ def parse_body(text: str) -> StarBody:
         _done(fields, text)
         return ComplexLqBall(n, q)
     if head == "scale":
-        base = parse_body(fields.pop("base", "")) if "base" in fields else None
-        if base is None:
+        if "base" not in fields:
             raise SpecError(f"missing field 'base' in {text!r}")
+        base = parse_body(fields.pop("base"))
         lam = _number(fields, "lam", text)
         _done(fields, text)
         return ScaledBody(base, lam)
@@ -107,10 +106,8 @@ def parse_body(text: str) -> StarBody:
             raise SpecError(f"missing field 'base' in {text!r}")
         base = parse_body(fields.pop("base"))
         width = _number(fields, "width", text)
-        max_degree = _number(fields, "max_degree", text, int,
-                             default=MollifiedBody.DEFAULT_DEGREE)
         _done(fields, text)
-        return mollify(base, width, max_degree=max_degree)
+        return mollify(base, width)
     raise SpecError(f"unknown body spec head {head!r} in {text!r}")
 
 
@@ -123,14 +120,16 @@ def parse_grid(text: str, default_seed: int) -> DirectionGrid:
     dim = _number(fields, "dim", text, int)
     res = _number(fields, "res", text, int)
     seed = _number(fields, "seed", text, int, default=default_seed)
-    sort = bool(_number(fields, "sort", text, int, default=1))
+    sort = _number(fields, "sort", text, int, default=1)
+    if sort not in (0, 1):
+        raise SpecError(f"bad value for 'sort' in {text!r} (0 or 1)")
     reduce_name = fields.pop("reduce", "none")
     reduction = {"orbit": "orbit_reduced", "none": "none"}.get(reduce_name)
     if reduction is None:
         raise SpecError(f"unknown reduction {reduce_name!r} in {text!r}")
     _done(fields, text)
     return make_grid(dim, res, reduction=reduction, seed=seed,
-                     sort_moduli=sort and reduction == "orbit_reduced")
+                     sort_moduli=sort == 1 and reduction == "orbit_reduced")
 
 
 def parse_rule(text: str, dim: int, default_seed: int) -> SphereRule:

@@ -110,17 +110,6 @@ def test_mollify_rejects_a_body_not_moduli_symmetric():
         mollify(body, 0.2)
 
 
-@pytest.mark.parametrize("max_degree", [-2, 3, 2.5, math.nan, math.inf])
-def test_mollify_refuses_a_max_degree_not_even_and_nonnegative(monkeypatch,
-                                                              max_degree):
-    def no_build(self):
-        raise AssertionError("the series was built")
-
-    monkeypatch.setattr(MollifiedBody, "_build_series", no_build)
-    with pytest.raises(ValueError, match="max_degree must be an even integer"):
-        MollifiedBody(ComplexLqBall(2, 4.0), 0.2, max_degree=max_degree)
-
-
 def test_mollified_body_is_convex():
     body = mollify(ComplexLqBall(2, 4.0), 0.2)
     report = convexity_probe(body, samples=2 ** 14, seed=10)
@@ -317,7 +306,7 @@ def test_spec_round_trip():
 def _params(body):
     """Every number a body is built from, through its bases."""
     own = tuple(getattr(body, k, None)
-                for k in ("dim", "q", "lam", "width", "max_degree"))
+                for k in ("dim", "q", "lam", "width"))
     base = getattr(body, "base", None)
     return (type(body).__name__,) + own + (
         _params(base) if base is not None else ())
@@ -338,9 +327,8 @@ def _bodies(draw, depth=2, dim=None):
     # the series build is cheap in dimension 4 only
     base = draw(_bodies(depth - 1, 4))
     try:
-        return mollify(base, draw(st.floats(0.05, 0.5)),
-                       max_degree=draw(st.sampled_from([4, 8, 12, 16])))
-    except ValueError:  # a series too short to stay positive
+        return mollify(base, draw(st.floats(0.05, 0.5)))
+    except ValueError:  # a series that does not stay positive
         assume(False)
 
 
@@ -359,8 +347,8 @@ def test_default_specs_keep_their_short_form():
             == "mollify:base=(clq:n=2,q=4),width=0.1")
     assert (ScaledBody(EuclideanBall(6), 0.9).spec()
             == "scale:base=(ball:dim=6),lam=0.9")
-    assert (mollify(EuclideanBall(4), 0.1234567891, max_degree=8).spec()
-            == "mollify:base=(ball:dim=4),width=0.1234567891,max_degree=8")
+    assert (mollify(EuclideanBall(4), 0.1234567891).spec()
+            == "mollify:base=(ball:dim=4),width=0.1234567891")
 
 
 def test_radial_bounds_bracket_the_radial_function():

@@ -93,20 +93,6 @@ def test_an_inconclusive_scan_exits_two_with_its_report(tmp_path,
     assert result["routes"]["agreement_z"] > 5.0
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
-def test_a_scan_refuses_a_tolerance_not_finite_and_nonnegative(
-        tmp_path, capsys, monkeypatch, tol):
-    # inf passed every value as nonnegative; nan and -1 gave inconclusive
-    def no_sweep(*args):
-        raise AssertionError("the scan ran")
-
-    monkeypatch.setattr(embedding, "_sweep", no_sweep)
-    code, rec = run(tmp_path, "scan", "--body", "ball:dim=4", "--p", "1",
-                    "--tol", tol)
-    assert code == 1 and rec is None
-    assert "tol must be finite and >= 0" in capsys.readouterr().err
-
-
 def test_scan_writes_csv_and_exits_zero(tmp_path):
     csv_path = tmp_path / "scan.csv"
     code, rec = run(tmp_path, "scan", "--body",
@@ -238,6 +224,33 @@ def test_the_default_rule_keeps_its_config_hash(tmp_path, monkeypatch,
     assert rec["config_hash"] == want
 
 
+#: config hashes taken when scan's tolerance floor and bp-construct's width
+#: became constants, with these library versions
+_CONSTANT_HASHES = {
+    "scan": (["--body", "ball:dim=4", "--p", "2",
+              "--grid", "grid:dim=4,res=8,reduce=orbit,seed=3"], 0,
+             "ada94ed2e4e1f1258a8b48d0d947f89e"
+             "8ced08a2d62435b5006a381d9fce7e61"),
+    "bp-construct": (["--n", "4", "--q", "4"], 1,
+                     "7192acd4ffb804719811028dfe678141"
+                     "d6bef59eceb14ed3451ee53964b254fa")}
+
+
+@pytest.mark.parametrize("command", sorted(_CONSTANT_HASHES))
+def test_commands_that_lost_a_setting_keep_their_config_hash(
+        tmp_path, monkeypatch, command):
+    def impossible(*args, **kwargs):
+        raise cli.ConstructionImpossibleError("no negativity region")
+
+    monkeypatch.setattr(cli, "bp_construct", impossible)
+    monkeypatch.setattr(cli, "LIBRARY_VERSIONS",
+                        {"numpy": "2.4.6", "scipy": "1.17.1"})
+    argv, want_code, want = _CONSTANT_HASHES[command]
+    code, rec = run(tmp_path, command, *argv)
+    assert code == want_code
+    assert rec["config_hash"] == want
+
+
 _REQUIRED = {"volume": ["--body", "ball:dim=4"],
              "section": ["--body", "ball:dim=4"],
              "ft": ["--body", "ball:dim=4", "--p", "2"],
@@ -250,10 +263,10 @@ _REQUIRED = {"volume": ["--body", "ball:dim=4"],
     ("volume", "--tol"), ("volume", "--csv"),
     ("section", "--nodes"), ("section", "--tol"), ("section", "--csv"),
     ("ft", "--nodes"), ("ft", "--tol"), ("ft", "--csv"),
-    ("scan", "--nodes"),
+    ("scan", "--nodes"), ("scan", "--tol"),
     ("bp-verify", "--nodes"), ("bp-verify", "--tol"),
     ("bp-construct", "--nodes"), ("bp-construct", "--tol"),
-    ("bp-construct", "--csv"),
+    ("bp-construct", "--csv"), ("bp-construct", "--width"),
 ], ids=lambda value: value.lstrip("-"))
 def test_only_scan_takes_workers(capsys, command, flag):
     # a command refuses every flag it does not read: --workers off scan,
@@ -285,8 +298,8 @@ def test_inputs_hold_only_the_options_a_command_reads(tmp_path, monkeypatch):
         code, rec = run(tmp_path, command, *argv, name=f"{command}.json")
         assert code == (1 if command == "bp-construct" else 0), command
         assert rec["exit_code"] == code
-        assert ("tol" in rec["inputs"]) == (command == "scan"), command
-        assert "nodes" not in rec["inputs"], command
+        for constant in ("nodes", "tol", "width"):
+            assert constant not in rec["inputs"], (command, constant)
     # the rule spec sets the node count
     assert json.loads((tmp_path / "volume.json").read_text())[
         "results"][0]["node_count"] == 512
@@ -477,7 +490,7 @@ def test_a_constructed_pair_report_is_verified_from_its_file(tmp_path,
     K, L = pair_from_record(_pair())
     report = bp_verify(K, L, parse_grid("grid:dim=4,res=8,reduce=orbit", 0))
 
-    def construct(n, q, width, seed):
+    def construct(n, q, seed):
         return K, L, report, {"eps": [K.eps], "halvings": 0, "bump": "f"}
 
     monkeypatch.setattr(cli, "bp_construct", construct)
@@ -674,18 +687,19 @@ def test_bp_construct_at_n_two_is_impossible_and_replays(tmp_path):
     (["ft", "--body", "ball:dim=4", "--p", "2", "--method", "multiplier",
       "--rule", "qmc:nodes=64"], "multiplier route reads no rule"),
     (["scan", "--body", "ball:dim=4", "--p", "2", "--workers", "0"],
-     "workers must be an integer >= 1")])
+     "workers must be an integer >= 1"),
+    # the series degree is a constant, not a field
+    (["volume", "--body",
+      "mollify:base=(clq:n=2,q=4),width=0.2,max_degree=8"],
+     "unknown field 'max_degree'"),
+    # sort is a flag: any other integer would be a second key for one grid
+    (["scan", "--body", "ball:dim=4", "--p", "2", "--grid",
+      "grid:dim=4,res=8,reduce=orbit,sort=5"], "'sort'"),
+    (["scan", "--body", "ball:dim=4", "--p", "2", "--grid",
+      "grid:dim=4,res=8,reduce=orbit,sort=-1"], "'sort'")])
 def test_a_bad_spec_exits_one_naming_its_token(capsys, argv, token):
     assert main([*argv, "--no-cache"]) == 1
     assert token in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("max_degree", [-2, 3])
-def test_a_mollifier_degree_not_even_and_nonnegative_exits_one(capsys,
-                                                               max_degree):
-    spec = f"mollify:base=(clq:n=2,q=4),width=0.2,max_degree={max_degree}"
-    assert main(["volume", "--body", spec, "--no-cache"]) == 1
-    assert "max_degree must be an even integer" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("spec, field", [
@@ -777,15 +791,3 @@ def test_default_rule_specs_name_no_field(tmp_path):
         assert code == 0 and rec["inputs"]["rule"] == "qmc", command
         assert rec["results"][0]["node_count"] == 2 ** 16
 
-
-def test_volume_keys_tell_series_degrees_apart(tmp_path):
-    # a mollified body's spec names its series degree, so two bodies that
-    # differ only there get their own cache entries
-    hashes = []
-    for body in ["mollify:base=(clq:n=2,q=4),width=0.2",
-                 "mollify:base=(clq:n=2,q=4),width=0.2,max_degree=8"]:
-        code, rec = run(tmp_path, "volume", "--body", body,
-                        "--rule", "gauss:level=6", cache=tmp_path / "c")
-        assert code == 0 and rec["cached"] is False
-        hashes.append(rec["config_hash"])
-    assert hashes[0] != hashes[1]

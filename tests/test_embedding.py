@@ -184,7 +184,7 @@ def test_routes_that_disagree_are_inconclusive():
     values = 1.0 + np.arange(len(grid.points))
     [confirm] = _samples(grid, [10.0], 0.1, "pairing")
     verdict = _assemble(EuclideanBall(4), 2.0, grid,
-                        _samples(grid, values, 0.1), 0, confirm, 1e-3)
+                        _samples(grid, values, 0.1), 0, confirm)
     assert verdict.routes["agreement_z"] > 5.0
     assert verdict.conclusion == "inconclusive"
 
@@ -196,7 +196,7 @@ def test_a_witness_the_confirmation_does_not_share_is_inconclusive():
     # the routes agree (z <= 5), but the confirmation is not below -3 stderr
     [confirm] = _samples(grid, [-0.25], 0.2, "pairing")
     verdict = _assemble(EuclideanBall(4), 2.0, grid,
-                        _samples(grid, values, 0.1), 0, confirm, 1e-3)
+                        _samples(grid, values, 0.1), 0, confirm)
     assert verdict.routes["agreement_z"] <= 5.0
     assert confirm.value >= -3.0 * confirm.stderr
     assert verdict.min_value < -(3.0 * verdict.min_stderr)
