@@ -305,9 +305,9 @@ def bp_construct(n: int, q_body: float, grid: DirectionGrid = None,
     bp_verify, on its default rules, returns violation.
 
     Returns (K, L, BpReport, trace) where trace records the construction
-    inputs needed to replay the pair.  `seed` must be >= 0: it keys the
-    Sobol nodes of the sup probe and the convexity probes, and is refused
-    before any build.
+    inputs needed to replay the pair.  `seed` must be >= 0, and is refused
+    before any build: seed + 3 keys the Sobol nodes of the sup probe, and
+    seed + 9 the Philox normals of the convexity probes.
     """
     if n < 2:
         raise ValueError("n must be >= 2")

@@ -5,15 +5,15 @@ Every command writes a report `{config_hash, inputs, results[],
 baselines_checked[], exit_code, cached}`.  `inputs` holds the command's
 name, NUMERICS_VERSION, the numpy and scipy versions, and every option the
 command takes but those that cannot move a number (--out, --csv,
---cache-dir, --no-cache, --workers), with body specs canonical and rule
-and grid defaults filled in; bp-verify --pair hashes the file's name and
-its pair record.  The sha256 of their canonical serialization is the
-config hash, which keys the result cache.  Each command takes only the
-options it reads, each setting has one spelling (a rule's node count is
-`--rule qmc:nodes=N`, its sphere the command's), and argparse refuses any
-other option with exit code 2.  Exit codes: 0 on success, 1 on errors,
-and 2 when a verdict is undecided: an inconclusive scan or `ft` sample, or
-a bp-verify tie.
+--cache-dir, --no-cache), with body specs canonical and rule and grid
+defaults filled in; bp-verify --pair hashes the file's name and its pair
+record.  The sha256 of their canonical serialization is the config hash,
+which keys the result cache.  Each command takes only the options it
+reads, each setting has one spelling (a rule's node count is `--rule
+qmc:nodes=N`, its sphere the command's), and argparse refuses any other
+option with exit code 2.  Exit codes: 0 on success, 1 on errors, and 2
+when a verdict is undecided: an inconclusive scan or `ft` sample, or a
+bp-verify tie.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .busemann_petty import (ConstructionFailedError,
                              ConstructionImpossibleError, bp_construct,
                              bp_verify, pair_from_record, pair_record,
                              read_pair_record)
-from .embedding import _require_workers, scan
+from .embedding import scan
 from .fourier import _METHODS, classical_multiplier, ft_values
 from .frames import make_frame
 from .sections import section_volume, volume
@@ -44,7 +44,7 @@ from .specs import SpecError, parse_body, parse_grid, parse_rule
 
 CACHE_ENV = "CBPLAB_CACHE_DIR"
 #: the parsed options that are not inputs: they cannot move a number
-UNHASHED = ("func", "out", "csv", "cache_dir", "no_cache", "workers")
+UNHASHED = ("func", "out", "csv", "cache_dir", "no_cache")
 #: hashed with every command's inputs, so cached results of older numerics
 #: are not served: a change that moves any computed number bumps it
 NUMERICS_VERSION = 4
@@ -249,16 +249,13 @@ def cmd_ft(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    # --workers is not hashed, so it is checked before a cache hit
-    _require_workers(args.workers)
     body = parse_body(args.body)
     grid_spec = _grid_spec(args, body.dim)
 
     def compute():
         grid = parse_grid(grid_spec, args.seed)
         verdict = scan(body, args.p, grid,
-                       rule=_rule(args, args.rule, body.dim - 2),
-                       workers=args.workers)
+                       rule=_rule(args, args.rule, body.dim - 2))
         if args.csv:
             _write_table(args.csv, grid, "value", verdict.values,
                          verdict.stderrs)
@@ -366,9 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--body", required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--grid")
-    p.add_argument("--workers", type=int, default=1,
-                   help="threads that evaluate the directions; the results "
-                        "do not depend on it")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("bp-verify", parents=[common, rules(None), table])

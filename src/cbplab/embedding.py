@@ -31,7 +31,6 @@ from .quadrature import SphereRule
 class EmbeddingVerdict:
     body_spec: str
     exponent: float
-    grid: DirectionGrid
     values: np.ndarray
     stderrs: np.ndarray
     min_value: float
@@ -103,7 +102,7 @@ def _assemble(body, p, grid, samples, k, confirm) -> EmbeddingVerdict:
         conclusion = "inconclusive"
     return EmbeddingVerdict(
         body_spec=body.spec(),
-        exponent=float(p), grid=grid, values=values, stderrs=stderrs,
+        exponent=float(p), values=values, stderrs=stderrs,
         min_value=float(values[k]), min_stderr=float(stderrs[k]),
         argmin=grid.points[k].copy(), conclusion=conclusion, routes=routes)
 
@@ -127,46 +126,26 @@ def _verdicts(body, grid, samples) -> dict:
             for p, row in samples.items()}
 
 
-def _sweep(body, ps, grid, rule, workers) -> dict:
+def _sweep(body, ps, grid, rule) -> dict:
     """Map p -> EmbeddingVerdict for each distinct exponent of `ps`, in
     order: the one per-direction loop, on `rule` or the routes' default.
     The grid, and in ft_values every exponent, is checked before any
-    work.  `workers` threads share the directions, reassembled by index.
-    """
+    work."""
     if grid.dim != body.dim:
         raise ValueError(f"grid dim {grid.dim} != body dim {body.dim}")
     ps = list(dict.fromkeys(float(p) for p in ps))
-    pts = grid.points
-
-    def one(i):
-        return dict(zip(ps, ft_values(body, pts[i], ps, rule)))
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, range(len(pts))))
-    else:
-        rows = [one(i) for i in range(len(pts))]
+    rows = [dict(zip(ps, ft_values(body, xi, ps, rule))) for xi in grid.points]
     return _verdicts(body, grid, {p: [row[p] for row in rows] for p in ps})
 
 
-def _require_workers(workers):
-    """Refuse, by name, a thread count that is not an integer >= 1."""
-    if not (isinstance(workers, int) and workers >= 1):
-        raise ValueError(f"workers must be an integer >= 1, not {workers!r}")
-
-
 def scan(body: StarBody, p: float, grid: DirectionGrid,
-         rule: SphereRule = None, workers: int = 1) -> EmbeddingVerdict:
+         rule: SphereRule = None) -> EmbeddingVerdict:
     """Sign scan of (||x||^{-p})^ over the grid: the one-exponent sweep,
-    on `rule` or the natural route's default; the directions' results do
-    not depend on `workers`, which must be an integer >= 1."""
-    _require_workers(workers)
-    return _sweep(body, [p], grid, rule, workers)[float(p)]
+    on `rule` or the natural route's default."""
+    return _sweep(body, [p], grid, rule)[float(p)]
 
 
 def embedding_interval(body: StarBody, p_list, grid: DirectionGrid) -> dict:
     """Map p -> EmbeddingVerdict, each as scan gives it on the default
     rules, keyed in order of first appearance."""
-    return _sweep(body, p_list, grid, None, 1)
+    return _sweep(body, p_list, grid, None)

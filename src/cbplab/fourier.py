@@ -56,7 +56,6 @@ class UnsupportedRouteError(ValueError):
 class FtSample:
     """One evaluation of (||x||^{-p})^ at a unit direction."""
 
-    direction: np.ndarray
     exponent: float
     value: float
     stderr: float
@@ -109,7 +108,7 @@ def ft_derivative_route(body: StarBody, xi, m: int,
         est = laplacian_at_zero(body, frame, m, _FD_STEP, rule)
         if est.value != 0.0 and est.stderr > _NOISE_LIMIT * abs(est.value):
             flags = ("noisy",)
-    return FtSample(xi, float(p), scale * est.value, abs(scale) * est.stderr,
+    return FtSample(float(p), scale * est.value, abs(scale) * est.stderr,
                     "derivative", flags)
 
 
@@ -182,7 +181,7 @@ def section_profile(body: StarBody, xi, rule: SphereRule):
     return _ProfileSpline(ts, vals), cutoff, float(np.max(errs))
 
 
-def fractional_from_profile(spline, cutoff, max_err, p, q, n, xi) -> FtSample:
+def fractional_from_profile(spline, cutoff, max_err, p, q, n) -> FtSample:
     """Finish the fractional route at p (order q) from a section profile."""
     if not 0.0 < q < 2.0:
         raise UnsupportedRouteError("q must lie strictly inside (0, 2)")
@@ -196,8 +195,7 @@ def fractional_from_profile(spline, cutoff, max_err, p, q, n, xi) -> FtSample:
     # profile noise enters nearly linearly; bound it by the worst node error
     stderr = abs(scale * 2.0 * math.pi / _ufuncs.gamma(-q / 2.0)) * (
         max_err * (1.0 / q + 1.0 / (2.0 - q)) * max(cutoff, 1.0))
-    return FtSample(np.asarray(xi, dtype=float), float(p), scale * pairing,
-                    stderr, "fractional")
+    return FtSample(float(p), scale * pairing, stderr, "fractional")
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +369,7 @@ def pairing_oracle(body: StarBody, xi, ps,
         # fold the residual extrapolation bias estimate into the error bar
         stderr = stderr + residual / 3.0
         flags = ("inconclusive",) if stderr > 0.1 * abs(value) else ()
-        samples.append(FtSample(xi, float(p), value, stderr, "pairing", flags))
+        samples.append(FtSample(float(p), value, stderr, "pairing", flags))
     return samples
 
 
@@ -418,7 +416,7 @@ def ft_multiplier_route(body: StarBody, xi, p: float) -> FtSample:
             value += term
         else:
             tail += abs(term)
-    return FtSample(xi, float(p), value, tail, "multiplier")
+    return FtSample(float(p), value, tail, "multiplier")
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +491,7 @@ def ft_values(body: StarBody, xi, ps, rule: SphereRule = None,
             done[p] = ft_multiplier_route(body, xi, p)
         elif route == "fractional":
             profile = profile or section_profile(body, xi, rule)
-            done[p] = fractional_from_profile(*profile, p, order, n, xi)
+            done[p] = fractional_from_profile(*profile, p, order, n)
     pair = [p for p, (route, _) in routes.items() if route == "pairing"]
     if pair:
         done.update(zip(pair, pairing_oracle(body, xi, pair, rule)))

@@ -468,7 +468,7 @@ class HarmonicBump:
     its exponent tuples, serializable, orbit-invariant, and
     `moduli_symmetric` if block permutations keep it to 1e-12 relative."""
 
-    def __init__(self, c_poly: dict, label: str = "bump"):
+    def __init__(self, c_poly: dict, label: str):
         self.c_poly = dict(c_poly)
         self.label = label
         lengths = {len(mono) for mono in self.c_poly}

@@ -3,11 +3,11 @@
 All rules are deterministic given their seed: the batches of the one
 randomised rule, QMC, are scrambled Sobol points made with numpy on scipy's
 Joe-Kuo direction numbers (the table is read by prefix, up to the rows a
-dimension needs), keyed on seed * 1000003 + batch index, so the
-node stream does not depend on how many workers consume it, and integrals
-of nearby integrands evaluated with the same rule share nodes exactly.  The
-singular radial integral calls QUADPACK's QAGS in scipy's compiled
-extension, as scipy.integrate.quad does.
+dimension needs), keyed on seed * 1000003 + batch index, so each batch
+can be made on its own, in any order, and integrals of nearby integrands
+evaluated with the same rule share nodes exactly.  The singular radial
+integral calls QUADPACK's QAGS in scipy's compiled extension, as
+scipy.integrate.quad does.
 
 cbplab imports no scipy subpackage: the scipy.special and scipy.linalg
 packages would cost about 30 MB and 0.35 s of import for a few routines.

@@ -113,20 +113,24 @@ def parse_body(text: str) -> StarBody:
 
 def parse_grid(text: str, default_seed: int) -> DirectionGrid:
     """`grid:dim=8,res=16[,reduce=orbit,seed=7,sort=1]` -> DirectionGrid;
-    `default_seed` is the seed of a spec that omits it."""
+    `default_seed` is the seed of a spec that omits it.  `sort` orders an
+    orbit-reduced grid only, so a spec without reduce=orbit that names it
+    is refused: it would be a second key for the same points."""
     head, fields = split_spec(text)
     if head != "grid":
         raise SpecError(f"unknown grid spec head {head!r} in {text!r}")
     dim = _number(fields, "dim", text, int)
     res = _number(fields, "res", text, int)
     seed = _number(fields, "seed", text, int, default=default_seed)
-    sort = _number(fields, "sort", text, int, default=1)
-    if sort not in (0, 1):
-        raise SpecError(f"bad value for 'sort' in {text!r} (0 or 1)")
     reduce_name = fields.pop("reduce", "none")
     reduction = {"orbit": "orbit_reduced", "none": "none"}.get(reduce_name)
     if reduction is None:
         raise SpecError(f"unknown reduction {reduce_name!r} in {text!r}")
+    if reduction == "none" and "sort" in fields:
+        raise SpecError(f"'sort' needs reduce=orbit in {text!r}")
+    sort = _number(fields, "sort", text, int, default=1)
+    if sort not in (0, 1):
+        raise SpecError(f"bad value for 'sort' in {text!r} (0 or 1)")
     _done(fields, text)
     return make_grid(dim, res, reduction=reduction, seed=seed,
                      sort_moduli=sort == 1 and reduction == "orbit_reduced")

@@ -208,7 +208,7 @@ def section_gap_profile(K, L, grid):
     f = {}
     for deg, poly in c_harmonic_components(K.bump.c_poly, d // 2).items():
         f = c_add(f, c_scale(poly, 1.0 / classical_multiplier(deg, 2.0, d)))
-    return -K.eps * HarmonicBump(f)(grid.points)
+    return -K.eps * HarmonicBump(f, "f")(grid.points)
 
 
 def exact_section_gaps(K, L, grid):
@@ -275,7 +275,8 @@ def dented_ball():
     """A star body that is not convex: rho^4 = 1 - 0.9 sum_j c_j^2 on S^5,
     the ball(6) with a dent of amplitude 0.9 along each block's square."""
     return RadialPerturbation(EuclideanBall(6), 4, 0.9, HarmonicBump(
-        {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0}), bump_id="dent")
+        {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0}, "dent"),
+        bump_id="dent")
 
 
 class WiggledBall(StarBody):

@@ -12,11 +12,12 @@ from cbplab.bodies import (ComplexLqBall, EuclideanBall, RadialPerturbation,
 from cbplab.busemann_petty import (ConstructionImpossibleError, HarmonicBump,
                                    _default_section_rule,
                                    _negative_weighted_square, _section_gaps,
-                                   _volumes, bp_construct, bp_verify,
-                                   pair_from_record, pair_record)
+                                   _transform_bump, _volumes, bp_construct,
+                                   bp_verify, pair_from_record, pair_record)
 from cbplab.fourier import UnsupportedRouteError, ft_multiplier_route
 from cbplab.frames import DirectionGrid, make_frame, make_grid
-from cbplab.harmonics import c_eval, symmetric_harmonic_atoms
+from cbplab.harmonics import (c_add, c_eval, c_mul, c_scale,
+                              symmetric_harmonic_atoms)
 from cbplab.quadrature import (SphereRule, integrate_sphere, kahan_reduce,
                                sphere_area)
 from cbplab.sections import _polar, volume
@@ -115,7 +116,8 @@ def test_gaps_match_the_explicit_batch_loop(n):
     atom = [a for a in symmetric_harmonic_atoms(n, 4) if a.degree == 4][0]
     poly = dict(atom.c_poly)
     poly[(0,) * n] = poly.get((0,) * n, 0.0) + 1.0
-    K = RadialPerturbation(L, d - 2, 0.01, HarmonicBump(poly), bump_id="test")
+    K = RadialPerturbation(L, d - 2, 0.01, HarmonicBump(poly, "test"),
+                           bump_id="test")
     full = make_grid(d, 8, reduction="orbit_reduced", sort_moduli=True)
     grid = DirectionGrid(d, full.points[::7], full.reduction, full.resolution)
     for rule in (SphereRule.qmc(d - 2, 2 ** 10, 3),
@@ -154,7 +156,7 @@ def test_a_bump_not_symmetric_under_block_permutations_is_refused():
     # symmetric in them; the multiplier route and mollify would symmetrize
     # the body without a word
     bump = HarmonicBump({(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0,
-                         (1, 1, 0): -2.0})
+                         (1, 1, 0): -2.0}, label="b")
     assert not bump.moduli_symmetric
     K = RadialPerturbation(mollify(ComplexLqBall(3, 4.0), 0.1), 4, 0.3, bump,
                            bump_id="skew")
@@ -166,9 +168,10 @@ def test_a_bump_not_symmetric_under_block_permutations_is_refused():
     with pytest.raises(ValueError, match="block moduli"):
         mollify(K, 0.1)
     # a symmetric one, off by round-off, keeps the full group
-    assert HarmonicBump({(1, 0): 1.0, (0, 1): 1.0 + 1e-15}).moduli_symmetric
-    assert not HarmonicBump({(1, 0): 1.0, (0, 1): 1.0 + 1e-11}
-                            ).moduli_symmetric
+    assert HarmonicBump({(1, 0): 1.0, (0, 1): 1.0 + 1e-15},
+                        label="near").moduli_symmetric
+    assert not HarmonicBump({(1, 0): 1.0, (0, 1): 1.0 + 1e-11},
+                            label="off").moduli_symmetric
 
 
 def test_negative_weighted_square_minimizes_the_pairing():
@@ -297,7 +300,7 @@ def _small_pair(n):
     atom = [a for a in symmetric_harmonic_atoms(n, 4) if a.degree == 4][0]
     poly = dict(atom.c_poly)
     poly[(0,) * n] = poly.get((0,) * n, 0.0) + 1.0
-    K = RadialPerturbation(L, 2 * n - 2, 0.01, HarmonicBump(poly),
+    K = RadialPerturbation(L, 2 * n - 2, 0.01, HarmonicBump(poly, "test"),
                            bump_id="test")
     return K, L
 
@@ -358,6 +361,37 @@ def test_committed_section_gaps_equal_their_closed_form():
 def test_constructed_section_gaps_equal_their_closed_form(pair8):
     K, L, report, _ = pair8
     _assert_closed_form_gaps(report.gaps, K, L, report.grid)
+
+
+def _hand_built_pair(n):
+    """(K, L) as bp_construct would build them at n, where it refuses: L the
+    mollified l_4 ball, f = h^2 for h a seeded combination of the degree
+    <= 6 symmetric atoms, and K = RadialPerturbation(L, 2n - 2, eps, g) at
+    a quarter of the positivity bound eps = r_min^{2n-2} / sup|g|."""
+    d = 2 * n
+    L = mollify(ComplexLqBall(n, 4.0), 0.1)
+    atoms = symmetric_harmonic_atoms(n, 6)
+    coefs = np.random.Generator(np.random.Philox(key=n)).standard_normal(
+        len(atoms))
+    h = {}
+    for atom, coef in zip(atoms, coefs):
+        h = c_add(h, c_scale(atom.c_poly, float(coef)))
+    bump = HarmonicBump(_transform_bump(c_mul(h, h), n), f"sq_hand{n}")
+    sup_g = float(np.max(np.abs(bump(SphereRule.qmc(d, 2 ** 14, 3).nodes()))))
+    eps = 0.25 * L.r_min ** (d - 2) / sup_g
+    return RadialPerturbation(L, d - 2, eps, bump, bump_id=bump.label), L
+
+
+@pytest.mark.parametrize("n, res", [(2, 64), (3, 16)])
+def test_hand_built_section_gaps_equal_their_closed_form(n, res):
+    # the closed form below the paper's threshold, on 32 (n = 2) and 128
+    # (n = 3) directions: measured 2.8e-15 and 4.1e-15 of the largest gap
+    K, L = _hand_built_pair(n)
+    grid = make_grid(2 * n, res, reduction="orbit_reduced", sort_moduli=True)
+    gaps = bp_verify(K, L, grid).gaps
+    _assert_closed_form_gaps(gaps, K, L, grid)
+    # f = h^2 >= 0, so every section of K is smaller than L's
+    assert np.all(gaps < 0.0)
 
 
 #: tracemalloc peak of _section_gaps on pair8 in bytes: 5,575,820 measured

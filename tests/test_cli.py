@@ -85,7 +85,7 @@ def test_an_inconclusive_scan_exits_two_with_its_report(tmp_path,
                                                         monkeypatch):
     # a confirmation far from the primary route: the routes disagree
     monkeypatch.setattr(embedding, "confirm_sample", lambda body, xi, ps: [
-        FtSample(xi, p, 1e6, 1.0, "pairing") for p in ps])
+        FtSample(p, 1e6, 1.0, "pairing") for p in ps])
     code, rec = run(tmp_path, "scan", "--body", "ball:dim=4", "--p", "2")
     assert code == 2 and rec["exit_code"] == 2
     [result] = rec["results"]
@@ -177,31 +177,9 @@ def test_cache_env_var_is_honored(tmp_path, monkeypatch):
     assert (cachedir / (rec["config_hash"] + ".json")).exists()
 
 
-def test_workers_do_not_enter_the_hash(tmp_path):
+def test_the_config_hash_ignores_key_order():
     inputs = {"command": "scan", "body": "ball:dim=4", "p": 2.0}
     assert config_hash(inputs) == config_hash(dict(reversed(inputs.items())))
-    records = []
-    for workers in ("1", "2"):
-        code, rec = run(tmp_path, "scan", "--body", "clq:n=2,q=4", "--p", "2",
-                        "--grid", "grid:dim=4,res=8,reduce=orbit,seed=3",
-                        "--workers", workers, name=f"w{workers}.json")
-        assert code == 0
-        records.append(rec)
-    assert records[0]["config_hash"] == records[1]["config_hash"]
-    assert records[0]["results"] == records[1]["results"]
-
-
-def test_a_cache_hit_does_not_serve_a_bad_worker_count(tmp_path, capsys):
-    # --workers is not hashed, so the entry the first run stores is the
-    # second run's: it must be refused before the cache is read
-    argv = ["scan", "--body", "ball:dim=4", "--p", "2",
-            "--grid", "grid:dim=4,res=8"]
-    code, rec = run(tmp_path, *argv, cache=tmp_path / "c")
-    assert code == 0 and rec["cached"] is False
-    code, rec = run(tmp_path, *argv, "--workers", "0", cache=tmp_path / "c",
-                    name="again.json")
-    assert code == 1 and rec is None
-    assert "workers must be an integer >= 1" in capsys.readouterr().err
 
 
 #: config hashes at the default rule, taken before the rule's default moved
@@ -263,15 +241,17 @@ _REQUIRED = {"volume": ["--body", "ball:dim=4"],
     ("volume", "--tol"), ("volume", "--csv"),
     ("section", "--nodes"), ("section", "--tol"), ("section", "--csv"),
     ("ft", "--nodes"), ("ft", "--tol"), ("ft", "--csv"),
-    ("scan", "--nodes"), ("scan", "--tol"),
+    ("scan", "--workers"), ("scan", "--nodes"), ("scan", "--tol"),
     ("bp-verify", "--nodes"), ("bp-verify", "--tol"),
     ("bp-construct", "--nodes"), ("bp-construct", "--tol"),
     ("bp-construct", "--csv"), ("bp-construct", "--width"),
 ], ids=lambda value: value.lstrip("-"))
 def test_only_scan_takes_workers(capsys, command, flag):
-    # a command refuses every flag it does not read: --workers off scan,
-    # each option that once reached it only through the shared parent, and
-    # --nodes, which a rule spec spells `qmc:nodes=N`
+    # a command refuses every flag it does not read: --workers, which no
+    # command takes now that every one runs on one thread (the name is from
+    # when scan took it, and stays so that the cases keep their ids), each
+    # option that once reached a command only through the shared parent,
+    # and --nodes, which a rule spec spells `qmc:nodes=N`
     with pytest.raises(SystemExit) as exc:
         main([command, *_REQUIRED[command], flag, "2", "--no-cache"])
     assert exc.value.code == 2
@@ -532,7 +512,7 @@ def test_a_construction_that_exhausts_its_halvings_fails(tmp_path,
         values = -np.cos(np.arange(len(grid.points)))
         k = int(np.argmin(values))
         return embedding.EmbeddingVerdict(
-            body.spec(), p, grid, values, np.zeros(len(values)), values[k],
+            body.spec(), p, values, np.zeros(len(values)), values[k],
             0.0, grid.points[k], "negativity_witness")
 
     verified = []
@@ -686,8 +666,10 @@ def test_bp_construct_at_n_two_is_impossible_and_replays(tmp_path):
     # the multiplier route reads no rule, so naming one is an error
     (["ft", "--body", "ball:dim=4", "--p", "2", "--method", "multiplier",
       "--rule", "qmc:nodes=64"], "multiplier route reads no rule"),
-    (["scan", "--body", "ball:dim=4", "--p", "2", "--workers", "0"],
-     "workers must be an integer >= 1"),
+    # sort orders an orbit-reduced grid only: on another it would be a
+    # second key for the same points
+    (["scan", "--body", "ball:dim=4", "--p", "2", "--grid",
+      "grid:dim=4,res=8,sort=0"], "'sort' needs reduce=orbit"),
     # the series degree is a constant, not a field
     (["volume", "--body",
       "mollify:base=(clq:n=2,q=4),width=0.2,max_degree=8"],
@@ -696,7 +678,9 @@ def test_bp_construct_at_n_two_is_impossible_and_replays(tmp_path):
     (["scan", "--body", "ball:dim=4", "--p", "2", "--grid",
       "grid:dim=4,res=8,reduce=orbit,sort=5"], "'sort'"),
     (["scan", "--body", "ball:dim=4", "--p", "2", "--grid",
-      "grid:dim=4,res=8,reduce=orbit,sort=-1"], "'sort'")])
+      "grid:dim=4,res=8,reduce=orbit,sort=-1"], "'sort'"),
+    (["scan", "--body", "ball:dim=4", "--p", "2", "--grid",
+      "grid:dim=4,res=8,sort=1"], "'sort' needs reduce=orbit")])
 def test_a_bad_spec_exits_one_naming_its_token(capsys, argv, token):
     assert main([*argv, "--no-cache"]) == 1
     assert token in capsys.readouterr().err

@@ -54,15 +54,6 @@ def test_mollified_dim4_scan_nonnegative(b42_scans):
             np.abs(verdict.values))
 
 
-def test_scan_is_worker_independent(grid4, b42, b42_scans):
-    a = b42_scans[2.0]
-    b = scan(b42, 2.0, grid4, workers=4)
-    assert np.array_equal(a.values, b.values)
-    assert np.array_equal(a.stderrs, b.stderrs)
-    assert a.conclusion == b.conclusion
-    assert a.routes["confirm_value"] == b.routes["confirm_value"]
-
-
 def test_embedding_interval_shares_profiles(grid4, b42, b42_scans,
                                            monkeypatch):
     confirms = _counted(monkeypatch, embedding, "confirm_sample")
@@ -129,15 +120,6 @@ def test_a_grid_of_another_dimension_is_refused_before_any_work(
     assert values == []
 
 
-@pytest.mark.parametrize("workers", [0, -1, 1.5])
-def test_scan_refuses_workers_that_are_not_a_positive_integer(
-        grid4, b42, monkeypatch, workers):
-    values = _counted(monkeypatch, embedding, "ft_values")
-    with pytest.raises(ValueError, match="workers must be an integer >= 1"):
-        scan(b42, 2.0, grid4, workers=workers)
-    assert values == []
-
-
 def test_embedding_interval_evaluates_a_repeated_exponent_once(monkeypatch):
     body = mollify(ComplexLqBall(2, 4.0), 0.2)
     grid = make_grid(4, 8, reduction="orbit_reduced", sort_moduli=True)
@@ -174,17 +156,16 @@ def test_embedding_interval_values_are_those_of_scan_at_any_exponent():
     assert np.array_equal(interval.stderrs, alone.stderrs)
 
 
-def _samples(grid, values, stderr, method="derivative"):
-    return [FtSample(pt, 2.0, v, stderr, method)
-            for pt, v in zip(grid.points, values)]
+def _samples(values, stderr, method="derivative"):
+    return [FtSample(2.0, v, stderr, method) for v in values]
 
 
 def test_routes_that_disagree_are_inconclusive():
     grid = make_grid(4, 8, reduction="orbit_reduced", sort_moduli=True)
     values = 1.0 + np.arange(len(grid.points))
-    [confirm] = _samples(grid, [10.0], 0.1, "pairing")
+    [confirm] = _samples([10.0], 0.1, "pairing")
     verdict = _assemble(EuclideanBall(4), 2.0, grid,
-                        _samples(grid, values, 0.1), 0, confirm)
+                        _samples(values, 0.1), 0, confirm)
     assert verdict.routes["agreement_z"] > 5.0
     assert verdict.conclusion == "inconclusive"
 
@@ -194,9 +175,9 @@ def test_a_witness_the_confirmation_does_not_share_is_inconclusive():
     values = np.full(len(grid.points), 2.0)
     values[0] = -1.0  # below -3 stderr - floor on the primary route
     # the routes agree (z <= 5), but the confirmation is not below -3 stderr
-    [confirm] = _samples(grid, [-0.25], 0.2, "pairing")
+    [confirm] = _samples([-0.25], 0.2, "pairing")
     verdict = _assemble(EuclideanBall(4), 2.0, grid,
-                        _samples(grid, values, 0.1), 0, confirm)
+                        _samples(values, 0.1), 0, confirm)
     assert verdict.routes["agreement_z"] <= 5.0
     assert confirm.value >= -3.0 * confirm.stderr
     assert verdict.min_value < -(3.0 * verdict.min_stderr)

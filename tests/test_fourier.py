@@ -302,7 +302,7 @@ def _on_default_rule(route, body, xi, p):
     if route == "fractional":
         return fourier.fractional_from_profile(
             *fourier.section_profile(body, xi, section), p,
-            body.dim - p - 2, body.dim // 2, xi)
+            body.dim - p - 2, body.dim // 2)
     [sample] = pairing_oracle(body, xi, [p],
                               SphereRule.qmc(body.dim, 2 ** 19, 5))
     return sample
@@ -348,11 +348,10 @@ def test_parseval_on_balls():
 
 
 def test_agrees_with_uses_combined_error():
-    xi = np.array([1.0, 0.0, 0.0, 0.0])
-    a = FtSample(xi, 2.0, 1.0, 0.1, "pairing")
-    b = FtSample(xi, 2.0, 1.25, 0.05, "derivative")
+    a = FtSample(2.0, 1.0, 0.1, "pairing")
+    b = FtSample(2.0, 1.25, 0.05, "derivative")
     assert agrees(a, b)
-    c = FtSample(xi, 2.0, 1.6, 0.05, "derivative")
+    c = FtSample(2.0, 1.6, 0.05, "derivative")
     assert not agrees(a, c)
 
 
