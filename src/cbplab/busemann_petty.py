@@ -363,7 +363,6 @@ def bp_construct(n: int, q_body: float, grid: DirectionGrid = None,
         trace["eps_trace"].append({"eps": eps, "status": report.verdict})
         if report.verdict == "violation":
             trace["eps"] = eps
-            report.details["construction"] = trace
             return K, L, report, trace
         eps *= 0.5
     raise ConstructionFailedError(

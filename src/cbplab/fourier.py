@@ -293,8 +293,11 @@ def _pairing_core(angular, d, xi, ps, rule, j):
     same two products and one sum as in a (T, U, d) array of rows.
     `angular` returns one row of values per exponent, so every exponent
     shares the nodes, the points and the call; the latitude weights, the
-    bump moments and the extrapolation are each exponent's own.
+    bump moments and the extrapolation are each exponent's own.  A rule
+    off S^{d-1} is refused by name before any of them is built.
     """
+    if rule.dim != d:
+        raise ValueError(f"rule dim {rule.dim} != space dim {d}")
     sigmas = (_SIGMA, _SIGMA / 2)
     masses = list(zip(*(_harmonic_bump_moments(d, ps, j, s) for s in sigmas)))
     xi = np.asarray(xi, dtype=float)
@@ -303,8 +306,6 @@ def _pairing_core(angular, d, xi, ps, rule, j):
     gw = [np.stack([2.0 * wt * _radial_cos_integral(t, d - p, s ** 2 / 2.0)
                     for s in sigmas]) for p in ps]  # per exponent (2, T)
     basis = _perp_basis(xi)
-    if rule.dim != d:
-        raise ValueError("rule dimension must be d")
     if rule.kind == "product_gauss":
         u_rule = SphereRule.gauss(d - 1, rule.level)
     else:

@@ -480,26 +480,25 @@ def _node_passes(rule: SphereRule, bases, limit):
     passes of consecutive (batch, frame) blocks with at most `limit` nodes
     together (a larger block is a pass of its own).
 
-    bases is a (k, m, n) stack of row stacks, or None to keep the nodes (one
-    frame).  The blocks go batch by batch, each batch through every frame
+    bases is a (k, m, n) stack of row stacks; the rule's own sphere is the
+    one frame np.eye(rule.dim)[None], whose product leaves every node bit
+    for bit.  The blocks go batch by batch, each batch through every frame
     before the next is made, so the rule is read once whatever k and one
     batch is held at a time.  Each block is mapped by a matrix product of
     its own, because a 1-row and an N-row product round differently, and
-    written into one C-contiguous (dim, N) array of coordinate columns per
+    written into one C-contiguous (n, N) array of coordinate columns per
     pass, made before its first block.  Yields (nodes, parts):
-    the (N, dim) transposed view of that array, whose rows are the nodes of
+    the (N, n) transposed view of that array, whose rows are the nodes of
     the pass in block order, and per block (frame index, batch index, slice
     of nodes, weights).
     """
-    frames = [None] if bases is None else bases
-    dim = rule.dim if bases is None else bases.shape[2]
     # every batch's size is known before it is made (SphereRule splits its
     # nodes as np.array_split does), so each pass's array is made first and
     # a batch is let go once it has gone through every frame
     count, extra = divmod(rule.node_count, rule.batch_count)
     lengths, held = [], 0
     for bi in range(rule.batch_count):
-        for _ in frames:
+        for _ in bases:
             if held and held + count + (bi < extra) > limit:
                 lengths.append(held)
                 held = 0
@@ -507,10 +506,10 @@ def _node_passes(rule: SphereRule, bases, limit):
     lengths = iter(lengths + [held])
     at = None
     for bi, (pts, w) in enumerate(rule.batches()):
-        for fi in range(len(frames)):
+        for fi, frame in enumerate(bases):
+            x = pts @ frame
             if at is None:
-                cols, parts, at = np.empty((dim, next(lengths))), [], 0
-            x = pts if bases is None else pts @ frames[fi]
+                cols, parts, at = np.empty((x.shape[1], next(lengths))), [], 0
             cols[:, at:at + len(x)] = x.T
             parts.append((fi, bi, slice(at, at + len(x)), w))
             at += len(x)
@@ -519,25 +518,10 @@ def _node_passes(rule: SphereRule, bases, limit):
                 at = None
 
 
-def _integrate(rule, bases, f):
-    """integrate_sphere's work: per frame of `bases` (None: the rule's own
-    sphere, one frame), batch sums w . row over one reading of the nodes,
-    for each row of a (k, N) integrand (a list of k Estimates)."""
-    sums = [[] for _ in range(1 if bases is None else len(bases))]
-    for x, parts in _node_passes(rule, bases, _PASS_NODES):
-        vals = np.asarray(f(x), dtype=float)
-        rows = vals.reshape(-1, len(x))
-        for row in rows:
-            _check_finite(row, x)
-        for fi, _, part, w in parts:
-            sums[fi].append([float(np.dot(w, row[part])) for row in rows])
-    ests = [[Estimate.from_batches(out, rule, rule.kind) for out in zip(*frame)]
-            for frame in sums]
-    return [e if vals.ndim == 2 else e[0] for e in ests]
-
-
 def integrate_sphere(rule: SphereRule, f) -> Estimate | list[Estimate]:
-    """Integral of f over S^{dim-1} with a batch-variance error bar.
+    """Integral of f over S^{dim-1} with a batch-variance error bar: the
+    subsphere integral over the identity frame, np.eye(rule.dim), whose
+    product leaves every node bit for bit.
 
     f must accept an (N, dim) array of unit vectors and return (N,) values,
     or a (k, N) stack of k integrands' values for a list of k Estimates
@@ -547,7 +531,7 @@ def integrate_sphere(rule: SphereRule, f) -> Estimate | list[Estimate]:
     (or one larger batch), and each batch sum is w . f(nodes) over that
     batch's rows, so the value of a node must not depend on the others.
     """
-    return _integrate(rule, None, f)[0]
+    return integrate_subsphere(rule, np.eye(rule.dim), f)
 
 
 def integrate_subsphere(rule: SphereRule, basis, f) -> Estimate | list:
@@ -559,6 +543,8 @@ def integrate_subsphere(rule: SphereRule, basis, f) -> Estimate | list:
     such frames gives a list of k results, each equal to the one-frame
     call's, on one reading of the rule: each batch goes through every frame
     (_node_passes), and a pass may hold the nodes of several frames.
+    A (k, N) integrand gives each frame a list of k Estimates, one per
+    row, from the batch sums w . row over that frame's blocks.
     """
     basis = np.asarray(basis, dtype=float)
     bases = basis if basis.ndim == 3 else basis[None]
@@ -568,7 +554,17 @@ def integrate_subsphere(rule: SphereRule, basis, f) -> Estimate | list:
     gram = bases @ bases.transpose(0, 2, 1)
     if not np.allclose(gram, np.eye(m), atol=1e-10):
         raise ValueError("basis is not orthonormal")
-    out = _integrate(rule, bases, f)
+    sums = [[] for _ in bases]
+    for x, parts in _node_passes(rule, bases, _PASS_NODES):
+        vals = np.asarray(f(x), dtype=float)
+        rows = vals.reshape(-1, len(x))
+        for row in rows:
+            _check_finite(row, x)
+        for fi, _, part, w in parts:
+            sums[fi].append([float(np.dot(w, row[part])) for row in rows])
+    out = [[Estimate.from_batches(b, rule, rule.kind) for b in zip(*frame)]
+           for frame in sums]
+    out = [e if vals.ndim == 2 else e[0] for e in out]
     return out if basis.ndim == 3 else out[0]
 
 

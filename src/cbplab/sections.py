@@ -38,7 +38,7 @@ def _polar(est: Estimate, k: int, method: str) -> Estimate:
 def volume(body: StarBody, rule: SphereRule) -> Estimate:
     """Polar formula: Vol(K) = (1/d) * int_{S^{d-1}} rho(theta)^d dtheta."""
     if rule.dim != body.dim:
-        raise ValueError("rule dimension does not match the body")
+        raise ValueError(f"rule dim {rule.dim} != body dim {body.dim}")
     d = body.dim
     return _polar(integrate_sphere(rule, lambda pts: body.radial(pts) ** d),
                   d, "polar_volume")
@@ -246,10 +246,14 @@ def _slice_batch_sums(body, frame, offsets, rule):
     (at least one node per pass), and a batch larger than that in several;
     each root depends on its own pair alone, so it is the one a
     batch-by-batch loop finds.
+    The rule must lie on the section sphere, S^{dim-3}: any other is
+    refused by name before any gauge call.  No offsets give (0, B) sums.
     Returns (K, B) batch sums and a per-offset inside/outside mask.
     """
-    offsets = np.atleast_2d(np.asarray(offsets, dtype=float))
     m = body.dim - 2
+    if rule.dim != m:
+        raise ValueError(f"rule dim {rule.dim} != section dim {m}")
+    offsets = np.atleast_2d(np.asarray(offsets, dtype=float))
     bases = offsets[:, 0:1] * frame.xi[None, :] + offsets[:, 1:2] * frame.xi_perp[None, :]
     unorm = np.linalg.norm(offsets, axis=1)
     base_norms = body.norm(bases)
@@ -299,19 +303,17 @@ def parallel_sections(body: StarBody, frame: ComplexFrame, offsets,
     shared nodes.
 
     An offset with |u| >= r_max gives 0.  So does one whose base point lies
-    outside the body, after a probe checks that its slice is empty.
+    outside the body, after a probe checks that its slice is empty.  The
+    slice engine refuses a rule off the section sphere by name, even when
+    every offset lies beyond r_max.
     Each slice must be star-shaped about its base point, as on a convex
     body: on a non-convex body, A(u) integrates one crossing per ray,
     unflagged.
     """
     offsets = np.atleast_2d(np.asarray(offsets, dtype=float))
-    if rule.dim != body.dim - 2:
-        raise ValueError("rule dimension must match the section subspace")
     zero = Estimate(0.0, 0.0, 0, "parallel_section")
     out = [zero] * len(offsets)
     near = np.nonzero(np.linalg.norm(offsets, axis=1) < body.r_max)[0]
-    if len(near) == 0:
-        return out
     sums, inside = _slice_batch_sums(body, frame, offsets[near], rule)
     for k, i in enumerate(near):
         if inside[k]:
@@ -346,9 +348,10 @@ def laplacian_at_zero(body: StarBody, frame: ComplexFrame, m: int, h: float,
     """Delta^m A_{K,H_xi}(0) by 2-D central differences, always Richardson
     extrapolated over the steps {h, h/2}: (4 D(h/2) - D(h)) / 3 per batch.
     All slices share quadrature nodes.  The estimate carries its error bar
-    whatever its size; judging it is the caller's job.  Each slice must be
-    star-shaped about its base point: on a non-convex body, A(u) integrates
-    one crossing per ray, unflagged."""
+    whatever its size; judging it is the caller's job.  A rule off the
+    section sphere is refused by name before any gauge call.  Each slice
+    must be star-shaped about its base point: on a non-convex body, A(u)
+    integrates one crossing per ray, unflagged."""
     if not body.smooth:
         raise ValueError("laplacian_at_zero needs a C2-smooth body")
     if m not in (1, 2):

@@ -4,8 +4,9 @@ helpers several test modules share.
 Each audit checks a library result against an independent identity or
 closed form (the Hoelder volume chain, spherical Parseval, the circle
 integral, exact Dirichlet moments, the closed-form section gaps of a
-constructed pair, the boundary curvature that decides convexity); none of
-them is part of the pipeline.
+constructed pair, Bernoulli's lower bound on its volume gap, the
+boundary curvature that decides convexity); none of them is part of the
+pipeline.
 The reference implementations at the end are earlier one-shot forms of
 pipeline functions, kept as oracles the streamed forms must match bit for
 bit.
@@ -193,18 +194,27 @@ def bump_moment(d, p, sigma):
             * special.hyp1f1((d - p) / 2.0, d / 2.0, -0.5 / sigma ** 2))
 
 
+def _require_constructed(K, L, need):
+    """Refuse any pair but one as bp_construct builds it, K =
+    RadialPerturbation(L, 2n - 2, eps, g) of L itself with g a
+    HarmonicBump, by a ValueError that opens with `need`, the audit's name
+    and verb, and names that form."""
+    d = K.dim
+    if not (isinstance(K, RadialPerturbation) and K.base is L
+            and K.s == d - 2 and isinstance(K.bump, HarmonicBump)):
+        raise ValueError(f"{need} K = "
+                         f"RadialPerturbation(L, {d - 2}, eps, HarmonicBump) "
+                         f"of L itself, not K = {K.spec()}, L = {L.spec()}")
+
+
 def section_gap_profile(K, L, grid):
     """-eps f(xi) at each grid direction, for a pair as bp_construct builds
     it: K = RadialPerturbation(L, 2n - 2, eps, g) with g a HarmonicBump.
     f = sum_j [g]_j / lambda(j, 2, 2n) undoes _transform_bump degree by
     degree, so (f(x/|x|) |x|^{-2})^ = g(y/|y|) |y|^{-(2n-2)}.  Any other
     pair raises ValueError naming the form it needs."""
+    _require_constructed(K, L, "closed-form section gaps need")
     d = K.dim
-    if not (isinstance(K, RadialPerturbation) and K.base is L
-            and K.s == d - 2 and isinstance(K.bump, HarmonicBump)):
-        raise ValueError(f"closed-form section gaps need K = "
-                         f"RadialPerturbation(L, {d - 2}, eps, HarmonicBump) "
-                         f"of L itself, not K = {K.spec()}, L = {L.spec()}")
     f = {}
     for deg, poly in c_harmonic_components(K.bump.c_poly, d // 2).items():
         f = c_add(f, c_scale(poly, 1.0 / classical_multiplier(deg, 2.0, d)))
@@ -220,6 +230,33 @@ def exact_section_gaps(K, L, grid):
     d = K.dim
     return ((2.0 * math.pi) ** (d - 1) / (d - 2)
             * section_gap_profile(K, L, grid))
+
+
+def volume_lower_bound(K, L, res):
+    """Bernoulli's lower bound on Vol(K) - Vol(L) for a pair as
+    bp_construct builds it (any other raises ValueError naming the form it
+    needs), on the moduli Gauss rule of `res` nodes per angle.
+
+    With t = eps g / rho_L^{d-2} < 1 and a = d / (d - 2), rho_K^d =
+    rho_L^d (1 - t)^a >= rho_L^d (1 - a t), so Vol(K) - Vol(L) >=
+    -eps / (d - 2) I with I = int rho_L^2 g over S^{d-1}: the volume of K
+    exceeds L's whatever eps once I < 0 and t < 1.  rho_L and g depend on
+    the block moduli alone, so the rule integrates them exactly up to its
+    order.  Returns I, the bound, the gap (int rho_K^d - rho_L^d) / d on
+    the same nodes, and the largest t on them."""
+    _require_constructed(K, L, "a volume lower bound needs")
+    if not L.moduli_symmetric:
+        raise ValueError(f"a volume lower bound needs a moduli_symmetric L, "
+                         f"not {L.spec()}")
+    d = K.dim
+    m, weights = moduli_gauss_quadrature(d // 2, res)
+    pts = np.zeros((len(m), d))
+    pts[:, 0::2] = m
+    rho_L, g = L.radial(pts), K.bump(pts)
+    integral = float(np.dot(weights, rho_L ** 2 * g))
+    gap = float(np.dot(weights, K.radial(pts) ** d - rho_L ** d)) / d
+    return {"I": integral, "bound": -K.eps / (d - 2) * integral, "gap": gap,
+            "max_t": float(np.max(K.eps * g / rho_L ** (d - 2)))}
 
 
 def curvature_margin(body: StarBody, res):

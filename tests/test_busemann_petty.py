@@ -22,8 +22,9 @@ from cbplab.quadrature import (SphereRule, integrate_sphere, kahan_reduce,
                                sphere_area)
 from cbplab.sections import _polar, volume
 from cbplab.specs import parse_grid
-from checks import (block_moduli, committed_pair, exact_section_gaps,
-                    holder_chain_check, rotate, section_gap_profile)
+from checks import (WiggledBall, block_moduli, committed_pair,
+                    exact_section_gaps, holder_chain_check, rotate,
+                    section_gap_profile, volume_lower_bound)
 
 
 @pytest.fixture(scope="module")
@@ -228,7 +229,9 @@ def test_construction_gives_a_counterexample_in_dimension_eight(pair8):
 
 
 def test_a_constructed_pair_survives_its_record(pair8):
-    K, L, _, trace = pair8
+    K, L, report, trace = pair8
+    # the trace is returned, not kept in the report a second time
+    assert set(report.details) == {"exceed_count", "tie_count"}
     record = json.loads(json.dumps(pair_record(K, L)))
     assert record["eps"] == trace["eps"]
     assert record["bump"] == trace["bump"]
@@ -356,6 +359,31 @@ def test_committed_section_gaps_equal_their_closed_form():
     with pytest.raises(ValueError, match=r"RadialPerturbation\(L, 6, eps, "
                        r"HarmonicBump\) of L itself"):
         exact_section_gaps(L, L, grid)
+
+
+def test_the_committed_volume_gap_lies_above_its_bernoulli_bound():
+    # Vol K - Vol L >= -eps / (d - 2) I, I = int rho_L^2 g, for every
+    # amplitude with t = eps g / rho_L^{d-2} < 1; measured I =
+    # -10,006.688363291298 at res 32 and -10,006.688363291327 at res 48,
+    # bound 3.78924e-3, moduli-Gauss gap 4.173768e-3, QMC gap 4.150e-3
+    # +- 3.58e-4, largest t 0.1026
+    K, L = committed_pair()
+    coarse, fine = (volume_lower_bound(K, L, res) for res in (32, 48))
+    assert fine["I"] < 0.0
+    assert abs(coarse["I"] - fine["I"]) <= 1e-12 * abs(fine["I"])
+    assert fine["bound"] < fine["gap"]
+    # bp_verify's volume rule
+    _, _, qmc = _volumes(K, L, SphereRule.qmc(K.dim, 2 ** 16, 12))
+    assert fine["bound"] < qmc.value + 3.0 * qmc.stderr
+    assert fine["max_t"] < 1.0
+    with pytest.raises(ValueError, match=r"^a volume lower bound needs K = "
+                       r"RadialPerturbation\(L, 6, eps, HarmonicBump\)"):
+        volume_lower_bound(L, L, 32)
+    # the moduli rule sees only functions of the block moduli
+    wiggled = WiggledBall(8, 0.1, 2.0)
+    with pytest.raises(ValueError, match="needs a moduli_symmetric L"):
+        volume_lower_bound(RadialPerturbation(wiggled, 6, K.eps, K.bump,
+                                              bump_id="b"), wiggled, 32)
 
 
 def test_constructed_section_gaps_equal_their_closed_form(pair8):

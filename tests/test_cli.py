@@ -69,6 +69,20 @@ def test_ft_multiplier_at_an_explicit_direction(tmp_path):
     assert baseline["passed"] and baseline["rel_gap"] < 1e-12
 
 
+def test_ft_pairs_on_a_gauss_rule(tmp_path):
+    # the subsphere rule is Gauss at the same level; the rule is
+    # deterministic, so the error bar is the extrapolation residual / 3
+    # alone: measured 1.83e-6, and a baseline gap of 2.28e-6
+    code, rec = run(tmp_path, "ft", "--body", "ball:dim=4", "--p", "1.5",
+                    "--method", "pairing", "--rule", "gauss:level=16")
+    assert code == 0
+    [result] = rec["results"]
+    assert result["method"] == "pairing" and result["flags"] == []
+    assert result["stderr"] == pytest.approx(1.83e-6, rel=1e-2)
+    [baseline] = rec["baselines_checked"]
+    assert baseline["passed"] and baseline["rel_gap"] < 1e-5
+
+
 def test_ft_reports_the_requested_fractional_exponent(tmp_path):
     # the route works at q = 2n - p - 2, and 2n - q - 2 would read
     # 0.20000000000000018

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import interpolate
 
-from cbplab import sections
+from cbplab import fourier, sections
 from cbplab.bodies import ComplexLqBall, EuclideanBall, ScaledBody, mollify
-from cbplab.fourier import default_section_rule, section_profile
+from cbplab.fourier import _pairing_core, default_section_rule, section_profile
 from cbplab.frames import make_frame, make_grid
 from cbplab import quadrature
-from cbplab.quadrature import Estimate, SphereRule
+from cbplab.quadrature import Estimate, SphereRule, integrate_subsphere
 from cbplab.sections import (_STENCILS, RootBracketError,
                              _slice_batch_sums, _slice_radii,
                              laplacian_at_zero,
@@ -133,6 +133,70 @@ def test_laplacian_raises_when_the_stencil_leaves_the_body():
     rule = SphereRule.gauss(6, 4)
     with pytest.raises(RootBracketError):
         laplacian_at_zero(EuclideanBall(8), frame, 2, 0.6, rule)
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work began before the rule was checked")
+
+
+def _no_gauge(body):
+    """`body` with a gauge that fails when called."""
+    body.norm = body.radial = _no_work
+    return body
+
+
+_FRAME8 = make_frame(unit(8, seed=16))
+_REFUSALS = {
+    "volume": (lambda ball: volume(ball, SphereRule.qmc(6, 64, 0)),
+               "rule dim 6 != body dim 8"),
+    "subsphere-rule": (lambda ball: integrate_subsphere(
+        SphereRule.qmc(8, 64, 0), _FRAME8.basis, ball.radial),
+        "rule dim 8 != subspace dim 6"),
+    "subsphere-basis": (lambda ball: integrate_subsphere(
+        SphereRule.qmc(6, 64, 0), 2.0 * _FRAME8.basis, ball.radial),
+        "basis is not orthonormal"),
+    "pairing-rule": (lambda ball: _pairing_core(
+        ball.radial, 8, _FRAME8.xi, [2.0], SphereRule.qmc(6, 64, 0), 0),
+        "rule dim 6 != space dim 8"),
+    "laplacian-smooth": (lambda ball: laplacian_at_zero(
+        _no_gauge(ComplexLqBall(4, 1.5)), _FRAME8, 1, 0.1,
+        SphereRule.qmc(6, 64, 0)),
+        "laplacian_at_zero needs a C2-smooth body"),
+    "laplacian-rule": (lambda ball: laplacian_at_zero(
+        ball, _FRAME8, 1, 0.1, SphereRule.qmc(8, 64, 0)),
+        "rule dim 8 != section dim 6"),
+    "far-sections-rule": (lambda ball: parallel_sections(
+        ball, _FRAME8, [[1.5, 0.0], [0.0, -2.0]], SphereRule.qmc(8, 64, 0)),
+        "rule dim 8 != section dim 6"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFUSALS))
+def test_a_wrong_input_is_refused_by_name_before_any_work(monkeypatch, name):
+    # no gauge call, and no bump moment or latitude weight of the pairing
+    monkeypatch.setattr(fourier, "_harmonic_bump_moments", _no_work)
+    monkeypatch.setattr(fourier, "_latitude_nodes", _no_work)
+    call, text = _REFUSALS[name]
+    with pytest.raises(ValueError, match=f"^{text}$"):
+        call(_no_gauge(EuclideanBall(8)))
+
+
+@pytest.mark.parametrize("kind", ["ball", "clq", "scale", "mollify",
+                                  "perturb"])
+def test_offsets_beyond_r_max_slice_to_zero(kind):
+    # the slice engine runs on no offsets and gives no sums
+    body = {"ball": lambda: EuclideanBall(6),
+            "clq": lambda: ComplexLqBall(3, 4.0),
+            "scale": lambda: ScaledBody(ComplexLqBall(3, 4.0), 1.3),
+            "mollify": lambda: mollify(ComplexLqBall(3, 4.0), 0.2),
+            "perturb": dented_ball}[kind]()
+    frame = make_frame(unit(6, seed=17))
+    rule = SphereRule.qmc(4, 64, 0)
+    far = [[body.r_max, 0.0], [0.0, -1.5 * body.r_max]]
+    zero = Estimate(0.0, 0.0, 0, "parallel_section")
+    assert parallel_sections(body, frame, far, rule) == [zero, zero]
+    sums, inside = _slice_batch_sums(body, frame, np.empty((0, 2)), rule)
+    assert sums.shape == (0, rule.batch_count) and inside.shape == (0,)
 
 
 def test_noisy_estimate_carries_the_value():
