@@ -253,15 +253,15 @@ def pair_from_record(pair: dict):
     return K, L
 
 
-def _negative_weighted_square(n, grid, values, max_atom_degree):
+def _negative_weighted_square(n, grid, values):
     """f = h^2 minimizing int f * F over the sphere for h in the symmetric
-    harmonic subspace of degree <= max_atom_degree, F being the scanned
+    harmonic subspace of degree <= _ATOM_DEGREE, F being the scanned
     transform values on the invariant grid.
 
     With A_{ia} = P_a(xi_i) and the invariant grid weights w, the integral
     is c^T (A^T diag(w F) A) c for f = (sum_a c_a P_a)^2; the minimizing
     unit c is the bottom eigenvector.  f is nonnegative by construction."""
-    atoms = symmetric_harmonic_atoms(n, max_atom_degree)
+    atoms = symmetric_harmonic_atoms(n, _ATOM_DEGREE)
     w = grid.weights
     if w is None:  # reduction 'none': equal weights summing to the area
         w = np.full(len(grid.points), sphere_area(grid.dim) / len(grid.points))
@@ -304,10 +304,12 @@ def bp_construct(n: int, q_body: float, grid: DirectionGrid = None,
     positivity-safe bound and halves (at most _MAX_HALVINGS times) until
     bp_verify, on its default rules, returns violation.
 
-    Returns (K, L, BpReport, trace) where trace records the construction
-    inputs needed to replay the pair.  `seed` must be >= 0, and is refused
-    before any build: seed + 3 keys the Sobol nodes of the sup probe, and
-    seed + 9 the Philox normals of the convexity probes.
+    Returns (K, L, BpReport, trace) where trace records how the pair was
+    found: the scan's minimum, the atom coefficients of h (f = h^2), the
+    sup probe and every amplitude tried; the bump itself is K.bump.
+    `seed` must be >= 0, and is refused before any build: seed + 3 keys
+    the Sobol nodes of the sup probe, and seed + 9 the Philox normals of
+    the convexity probes.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -325,7 +327,7 @@ def bp_construct(n: int, q_body: float, grid: DirectionGrid = None,
             f"no negativity region for n={n} (scan: {verdict.conclusion})")
 
     f_poly, f_coefs, predicted = _negative_weighted_square(
-        n, grid, verdict.values, _ATOM_DEGREE)
+        n, grid, verdict.values)
     # the construction only works if f weighs the negative part of the
     # transform more than the positive part; the bottom eigenvalue
     # `predicted` is that weighted integral, int f * F over the grid
@@ -341,7 +343,7 @@ def bp_construct(n: int, q_body: float, grid: DirectionGrid = None,
         SphereRule.qmc(d, 2 ** 14, seed + 3).nodes()))))
     eps = 0.5 * L.r_min ** (d - 2) / sup_g
 
-    trace = {"L": L.spec(), "f_coefs": f_coefs, "bump": bump.as_record(),
+    trace = {"L": L.spec(), "f_coefs": f_coefs,
              "argmin": [float(v) for v in verdict.argmin],
              "scan_min": verdict.min_value, "sup_g": sup_g,
              "predicted_integral": predicted,

@@ -5,15 +5,17 @@ Every command writes a report `{config_hash, inputs, results[],
 baselines_checked[], exit_code, cached}`.  `inputs` holds the command's
 name, NUMERICS_VERSION, the numpy and scipy versions, and every option the
 command takes but those that cannot move a number (--out, --csv,
---cache-dir, --no-cache), with body specs canonical and rule and grid
-defaults filled in; bp-verify --pair hashes the file's name and its pair
-record.  The sha256 of their canonical serialization is the config hash,
-which keys the result cache.  Each command takes only the options it
-reads, each setting has one spelling (a rule's node count is `--rule
-qmc:nodes=N`, its sphere the command's), and argparse refuses any other
-option with exit code 2.  Exit codes: 0 on success, 1 on errors, and 2
-when a verdict is undecided: an inconclusive scan or `ft` sample, or a
-bp-verify tie.
+--cache-dir, --no-cache), with body specs canonical and scan's grid spec
+filled in.  Any other option left out is hashed as its parser default,
+such as `rule: null` (ft, scan, bp-verify) or `grid: null` (bp-verify):
+the defaults follow from the other inputs, the bodies, method and --seed.
+bp-verify --pair hashes the file's name and its pair record.  The sha256
+of their canonical serialization is the config hash, which keys the
+result cache.  Each command takes only the options it reads, each setting
+has one spelling (a rule's node count is `--rule qmc:nodes=N`, its sphere
+the command's), and argparse refuses any other option with exit code 2.
+Exit codes: 0 on success, 1 on errors, and 2 when a verdict is undecided:
+an inconclusive scan or `ft` sample, or a bp-verify tie.
 """
 
 from __future__ import annotations
@@ -307,7 +309,7 @@ def cmd_bp_construct(args) -> int:
             return {"results": [{"error": f"construction-{kind}",
                                  "message": str(exc)}], "exit_code": 1}
         return {"results": [report.as_record()], "pair": pair_record(K, L),
-                "trace": {k: v for k, v in trace.items() if k != "bump"}}
+                "trace": trace}
 
     return _run(args, compute)
 

@@ -139,9 +139,9 @@ def _sweep(body, ps, grid, rule) -> dict:
 
 
 def scan(body: StarBody, p: float, grid: DirectionGrid,
-         rule: SphereRule = None) -> EmbeddingVerdict:
+         rule: SphereRule) -> EmbeddingVerdict:
     """Sign scan of (||x||^{-p})^ over the grid: the one-exponent sweep,
-    on `rule` or the natural route's default."""
+    on `rule`, or the natural route's default if it is None."""
     return _sweep(body, [p], grid, rule)[float(p)]
 
 

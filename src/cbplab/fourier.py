@@ -39,7 +39,6 @@ from .sections import (_STENCILS, laplacian_at_zero, parallel_sections,
                        section_volume)
 
 
-_FD_STEP = 0.1  # difference step h of the derivative route (and h / 2)
 _NOISE_LIMIT = 0.25  # stderr share of |value| above which 'noisy' is set
 _PROFILE_POINTS = 97  # section profile points, equally spaced on [0, rho]
 _MOMENT_NODES = (600, 400)  # radius x cosine nodes of the bump moment
@@ -87,10 +86,10 @@ def ft_derivative_route(body: StarBody, xi, m: int,
     on `rule` over the section sphere S^{d-3} (ft_values holds the
     default).
 
-    value = (-1)^m 4 pi (n - m - 1) Delta^m A(0) at step _FD_STEP; m = 0
-    uses the central section volume directly.  An m >= 1 sample whose error
-    bar exceeds _NOISE_LIMIT times its value (near a zero) is kept, flagged
-    'noisy'.
+    value = (-1)^m 4 pi (n - m - 1) Delta^m A(0), from laplacian_at_zero
+    at its fixed difference steps 0.1 and 0.05; m = 0 uses the central
+    section volume directly.  An m >= 1 sample whose error bar exceeds
+    _NOISE_LIMIT times its value (near a zero) is kept, flagged 'noisy'.
     """
     _require_invariant(body)
     n = body.dim // 2
@@ -105,7 +104,7 @@ def ft_derivative_route(body: StarBody, xi, m: int,
         scale = 4.0 * math.pi * (n - 1)
     else:
         scale = (-1.0) ** m * 4.0 * math.pi * (n - m - 1)
-        est = laplacian_at_zero(body, frame, m, _FD_STEP, rule)
+        est = laplacian_at_zero(body, frame, m, rule)
         if est.value != 0.0 and est.stderr > _NOISE_LIMIT * abs(est.value):
             flags = ("noisy",)
     return FtSample(float(p), scale * est.value, abs(scale) * est.stderr,
@@ -182,9 +181,8 @@ def section_profile(body: StarBody, xi, rule: SphereRule):
 
 
 def fractional_from_profile(spline, cutoff, max_err, p, q, n) -> FtSample:
-    """Finish the fractional route at p (order q) from a section profile."""
-    if not 0.0 < q < 2.0:
-        raise UnsupportedRouteError("q must lie strictly inside (0, 2)")
+    """Finish the fractional route at p (order q) from a section profile;
+    fractional_radial refuses a q outside (0, 2)."""
 
     def profile(t):
         return spline(t) if t < cutoff else 0.0
@@ -462,7 +460,7 @@ def _route(p: float, n: int, method: str):
         f"the fractional route needs 2n - p - 2 in (0, 2), not {q}")
 
 
-def ft_values(body: StarBody, xi, ps, rule: SphereRule = None,
+def ft_values(body: StarBody, xi, ps, rule: SphereRule,
               method: str = None) -> list[FtSample]:
     """Evaluate (||x||^{-p})^(xi) for each exponent of `ps`, by the named
     method or each one's natural route; one FtSample per exponent, in
@@ -470,11 +468,12 @@ def ft_values(body: StarBody, xi, ps, rule: SphereRule = None,
     evaluated once; fractional exponents share one section profile and
     pairing ones one pass, so each sample equals a one-exponent call's.
 
-    This is the one place where a Fourier route gets a default rule: with
-    `rule` None, the derivative and fractional routes take
-    default_section_rule(d) and the pairing route 2^19 Sobol nodes on
-    S^{d-1} with seed 5.  The multiplier route reads no rule, so it
-    refuses one."""
+    With `rule` None the routes take default rules: the derivative and
+    fractional routes default_section_rule(d), the pairing route 2^19
+    Sobol nodes on S^{d-1} with seed 5.  Callers may hold their own:
+    `cbplab ft --method pairing` without --rule passes 2^19 Sobol nodes
+    seeded by --seed, and confirm_sample picks its pairing nodes by
+    dimension.  The multiplier route reads no rule, so it refuses one."""
     if method == "multiplier" and rule is not None:
         raise UnsupportedRouteError(f"the multiplier route reads no rule, "
                                     f"not {rule.kind} on S^{rule.dim - 1}")

@@ -71,9 +71,6 @@ class DirectionGrid:
     seed: int = 0
     weights: np.ndarray | None = field(default=None)
 
-    def __len__(self):
-        return len(self.points)
-
 
 def moduli_angle_map(angles, n, lead):
     """Moduli vectors on S^{n-1}_+ at the product grid of the 1-D `angles`

@@ -458,9 +458,6 @@ class HarmonicAtom:
     def __call__(self, x):
         return _moduli_values(self.c_poly, self.n, x, on_sphere=False)
 
-    def __repr__(self):
-        return f"HarmonicAtom(n={self.n}, degree={self.degree})"
-
 
 class HarmonicBump:
     """Even spherical function given by a polynomial in the block moduli

@@ -330,6 +330,7 @@ def parallel_section(body: StarBody, frame: ComplexFrame, u,
     return parallel_sections(body, frame, [u], rule)[0]
 
 
+_FD_STEP = 0.1  # difference step h of laplacian_at_zero (and h / 2)
 _STENCILS = {
     # (offset multiples in (u1,u2) units of h) : coefficient of A at them,
     # divided by h^{2m}; both are standard second-order stencils.
@@ -343,10 +344,12 @@ _STENCILS = {
 }
 
 
-def laplacian_at_zero(body: StarBody, frame: ComplexFrame, m: int, h: float,
+def laplacian_at_zero(body: StarBody, frame: ComplexFrame, m: int,
                       rule: SphereRule) -> Estimate:
-    """Delta^m A_{K,H_xi}(0) by 2-D central differences, always Richardson
-    extrapolated over the steps {h, h/2}: (4 D(h/2) - D(h)) / 3 per batch.
+    """Delta^m A_{K,H_xi}(0) by 2-D central differences, for an order m of
+    _STENCILS (1 or 2), always Richardson extrapolated over the steps
+    {h, h/2} with h = _FD_STEP: (4 D(h/2) - D(h)) / 3 per batch.  Every
+    offset, the farthest 2h from the origin, must lie inside the body.
     All slices share quadrature nodes.  The estimate carries its error bar
     whatever its size; judging it is the caller's job.  A rule off the
     section sphere is refused by name before any gauge call.  Each slice
@@ -354,13 +357,13 @@ def laplacian_at_zero(body: StarBody, frame: ComplexFrame, m: int, h: float,
     integrates one crossing per ray, unflagged."""
     if not body.smooth:
         raise ValueError("laplacian_at_zero needs a C2-smooth body")
-    if m not in (1, 2):
-        raise ValueError("m must be 1 or 2")
+    if m not in _STENCILS:
+        raise ValueError(f"m must be one of {sorted(_STENCILS)}, not {m}")
     if body.dim < 2 * m + 2:
         raise ValueError(f"m={m} needs dim >= {2 * m + 2}")
     pts, coefs = _STENCILS[m]
     offsets = {}
-    for s in (h, h / 2.0):
+    for s in (_FD_STEP, _FD_STEP / 2.0):
         for (i, j) in pts:
             offsets.setdefault((i * s, j * s), None)
     keys = list(offsets.keys())
@@ -375,5 +378,5 @@ def laplacian_at_zero(body: StarBody, frame: ComplexFrame, m: int, h: float,
             comb += c * sums[index[(i * step, j * step)]]
         return comb / step ** (2 * m)
 
-    per_batch = (4.0 * fd(h / 2.0) - fd(h)) / 3.0
+    per_batch = (4.0 * fd(_FD_STEP / 2.0) - fd(_FD_STEP)) / 3.0
     return Estimate.from_batches(per_batch, rule, f"laplacian_m{m}")

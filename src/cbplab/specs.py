@@ -133,7 +133,7 @@ def parse_grid(text: str, default_seed: int) -> DirectionGrid:
         raise SpecError(f"bad value for 'sort' in {text!r} (0 or 1)")
     _done(fields, text)
     return make_grid(dim, res, reduction=reduction, seed=seed,
-                     sort_moduli=sort == 1 and reduction == "orbit_reduced")
+                     sort_moduli=sort == 1)
 
 
 def parse_rule(text: str, dim: int, default_seed: int) -> SphereRule:

@@ -126,8 +126,8 @@ def parseval_check(bodyK: StarBody, bodyL: StarBody, p: float,
     lhs = 0.0
     var = 0.0
     for w, xi in zip(grid.weights, grid.points):
-        [fk] = ft_values(bodyK, xi, [p])
-        [fl] = ft_values(bodyL, xi, [d - p])
+        [fk] = ft_values(bodyK, xi, [p], None)
+        [fl] = ft_values(bodyL, xi, [d - p], None)
         lhs += w * fk.value * fl.value
         var += (w * math.hypot(fk.stderr * fl.value,
                                fl.stderr * fk.value)) ** 2

@@ -180,7 +180,7 @@ def test_negative_weighted_square_minimizes_the_pairing():
     # an invariant weight profile that is negative near the axis orbit
     m = block_moduli(grid.points)
     values = 1.0 - 3.0 * np.max(m, axis=1) ** 4
-    f_poly, coefs, lam = _negative_weighted_square(4, grid, values, 4)
+    f_poly, coefs, lam = _negative_weighted_square(4, grid, values)
     fvals = c_eval(f_poly, m ** 2)
     assert np.min(fvals) >= -1e-10
     weighted = float(np.dot(grid.weights, fvals * values))
@@ -196,9 +196,9 @@ def test_negative_weighted_square_gives_a_grid_without_weights_equal_ones():
                             np.full(len(grid.points),
                                     sphere_area(4) / len(grid.points)))
     values = 1.0 - 3.0 * np.max(block_moduli(grid.points), axis=1) ** 4
-    f_poly, coefs, lam = _negative_weighted_square(2, grid, values, 4)
+    f_poly, coefs, lam = _negative_weighted_square(2, grid, values)
     assert (f_poly, coefs, lam) == _negative_weighted_square(
-        2, uniform, values, 4)
+        2, uniform, values)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -234,7 +234,7 @@ def test_a_constructed_pair_survives_its_record(pair8):
     assert set(report.details) == {"exceed_count", "tie_count"}
     record = json.loads(json.dumps(pair_record(K, L)))
     assert record["eps"] == trace["eps"]
-    assert record["bump"] == trace["bump"]
+    assert record["bump"] == K.bump.as_record()
     K2, L2 = pair_from_record(record)
     assert (K2.spec(), L2.spec()) == (K.spec(), L.spec())
     g = np.random.Generator(np.random.Philox(key=11))

@@ -12,10 +12,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cbplab import busemann_petty, cli, embedding, fourier
+from cbplab.bodies import EuclideanBall
 from cbplab.busemann_petty import (bp_verify, pair_from_record, pair_record,
                                    read_pair_record)
 from cbplab.cli import CACHE_ENV, config_hash, main
-from cbplab.fourier import FtSample
+from cbplab.fourier import FtSample, ft_derivative_route, ft_values
+from cbplab.frames import make_grid
+from cbplab.quadrature import SphereRule, fractional_radial
 from cbplab.specs import SpecError, parse_body, parse_grid
 
 
@@ -485,7 +488,7 @@ def test_a_constructed_pair_report_is_verified_from_its_file(tmp_path,
     report = bp_verify(K, L, parse_grid("grid:dim=4,res=8,reduce=orbit", 0))
 
     def construct(n, q, seed):
-        return K, L, report, {"eps": [K.eps], "halvings": 0, "bump": "f"}
+        return K, L, report, {"eps": [K.eps], "halvings": 0}
 
     monkeypatch.setattr(cli, "bp_construct", construct)
     code, built = run(tmp_path, "bp-construct", "--n", "2", "--q", "4",
@@ -698,6 +701,63 @@ def test_bp_construct_at_n_two_is_impossible_and_replays(tmp_path):
 def test_a_bad_spec_exits_one_naming_its_token(capsys, argv, token):
     assert main([*argv, "--no-cache"]) == 1
     assert token in capsys.readouterr().err
+
+
+def _not_invariant(body):
+    body.rotation_invariant = False
+    return body
+
+
+def _cache_entry_without_results(tmp_path):
+    inputs = {"command": "volume", "body": "ball:dim=4"}
+    chash = config_hash(inputs)
+    (tmp_path / f"{chash}.json").write_text(json.dumps(
+        {"config_hash": chash, "inputs": inputs, "exit_code": 0}))
+    assert cli.cache_get(inputs, str(tmp_path)) is None
+
+
+#: refusals that no other test reaches, each with its whole message
+_REFUSALS = {
+    "bp-verify-invariance": (lambda tmp: bp_verify(
+        _not_invariant(EuclideanBall(4)), EuclideanBall(4),
+        make_grid(4, 8, "orbit_reduced")),
+        "ball:dim=4 is not complex-rotation invariant"),
+    "multiplier-p": (lambda tmp: ft_values(
+        EuclideanBall(4), np.eye(4)[0], [5.0], None, "multiplier"),
+        "p must lie in (0, dim)"),
+    # laplacian_at_zero itself takes m = 2 in dim 6
+    "derivative-order": (lambda tmp: ft_derivative_route(
+        EuclideanBall(6), np.eye(6)[0], 2, SphereRule.gauss(4, 6)),
+        "m=2 needs 0 <= m < n-1 = 2"),
+    "fractional-q": (lambda tmp: fractional_radial(lambda t: 0.0, 2.0, 1.0),
+                     "q must lie in (0, 2)"),
+    "fractional-cutoff": (lambda tmp: fractional_radial(
+        lambda t: 0.0, 1.0, 0.0), "cutoff must be positive"),
+    "mollify-width": (lambda tmp: parse_body(
+        "mollify:base=(ball:dim=4),width=1.5"), "width must lie in (0, 1)"),
+    "ball-dim": (lambda tmp: parse_body("ball:dim=5"),
+                 "dim must be even and >= 4"),
+    "clq-n": (lambda tmp: parse_body("clq:n=1,q=4"), "n must be >= 2"),
+    "mollify-base": (lambda tmp: parse_body("mollify:width=0.1"),
+                     "missing field 'base' in 'mollify:width=0.1'"),
+    "grid-reduction": (lambda tmp: parse_grid(
+        "grid:dim=4,res=8,reduce=diag", 0),
+        "unknown reduction 'diag' in 'grid:dim=4,res=8,reduce=diag'"),
+    "rule-dim": (lambda tmp: SphereRule.qmc(1, 64, 0), "dim must be >= 2"),
+    # a cache entry is warned of and ignored, not refused with an error
+    "cache-results": (_cache_entry_without_results, "no results or exit code"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFUSALS))
+def test_each_refusal_names_its_cause(tmp_path, capsys, name):
+    call, text = _REFUSALS[name]
+    try:
+        call(tmp_path)
+    except ValueError as exc:
+        assert str(exc) == text
+    else:
+        assert capsys.readouterr().err.endswith(f": {text}\n")
 
 
 @pytest.mark.parametrize("spec, field", [

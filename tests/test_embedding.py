@@ -25,7 +25,7 @@ def b42():
 @pytest.fixture(scope="module")
 def b42_scans(grid4, b42):
     """One scan per exponent: each confirms its own minimum."""
-    return {p: scan(b42, p, grid4) for p in (2.0, 1.5, 1.0)}
+    return {p: scan(b42, p, grid4, None) for p in (2.0, 1.5, 1.0)}
 
 
 def _counted(monkeypatch, module, name):
@@ -38,7 +38,7 @@ def _counted(monkeypatch, module, name):
 
 
 def test_ball_scan_is_nonnegative_and_constant(grid4):
-    verdict = scan(EuclideanBall(4), 2.0, grid4)
+    verdict = scan(EuclideanBall(4), 2.0, grid4, None)
     assert verdict.conclusion == "nonnegative_up_to_tol"
     truth = classical_multiplier(0, 2.0, 4)
     assert np.allclose(verdict.values, truth, rtol=1e-6)
@@ -114,7 +114,7 @@ def test_a_grid_of_another_dimension_is_refused_before_any_work(
     values = _counted(monkeypatch, embedding, "ft_values")
     grid = make_grid(6, 8, reduction="orbit_reduced")
     with pytest.raises(ValueError, match="grid dim 6 != body dim 4"):
-        scan(b42, 2.0, grid)
+        scan(b42, 2.0, grid, None)
     with pytest.raises(ValueError, match="grid dim 6 != body dim 4"):
         embedding_interval(b42, [1.5, 2.0], grid)
     assert values == []
@@ -137,7 +137,7 @@ def test_confirm_sample_matches_the_classical_constant():
 
 
 def test_verdict_record_is_serializable(grid4):
-    verdict = scan(EuclideanBall(4), 2.0, grid4)
+    verdict = scan(EuclideanBall(4), 2.0, grid4, None)
     rec = verdict.as_record()
     assert rec["conclusion"] == "nonnegative_up_to_tol"
     assert len(rec["argmin"]) == 4
@@ -151,7 +151,7 @@ def test_embedding_interval_values_are_those_of_scan_at_any_exponent():
     body = mollify(ComplexLqBall(2, 4.0), 0.2)
     grid = make_grid(4, 8, reduction="orbit_reduced", sort_moduli=True)
     interval = embedding_interval(body, [0.2], grid)[0.2]
-    alone = scan(body, 0.2, grid)
+    alone = scan(body, 0.2, grid, None)
     assert np.array_equal(interval.values, alone.values)
     assert np.array_equal(interval.stderrs, alone.stderrs)
 

@@ -58,7 +58,7 @@ def test_derivative_route_flags_an_error_bar_above_a_quarter_of_the_value(
     # the noise gate lives in the derivative route: exactly a quarter of
     # |value| passes, the next float above it is flagged, and m = 0 is not
     # gated; the sample keeps its value and error bar either way
-    def laplacian(body, frame, m, h, rule, stderr):
+    def laplacian(body, frame, m, rule, stderr):
         return Estimate(value, stderr, 1, f"laplacian_m{m}")
 
     xi = unit(6, seed=3)
@@ -79,7 +79,7 @@ def test_derivative_route_flags_an_error_bar_above_a_quarter_of_the_value(
 def test_fractional_route_on_the_ball_dim4():
     # q = 1 in dim 4 targets p = 1 and c(4, 1) = 4 pi^2
     xi = unit(4, seed=1)
-    [sample] = ft_values(EuclideanBall(4), xi, [1.0], method="fractional")
+    [sample] = ft_values(EuclideanBall(4), xi, [1.0], None, "fractional")
     assert sample.value == pytest.approx(4.0 * math.pi ** 2, rel=0.02)
     assert sample.value == pytest.approx(classical_multiplier(0, 1.0, 4),
                                          rel=0.02)
@@ -196,7 +196,7 @@ def test_ft_value_dispatch():
     xi = unit(6, seed=7)
 
     def route(p, method=None):
-        [sample] = ft_values(body, xi, [p], method=method)
+        [sample] = ft_values(body, xi, [p], None, method=method)
         return sample.method
 
     assert route(2.0) == "derivative"
@@ -220,7 +220,7 @@ def test_an_unknown_method_is_refused_before_any_work(monkeypatch):
     with pytest.raises(UnsupportedRouteError,
                        match=f"unknown method 'derivtive'; choose one of "
                              f"{names}"):
-        ft_values(EuclideanBall(4), unit(4), [1.0], method="derivtive")
+        ft_values(EuclideanBall(4), unit(4), [1.0], None, method="derivtive")
     with pytest.raises(UnsupportedRouteError, match="unknown method"):
         fourier._route(1.0, 2, "derivtive")
 
@@ -249,7 +249,7 @@ def b42_alone():
     derivative, 1 and 1.5 fractional)."""
     body = mollify(ComplexLqBall(2, 4.0), 0.2)
     xi = unit(4, seed=4)
-    return body, xi, {p: ft_values(body, xi, [p])[0]
+    return body, xi, {p: ft_values(body, xi, [p], None)[0]
                       for p in (1.0, 1.5, 2.0)}
 
 
@@ -273,10 +273,10 @@ def test_ft_values_routes_first_and_equals_one_exponent_calls(
                        or f(*args, **kwargs))
         if bad:
             with pytest.raises(UnsupportedRouteError):
-                ft_values(body, xi, ps)
+                ft_values(body, xi, ps, None)
             assert calls == {"section_profile": [], "ft_derivative_route": []}
             return
-        got = ft_values(body, xi, ps)
+        got = ft_values(body, xi, ps, None)
     assert [_key(s) for s in got] == [_key(alone[p]) for p in ps]
     # one profile serves every fractional exponent; a repeat is evaluated
     # once
@@ -317,7 +317,7 @@ def test_ft_values_holds_each_routes_default_rule(route, body, p, method):
     # a None rule gives, bit for bit, the route on its default rule
     body = body()
     xi = unit(body.dim, seed=11)
-    [got] = ft_values(body, xi, [p], method=method)
+    [got] = ft_values(body, xi, [p], None, method=method)
     assert got.method == route
     assert _key(got) == _key(_on_default_rule(route, body, xi, p))
 

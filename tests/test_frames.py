@@ -81,7 +81,7 @@ def test_sobol_grid_is_deterministic_and_unit():
     g2 = make_grid(8, 64, reduction="none", seed=5)
     assert np.array_equal(g1.points, g2.points)
     assert np.allclose(np.linalg.norm(g1.points, axis=1), 1.0)
-    assert len(g1) == 64
+    assert len(g1.points) == 64
 
 
 @pytest.mark.parametrize("dim, seed", [(4, 0), (8, 5), (10, 12)])
@@ -100,7 +100,7 @@ def test_orbit_reduced_grid_canonical_form():
     # sorted moduli are descending
     m = pts[:, 0::2]
     assert np.all(np.diff(m, axis=1) <= 1e-12)
-    assert len(g) >= 100
+    assert len(g.points) >= 100
 
 
 def test_orbit_reduced_weights_integrate_invariant_functions():

@@ -189,7 +189,7 @@ def test_settable_values_do_not_grow():
                   for action in parser._actions
                   if action.option_strings
                   and not isinstance(action, argparse._HelpAction))
-    assert defaults + options <= 58, (defaults, options)
+    assert defaults + options <= 56, (defaults, options)
 
 
 def _code_lines(source):
@@ -216,4 +216,4 @@ def test_src_code_lines_do_not_grow():
     for path in glob.glob(os.path.join(ROOT, "src", "cbplab", "*.py")):
         with open(path) as fh:
             total += _code_lines(fh.read())
-    assert total <= 2281, total
+    assert total <= 2275, total

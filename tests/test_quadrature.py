@@ -581,7 +581,7 @@ _PIPELINE = (
     "grid = cbplab.make_grid(8, 64, reduction='none', seed=5)\n"
     "body = cbplab.mollify(cbplab.ComplexLqBall(2, 4.0), 0.2)\n"
     "xi = cbplab.make_grid(4, 8, 'orbit_reduced').points[1]\n"
-    "[sample] = cbplab.ft_values(body, xi, [1.5])\n"
+    "[sample] = cbplab.ft_values(body, xi, [1.5], None)\n"
     "assert sample.method == 'fractional'\n"
     "[pair] = cbplab.pairing_oracle(\n"
     "    body, xi, [2.0], cbplab.SphereRule.gauss(4, 8))\n"

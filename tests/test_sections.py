@@ -109,30 +109,32 @@ def test_laplacian_of_the_ball_slice_function():
     rule = SphereRule.gauss(m, 8)
     ball = EuclideanBall(d)
     # Richardson over {h, h/2} leaves an h^4 term with 6th derivatives
-    est1 = laplacian_at_zero(ball, frame, 1, 0.1, rule)
+    est1 = laplacian_at_zero(ball, frame, 1, rule)
     assert est1.value == pytest.approx(-2.0 * m * kappa(m), rel=1e-4)
     # for Delta^2 the h^4 term needs 8th derivatives, which vanish here
-    est2 = laplacian_at_zero(ball, frame, 2, 0.1, rule)
+    est2 = laplacian_at_zero(ball, frame, 2, rule)
     assert est2.value == pytest.approx(8.0 * m * (m - 2) * kappa(m), rel=1e-8)
 
 
 def test_laplacian_rejects_out_of_range_orders():
     frame = make_frame(unit(6, seed=8))
     rule = SphereRule.gauss(4, 6)
-    with pytest.raises(ValueError):
-        laplacian_at_zero(EuclideanBall(6), frame, 3, 0.1, rule)
+    with pytest.raises(ValueError,
+                       match=r"^m must be one of \[1, 2\], not 3$"):
+        laplacian_at_zero(EuclideanBall(6), frame, 3, rule)
     frame4 = make_frame(unit(4, seed=8))
     rule4 = SphereRule.gauss(2, 6)
     with pytest.raises(ValueError):
         # Delta^2 needs a section of dimension at least 4
-        laplacian_at_zero(EuclideanBall(4), frame4, 2, 0.1, rule4)
+        laplacian_at_zero(EuclideanBall(4), frame4, 2, rule4)
 
 
 def test_laplacian_raises_when_the_stencil_leaves_the_body():
+    # the farthest offset, 2 h = 0.2, lies outside a ball of radius 0.15
     frame = make_frame(unit(8, seed=9))
     rule = SphereRule.gauss(6, 4)
     with pytest.raises(RootBracketError):
-        laplacian_at_zero(EuclideanBall(8), frame, 2, 0.6, rule)
+        laplacian_at_zero(ScaledBody(EuclideanBall(8), 0.15), frame, 2, rule)
 
 
 def _no_work(*args, **kwargs):
@@ -159,11 +161,11 @@ _REFUSALS = {
         ball.radial, 8, _FRAME8.xi, [2.0], SphereRule.qmc(6, 64, 0), 0),
         "rule dim 6 != space dim 8"),
     "laplacian-smooth": (lambda ball: laplacian_at_zero(
-        _no_gauge(ComplexLqBall(4, 1.5)), _FRAME8, 1, 0.1,
+        _no_gauge(ComplexLqBall(4, 1.5)), _FRAME8, 1,
         SphereRule.qmc(6, 64, 0)),
         "laplacian_at_zero needs a C2-smooth body"),
     "laplacian-rule": (lambda ball: laplacian_at_zero(
-        ball, _FRAME8, 1, 0.1, SphereRule.qmc(8, 64, 0)),
+        ball, _FRAME8, 1, SphereRule.qmc(8, 64, 0)),
         "rule dim 8 != section dim 6"),
     "far-sections-rule": (lambda ball: parallel_sections(
         ball, _FRAME8, [[1.5, 0.0], [0.0, -2.0]], SphereRule.qmc(8, 64, 0)),
@@ -205,10 +207,10 @@ def test_noisy_estimate_carries_the_value():
     body = mollify(ComplexLqBall(3, 4.0), 0.2)
     frame = make_frame(unit(6, seed=10))
     rule = SphereRule.qmc(4, 2 ** 10, 11)
-    est = laplacian_at_zero(body, frame, 1, 0.1, rule)
+    est = laplacian_at_zero(body, frame, 1, rule)
     assert est is not None
     assert est.stderr > 0.0
-    quiet = laplacian_at_zero(body, frame, 1, 0.1,
+    quiet = laplacian_at_zero(body, frame, 1,
                               SphereRule.gauss(4, 10))
     assert est.value == pytest.approx(quiet.value, abs=5.0 * est.stderr)
 
@@ -221,7 +223,7 @@ def test_shared_nodes_make_differences_quiet():
     rule = SphereRule.qmc(4, 2 ** 12, 13)
     raw = parallel_section(body, frame, (0.1, 0.0), rule)
     assert raw.stderr > 0.0
-    fd = laplacian_at_zero(body, frame, 1, 0.1, rule)
+    fd = laplacian_at_zero(body, frame, 1, rule)
     assert fd.stderr * 0.1 ** 2 < raw.stderr
 
 
@@ -233,7 +235,7 @@ def test_an_understated_r_max_raises_a_root_bracket_error():
     with pytest.raises(RootBracketError, match=r"offset \(0\.1, 0\)"):
         parallel_section(body, frame, (0.1, 0.0), rule)
     with pytest.raises(RootBracketError):
-        laplacian_at_zero(body, frame, 1, 0.05, rule)
+        laplacian_at_zero(body, frame, 1, rule)
 
 
 # The slice engine as it was before it bisected every (offset, node) pair
